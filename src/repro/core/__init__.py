@@ -17,7 +17,11 @@ from repro.core.evaluator import (
     MappingMetrics,
     PendingBatch,
 )
-from repro.core.genetic import GeneticAlgorithm, pmx_crossover
+from repro.core.genetic import (
+    GeneticAlgorithm,
+    pmx_crossover,
+    pmx_crossover_batch,
+)
 from repro.core.mapping import Mapping, random_assignment, random_assignment_batch
 from repro.core.objectives import (
     SNR_CAP_DB,
@@ -53,6 +57,7 @@ __all__ = [
     "PendingBatch",
     "GeneticAlgorithm",
     "pmx_crossover",
+    "pmx_crossover_batch",
     "Mapping",
     "random_assignment",
     "random_assignment_batch",

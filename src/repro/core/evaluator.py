@@ -560,9 +560,9 @@ class MappingEvaluator:
         The asynchronous companion of :meth:`evaluate_batch`: with more
         than one worker the row shards are queued on the persistent pool
         and scored in the background, so the caller can generate the next
-        candidate batch while this one is being evaluated (random search,
-        the GA and the Fig. 3 sweep all pipeline this way — one slow
-        shard never stalls candidate generation).
+        candidate batch while this one is being evaluated (random search
+        and the Fig. 3 sweep pipeline this way — one slow shard never
+        stalls candidate generation).
 
         Parameters
         ----------

@@ -13,8 +13,14 @@ lets mutation move tasks onto empty tiles by swapping into the tail.
 With a routed evaluator (``routes > 1``) the chromosome grows a route-gene
 segment: one gene per CG edge, appended after the permutation. PMX still
 operates on the permutation alone; route genes cross over uniformly and
-mutate by redrawing one edge's gene. At ``routes == 1`` the chromosome,
-RNG draws and results are bit-identical to mapping-only GA.
+mutate by redrawing one edge's gene. Every route-gene draw is gated on
+``routes > 1``, so at ``routes == 1`` the chromosome, RNG draws and
+results are bit-identical to mapping-only GA.
+
+Each generation is bred as one array program: every tournament comes from
+a single draw, crossover and mutation are whole-generation masks, and one
+:func:`pmx_crossover_batch` call crosses every selected pair, so breeding
+costs a fixed number of numpy calls whatever the population size.
 """
 
 from __future__ import annotations
@@ -26,7 +32,72 @@ from repro.core.result import OptimizationResult
 from repro.core.strategy import BestTracker, MappingStrategy
 from repro.errors import OptimizationError
 
-__all__ = ["GeneticAlgorithm", "pmx_crossover"]
+__all__ = ["GeneticAlgorithm", "pmx_crossover", "pmx_crossover_batch"]
+
+
+def _distinct_pairs(rng: np.random.Generator, n: int, count: int):
+    """``count`` pairs ``lo < hi`` of distinct values in ``range(n)``.
+
+    Each pair is uniform over the ``n * (n - 1) / 2`` unordered pairs —
+    the distribution of ``sorted(rng.choice(n, 2, replace=False))`` —
+    and all of them come from one draw: a uniform index into the
+    ``n * (n - 1)`` ordered pairs, split into a first value and a
+    second one among the remaining ``n - 1``.
+    """
+    first, second = np.divmod(rng.integers(0, n * (n - 1), size=count), n - 1)
+    second += second >= first
+    return np.minimum(first, second), np.maximum(first, second)
+
+
+def pmx_crossover_batch(
+    parents_a: np.ndarray,
+    parents_b: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+) -> np.ndarray:
+    """Row-wise partially mapped crossover at explicit cut points.
+
+    Parameters
+    ----------
+    parents_a, parents_b : numpy.ndarray
+        ``(M, n)`` batches of permutations of ``range(n)``.
+    lo, hi : numpy.ndarray
+        ``(M,)`` cut points, ``0 <= lo[r] < hi[r] <= n``.
+
+    Returns
+    -------
+    numpy.ndarray
+        ``(M, n)`` int64 children: row ``r`` carries ``parents_a[r]``'s
+        slice ``lo[r]:hi[r]`` and parent B's genes everywhere else,
+        with PMX conflict resolution, so every row is a permutation.
+    """
+    parents_a = np.asarray(parents_a, dtype=np.int64)
+    parents_b = np.asarray(parents_b, dtype=np.int64)
+    n_rows, size = parents_a.shape
+    lo = np.asarray(lo)
+    hi = np.asarray(hi)
+    passes = int((hi - lo).max(initial=1) - 1).bit_length()
+    # Flat cell index of row r, column c: r * size + c.
+    columns = np.arange(size)
+    offset = np.arange(n_rows)[:, None] * size
+    cells = (columns + offset).ravel()
+    in_slice = ((columns >= lo[:, None]) & (columns < hi[:, None])).ravel()
+    cell_in_a = np.empty(n_rows * size, dtype=np.int64)
+    cell_in_a[(parents_a + offset).ravel()] = cells
+    # One PMX step from a cell: to the cell where A holds B's gene of
+    # that cell. Outside the slice, B's gene clashes when the step lands
+    # in the slice (A's slice already placed it); the chain then goes on
+    # through the slice and ends on the first slice cell whose B gene A's
+    # slice displaced. Every other cell is a fixed point. The step map is
+    # a permutation of each row, so a chain from outside the slice never
+    # revisits a cell and has at most ``hi - lo`` steps: pointer doubling
+    # reaches every chain's end in ceil(log2(hi - lo)) passes.
+    step = cell_in_a[(parents_b + offset).ravel()]
+    jump = np.where(in_slice[step], step, cells)
+    for _ in range(passes):
+        jump = jump[jump]
+    child = np.where(in_slice, parents_a.ravel(), parents_b.ravel()[jump])
+    return child.reshape(n_rows, size)
 
 
 def pmx_crossover(
@@ -36,32 +107,12 @@ def pmx_crossover(
 
     Copies a random slice from parent A and fills the remaining positions
     with parent B's genes, following PMX's conflict-resolution chain so the
-    child is again a permutation.
+    child is again a permutation (one row of :func:`pmx_crossover_batch`).
     """
-    size = len(parent_a)
-    child = np.full(size, -1, dtype=np.int64)
-    lo, hi = sorted(rng.choice(size + 1, size=2, replace=False))
-    child[lo:hi] = parent_a[lo:hi]
-    position_in_b = np.empty(size, dtype=np.int64)
-    position_in_b[parent_b] = np.arange(size)
-    in_slice = np.zeros(size, dtype=bool)
-    in_slice[parent_a[lo:hi]] = True
-    for index in range(lo, hi):
-        gene = parent_b[index]
-        if in_slice[gene]:
-            continue
-        # Follow the PMX chain: the displaced gene parent_a[position] sits
-        # at position_in_b of parent B; stop at the first slot outside the
-        # copied slice. The chain cannot revisit a position because the
-        # step map is injective and returning to the start would need
-        # ``gene`` to be a slice gene.
-        position = index
-        while lo <= position < hi:
-            position = position_in_b[parent_a[position]]
-        child[position] = gene
-    empty = child == -1
-    child[empty] = parent_b[empty]
-    return child
+    lo, hi = sorted(rng.choice(len(parent_a) + 1, size=2, replace=False))
+    return pmx_crossover_batch(
+        np.asarray(parent_a)[None], np.asarray(parent_b)[None], [lo], [hi]
+    )[0]
 
 
 class GeneticAlgorithm(MappingStrategy):
@@ -82,11 +133,11 @@ class GeneticAlgorithm(MappingStrategy):
 
     Notes
     -----
-    Generation scoring is submitted to the evaluator chunk by chunk
-    (see :meth:`~repro.core.evaluator.MappingEvaluator.submit_batch`),
-    so with a sharded evaluator the slow python-side breeding loop
-    overlaps with worker-side evaluation; results are bit-identical to
-    the sequential path for any shard width.
+    Each generation is scored with one
+    :meth:`~repro.core.evaluator.MappingEvaluator.evaluate_batch` call,
+    which shards across the evaluator's worker pool once the generation
+    is large enough; results are bit-identical to the sequential path
+    for any shard width.
     """
 
     name = "ga"
@@ -102,8 +153,12 @@ class GeneticAlgorithm(MappingStrategy):
     ):
         if population_size < 4:
             raise OptimizationError("GA population must be at least 4")
+        if tournament_size < 1:
+            raise OptimizationError("GA tournament size must be at least 1")
         if not (0 <= crossover_rate <= 1 and 0 <= mutation_rate <= 1):
             raise OptimizationError("GA rates must lie in [0, 1]")
+        if elite_count < 0:
+            raise OptimizationError("GA elite count must be non-negative")
         if elite_count >= population_size:
             raise OptimizationError("GA elite count must be below population size")
         self.population_size = int(population_size)
@@ -114,14 +169,51 @@ class GeneticAlgorithm(MappingStrategy):
 
     # -- operators -----------------------------------------------------------
 
-    def _mutate(self, chromosome: np.ndarray, rng: np.random.Generator) -> None:
-        """Swap two random genes in place (task<->task or task<->empty)."""
-        i, j = rng.choice(len(chromosome), size=2, replace=False)
-        chromosome[i], chromosome[j] = chromosome[j], chromosome[i]
-
-    def _select(self, scores: np.ndarray, rng: np.random.Generator) -> int:
-        contenders = rng.integers(0, len(scores), size=self.tournament_size)
-        return int(contenders[np.argmax(scores[contenders])])
+    def _breed(
+        self,
+        population: np.ndarray,
+        scores: np.ndarray,
+        count: int,
+        n_tiles: int,
+        routes: int,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """``count`` children of one generation, bred as whole arrays."""
+        # Both parents of every child from one tournament draw (A in the
+        # first ``count`` rows, B in the rest); argmax keeps the first of
+        # tied contenders.
+        contenders = rng.integers(
+            0, len(scores), size=(2 * count, self.tournament_size)
+        )
+        winners = contenders[
+            np.arange(2 * count), np.argmax(scores[contenders], axis=1)
+        ]
+        parent_a, parent_b = winners[:count], winners[count:]
+        crossed = np.flatnonzero(rng.random(count) < self.crossover_rate)
+        mutated = np.flatnonzero(rng.random(count) < self.mutation_rate)
+        children = population[parent_a]
+        mates = population[parent_b[crossed]]
+        lo, hi = _distinct_pairs(rng, n_tiles + 1, len(crossed))
+        children[crossed, :n_tiles] = pmx_crossover_batch(
+            children[crossed, :n_tiles], mates[:, :n_tiles], lo, hi
+        )
+        if routes > 1:
+            take_b = rng.random((len(crossed), mates.shape[1] - n_tiles)) < 0.5
+            children[crossed, n_tiles:] = np.where(
+                take_b, mates[:, n_tiles:], children[crossed, n_tiles:]
+            )
+        # Swap mutation (task<->task or task<->empty tile).
+        i, j = _distinct_pairs(rng, n_tiles, len(mutated))
+        children[mutated, i], children[mutated, j] = (
+            children[mutated, j],
+            children[mutated, i],
+        )
+        if routes > 1:
+            edge, gene = rng.integers(
+                0, (children.shape[1] - n_tiles, routes), size=(len(mutated), 2)
+            ).T
+            children[mutated, n_tiles + edge] = gene
+        return children
 
     # -- main loop ------------------------------------------------------------
 
@@ -142,14 +234,12 @@ class GeneticAlgorithm(MappingStrategy):
     ) -> OptimizationResult:
         n_tasks = evaluator.n_tasks
         n_tiles = evaluator.n_tiles
-        routed = evaluator.routes > 1
-        n_genes = evaluator.n_edges if routed else 0
         population_size = min(self.population_size, budget)
         # Initial population: random tile permutations.
         population = np.stack(
             [rng.permutation(n_tiles) for _ in range(population_size)]
         ).astype(np.int64)
-        if routed:
+        if evaluator.routes > 1:
             # Route-gene segment: one uniform draw per edge, within the
             # menu of the edge's tile pair under that chromosome.
             menus = np.stack(
@@ -159,68 +249,20 @@ class GeneticAlgorithm(MappingStrategy):
             population = np.hstack([population, genes])
         tracker = BestTracker(evaluator)
         rows = self._design_rows(population, n_tasks, n_tiles)
-        metrics = evaluator.evaluate_batch(rows)
-        scores = metrics.score
+        scores = evaluator.evaluate_batch(rows).score
         tracker.offer_batch(rows, scores)
         remaining = budget - population_size
-        # With a sharded evaluator, submit children for scoring chunk by
-        # chunk while later children are still being bred (the python-side
-        # PMX loop is slow enough to overlap); collection order and score
-        # values are identical, so results match the sequential path bit
-        # for bit.
-        chunk_count = max(1, min(evaluator.n_workers, 8))
         while remaining > 0:
-            children_count = min(population_size - self.elite_count, remaining)
-            children = np.empty(
-                (children_count, n_tiles + n_genes), dtype=np.int64
+            count = min(population_size - self.elite_count, remaining)
+            children = self._breed(
+                population, scores, count, n_tiles, evaluator.routes, rng
             )
-            chunk = -(-children_count // chunk_count)
-            handles = []
-            for start in range(0, children_count, chunk):
-                stop = min(start + chunk, children_count)
-                for k in range(start, stop):
-                    a = self._select(scores, rng)
-                    if rng.random() < self.crossover_rate:
-                        b = self._select(scores, rng)
-                        child = np.empty(n_tiles + n_genes, dtype=np.int64)
-                        child[:n_tiles] = pmx_crossover(
-                            population[a, :n_tiles],
-                            population[b, :n_tiles],
-                            rng,
-                        )
-                        if routed:
-                            take_b = rng.random(n_genes) < 0.5
-                            child[n_tiles:] = np.where(
-                                take_b,
-                                population[b, n_tiles:],
-                                population[a, n_tiles:],
-                            )
-                    else:
-                        child = population[a].copy()
-                    if rng.random() < self.mutation_rate:
-                        self._mutate(child[:n_tiles], rng)
-                        if routed:
-                            edge = int(rng.integers(0, n_genes))
-                            child[n_tiles + edge] = int(
-                                rng.integers(0, evaluator.routes)
-                            )
-                    children[k] = child
-                handles.append(
-                    evaluator.submit_batch(
-                        self._design_rows(children[start:stop], n_tasks, n_tiles)
-                    )
-                )
-            child_scores = np.concatenate(
-                [handle.result().score for handle in handles]
-            )
-            tracker.offer_batch(
-                self._design_rows(children, n_tasks, n_tiles), child_scores
-            )
-            remaining -= children_count
+            rows = self._design_rows(children, n_tasks, n_tiles)
+            child_scores = evaluator.evaluate_batch(rows).score
+            tracker.offer_batch(rows, child_scores)
+            remaining -= count
             # Elitist replacement: keep the best of the old generation.
-            elite_indices = np.argsort(scores)[-self.elite_count:]
-            population = np.concatenate(
-                [population[elite_indices], children], axis=0
-            )
+            elite_indices = np.argsort(scores)[len(scores) - self.elite_count :]
+            population = np.concatenate([population[elite_indices], children])
             scores = np.concatenate([scores[elite_indices], child_scores])
         return tracker.result(self.name)
