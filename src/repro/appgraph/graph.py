@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -151,6 +150,8 @@ class CommunicationGraph:
 
     def graph(self) -> "nx.DiGraph":
         """A networkx view with task names and bandwidths."""
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         g.add_nodes_from(self.tasks)
         for e in self.edges:
@@ -158,7 +159,22 @@ class CommunicationGraph:
         return g
 
     def is_weakly_connected(self) -> bool:
-        return nx.is_weakly_connected(self.graph())
+        """Whether every task is reachable when edge direction is ignored."""
+        parent = list(range(self.n_tasks))
+
+        def root(task: int) -> int:
+            while parent[task] != task:
+                parent[task] = parent[parent[task]]
+                task = parent[task]
+            return task
+
+        components = self.n_tasks
+        for edge in self.edges:
+            src, dst = root(edge.src), root(edge.dst)
+            if src != dst:
+                parent[src] = dst
+                components -= 1
+        return components == 1
 
     # -- construction helpers --------------------------------------------------------------
 

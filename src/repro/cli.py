@@ -32,7 +32,6 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro import __version__
-from repro.analysis.distribution import random_mapping_distribution
 from repro.analysis.experiments import (
     build_case_study_network,
     format_fig3,

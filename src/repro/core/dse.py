@@ -59,7 +59,6 @@ manager) to release the pools deterministically.
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor
 from typing import Dict, Iterable, Optional, Union
 
 import numpy as np
@@ -67,6 +66,7 @@ import numpy as np
 from repro.core import parallel as _parallel
 from repro.core import pool as _pool
 from repro.core.evaluator import MappingEvaluator
+from repro.core.executor import FanOut
 from repro.core.problem import MappingProblem
 from repro.core.registry import PAPER_STRATEGIES, create_strategy
 from repro.core.result import OptimizationResult
@@ -227,14 +227,12 @@ class DesignSpaceExplorer:
             previous = self.evaluator.n_workers
             self.evaluator.n_workers = workers
             try:
-                return _parallel.call_optimize(
-                    strategy, self.evaluator, budget, rng, flag
+                return strategy.optimize(
+                    self.evaluator, budget, rng, use_delta=flag
                 )
             finally:
                 self.evaluator.n_workers = previous
-        return _parallel.call_optimize(
-            strategy, self.evaluator, budget, rng, flag
-        )
+        return strategy.optimize(self.evaluator, budget, rng, use_delta=flag)
 
     def _run_chains(
         self,
@@ -254,55 +252,28 @@ class DesignSpaceExplorer:
         chain_results = self._run_tasks(n_chains, tasks)
         return _parallel.merge_chain_results(chain_results)
 
-    def _dispatch_tasks(self, n_workers: int, tasks, retrying: bool = False):
-        """Submit one :func:`run_strategy_task` per argument tuple.
-
-        ``get_pool`` hands back a fresh backend whenever the cached one
-        broke, so calling this again after a worker death re-dispatches
-        the *same* argument tuples against a healthy pool — and since
-        each task's RNG stream depends only on its seed, a re-dispatched
-        task is bit-identical to the lost one.
-        """
-        pool = _pool.get_pool(
-            self.problem,
-            self.dtype,
-            n_workers,
-            self.backend,
-            model_cache_dir=self.model_cache_dir,
-            executor=self.executor,
-        )
-        if retrying:
-            pool.note_retry(len(tasks))
-        futures = [
-            pool.submit(_parallel.run_strategy_task, *task_args)
-            for task_args in tasks
-        ]
-        return futures, pool
-
     def _run_tasks(self, n_workers: int, tasks) -> list:
-        """Dispatch strategy tasks; resubmit once on an executor failure.
+        """Run one :func:`run_strategy_task` per argument tuple on the pool.
 
-        The backend marks itself broken when its workers die
-        (:class:`~concurrent.futures.BrokenExecutor` flavours); exactly
-        one automatic resubmission against the rebuilt pool absorbs a
-        transient worker loss, while a second failure — or any
-        deterministic task-level exception — surfaces immediately.
+        Retries follow :class:`~repro.core.executor.FanOut`'s policy; a
+        resubmitted task is bit-identical to the lost one because each
+        task's RNG stream depends only on its seed.
         """
-        pool = None
-        try:
-            futures, pool = self._dispatch_tasks(n_workers, tasks)
-            return [future.result() for future in futures]
-        except Exception as error:
-            # Submit-time failures (a pool whose workers died between
-            # batches) and result-time failures (workers died mid-task)
-            # both land here; only executor-level breakage is retried.
-            broken = isinstance(error, BrokenExecutor) or (
-                pool is not None and pool.broken
-            )
-            if not broken:
-                raise
-            futures, _fresh = self._dispatch_tasks(n_workers, tasks, retrying=True)
-            return [future.result() for future in futures]
+        return FanOut(
+            lambda: _pool.get_pool(
+                self.problem,
+                self.dtype,
+                n_workers,
+                self.backend,
+                model_cache_dir=self.model_cache_dir,
+                executor=self.executor,
+            ),
+            lambda pool: [
+                pool.submit(_parallel.run_strategy_task, *task_args)
+                for task_args in tasks
+            ],
+            len(tasks),
+        ).results()
 
     def compare(
         self,

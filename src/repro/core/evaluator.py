@@ -68,14 +68,12 @@ the sequential counter exactly.
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from repro.appgraph.graph import CommunicationGraph
-from repro.core.executor import parse_executor_spec
+from repro.core.executor import FanOut, parse_executor_spec
 from repro.core.mapping import Mapping
 from repro.core.objectives import (
     BASE_TABLES,
@@ -177,8 +175,8 @@ class PendingBatch:
 
     Returned by :meth:`MappingEvaluator.submit_batch`. Holds either the
     already-computed metric tables (eager path: one worker, or a batch
-    too small to shard) or one future per row shard submitted to the
-    persistent pool.
+    too small to shard) or the :class:`~repro.core.executor.FanOut` of
+    its row shards on the persistent pool.
 
     Evaluation counting happens in :meth:`result`, exactly once per
     batch: callers that pipeline submissions therefore reproduce the
@@ -187,29 +185,25 @@ class PendingBatch:
     submission order.
     """
 
-    def __init__(
-        self,
-        evaluator,
-        n_mappings,
-        tables=None,
-        futures=None,
-        pool=None,
-        resubmit=None,
-    ):
+    def __init__(self, evaluator, n_mappings, tables=None, fanout=None):
         self._evaluator = evaluator
         self._n = int(n_mappings)
         self._tables = tables
-        self._futures = futures
-        self._pool = pool  # keeps the pool referenced while in flight
-        self._resubmit = resubmit  # re-dispatch hook for executor failures
-        self._retried = False
+        self._fanout: Optional[FanOut] = fanout
         self._metrics: Optional[BatchMetrics] = None
+
+    @property
+    def _pool(self):
+        """The backend serving the shards (``None`` when scored inline).
+
+        Stays set after collection: perfbench's span recorder reads it
+        once :meth:`result` returns to tell pooled waits from inline ones.
+        """
+        return None if self._fanout is None else self._fanout.backend
 
     def done(self) -> bool:
         """Whether :meth:`result` would return without blocking."""
-        if self._metrics is not None or self._futures is None:
-            return True
-        return all(future.done() for future in self._futures)
+        return self._fanout is None or self._fanout.done()
 
     def tables(self):
         """Collect (blocking if needed) the raw per-row metric tables.
@@ -227,38 +221,15 @@ class PendingBatch:
             charging its own evaluator.
         """
         if self._tables is None:
-            if self._futures is None:
+            if self._metrics is not None:
                 raise RuntimeError(
                     "batch tables were already consumed by result()"
                 )
-            parts = self._collect()
             self._tables = tuple(
-                np.concatenate(columns) for columns in zip(*parts)
+                np.concatenate(columns)
+                for columns in zip(*self._fanout.results())
             )
-            self._futures = None
         return self._tables
-
-    def _collect(self):
-        """Gather shard results, resubmitting once on executor failure.
-
-        Only *executor-level* failures (the backend broke — a killed
-        pool worker, exhausted remote retries) trigger the resubmission,
-        and only once: a deterministic task-level exception would fail
-        identically on a fresh pool, so it surfaces immediately. The
-        shards are pure functions of their snapshotted rows, so a
-        retried batch is bit-identical to an unretried one.
-        """
-        try:
-            return [future.result() for future in self._futures]
-        except Exception as error:
-            executor_failed = isinstance(error, BrokenExecutor) or (
-                self._pool is not None and self._pool.broken
-            )
-            if self._resubmit is None or self._retried or not executor_failed:
-                raise
-            self._retried = True
-            self._futures, self._pool = self._resubmit(retrying=True)
-            return [future.result() for future in self._futures]
 
     def result(self) -> BatchMetrics:
         """Collect (blocking if needed) and return the batch metrics.
@@ -608,42 +579,19 @@ class MappingEvaluator:
             for start, stop in zip(bounds[:-1], bounds[1:])
         ]
 
-        def dispatch(retrying: bool = False):
-            """Submit every shard, surviving a concurrently broken pool.
-
-            ``get_pool`` hands back a fresh backend whenever the cached
-            one broke or was released, so a bounded number of attempts
-            absorbs both a worker crash between batches and a
-            ``release_pools`` racing this submission from another
-            thread. Nothing has produced results yet at submit time, so
-            re-dispatching cannot change any value.
-            """
-            last_error = None
-            for _attempt in range(3):
-                pool = _pool.get_pool(
-                    self.problem,
-                    self.dtype,
-                    workers,
-                    self.backend,
-                    model_cache_dir=self.model_cache_dir,
-                    executor=self.executor,
-                )
-                if retrying:
-                    pool.note_retry(len(shards))
-                try:
-                    futures = pool.map_shards(
-                        _parallel.evaluate_shard_task, shards
-                    )
-                except Exception as error:  # noqa: BLE001 — retried bounded
-                    last_error = error
-                    continue
-                return futures, pool
-            raise last_error
-
-        futures, pool = dispatch()
-        return PendingBatch(
-            self, n_mappings, futures=futures, pool=pool, resubmit=dispatch
+        fanout = FanOut(
+            lambda: _pool.get_pool(
+                self.problem,
+                self.dtype,
+                workers,
+                self.backend,
+                model_cache_dir=self.model_cache_dir,
+                executor=self.executor,
+            ),
+            lambda pool: pool.map_shards(_parallel.evaluate_shard_task, shards),
+            len(shards),
         )
+        return PendingBatch(self, n_mappings, fanout=fanout)
 
     def _evaluate_rows(self, assignments: np.ndarray):
         """Score validated rows sequentially, without counting.
@@ -720,10 +668,6 @@ class MappingEvaluator:
             snr = 10.0 * np.log10(signal / np.where(noise > 0.0, noise, 1.0))
         snr = np.where(noise > 0.0, snr, SNR_CAP_DB)
         return il, snr, noise, signal
-
-    def _edge_tables(self, assignments: np.ndarray):
-        """(il, snr, noise, signal) nominal-model tables for a chunk."""
-        return self._tables_from_pairs(self._pair_table(assignments))
 
     def _dense_noise(
         self, pairs: np.ndarray, coupling: Optional[np.ndarray] = None
@@ -862,15 +806,6 @@ class MappingEvaluator:
     def _score_tables(self, tables) -> np.ndarray:
         """The objective score column of a :attr:`table_names`-ordered tuple."""
         return tables[self._score_index]
-
-    def _score_named(self, tables: dict) -> np.ndarray:
-        """The objective score from a ``{table name: column}`` dict.
-
-        The delta engine's dispatch seam: it reconstructs the base
-        tables from its incremental per-edge state and scores them here,
-        so objective dispatch lives in exactly one place.
-        """
-        return tables[self.table_names[self._score_index]]
 
     # -- single evaluation -----------------------------------------------------------
 

@@ -17,8 +17,7 @@ one small protocol, :class:`ExecutorBackend`:
 Three implementations exist:
 
 * :class:`LocalProcessBackend` — the historical persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor` (PR 3's
-  ``PersistentPool``, which remains as an alias), workers hydrated via
+  :class:`~concurrent.futures.ProcessPoolExecutor`, workers hydrated via
   shared memory / fork inheritance / the on-disk model cache;
 * :class:`InlineBackend` — runs every task synchronously in the calling
   thread under an activated
@@ -34,11 +33,13 @@ Failure handling is **backend-owned**: every future is watched by a
 done-callback that flips :attr:`~ExecutorBackend.broken` when the
 executor itself failed (:class:`concurrent.futures.BrokenExecutor`,
 which covers a killed pool worker and exhausted remote retries) —
-task-level exceptions never break a backend. Callers that want
-resilience resubmit once against the freshly rebuilt backend
-``get_pool`` hands back (see
-:meth:`repro.core.evaluator.PendingBatch.tables` and
-:meth:`repro.core.dse.DesignSpaceExplorer._collect_results`).
+task-level exceptions never break a backend. :class:`FanOut` is the one
+caller-side retry policy: bounded submit attempts, each against the
+backend ``get_pool`` hands back (a fresh one when the cached backend
+broke or was released), and one resubmission when collection finds the
+backend broken. Both fan-out callers use it
+(:meth:`repro.core.evaluator.MappingEvaluator.submit_batch` and
+``DesignSpaceExplorer._run_tasks``).
 
 Determinism: a backend only ever decides *where* a task function runs.
 Both task functions (:func:`repro.core.parallel.run_strategy_task`,
@@ -61,6 +62,7 @@ from repro.errors import ExecutorError
 
 __all__ = [
     "ExecutorBackend",
+    "FanOut",
     "InlineBackend",
     "LocalProcessBackend",
     "WorkerLostError",
@@ -250,6 +252,70 @@ class ExecutorBackend:
             self.broken = True
 
 
+#: Submit attempts per :class:`FanOut` dispatch, each through a fresh
+#: ``acquire()``: enough to absorb a worker crash between calls and a
+#: ``release_pools`` racing the submission from another thread.
+SUBMIT_ATTEMPTS = 3
+
+
+class FanOut:
+    """One batch of tasks on a registry backend, under the one retry policy.
+
+    ``acquire()`` returns the backend to submit to — a
+    :func:`repro.core.pool.get_pool` call, which hands back a fresh
+    backend whenever the cached one broke or was released — and
+    ``submit(backend)`` queues every task on it and returns their
+    futures, in task order. The policy:
+
+    * dispatch makes up to :data:`SUBMIT_ATTEMPTS` attempts, each through
+      a fresh ``acquire()``, and raises the last error when all fail;
+    * :meth:`results` resubmits once when collection fails with a
+      :class:`~concurrent.futures.BrokenExecutor` or the backend is
+      marked broken, charging ``note_retry(n_tasks)`` to the backend
+      that takes the resubmission; a second failure surfaces;
+    * a task-level exception is deterministic — it would fail the same
+      way on a fresh backend — so it is never resubmitted.
+
+    Task functions are pure functions of their arguments and nothing
+    has been collected before a resubmission, so a retried fan-out is
+    bit-identical to an unretried one.
+    """
+
+    def __init__(self, acquire, submit, n_tasks: int) -> None:
+        self._acquire = acquire
+        self._submit = submit
+        self._n_tasks = int(n_tasks)
+        self._retried = False
+        self.futures, self.backend = self._dispatch()
+
+    def _dispatch(self) -> Tuple[List[Future], ExecutorBackend]:
+        last_error = None
+        for _attempt in range(SUBMIT_ATTEMPTS):
+            backend = self._acquire()
+            try:
+                return self._submit(backend), backend
+            except Exception as error:  # noqa: BLE001 — retried bounded
+                last_error = error
+        raise last_error
+
+    def done(self) -> bool:
+        """Whether :meth:`results` would return without blocking."""
+        return all(future.done() for future in self.futures)
+
+    def results(self) -> list:
+        """Every task's result, in task order (blocking if needed)."""
+        try:
+            return [future.result() for future in self.futures]
+        except Exception as error:
+            broken = isinstance(error, BrokenExecutor) or self.backend.broken
+            if self._retried or not broken:
+                raise
+        self._retried = True
+        self.futures, self.backend = self._dispatch()
+        self.backend.note_retry(self._n_tasks)
+        return [future.result() for future in self.futures]
+
+
 class _ProcessBackendBase(ExecutorBackend):
     """Lifecycle shared by process-pool flavoured backends."""
 
@@ -286,9 +352,7 @@ class LocalProcessBackend(_ProcessBackendBase):
     independent chains, or batch shards — finds its evaluator warm in
     the worker process.
 
-    Known historically as ``PersistentPool`` (the alias survives in
-    :mod:`repro.core.pool`). Not instantiated directly; use
-    :func:`repro.core.pool.get_pool`.
+    Not instantiated directly; use :func:`repro.core.pool.get_pool`.
     """
 
     kind = "local"
@@ -331,7 +395,7 @@ class LocalProcessBackend(_ProcessBackendBase):
 
     def __repr__(self) -> str:
         state = "closed" if self._executor is None else f"{self.n_workers} workers"
-        return f"PersistentPool({self.problem!r}, {state})"
+        return f"LocalProcessBackend({self.problem!r}, {state})"
 
 
 class InlineBackend(ExecutorBackend):

@@ -8,7 +8,7 @@ validated, named view used at API boundaries.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 

@@ -19,7 +19,8 @@ This module owns the executors instead:
   two objective passes of a Table II cell reuse one warm pool. The
   executor spec (``"local"`` / ``"inline"`` / ``"tcp://HOST:PORT"``)
   selects the implementation; ``"local"`` keeps the historical
-  :class:`PersistentPool` behaviour.
+  persistent process-pool behaviour
+  (:class:`~repro.core.executor.LocalProcessBackend`).
 * A small LRU (:data:`MAX_POOLS`) bounds the number of live pools;
   evicted pools are shut down deterministically.
 * :func:`shutdown_pools` tears everything down; it is registered with
@@ -63,7 +64,6 @@ from repro.core.problem import MappingProblem
 __all__ = [
     "MAX_POOLS",
     "BuildPool",
-    "PersistentPool",
     "executor_stats",
     "get_build_pool",
     "get_pool",
@@ -92,9 +92,6 @@ _ATEXIT_REGISTERED = False
 #: First element of every :class:`BuildPool` key; problem-pool keys
 #: start with a CG content hash, which can never collide with this.
 _BUILD_POOL_TAG = "model-build"
-
-#: The historical name of the local process backend (PR 3–6 API).
-PersistentPool = LocalProcessBackend
 
 
 def _cg_fingerprint(problem: MappingProblem) -> str:
@@ -188,10 +185,10 @@ def pool_key(
 class BuildPool(_ProcessBackendBase):
     """A problem-free executor for CouplingModel column-build tasks.
 
-    Unlike :class:`PersistentPool` the workers carry no initializer
-    state: each build task ships the (small, flat-array) build tables of
-    its network plus a column range (see
-    :func:`repro.models.coupling._build_columns_task`), so one pool
+    Unlike :class:`~repro.core.executor.LocalProcessBackend` the
+    workers carry no initializer state: each build task ships the
+    (small, flat-array) build tables of its network plus a column range
+    (see :func:`repro.models.coupling._build_columns_task`), so one pool
     serves the model builds of any number of architectures in a sweep.
     Registered in the same LRU/atexit registry as the problem pools, and
     always local — model builds never dispatch remotely.
@@ -228,6 +225,28 @@ def _register_pool(key: Tuple, pool) -> None:
             # atexit order shuts workers down before segments are unlinked.
             atexit.register(shutdown_pools)
             _ATEXIT_REGISTERED = True
+
+
+def _get_or_replace(key: Tuple, build) -> ExecutorBackend:
+    """The live backend registered under ``key``, else a fresh ``build()``.
+
+    A broken backend is unregistered and closed with ``wait=True``
+    before its replacement is built: a dying worker must be reaped
+    before the replacement attaches the same shared-memory segments — a
+    straggler outliving the registry entry could otherwise hold
+    attachments past the exporter's unlink.
+    """
+    with _LOCK:
+        pool = _POOLS.get(key)
+        if pool is not None:
+            if not pool.broken:
+                _POOLS.move_to_end(key)
+                return pool
+            _POOLS.pop(key, None)
+            pool.close(wait=True)
+        pool = build()
+        _register_pool(key, pool)
+        return pool
 
 
 def _build_backend(
@@ -306,23 +325,12 @@ def get_pool(
     """
     executor = parse_executor_spec(executor)
     key = pool_key(problem, dtype, n_workers, backend, executor)
-    with _LOCK:
-        pool = _POOLS.get(key)
-        if pool is not None:
-            if not pool.broken:
-                _POOLS.move_to_end(key)
-                return pool
-            _POOLS.pop(key, None)
-            # wait=True: a dying worker must be reaped before its
-            # replacement attaches the same shared-memory segments — a
-            # straggler outliving the registry entry could otherwise
-            # hold attachments past the exporter's unlink.
-            pool.close(wait=True)
-        pool = _build_backend(
+    return _get_or_replace(
+        key,
+        lambda: _build_backend(
             key, problem, dtype, n_workers, backend, model_cache_dir, executor
-        )
-        _register_pool(key, pool)
-        return pool
+        ),
+    )
 
 
 def get_build_pool(n_workers: int) -> BuildPool:
@@ -334,17 +342,7 @@ def get_build_pool(n_workers: int) -> BuildPool:
     pool can collide with.
     """
     key = (_BUILD_POOL_TAG, int(n_workers))
-    with _LOCK:
-        pool = _POOLS.get(key)
-        if pool is not None:
-            if not pool.broken:
-                _POOLS.move_to_end(key)
-                return pool
-            _POOLS.pop(key, None)
-            pool.close(wait=True)  # see get_pool: reap before replacing
-        pool = BuildPool(key, n_workers)
-        _register_pool(key, pool)
-        return pool
+    return _get_or_replace(key, lambda: BuildPool(key, n_workers))
 
 
 def release_pools(

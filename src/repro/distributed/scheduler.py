@@ -708,15 +708,6 @@ def get_hub(spec: str, **hub_kwargs) -> WorkerHub:
         return hub
 
 
-def shutdown_hubs() -> None:
-    """Close every hub (test teardown)."""
-    with _HUBS_LOCK:
-        hubs = set(_HUBS.values())
-        _HUBS.clear()
-    for hub in hubs:
-        hub.close()
-
-
 class RemoteTcpBackend(ExecutorBackend):
     """Executor backend dispatching through a :class:`WorkerHub`.
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
-import networkx as nx
-
 from repro.errors import TopologyError
 
 __all__ = [
@@ -171,6 +169,8 @@ class GridTopology:
 
     def graph(self) -> "nx.DiGraph":
         """A networkx view of X(T, L), for analysis and export."""
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         g.add_nodes_from(range(self.n_tiles))
         for link in self.links():

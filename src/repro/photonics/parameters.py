@@ -30,7 +30,7 @@ order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np

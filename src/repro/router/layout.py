@@ -26,7 +26,7 @@ changes in the tool core" — a new router is just a new drawing.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, LayoutError

@@ -28,7 +28,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core import parallel as _parallel
 from repro.core.evaluator import MappingEvaluator
 from repro.core.pool import pool_key
 from repro.core.registry import create_strategy
@@ -346,8 +345,8 @@ class ServiceCore:
         evaluator = self._evaluator_for(request, problem)
         strategy = create_strategy(request.strategy)
         rng = np.random.default_rng(request.seed)
-        result = _parallel.call_optimize(
-            strategy, evaluator, request.budget, rng, request.use_delta
+        result = strategy.optimize(
+            evaluator, request.budget, rng, use_delta=request.use_delta
         )
         return _serialize_result(result, problem)
 

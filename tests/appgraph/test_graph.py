@@ -165,3 +165,27 @@ def test_mask_never_allows_shared_endpoints(n_tasks, data):
                 or pairs[i, 1] == pairs[j, 1]
             )
             assert mask[i, j] == (not shares)
+
+
+@given(st.integers(min_value=2, max_value=12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_weak_connectivity_matches_networkx(n_tasks, data):
+    # The union-find must agree with networkx on every graph shape,
+    # including CGs whose isolated tasks touch no edge at all.
+    import networkx as nx
+
+    possible = [
+        (a, b) for a in range(n_tasks) for b in range(n_tasks) if a != b
+    ]
+    picks = data.draw(
+        st.lists(
+            st.sampled_from(possible),
+            min_size=1,
+            max_size=min(len(possible), 20),
+            unique=True,
+        )
+    )
+    cg = CommunicationGraph(
+        "random", [f"t{i}" for i in range(n_tasks)], picks
+    )
+    assert cg.is_weakly_connected() == nx.is_weakly_connected(cg.graph())

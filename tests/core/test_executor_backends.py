@@ -5,7 +5,8 @@ Covers the local side of the executor abstraction — the
 :func:`executor_stats` — plus the regression tests for backend-owned
 failure handling: a killed pool worker mid-batch (or mid-compare) is
 absorbed by exactly one automatic resubmission against the rebuilt
-pool, with bit-identical results.
+pool, with bit-identical results — and the :class:`FanOut` retry policy
+itself, pinned against fake backends.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import os
 import signal
 import time
+from concurrent.futures import BrokenExecutor, Future
 
 import numpy as np
 import pytest
@@ -22,10 +24,14 @@ from repro.appgraph.benchmarks import grid_side_for, load_benchmark
 from repro.core import pool as pool_registry
 from repro.core.dse import DesignSpaceExplorer
 from repro.core.evaluator import MappingEvaluator
-from repro.core.executor import InlineBackend, LocalProcessBackend
+from repro.core.executor import (
+    SUBMIT_ATTEMPTS,
+    FanOut,
+    InlineBackend,
+    LocalProcessBackend,
+)
 from repro.core.mapping import random_assignment_batch
 from repro.core.pool import (
-    PersistentPool,
     executor_stats,
     get_pool,
     pool_key,
@@ -51,6 +57,40 @@ def _clean_registry():
 def _rows(problem, n, seed):
     rng = np.random.default_rng(seed)
     return random_assignment_batch(n, problem.cg.n_tasks, problem.n_tiles, rng)
+
+
+class _FakeBackend:
+    """Registry stand-in recording the retries charged to it."""
+
+    def __init__(self) -> None:
+        self.broken = False
+        self.retries = []
+
+    def note_retry(self, n_tasks: int = 1) -> None:
+        self.retries.append(n_tasks)
+
+
+class _Acquire:
+    """``acquire`` callable handing out a fresh fake backend per call."""
+
+    def __init__(self) -> None:
+        self.backends = []
+
+    def __call__(self) -> _FakeBackend:
+        self.backends.append(_FakeBackend())
+        return self.backends[-1]
+
+
+def _done(value) -> Future:
+    future = Future()
+    future.set_result(value)
+    return future
+
+
+def _failed(error) -> Future:
+    future = Future()
+    future.set_exception(error)
+    return future
 
 
 def _kill_one_pool_worker(pool) -> None:
@@ -109,9 +149,6 @@ class TestInlineBackend:
         local = get_pool(problem, np.float64, 2, "dense")
         assert isinstance(local, LocalProcessBackend)
         assert local is not pool
-        # The historical name survives as an alias.
-        assert PersistentPool is LocalProcessBackend
-        assert isinstance(local, PersistentPool)
 
     def test_inline_futures_complete_synchronously(self, problem):
         from repro.core.parallel import evaluate_shard_task
@@ -182,6 +219,74 @@ class TestExecutorStats:
             pool_registry._POOLS.pop(key, None)
 
 
+class TestFanOut:
+    """The one caller-side retry policy, against scripted fake backends."""
+
+    def test_submit_failures_retry_through_fresh_backends(self):
+        acquire = _Acquire()
+
+        def submit(backend):
+            if len(acquire.backends) < SUBMIT_ATTEMPTS:
+                raise RuntimeError("pool has been shut down")
+            return [_done("a"), _done("b")]
+
+        fanout = FanOut(acquire, submit, 2)
+        assert len(acquire.backends) == SUBMIT_ATTEMPTS
+        assert fanout.backend is acquire.backends[-1]
+        assert fanout.done()
+        assert fanout.results() == ["a", "b"]
+        # Nothing had run yet: a submit retry is not a resubmission.
+        assert all(backend.retries == [] for backend in acquire.backends)
+
+    def test_last_submit_error_surfaces(self):
+        acquire = _Acquire()
+        errors = [RuntimeError(f"attempt {i}") for i in range(SUBMIT_ATTEMPTS)]
+
+        def submit(backend):
+            raise errors[len(acquire.backends) - 1]
+
+        with pytest.raises(RuntimeError) as excinfo:
+            FanOut(acquire, submit, 1)
+        assert excinfo.value is errors[-1]
+        assert len(acquire.backends) == SUBMIT_ATTEMPTS
+
+    @pytest.mark.parametrize("failure", ["broken_executor", "marked_broken"])
+    def test_executor_failure_resubmits_once(self, failure):
+        acquire = _Acquire()
+
+        def submit(backend):
+            if len(acquire.backends) > 1:
+                return [_done(1), _done(2), _done(3)]
+            if failure == "marked_broken":
+                backend.broken = True
+                error = ConnectionError("worker gone")
+            else:
+                error = BrokenExecutor("worker died")
+            return [_done(1), _failed(error), _done(3)]
+
+        fanout = FanOut(acquire, submit, 3)
+        assert fanout.results() == [1, 2, 3]
+        first, second = acquire.backends
+        assert first.retries == []
+        assert second.retries == [3]
+        assert fanout.backend is second
+
+    def test_second_executor_failure_surfaces(self):
+        acquire = _Acquire()
+        fanout = FanOut(
+            acquire,
+            lambda backend: [_failed(BrokenExecutor("worker died"))] * 2,
+            2,
+        )
+        with pytest.raises(BrokenExecutor):
+            fanout.results()
+        assert [backend.retries for backend in acquire.backends] == [[], [2]]
+        # Collecting again re-raises: one resubmission per fan-out, ever.
+        with pytest.raises(BrokenExecutor):
+            fanout.results()
+        assert len(acquire.backends) == 2
+
+
 class TestBrokenPoolRecovery:
     """Satellite: one automatic resubmit against the rebuilt pool."""
 
@@ -210,21 +315,18 @@ class TestBrokenPoolRecovery:
         assert rebuilt is not pool
         assert not rebuilt.broken
 
-    def test_task_error_is_not_retried(self, problem):
-        evaluator = MappingEvaluator(problem, n_workers=2)
-        pending = evaluator.submit_batch(_rows(problem, 256, seed=2))
-        # Sabotage: a deterministic task-level failure must surface
-        # immediately (no resubmit) — simulate by poisoning the futures.
-        from concurrent.futures import Future
-
-        poisoned = Future()
-        poisoned.set_exception(ValueError("deterministic"))
-        pending._futures = [poisoned]
-        calls = []
-        pending._resubmit = lambda retrying: calls.append(retrying)
-        with pytest.raises(ValueError):
-            pending.tables()
-        assert calls == []  # never resubmitted
+    def test_task_error_is_not_retried(self):
+        # A deterministic task-level failure would fail identically on a
+        # fresh backend, so it surfaces at once: no second acquire, no
+        # retry charged.
+        acquire = _Acquire()
+        fanout = FanOut(
+            acquire, lambda backend: [_failed(ValueError("deterministic"))], 1
+        )
+        with pytest.raises(ValueError, match="deterministic"):
+            fanout.results()
+        assert len(acquire.backends) == 1
+        assert acquire.backends[0].retries == []
 
     def test_dse_compare_survives_worker_kill(self, problem):
         explorer = DesignSpaceExplorer(problem, n_workers=2)

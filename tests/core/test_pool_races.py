@@ -4,7 +4,9 @@ The ``serve`` daemon evicts tenants with :func:`release_pools` while
 request-handler threads are mid-``submit_batch``. Pools close with
 ``wait=True`` (in-flight futures complete, never fail) and the dispatch
 path absorbs submit-after-shutdown errors by re-fetching a pool from the
-registry — so a release storm can cost time, never correctness.
+registry — so a release storm can cost time, never correctness. Both
+fan-out callers (sharded batches and DSE strategy tasks) share that
+dispatch path.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import pytest
 
 from repro.analysis.experiments import build_case_study_network
 from repro.appgraph.benchmarks import grid_side_for, load_benchmark
+from repro.core import pool as pool_registry
+from repro.core.dse import DesignSpaceExplorer
 from repro.core.evaluator import MappingEvaluator
 from repro.core.mapping import random_assignment_batch
 from repro.core.pool import release_pools, shutdown_pools
@@ -106,3 +110,34 @@ class TestReleaseRaces:
                 np.testing.assert_array_equal(
                     reference.worst_snr_db, metrics.worst_snr_db
                 )
+
+
+class TestDseReleaseRace:
+    def test_compare_survives_release_racing_its_dispatch(
+        self, problem, monkeypatch
+    ):
+        """A ``release_pools`` landing between the DSE's ``get_pool`` and
+        its submit closes the backend under it; the dispatch must fetch a
+        fresh pool and return exactly the unraced results."""
+        def explorer():
+            return DesignSpaceExplorer(problem, n_workers=2, executor="inline")
+
+        reference = explorer().compare(["rs", "ga"], budget=200, seed=1)
+        original = pool_registry.get_pool
+        fetched = []
+
+        def racing_get_pool(*args, **kwargs):
+            backend = original(*args, **kwargs)
+            fetched.append(backend)
+            if len(fetched) == 1:
+                release_pools()
+            return backend
+
+        monkeypatch.setattr(pool_registry, "get_pool", racing_get_pool)
+        results = explorer().compare(["rs", "ga"], budget=200, seed=1)
+        assert len(fetched) == 2  # the race hit and one re-fetch absorbed it
+        assert not fetched[0].alive()
+        for name, expected in reference.items():
+            assert results[name].best_score == expected.best_score
+            assert results[name].history == expected.history
+            assert results[name].evaluations == expected.evaluations

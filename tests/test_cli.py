@@ -27,6 +27,32 @@ class TestInfoCommands:
         assert excinfo.value.code == 0
 
 
+class TestStartup:
+    def test_import_leaves_networkx_unloaded(self):
+        # networkx serves only the .graph() exporters; every CLI call,
+        # worker start and subprocess would otherwise pay for importing it.
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.abspath(
+            os.path.join(os.path.dirname(cli.__file__), os.pardir)
+        )
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro.cli; print('networkx' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"
+
+
 class TestEvaluate:
     def test_random_mapping(self, capsys):
         assert main(["evaluate", "--app", "pip", "--seed", "1"]) == 0
