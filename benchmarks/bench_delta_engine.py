@@ -17,7 +17,9 @@ and under pytest-benchmark like the other benches::
     pytest benchmarks/bench_delta_engine.py --benchmark-only
 
 The ``--sides 8`` row is the headline: a fully occupied 64-tile mesh,
-where delta scoring is expected to be >= 3x the full evaluator.
+where delta scoring is expected to be >= 3x the full evaluator. The
+timed rows score the ``snr`` objective; ``--smoke`` races ``snr`` and
+``loss``, so CI also runs the noise-free loss-family engine end to end.
 
 Paper artefact: none (engineering bench for the §II-D search engine).
 Expected runtime: ~1-2 minutes; seconds with ``--smoke`` (CI mode).
@@ -54,6 +56,7 @@ class DeltaBenchRow:
     """One problem size's measurement."""
 
     side: int
+    objective: str
     n_tasks: int
     n_edges: int
     neighbourhood: int
@@ -70,14 +73,14 @@ class DeltaBenchRow:
         return self.neighbourhood / (self.delta_ms / 1e3)
 
 
-def _bench_problem(side: int, seed: int = 1):
+def _bench_problem(side: int, seed: int = 1, objective: str = "snr"):
     """A fully occupied side x side mesh with a degree-bounded CG."""
     from repro.noc import PhotonicNoC, mesh
 
     n_tiles = side * side
     cg = random_cg(n_tiles, max(n_tiles + 1, int(2.5 * n_tiles)), seed=seed)
     network = PhotonicNoC(mesh(side, side))
-    return MappingEvaluator(MappingProblem(cg, network, "snr"))
+    return MappingEvaluator(MappingProblem(cg, network, objective))
 
 
 def _sample_neighbourhood(assignment, n_tiles, size, rng):
@@ -104,6 +107,7 @@ def measure_side(
     iterations: int = 8,
     min_seconds: float = 0.5,
     seed: int = 1,
+    objective: str = "snr",
 ) -> DeltaBenchRow:
     """Race delta vs full scoring over a tabu-like walk on one mesh size.
 
@@ -111,7 +115,7 @@ def measure_side(
     neighbourhood, score it, commit the best move. The timed unit is the
     whole walk, so the delta path also pays its per-commit bookkeeping.
     """
-    evaluator = _bench_problem(side, seed=seed)
+    evaluator = _bench_problem(side, seed=seed, objective=objective)
     engine = DeltaEvaluator(evaluator)
     n_tiles = evaluator.n_tiles
     rng = np.random.default_rng(seed)
@@ -154,6 +158,7 @@ def measure_side(
     per_batch = 1e3 / iterations
     return DeltaBenchRow(
         side=side,
+        objective=objective,
         n_tasks=evaluator.n_tasks,
         n_edges=len(evaluator._edges),
         neighbourhood=len(walks[0]),
@@ -165,12 +170,13 @@ def measure_side(
 
 def format_table(rows: Sequence[DeltaBenchRow]) -> str:
     lines = [
-        "side  tiles  tasks  edges  nbhd   full ms/batch  delta ms/batch"
-        "  speedup  max |Δscore|",
+        "side  objective  tiles  tasks  edges  nbhd   full ms/batch"
+        "  delta ms/batch  speedup  max |Δscore|",
     ]
     for row in rows:
         lines.append(
-            f"{row.side:4d}  {row.side * row.side:5d}  {row.n_tasks:5d}  "
+            f"{row.side:4d}  {row.objective:>9s}  {row.side * row.side:5d}  "
+            f"{row.n_tasks:5d}  "
             f"{row.n_edges:5d}  {row.neighbourhood:4d}   "
             f"{row.full_ms:13.3f}  {row.delta_ms:14.3f}  "
             f"{row.speedup:6.2f}x  {row.max_divergence:.2e}"
@@ -203,8 +209,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     add_json_argument(parser)
     args = parser.parse_args(argv)
+    objectives = ["snr"]
     if args.smoke:
         sides = [3]
+        objectives = ["snr", "loss"]
         args.neighbourhood = 16
         args.iterations = 2
         args.min_seconds = 0.05
@@ -219,21 +227,24 @@ def main(argv: Optional[List[str]] = None) -> int:
     rows = []
     print(format_table([]))  # header only; rows follow as they finish
     for side in sides:
-        rows.append(
-            measure_side(
-                side,
-                neighbourhood=args.neighbourhood,
-                iterations=args.iterations,
-                min_seconds=args.min_seconds,
+        for objective in objectives:
+            rows.append(
+                measure_side(
+                    side,
+                    neighbourhood=args.neighbourhood,
+                    iterations=args.iterations,
+                    min_seconds=args.min_seconds,
+                    objective=objective,
+                )
             )
-        )
-        print(format_table(rows[-1:]).splitlines()[1])
+            print(format_table(rows[-1:]).splitlines()[1])
     bad = [row for row in rows if row.max_divergence > 1e-9]
     record_bench(
         args,
         "delta_engine",
         params={
             "sides": sides,
+            "objectives": objectives,
             "neighbourhood": args.neighbourhood,
             "iterations": args.iterations,
             "smoke": bool(args.smoke),
@@ -241,6 +252,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         rows=[
             {
                 "side": row.side,
+                "objective": row.objective,
                 "n_tasks": row.n_tasks,
                 "n_edges": row.n_edges,
                 "full_ms_per_batch": row.full_ms,
@@ -253,8 +265,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         passed=not bad,
     )
     if bad:
-        print(f"FAIL: delta/full divergence above 1e-9 on sides "
-              f"{[row.side for row in bad]}")
+        print(f"FAIL: delta/full divergence above 1e-9 on "
+              f"{[(row.side, row.objective) for row in bad]}")
         return 1
     if args.smoke:
         print("smoke ok: delta and full agree")

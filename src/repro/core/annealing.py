@@ -120,7 +120,9 @@ class SimulatedAnnealing(MappingStrategy):
         # 2-evaluation calibration (std of one sample is simply 0).
         samples = min(self.calibration_samples, max(2, budget // 4), budget)
         calibration = evaluator.random_vector_batch(samples, rng)
-        calibration_scores = evaluator.evaluate_batch(calibration).score
+        calibration_scores = evaluator.evaluate_batch(
+            calibration, score_only=True
+        ).score
         tracker.offer_batch(calibration, calibration_scores)
         spread = float(np.std(calibration_scores))
         initial_temperature = max(spread, 1e-3)

@@ -1,9 +1,9 @@
 """Incremental (delta) mapping evaluation for local-search strategies.
 
-The full :class:`~repro.core.evaluator.MappingEvaluator` scores a mapping
-by gathering an ``(M, E, E)`` coupling grid and contracting it against the
-serialization mask — every candidate pays O(E^2) even when it differs from
-the incumbent by a single swap. Local-search strategies (R-PBLA, tabu,
+The full :class:`~repro.core.evaluator.MappingEvaluator` scores a mapping's
+SNR by gathering an ``(M, E, E)`` coupling grid and contracting it against
+the serialization mask — every candidate pays O(E^2) even when it differs
+from the incumbent by a single swap. Local-search strategies (R-PBLA, tabu,
 simulated annealing) only ever look at such one-move neighbours, and a
 move touching one or two tasks only changes the tile pairs of the CG edges
 *incident* to those tasks. :class:`DeltaEvaluator` exploits that locality
@@ -16,6 +16,13 @@ State kept for the incumbent assignment (all shape ``(E,)`` unless noted):
 * ``_signal``   — per-edge end-to-end linear transmission;
 * ``_noise``    — per-edge crosstalk-noise accumulator: the masked sum
   ``noise[v] = sum_a mask[v, a] * C[pairs[v], pairs[a]]``.
+
+Only SNR-family objectives (:attr:`~repro.core.objectives.Objective.is_snr_based`)
+keep the noise state: ``_noise`` plus the victim-column matrix and the
+coupling row sums the update rule below reads. A loss-family engine
+(``loss``, ``weighted_loss``, ``laser_power``) scores from the IL table
+alone, so it never gathers from the coupling matrix, never runs the
+noise update and never builds the dense transpose.
 
 Update rule for a move (relocation or swap) with affected edge set ``A``
 (the edges incident to the moved task(s), deduplicated):
@@ -123,7 +130,9 @@ def incumbent_score(engine, evaluator, assignment) -> float:
     """
     if engine is not None:
         return engine.reset(assignment)
-    return float(evaluator.evaluate_batch(assignment[None, :]).score[0])
+    return float(
+        evaluator.evaluate_batch(assignment[None, :], score_only=True).score[0]
+    )
 
 
 def score_neighbourhood(engine, evaluator, current, moves) -> np.ndarray:
@@ -135,15 +144,16 @@ def score_neighbourhood(engine, evaluator, current, moves) -> np.ndarray:
     if engine is not None:
         return engine.score_moves(moves)
     candidates = np.stack([apply_move(current, m) for m in moves])
-    return evaluator.evaluate_batch(candidates).score
+    return evaluator.evaluate_batch(candidates, score_only=True).score
 
 
 class DeltaEvaluator:
     """Incremental evaluator wrapping a :class:`MappingEvaluator`.
 
-    Maintains per-edge pair indices, signal/IL tables and noise
-    accumulators for one incumbent assignment; see the module docstring
-    for the state kept and the update rule.
+    Maintains per-edge pair indices, signal/IL tables and (for
+    SNR-family objectives only) noise accumulators for one incumbent
+    assignment; see the module docstring for the state kept and the
+    update rule.
     """
 
     def __init__(
@@ -159,6 +169,9 @@ class DeltaEvaluator:
                 "back to full batch evaluation"
             )
         self._score_table = spec.table
+        # Only SNR-family scores read noise; loss-family engines keep no
+        # noise state and never touch the coupling matrix.
+        self._tracks_noise = evaluator.objective.is_snr_based
         self._ev = evaluator
         self._model = evaluator.model
         self._n_tiles = evaluator.n_tiles
@@ -170,10 +183,6 @@ class DeltaEvaluator:
         # O(n_pairs^2) transpose is never materialized in sparse mode.
         self._csr = evaluator._csr if evaluator.backend == "sparse" else None
         self._maskf = evaluator._mask_linear  # read-only share, hoisted there
-        # The mask is gathered both by victim row and by aggressor column;
-        # a contiguous transpose keeps the column walk row-local (and does
-        # not assume the serialization mask is symmetric).
-        self._maskfT = np.ascontiguousarray(self._maskf.T)
         self._bw = evaluator._bandwidth_weights
         self._refresh_interval = refresh_interval
         self._commits = 0
@@ -192,6 +201,12 @@ class DeltaEvaluator:
         for t, lst in enumerate(incident):
             self._inc[t, : len(lst)] = lst
 
+        if not self._tracks_noise:
+            return
+        # The mask is gathered both by victim row and by aggressor column;
+        # a contiguous transpose keeps the column walk row-local (and does
+        # not assume the serialization mask is symmetric).
+        self._maskfT = np.ascontiguousarray(self._maskf.T)
         # Padded conflict table: row v lists the aggressor columns a with
         # mask[v, a] == 0 (the serialized edges, plus v itself) — the only
         # terms by which v's masked noise row differs from the full row
@@ -222,10 +237,9 @@ class DeltaEvaluator:
     def score(self) -> float:
         """The incumbent's score under the problem objective."""
         self._require_incumbent()
+        noise = None if self._noise is None else self._noise[None, :]
         return float(
-            self._scores_from(
-                self._il[None, :], self._signal[None, :], self._noise[None, :]
-            )[0]
+            self._scores_from(self._il[None, :], self._signal[None, :], noise)[0]
         )
 
     def _require_incumbent(self) -> None:
@@ -268,6 +282,9 @@ class DeltaEvaluator:
         self._pairs = pairs.astype(np.int64)
         self._il = self._model.insertion_loss_db[self._pairs].copy()
         self._signal = self._model.signal_linear[self._pairs].copy()
+        if not self._tracks_noise:
+            self._noise = None
+            return
         grid = self._model.coupling_linear[
             self._pairs[:, None], self._pairs[None, :]
         ]
@@ -338,9 +355,7 @@ class DeltaEvaluator:
             il, signal, noise, _, _, _ = self._move_tables(
                 tasks[sel], tiles[sel], others[sel], aff[sel]
             )
-            scores[sel] = self._scores_from(
-                il[:, :n_edges], signal[:, :n_edges], noise[:, :n_edges]
-            )
+            scores[sel] = self._scores_from(il, signal, noise)
         self._ev.evaluations += n_moves
         return scores
 
@@ -363,24 +378,28 @@ class DeltaEvaluator:
         self._pairs[idx] = new_pa[0][valid]
         self._il = il[0, :n_edges].copy()
         self._signal = signal[0, :n_edges].copy()
-        self._noise = noise[0, :n_edges].copy()
-        coupling = self._model.coupling_linear
-        # The moved edges changed their pair, so their victim columns and
-        # their contribution to the dense row sums must follow. Dense
-        # mode reads the changed columns as rows of the contiguous
-        # transpose; sparse mode (which never builds the transpose) uses
-        # a strided column gather of the dense matrix — a few columns per
-        # commit, so the stride cost is negligible.
-        self._cols_inc[:, idx] = coupling[self._pairs[idx], :].T
-        if self._csr is not None:
-            self._rowsum += coupling[:, self._pairs[idx]].sum(
-                axis=1, dtype=np.float64
-            )
-            self._rowsum -= coupling[:, old_pairs].sum(axis=1, dtype=np.float64)
-        else:
-            coupling_T = self._model.coupling_linear_T
-            self._rowsum += coupling_T[self._pairs[idx]].sum(axis=0)
-            self._rowsum -= coupling_T[old_pairs].sum(axis=0)
+        if self._tracks_noise:
+            self._noise = noise[0, :n_edges].copy()
+            coupling = self._model.coupling_linear
+            # The moved edges changed their pair, so their victim columns
+            # and their contribution to the dense row sums must follow.
+            # Dense mode reads the changed columns as rows of the
+            # contiguous transpose; sparse mode (which never builds the
+            # transpose) uses a strided column gather of the dense matrix
+            # — a few columns per commit, so the stride cost is
+            # negligible.
+            self._cols_inc[:, idx] = coupling[self._pairs[idx], :].T
+            if self._csr is not None:
+                self._rowsum += coupling[:, self._pairs[idx]].sum(
+                    axis=1, dtype=np.float64
+                )
+                self._rowsum -= coupling[:, old_pairs].sum(
+                    axis=1, dtype=np.float64
+                )
+            else:
+                coupling_T = self._model.coupling_linear_T
+                self._rowsum += coupling_T[self._pairs[idx]].sum(axis=0)
+                self._rowsum -= coupling_T[old_pairs].sum(axis=0)
         if other >= 0:
             self._assignment[other] = self._assignment[task]
         self._assignment[task] = tile
@@ -422,10 +441,13 @@ class DeltaEvaluator:
 
     def _move_tables(self, tasks, tiles, others, aff=None):
         """Per-move ``(M, E+1)`` IL/signal/noise tables (column E is a
-        dummy scatter target for padding entries; callers slice it off)."""
+        dummy scatter target for padding entries; callers slice it off).
+
+        The noise table is ``None`` for loss-family engines, which
+        return right after the IL/signal scatter.
+        """
         a = self._assignment
         n_edges = self._E
-        coupling = self._model.coupling_linear
         n_moves = len(tasks)
 
         if aff is None:
@@ -469,6 +491,17 @@ class DeltaEvaluator:
                 ) * self._routes + tiles[rr][:, None]
                 new_pa[rr] = np.where(pad[rr], old_pa[rr], rr_new)
 
+        # Padding and duplicates scatter into the dummy column.
+        scatter = np.where(pad, n_edges, aff)
+        il = np.empty((n_moves, n_edges + 1), dtype=np.float64)
+        il[:, :n_edges] = self._il[None, :]
+        np.put_along_axis(il, scatter, self._model.insertion_loss_db[new_pa], axis=1)
+        signal = np.empty((n_moves, n_edges + 1), dtype=np.float64)
+        signal[:, :n_edges] = self._signal[None, :]
+        np.put_along_axis(signal, scatter, self._model.signal_linear[new_pa], axis=1)
+        if not self._tracks_noise:
+            return il, signal, None, aff, new_pa, scatter
+
         # Unaffected victims: aggressor terms of the affected edges change
         # under the victim's unchanged pair. Both coupling gathers are
         # contiguous row copies of the per-incumbent victim-column matrix
@@ -485,8 +518,8 @@ class DeltaEvaluator:
         # the columns the move itself displaced (cross terms among the
         # affected edges; zero for padding, whose new pair is its old
         # one), minus the victim's serialized/self columns at their moved
-        # pairs. Padding and duplicates scatter into the dummy column.
-        scatter = np.where(pad, n_edges, aff)
+        # pairs.
+        coupling = self._model.coupling_linear
         pairs_moved = np.empty((n_moves, n_edges + 1), dtype=np.int64)
         pairs_moved[:, :n_edges] = self._pairs[None, :]
         pairs_moved[:, n_edges] = 0  # dummy column: weight-0 gathers land here
@@ -527,29 +560,27 @@ class DeltaEvaluator:
             noise[suspect_m, suspect_v] = np.einsum(
                 "ke,ke->k", grid_rows, self._maskf[suspect_v]
             )
-
-        il = np.empty((n_moves, n_edges + 1), dtype=np.float64)
-        il[:, :n_edges] = self._il[None, :]
-        np.put_along_axis(il, scatter, self._model.insertion_loss_db[new_pa], axis=1)
-        signal = np.empty((n_moves, n_edges + 1), dtype=np.float64)
-        signal[:, :n_edges] = self._signal[None, :]
-        np.put_along_axis(signal, scatter, self._model.signal_linear[new_pa], axis=1)
         return il, signal, noise, aff, new_pa, scatter
 
     def _scores_from(self, il, signal, noise) -> np.ndarray:
-        """Objective scores from (M, E) tables — mirrors ``_tables_from_pairs``.
+        """Objective scores from (M, >= E) tables — mirrors ``_tables_from_pairs``.
 
-        Only the objective's own table is materialized (the spec's
+        Reads the first E columns (``_move_tables`` appends a dummy
+        one). Only the objective's own table is materialized (the spec's
         ``table`` name, resolved at construction); every transform below
         is row-local, so the scores are bit-identical to the full
-        pipeline's for the same rows.
+        pipeline's for the same rows. ``noise`` is read only by the SNR
+        tables, and is ``None`` for loss-family engines.
         """
+        il = il[:, : self._E]
         if self._score_table == "worst_il":
             return il.min(axis=1)
         if self._score_table == "weighted_il":
             return _row_sum(il * self._bw)
         if self._score_table == "laser_power":
             return self._ev._laser_power_table(il)
+        signal = signal[:, : self._E]
+        noise = noise[:, : self._E]
         with np.errstate(divide="ignore"):
             snr = 10.0 * np.log10(signal / np.where(noise > 0.0, noise, 1.0))
         snr = np.where(noise > 0.0, snr, SNR_CAP_DB)

@@ -15,9 +15,13 @@ The evaluator also counts evaluations: the paper compares optimization
 algorithms under the same search effort, and the evaluation count is this
 reproduction's effort currency (DESIGN.md §4).
 
-This is the *full* evaluator: every candidate pays the O(E^2) masked
-noise contraction regardless of how similar it is to the previous one.
-Local-search strategies exploring one-move neighbourhoods should prefer
+This is the *full* evaluator: every candidate whose tables read SNR pays
+the O(E^2) masked noise contraction regardless of how similar it is to
+the previous one. Loss-family scores (``loss``, ``weighted_loss``,
+``laser_power``) read only the insertion-loss table, so a ``score_only``
+batch for them never runs the contraction (see
+:meth:`MappingEvaluator.submit_batch`). Local-search strategies
+exploring one-move neighbourhoods should prefer
 :class:`~repro.core.delta.DeltaEvaluator`, which wraps this class,
 maintains per-edge state for one incumbent, and scores a move in
 O(E * affected edges) — falling back to the full path here on resets,
@@ -163,10 +167,15 @@ class MappingMetrics:
 
 @dataclass(frozen=True)
 class BatchMetrics:
-    """Vector metrics of a batch of evaluated mappings."""
+    """Vector metrics of a batch of evaluated mappings.
 
-    worst_insertion_loss_db: np.ndarray
-    worst_snr_db: np.ndarray
+    A ``score_only`` batch computes only the objective's own table, so
+    ``worst_insertion_loss_db`` and ``worst_snr_db`` are ``None`` unless
+    the score is one of them.
+    """
+
+    worst_insertion_loss_db: Optional[np.ndarray]
+    worst_snr_db: Optional[np.ndarray]
     score: np.ndarray
 
 
@@ -213,12 +222,13 @@ class PendingBatch:
         tuple of numpy.ndarray
             Per-row metric vectors, one per name in the evaluator's
             :attr:`MappingEvaluator.table_names` (the objective-free
-            tables the pool workers return). Unlike :meth:`result` this
-            charges **nothing** to the evaluator's evaluation counter:
-            it is the seam the service layer's cross-request batch
-            coalescer uses to score one merged flight and re-split it
-            per request, each request applying its own objective and
-            charging its own evaluator.
+            tables the pool workers return; a ``score_only`` batch
+            scored inline leaves all but the score's ``None``). Unlike
+            :meth:`result` this charges **nothing** to the evaluator's
+            evaluation counter: it is the seam the service layer's
+            cross-request batch coalescer uses to score one merged
+            flight and re-split it per request, each request applying
+            its own objective and charging its own evaluator.
         """
         if self._tables is None:
             if self._metrics is not None:
@@ -483,6 +493,7 @@ class MappingEvaluator:
         assignments: np.ndarray,
         n_workers: Optional[int] = None,
         min_shard_rows: Optional[int] = None,
+        score_only: bool = False,
     ) -> BatchMetrics:
         """Evaluate a ``(M, n_tasks)`` batch of assignments.
 
@@ -502,11 +513,15 @@ class MappingEvaluator:
             shards it runs inline instead, because the process
             round-trip would cost more than the numpy work it ships.
             Pass 1 to force sharding of any batch.
+        score_only : bool, optional
+            Compute only the objective's score table, as in
+            :meth:`submit_batch` (default False).
 
         Returns
         -------
         BatchMetrics
-            Per-row worst insertion loss, worst SNR and objective score.
+            Per-row worst insertion loss, worst SNR and objective score
+            (the first two ``None`` when ``score_only`` skipped them).
 
         Notes
         -----
@@ -517,7 +532,10 @@ class MappingEvaluator:
         charged to :attr:`evaluations` exactly once either way.
         """
         return self.submit_batch(
-            assignments, n_workers=n_workers, min_shard_rows=min_shard_rows
+            assignments,
+            n_workers=n_workers,
+            min_shard_rows=min_shard_rows,
+            score_only=score_only,
         ).result()
 
     def submit_batch(
@@ -525,6 +543,7 @@ class MappingEvaluator:
         assignments: np.ndarray,
         n_workers: Optional[int] = None,
         min_shard_rows: Optional[int] = None,
+        score_only: bool = False,
     ) -> PendingBatch:
         """Submit a batch for evaluation, returning immediately.
 
@@ -546,6 +565,16 @@ class MappingEvaluator:
             ``n_workers``).
         min_shard_rows : int, optional
             Rows-per-shard floor, as in :meth:`evaluate_batch`.
+        score_only : bool, optional
+            Compute only the objective's score table (default False) —
+            for callers that read nothing but ``.score``, like the
+            search strategies. Scored inline, the batch then skips every
+            table the score does not read: a loss-family objective
+            never runs the noise contraction, and the
+            :class:`BatchMetrics` fields not computed are ``None``.
+            Sharded batches ignore the flag (pool workers always return
+            the objective-free tables). The score is bit-identical
+            either way.
 
         Returns
         -------
@@ -564,8 +593,11 @@ class MappingEvaluator:
         )
         n_shards = min(workers, n_mappings // floor)
         if n_shards < 2:
+            names = (
+                (self.table_names[self._score_index],) if score_only else None
+            )
             return PendingBatch(
-                self, n_mappings, tables=self._evaluate_rows(assignments)
+                self, n_mappings, tables=self._evaluate_rows(assignments, names)
             )
         from repro.core import parallel as _parallel
         from repro.core import pool as _pool
@@ -593,27 +625,27 @@ class MappingEvaluator:
         )
         return PendingBatch(self, n_mappings, fanout=fanout)
 
-    def _evaluate_rows(self, assignments: np.ndarray):
+    def _evaluate_rows(self, assignments: np.ndarray, names=None):
         """Score validated rows sequentially, without counting.
 
         Returns the per-row metric tables named by :attr:`table_names`
         (in that order); used by the inline path, and by pool workers
         scoring one shard each (objective-free — the score is applied by
-        whoever collects the tables).
+        whoever collects the tables). ``names`` restricts the tables
+        computed (default: all of them); the others come back ``None``.
         """
+        if names is None:
+            names = self.table_names
         n_mappings = assignments.shape[0]
         chunk = self._chunk_rows()
-        out = {
-            name: np.empty(n_mappings, dtype=np.float64)
-            for name in self.table_names
-        }
+        out = {name: np.empty(n_mappings, dtype=np.float64) for name in names}
         for start in range(0, n_mappings, chunk):
             stop = min(start + chunk, n_mappings)
             self._evaluate_chunk(
                 assignments[start:stop],
                 {name: column[start:stop] for name, column in out.items()},
             )
-        return tuple(out[name] for name in self.table_names)
+        return tuple(out.get(name) for name in self.table_names)
 
     def _chunk_rows(self) -> int:
         """Mappings per chunk keeping per-chunk transients within budget.
@@ -792,14 +824,28 @@ class MappingEvaluator:
         return np.quantile(worst, self.variation.quantile, axis=1)
 
     def _evaluate_chunk(self, assignments, out):
-        """Fill one chunk's slice of every metric table in ``out``."""
+        """Fill one chunk's slice of every metric table in ``out``.
+
+        Computes only what those tables read: the nominal noise
+        contraction runs only for ``worst_snr`` / ``mean_snr`` and the
+        per-sample ones only for ``robust_snr``, so loss-family tables
+        never touch the coupling matrix.
+        """
         pairs = self._pair_table(assignments)
-        il, snr, _noise, _signal = self._tables_from_pairs(pairs)
-        out["worst_il"][:] = il.min(axis=1)
-        out["worst_snr"][:] = snr.min(axis=1)
-        out["mean_snr"][:] = _row_sum(snr) / snr.shape[1]
-        out["weighted_il"][:] = _row_sum(il * self._bandwidth_weights)
-        out["laser_power"][:] = self._laser_power_table(il)
+        if "worst_snr" in out or "mean_snr" in out:
+            il, snr, _noise, _signal = self._tables_from_pairs(pairs)
+            if "worst_snr" in out:
+                out["worst_snr"][:] = snr.min(axis=1)
+            if "mean_snr" in out:
+                out["mean_snr"][:] = _row_sum(snr) / snr.shape[1]
+        else:
+            il = self.model.insertion_loss_db[pairs]
+        if "worst_il" in out:
+            out["worst_il"][:] = il.min(axis=1)
+        if "weighted_il" in out:
+            out["weighted_il"][:] = _row_sum(il * self._bandwidth_weights)
+        if "laser_power" in out:
+            out["laser_power"][:] = self._laser_power_table(il)
         if "robust_snr" in out:
             out["robust_snr"][:] = self._robust_table(pairs)
 

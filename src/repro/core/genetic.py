@@ -249,7 +249,7 @@ class GeneticAlgorithm(MappingStrategy):
             population = np.hstack([population, genes])
         tracker = BestTracker(evaluator)
         rows = self._design_rows(population, n_tasks, n_tiles)
-        scores = evaluator.evaluate_batch(rows).score
+        scores = evaluator.evaluate_batch(rows, score_only=True).score
         tracker.offer_batch(rows, scores)
         remaining = budget - population_size
         while remaining > 0:
@@ -258,7 +258,7 @@ class GeneticAlgorithm(MappingStrategy):
                 population, scores, count, n_tiles, evaluator.routes, rng
             )
             rows = self._design_rows(children, n_tasks, n_tiles)
-            child_scores = evaluator.evaluate_batch(rows).score
+            child_scores = evaluator.evaluate_batch(rows, score_only=True).score
             tracker.offer_batch(rows, child_scores)
             remaining -= count
             # Elitist replacement: keep the best of the old generation.

@@ -53,7 +53,7 @@ class RandomSearch(MappingStrategy):
         while remaining > 0:
             count = min(self.batch_size, remaining)
             batch = evaluator.random_vector_batch(count, rng)
-            handle = evaluator.submit_batch(batch)
+            handle = evaluator.submit_batch(batch, score_only=True)
             remaining -= count
             if pending is not None:
                 previous_batch, previous_handle = pending

@@ -137,8 +137,9 @@ class MappingStrategy:
             Source of all randomness; ``None`` draws fresh OS entropy.
         use_delta : bool, optional
             ``False`` is the escape hatch that forces every candidate
-            through the full evaluator (bitwise-reference scoring at
-            O(E^2) per candidate).
+            through the full evaluator (bitwise-reference scoring; O(E^2)
+            per candidate for SNR-family objectives, whose score reads
+            the noise contraction, O(E) for loss-family ones).
 
         Returns
         -------

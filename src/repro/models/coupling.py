@@ -828,8 +828,9 @@ class CouplingModel:
         The delta evaluator gathers ``coupling_linear[v, a]`` with ``a``
         fixed and ``v`` running over a victim set; on the row-major
         ``coupling_linear`` that walk is one cache miss per element, on
-        the transpose it stays inside one row. Only delta users pay the
-        doubled memory.
+        the transpose it stays inside one row. Only dense-backend delta
+        engines of SNR-family objectives pay the doubled memory:
+        loss-family engines keep no noise state and never read it.
         """
         if self._coupling_T is None:
             self._coupling_T = np.ascontiguousarray(self.coupling_linear.T)

@@ -307,9 +307,19 @@ class CoalescingEvaluator(MappingEvaluator):
         super().__init__(problem, **kwargs)
         self.coalescer = coalescer
 
-    def submit_batch(self, assignments, n_workers=None, min_shard_rows=None):
-        """Submit a batch; rows join the pool key's next shared flight."""
+    def submit_batch(
+        self, assignments, n_workers=None, min_shard_rows=None, score_only=False
+    ):
+        """Submit a batch; rows join the pool key's next shared flight.
+
+        ``score_only`` is ignored for coalesced batches: a flight serves
+        requests of any objective, so it always returns every table.
+        Without a coalescer this is the plain
+        :meth:`MappingEvaluator.submit_batch`, flag included.
+        """
         if self.coalescer is None:
-            return super().submit_batch(assignments, n_workers, min_shard_rows)
+            return super().submit_batch(
+                assignments, n_workers, min_shard_rows, score_only
+            )
         assignments = self._check_batch(assignments)
         return CoalescedBatch(self, self.coalescer.submit(assignments))

@@ -7,7 +7,10 @@ through every property below — per-seed determinism, batch-vs-single-row
 bit-identity, chunk / shard / coalesce invariance, dense-vs-sparse
 parity, delta parity (or a declared, enforced opt-out) and score-cap
 sanity. A new objective that violates the cross-layer determinism
-contract fails here before it can ship.
+contract fails here before it can ship. The batch properties also run
+at float64 and float32 with ``score_only`` both ways: a batch that
+computes only the score's own table must return the full path's score
+byte for byte.
 
 Randomized but reproducible: every test draws its rows from a fixed seed.
 """
@@ -37,6 +40,12 @@ OBJECTIVES = list(Objective)
 
 #: Small, fast variation plan shared by every robust-objective case.
 VARIATION = VariationSpec(n_samples=3, sigma=0.05, seed=11)
+
+#: Coupling-matrix precisions the batch properties loop over.
+DTYPES = ("float64", "float32")
+
+#: The tables whose kernels run the crosstalk-noise contraction.
+NOISE_TABLES = ("worst_snr", "mean_snr", "robust_snr")
 
 
 def _problem(cg, network, objective):
@@ -77,6 +86,12 @@ class TestRegistry:
         assert spec.objective is obj
 
     @pytest.mark.parametrize("obj", OBJECTIVES)
+    def test_snr_based_exactly_when_the_table_reads_noise(self, obj):
+        """``is_snr_based`` selects the kernels a score runs, so it must
+        agree with the spec's table."""
+        assert obj.is_snr_based == (OBJECTIVE_SPECS[obj].table in NOISE_TABLES)
+
+    @pytest.mark.parametrize("obj", OBJECTIVES)
     def test_requires_variation_attaches_a_default_plan(
         self, obj, pip_cg, mesh3_network
     ):
@@ -100,31 +115,56 @@ class TestDeterminism:
         )
 
     def test_batch_matches_single_row(self, objective, pip_cg, mesh3_network):
-        """Row i of a batch == evaluate() of row i, bit for bit."""
-        evaluator = _evaluator(pip_cg, mesh3_network, objective)
-        rows = _rows(evaluator, 12)
-        batch = evaluator.evaluate_batch(rows)
-        for index in range(rows.shape[0]):
-            metrics = evaluator.evaluate(rows[index])
-            assert metrics.score == batch.score[index]
-            assert metrics.worst_snr_db == batch.worst_snr_db[index]
-            assert (
-                metrics.worst_insertion_loss_db
-                == batch.worst_insertion_loss_db[index]
-            )
+        """Row i of a batch == evaluate() of row i, bit for bit.
+
+        At both precisions; a ``score_only`` batch returns the full
+        batch's score bytes and leaves ``None`` in each metric field its
+        score does not read.
+        """
+        table = spec_for(objective).table
+        for dtype in DTYPES:
+            evaluator = _evaluator(pip_cg, mesh3_network, objective, dtype=dtype)
+            rows = _rows(evaluator, 12)
+            batch = evaluator.evaluate_batch(rows)
+            for index in range(rows.shape[0]):
+                metrics = evaluator.evaluate(rows[index])
+                assert metrics.score == batch.score[index]
+                assert metrics.worst_snr_db == batch.worst_snr_db[index]
+                assert (
+                    metrics.worst_insertion_loss_db
+                    == batch.worst_insertion_loss_db[index]
+                )
+            scored = evaluator.evaluate_batch(rows, score_only=True)
+            assert scored.score.tobytes() == batch.score.tobytes(), dtype
+            for field, name in (
+                ("worst_insertion_loss_db", "worst_il"),
+                ("worst_snr_db", "worst_snr"),
+            ):
+                column = getattr(scored, field)
+                if name == table:
+                    assert column.tobytes() == getattr(batch, field).tobytes()
+                else:
+                    assert column is None, (dtype, field)
 
     def test_chunk_size_invariance(
         self, objective, pip_cg, mesh3_network, monkeypatch
     ):
-        """Forcing 1-row chunks must not move a single bit."""
-        evaluator = _evaluator(pip_cg, mesh3_network, objective)
-        rows = _rows(evaluator, 25)
-        expected = evaluator.evaluate_batch(rows).score
+        """Forcing 1-row chunks must not move a single bit, at either
+        precision, of a full or a ``score_only`` batch."""
+        expected = {}
+        for dtype in DTYPES:
+            evaluator = _evaluator(pip_cg, mesh3_network, objective, dtype=dtype)
+            expected[dtype] = evaluator.evaluate_batch(_rows(evaluator, 25)).score
         monkeypatch.setattr(evaluator_module, "_CHUNK_BYTES", 1)
-        chunked = _evaluator(pip_cg, mesh3_network, objective)
-        np.testing.assert_array_equal(
-            chunked.evaluate_batch(rows).score, expected
-        )
+        for dtype in DTYPES:
+            chunked = _evaluator(pip_cg, mesh3_network, objective, dtype=dtype)
+            rows = _rows(chunked, 25)
+            for score_only in (False, True):
+                got = chunked.evaluate_batch(rows, score_only=score_only).score
+                assert got.tobytes() == expected[dtype].tobytes(), (
+                    dtype,
+                    score_only,
+                )
 
     def test_shard_count_invariance(self, objective, pip_cg, mesh3_network):
         """Inline-executor sharding at any worker count is bit-identical."""
@@ -171,15 +211,28 @@ class TestDeterminism:
 
 class TestBackendParity:
     def test_dense_and_sparse_agree(self, objective, pip_cg, mesh3_network):
-        dense = _evaluator(pip_cg, mesh3_network, objective, backend="dense")
-        sparse = _evaluator(pip_cg, mesh3_network, objective, backend="sparse")
-        rows = _rows(dense, 40)
-        np.testing.assert_allclose(
-            sparse.evaluate_batch(rows).score,
-            dense.evaluate_batch(rows).score,
-            rtol=1e-9,
-            atol=1e-9,
-        )
+        """The backends agree at either precision, and each one's
+        ``score_only`` score is its own full score byte for byte."""
+        for dtype in DTYPES:
+            scores = {}
+            for backend in ("dense", "sparse"):
+                evaluator = _evaluator(
+                    pip_cg, mesh3_network, objective, backend=backend, dtype=dtype
+                )
+                rows = _rows(evaluator, 40)
+                scores[backend] = evaluator.evaluate_batch(rows).score
+                scored = evaluator.evaluate_batch(rows, score_only=True).score
+                assert scored.tobytes() == scores[backend].tobytes(), (
+                    dtype,
+                    backend,
+                )
+            np.testing.assert_allclose(
+                scores["sparse"],
+                scores["dense"],
+                rtol=1e-9,
+                atol=1e-9,
+                err_msg=dtype,
+            )
 
     def test_sparse_is_chunk_invariant_too(
         self, objective, pip_cg, mesh3_network, monkeypatch

@@ -27,7 +27,11 @@ def _clean_registry():
     clear_model_cache()
 
 
-@pytest.fixture(scope="module", params=["mesh3", "mesh4", "torus4"])
+@pytest.fixture(
+    scope="module",
+    # The torus4 legacy oracle builds take ~10 s per dtype: slow lane.
+    params=["mesh3", "mesh4", pytest.param("torus4", marks=pytest.mark.slow)],
+)
 def network_pair(request):
     """(name, network) for every architecture of the parity matrix."""
     return request.param, request.getfixturevalue(f"{request.param}_network")
