@@ -6,14 +6,12 @@ into existence (:mod:`repro.models.coupling`):
 * the **legacy** per-aggressor pure-Python walk loop (the seed builder,
   kept as ``builder="legacy"`` — the parity oracle);
 * the **vectorized** walk-once builder (emission channels resolved once,
-  joins gathered, contributions scatter-accumulated) — single-process
-  and optionally aggressor-sharded across the build pool;
+  joins gathered, contributions scatter-accumulated);
 * a **warm on-disk cache** load (``for_network(cache_dir=...)``:
   memory-mapped arrays keyed by signature/dtype/MODEL_VERSION).
 
-Every race asserts the matrices are **bit-identical** across builders
-(and across ``build_workers`` counts); the speedup floors apply to the
-largest raced mesh. ``--quick`` runs a seconds-scale parity + speedup
+Every race asserts the matrices are **bit-identical** across builders;
+the speedup floors apply to the largest raced mesh. ``--quick`` runs a seconds-scale parity + speedup
 smoke for CI.
 
 Usage::
@@ -38,7 +36,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.models.coupling import CouplingModel, clear_model_cache
-from repro.core.pool import shutdown_pools
 from repro.noc import PhotonicNoC, mesh
 
 try:  # script mode (python benchmarks/bench_model_build.py)
@@ -47,7 +44,7 @@ except ImportError:  # package mode (pytest from the repo root)
     from benchmarks.common import add_json_argument, record_bench
 
 
-def bench_side(side: int, workers: int, with_legacy: bool, cache_dir: str) -> dict:
+def bench_side(side: int, with_legacy: bool, cache_dir: str) -> dict:
     """Race every builder on one side x side crux mesh (float64)."""
     network = PhotonicNoC(mesh(side, side))
     network.all_paths()  # path elaboration is common to all builders
@@ -61,14 +58,11 @@ def bench_side(side: int, workers: int, with_legacy: bool, cache_dir: str) -> di
         "n_pairs": vectorized.n_pairs,
         "t_vectorized": t_vectorized,
         "t_legacy": None,
-        "t_sharded": None,
         "t_cache_cold": None,
         "t_cache_warm": None,
         "speedup": None,
-        "sharded_speedup": None,
         "cache_speedup": None,
         "parity": True,
-        "workers": workers,
     }
 
     if with_legacy:
@@ -81,16 +75,6 @@ def bench_side(side: int, workers: int, with_legacy: bool, cache_dir: str) -> di
             and np.array_equal(legacy.signal_linear, vectorized.signal_linear)
         )
         del legacy
-
-    if workers > 1:
-        t0 = time.perf_counter()
-        sharded = CouplingModel(network, build_workers=workers)
-        row["t_sharded"] = time.perf_counter() - t0
-        row["sharded_speedup"] = t_vectorized / row["t_sharded"]
-        row["parity"] = row["parity"] and bool(
-            np.array_equal(sharded.coupling_linear, vectorized.coupling_linear)
-        )
-        del sharded
 
     # Disk cache: cold = build + persist, warm = memory-mapped load.
     clear_model_cache()
@@ -120,11 +104,6 @@ def report_row(row: dict) -> None:
         f"{side}x{side} ({row['n_pairs']} pairs): {legacy}"
         f"vectorized {row['t_vectorized']:.2f}s{speedup}"
     )
-    if row["t_sharded"] is not None:
-        print(
-            f"  sharded x{row['workers']}: {row['t_sharded']:.2f}s "
-            f"({row['sharded_speedup']:.2f}x the single-process build)"
-        )
     print(
         f"  disk cache: cold {row['t_cache_cold']:.2f}s, warm "
         f"{row['t_cache_warm'] * 1e3:.1f} ms -> {row['cache_speedup']:.0f}x"
@@ -137,11 +116,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--sides", nargs="+", type=int, default=[4, 6, 8],
         help="mesh sides to race (default 4 6 8)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4,
-        help="build_workers for the sharded race (default 4; 0 or 1 "
-             "skips it)",
     )
     parser.add_argument(
         "--skip-legacy-above", type=int, default=8,
@@ -169,7 +143,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # relaxed floor with margin on noisy CI runners, small enough to
         # finish in seconds.
         args.sides = [5]
-        args.workers = min(args.workers, 2)
         args.min_speedup = 2.0
         args.min_cache_speedup = 5.0
 
@@ -178,14 +151,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         for side in sorted(args.sides):
             row = bench_side(
                 side,
-                workers=args.workers,
                 with_legacy=side <= args.skip_legacy_above,
                 cache_dir=cache,
             )
             report_row(row)
             rows.append(row)
     clear_model_cache()
-    shutdown_pools()
 
     failed = False
     for row in rows:
@@ -217,7 +188,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "model_build",
         params={
             "sides": sorted(args.sides),
-            "workers": args.workers,
             "min_speedup": args.min_speedup,
             "min_cache_speedup": args.min_cache_speedup,
             "quick": bool(args.quick),
@@ -229,8 +199,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     if args.quick:
         print(
-            "quick ok: vectorized, sharded and cached builds bit-identical "
-            "to the legacy walk loop"
+            "quick ok: vectorized and cached builds bit-identical to the "
+            "legacy walk loop"
         )
     return 0
 

@@ -65,9 +65,9 @@ def _bench_problem(side: int, seed: int = 1) -> MappingProblem:
 
 
 def _warm_pool(explorer: DesignSpaceExplorer, workers: int) -> None:
-    """One tiny parallel run: creates the process-cached shared-memory
-    export, so the timed races measure steady-state pool cost (fork +
-    worker init + work), not the one-time matrix copy."""
+    """One tiny parallel run: creates the persistent pool and the dense
+    transpose its forked workers share, so the timed races measure
+    steady-state pool cost (dispatch + work), not the one-time setup."""
     explorer.run("r-pbla", budget=workers, seed=0, n_workers=workers)
 
 

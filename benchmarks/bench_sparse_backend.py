@@ -13,7 +13,7 @@ Three measurements around the evaluator's ``backend`` knob
   where the dense gather wins and ``backend="auto"`` correctly keeps it —
   the race documents the other side of the auto-selection crossover.
 * **Memory footprint**: measured CSR bytes vs the dense matrix (and the
-  dense transpose the sparse backend's shm export drops).
+  dense transpose the sparse backend never builds).
 
 Parity between the backends (1e-9 on float64 metrics) is enforced on
 every race, whatever the machine; the speedup floor only applies to the
@@ -152,7 +152,7 @@ def memory_report(side: int) -> dict:
     model = MappingEvaluator(problem, backend="sparse").model
     csr = model.csr()
     dense_bytes = model.coupling_linear.nbytes
-    report = {
+    return {
         "side": side,
         "n_pairs": model.n_pairs,
         "density": float(model.density),
@@ -160,18 +160,7 @@ def memory_report(side: int) -> dict:
         "transpose_bytes": int(dense_bytes),  # what dense-mode delta adds
         "csr_bytes": int(csr.nbytes),
         "csr_over_dense": csr.nbytes / dense_bytes,
-        # Shared-memory export of each flavour (signal/IL vectors included).
-        "shm_dense_flavour_bytes": None,
-        "shm_sparse_flavour_bytes": None,
     }
-    try:
-        with model.export_shared(with_transpose=True, with_csr=False) as h:
-            report["shm_dense_flavour_bytes"] = int(h.spec.nbytes)
-        with model.export_shared(with_transpose=False, with_csr=True) as h:
-            report["shm_sparse_flavour_bytes"] = int(h.spec.nbytes)
-    except Exception:  # pragma: no cover - shm-less containers
-        pass
-    return report
 
 
 def report_race(row: dict) -> None:
@@ -266,12 +255,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         f"CSR {memory['csr_bytes'] * mb:.1f} MB "
         f"({memory['csr_over_dense']:.2f}x the dense matrix)"
     )
-    if memory["shm_sparse_flavour_bytes"]:
-        print(
-            f"  shm export: dense flavour "
-            f"{memory['shm_dense_flavour_bytes'] * mb:.1f} MB, sparse "
-            f"flavour {memory['shm_sparse_flavour_bytes'] * mb:.1f} MB"
-        )
 
     shutdown_pools()
     record_bench(

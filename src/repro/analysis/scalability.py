@@ -67,8 +67,8 @@ def scalability_study(
     decomposition) and shards the random-sample batch across the
     persistent worker pool; because the pool key ignores the objective,
     the loss run, the SNR run and the sampling of one mesh size all share
-    one warm pool. Explorers are closed per mesh size, so pools and
-    shared-memory exports never outlive the mesh they served.
+    one warm pool. Explorers are closed per mesh size, so pools never
+    outlive the mesh they served.
 
     ``model_cache_dir`` points the per-size coupling-model builds at an
     on-disk cache (see :mod:`repro.models.coupling`): re-running the

@@ -38,8 +38,8 @@ of ``tests/core/test_dse_determinism.py``:
   :class:`~repro.core.result.OptimizationResult`\\ s (chains sum), so
   budget comparisons stay fair in every configuration.
 
-Workers share the read-only coupling matrices through
-``multiprocessing.shared_memory`` (fork inheritance as the fallback) and
+Workers share the read-only coupling matrices they inherit from the
+parent's process cache through fork (see :mod:`repro.core.parallel`) and
 each worker builds its own strategy instance — ``optimize`` is documented
 non-reentrant, one instance must never serve two concurrent runs.
 
@@ -94,8 +94,8 @@ class DesignSpaceExplorer:
     ``backend`` selects the noise-contraction implementation of the
     underlying :class:`~repro.core.evaluator.MappingEvaluator`
     (``"auto"``, ``"dense"`` or ``"sparse"``); the resolved choice also
-    decides which shared-memory flavour pool workers attach, so parallel
-    runs stay bit-identical to sequential ones per backend.
+    keys the worker pools, so pool workers run the parent's kernel and
+    parallel runs stay bit-identical to sequential ones per backend.
 
     ``model_cache_dir`` names an on-disk coupling-model cache: the
     explorer's evaluator loads the precomputed matrices as memory maps
@@ -343,12 +343,10 @@ class DesignSpaceExplorer:
         Pools created by parallel :meth:`run` / :meth:`compare` calls (or
         by sharded batch evaluation through this explorer's evaluator)
         stay warm for reuse; ``close()`` shuts the ones keyed to this
-        problem down deterministically — worker processes exit and their
-        shared-memory attachments are dropped before the exporting
-        process unlinks the segments at interpreter exit, so no
-        resource-tracker warning is ever emitted. Idempotent, and the
-        explorer remains usable afterwards (the next parallel call builds
-        a fresh pool). Also available as a context manager::
+        problem down deterministically, and their worker processes exit
+        before it returns. Idempotent, and the explorer remains usable
+        afterwards (the next parallel call builds a fresh pool). Also
+        available as a context manager::
 
             with DesignSpaceExplorer(problem, n_workers=4) as explorer:
                 results = explorer.compare(budget=20_000, seed=2016)

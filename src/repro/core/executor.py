@@ -17,8 +17,9 @@ one small protocol, :class:`ExecutorBackend`:
 Three implementations exist:
 
 * :class:`LocalProcessBackend` — the historical persistent
-  :class:`~concurrent.futures.ProcessPoolExecutor`, workers hydrated via
-  shared memory / fork inheritance / the on-disk model cache;
+  :class:`~concurrent.futures.ProcessPoolExecutor`; workers resolve the
+  coupling model by cache key, from the process cache they inherit
+  through fork (else the on-disk model cache, else a build);
 * :class:`InlineBackend` — runs every task synchronously in the calling
   thread under an activated
   :class:`~repro.core.parallel.WorkerContext`. Zero processes: the
@@ -316,10 +317,59 @@ class FanOut:
         return [future.result() for future in self.futures]
 
 
-class _ProcessBackendBase(ExecutorBackend):
-    """Lifecycle shared by process-pool flavoured backends."""
+class LocalProcessBackend(ExecutorBackend):
+    """One reusable :class:`ProcessPoolExecutor` plus its wiring.
 
+    Workers are initialized once with the problem, the coupling dtype,
+    the resolved contraction backend and the on-disk model cache
+    directory; afterwards every submitted task — whole strategy runs,
+    independent chains, or batch shards — finds its evaluator warm in
+    the worker process. The constructor resolves the problem's coupling
+    model and builds the arrays this backend's evaluators read (the
+    dense transpose, or the CSR triplet of a sparse pool) before the
+    pool forks its workers at the first submit, so every worker shares
+    the parent's copies instead of rebuilding them.
+
+    Not instantiated directly; use :func:`repro.core.pool.get_pool`.
+    """
+
+    kind = "local"
     _executor: Optional[ProcessPoolExecutor] = None
+
+    def __init__(
+        self,
+        key: Tuple,
+        problem,
+        dtype,
+        n_workers: int,
+        backend: str = "dense",
+        model_cache_dir: Optional[str] = None,
+    ):
+        from repro.core import parallel as _parallel
+        from repro.models.coupling import CouplingModel
+
+        super().__init__(key, n_workers)
+        self.problem = problem
+        self.dtype = np.dtype(dtype)
+        self.backend = str(backend)
+        self.model_cache_dir = model_cache_dir
+        model = CouplingModel.for_network(
+            problem.network,
+            dtype=self.dtype,
+            cache_dir=model_cache_dir,
+            routes=problem.routes,
+        )
+        # The first submit forks the workers: build what their evaluators
+        # read now, so they all share the parent's copy.
+        if self.backend == "sparse":
+            model.csr()
+        else:
+            model.coupling_linear_T
+        self._executor = ProcessPoolExecutor(
+            max_workers=self.n_workers,
+            initializer=_parallel._init_worker,
+            initargs=(problem, self.dtype.name, self.backend, model_cache_dir),
+        )
 
     @property
     def executor(self) -> ProcessPoolExecutor:
@@ -340,58 +390,6 @@ class _ProcessBackendBase(ExecutorBackend):
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=wait)
-
-
-class LocalProcessBackend(_ProcessBackendBase):
-    """One reusable :class:`ProcessPoolExecutor` plus its wiring.
-
-    Workers are initialized once with the problem, the coupling dtype,
-    the shared-memory spec of the coupling model (fork-inheritance
-    fallback when segments are unavailable) and the on-disk model cache
-    directory; afterwards every submitted task — whole strategy runs,
-    independent chains, or batch shards — finds its evaluator warm in
-    the worker process.
-
-    Not instantiated directly; use :func:`repro.core.pool.get_pool`.
-    """
-
-    kind = "local"
-
-    def __init__(
-        self,
-        key: Tuple,
-        problem,
-        dtype,
-        n_workers: int,
-        backend: str = "dense",
-        model_cache_dir: Optional[str] = None,
-    ):
-        from repro.core import parallel as _parallel
-        from repro.models.coupling import CouplingModel
-
-        super().__init__(key, n_workers)
-        self.problem = problem
-        self.dtype = np.dtype(dtype)
-        self.backend = str(backend)
-        self.model_cache_dir = model_cache_dir
-        model = CouplingModel.for_network(
-            problem.network, dtype=self.dtype, cache_dir=model_cache_dir
-        )
-        try:
-            spec = model.shared_export(self.backend).spec
-        except Exception:  # segments unavailable: fork inheritance fallback
-            spec = None
-        self._executor = ProcessPoolExecutor(
-            max_workers=self.n_workers,
-            initializer=_parallel._init_worker,
-            initargs=(
-                problem,
-                self.dtype.name,
-                spec,
-                self.backend,
-                model_cache_dir,
-            ),
-        )
 
     def __repr__(self) -> str:
         state = "closed" if self._executor is None else f"{self.n_workers} workers"
@@ -434,7 +432,10 @@ class InlineBackend(ExecutorBackend):
         # Resolve the model eagerly (cache hit when the caller's
         # evaluator exists already) so context evaluators build fast.
         CouplingModel.for_network(
-            problem.network, dtype=self.dtype, cache_dir=model_cache_dir
+            problem.network,
+            dtype=self.dtype,
+            cache_dir=model_cache_dir,
+            routes=problem.routes,
         )
         self._context = _parallel.WorkerContext(problem, self.dtype, self.backend)
         self._closed = False

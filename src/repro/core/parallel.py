@@ -14,12 +14,13 @@
   ``(seed, n_workers)``.
 
 The heavy read-only state — the :class:`~repro.models.coupling.CouplingModel`
-matrices — is exported once into :mod:`multiprocessing.shared_memory` and
-attached by every worker (see :meth:`CouplingModel.export_shared`), so
-workers never pickle or rebuild the O(n_pairs^2) coupling matrix. When
-shared-memory segments are unavailable the pool falls back to plain fork
-inheritance (the parent's model cache is copy-on-write visible to forked
-children) or, at worst, a per-worker rebuild.
+matrices — reaches a worker the way it reaches every evaluator, through
+:meth:`CouplingModel.for_network` by cache key. A local pool resolves the
+model (plus the transpose or CSR arrays its backend reads) before its
+workers fork, so each worker finds it in the inherited process cache,
+copy-on-write, and never pickles or rebuilds the O(n_pairs^2) coupling
+matrix. A worker that did not fork from the parent loads the model from
+the configured on-disk cache or, at worst, rebuilds it.
 
 Since PR 3 the executors themselves are owned by :mod:`repro.core.pool`
 and persist across calls: workers are initialized with a *problem* (not
@@ -49,13 +50,12 @@ from repro.core.registry import create_strategy
 from repro.core.result import OptimizationResult
 from repro.core.strategy import MappingStrategy
 from repro.errors import OptimizationError
-from repro.models.coupling import CouplingModel
+from repro.models.coupling import set_model_cache_dir
 
 __all__ = [
     "WorkerContext",
     "activate_context",
     "current_context",
-    "hydrate_model",
     "split_budget",
     "spawn_seeds",
     "merge_chain_results",
@@ -223,54 +223,27 @@ def current_context() -> WorkerContext:
     return context
 
 
-def hydrate_model(
-    problem: MappingProblem,
-    dtype,
-    spec=None,
-    model_cache_dir: Optional[str] = None,
-) -> None:
-    """Make the problem's coupling model resolvable in this process.
-
-    The backend-independent half of worker initialization. When a
-    :class:`~repro.models.coupling.SharedModelSpec` is provided (local
-    pool workers on the same host) the matrices are attached from shared
-    memory and seeded into the process cache, so evaluator construction
-    resolves to them instead of rebuilding. Sparse-backend pools ship a
-    CSR-flavoured spec, so the attached model carries the sparse arrays
-    too. Without a spec the cache may already hold the model through
-    fork inheritance; a spawned worker with neither loads the model from
-    the on-disk cache when ``model_cache_dir`` names one (installed here
-    as this process's default, so lazy evaluator builds resolve against
-    it), or rebuilds it (correct, just slower). Remote workers skip this
-    function entirely: they hydrate by cache key, with a streamed
-    transfer as the miss fallback (:mod:`repro.distributed.worker`).
-    """
-    if model_cache_dir:
-        from repro.models.coupling import set_model_cache_dir
-
-        set_model_cache_dir(model_cache_dir)
-    if spec is not None:
-        model = CouplingModel.attach_shared(spec, problem.network)
-        CouplingModel.register(spec.cache_key, model)
-
-
 def _init_worker(
     problem: MappingProblem,
     dtype_name: str,
-    spec,
     backend: str = "dense",
     model_cache_dir=None,
 ) -> None:
-    """Pool initializer: hydrate the model, install the process context.
+    """Pool initializer: install the process context.
 
-    ``backend`` is the parent evaluator's *resolved* contraction backend
-    (never ``"auto"``): worker evaluators must run the same kernel as the
-    parent for shard results to be bit-identical to the inline path.
+    The context's evaluators resolve the coupling model lazily through
+    :meth:`~repro.models.coupling.CouplingModel.for_network`: a forked
+    worker finds it in the process cache it inherited, any other worker
+    loads it from ``model_cache_dir`` (installed here as this process's
+    default) or rebuilds it. ``backend`` is the parent evaluator's
+    *resolved* contraction backend (never ``"auto"``): worker evaluators
+    must run the same kernel as the parent for shard results to be
+    bit-identical to the inline path.
     """
     global _PROCESS_CONTEXT
-    dtype = np.dtype(dtype_name)
-    hydrate_model(problem, dtype, spec, model_cache_dir)
-    _PROCESS_CONTEXT = WorkerContext(problem, dtype, backend)
+    if model_cache_dir:
+        set_model_cache_dir(model_cache_dir)
+    _PROCESS_CONTEXT = WorkerContext(problem, np.dtype(dtype_name), backend)
 
 
 def worker_evaluator(objective=None) -> MappingEvaluator:

@@ -24,10 +24,8 @@ This module owns the executors instead:
 * A small LRU (:data:`MAX_POOLS`) bounds the number of live pools;
   evicted pools are shut down deterministically.
 * :func:`shutdown_pools` tears everything down; it is registered with
-  :mod:`atexit` the first time a pool is created, *after* the coupling
-  model's shared-memory export hook, so at interpreter exit the workers
-  terminate before the segments they attach are unlinked and the
-  resource tracker never sees a leaked segment.
+  :mod:`atexit` the first time a pool is created, so worker processes
+  are reaped deterministically at interpreter exit.
 * :func:`executor_stats` snapshots every live backend's
   :meth:`~repro.core.executor.ExecutorBackend.info` — the service
   ``stats`` endpoint's executor section.
@@ -47,7 +45,6 @@ import atexit
 import hashlib
 import threading
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Tuple
 
 import numpy as np
@@ -56,16 +53,13 @@ from repro.core.executor import (
     ExecutorBackend,
     InlineBackend,
     LocalProcessBackend,
-    _ProcessBackendBase,
     parse_executor_spec,
 )
 from repro.core.problem import MappingProblem
 
 __all__ = [
     "MAX_POOLS",
-    "BuildPool",
     "executor_stats",
-    "get_build_pool",
     "get_pool",
     "pool_key",
     "release_pools",
@@ -88,10 +82,6 @@ _POOLS: "OrderedDict[Tuple, ExecutorBackend]" = OrderedDict()
 _LOCK = threading.RLock()
 
 _ATEXIT_REGISTERED = False
-
-#: First element of every :class:`BuildPool` key; problem-pool keys
-#: start with a CG content hash, which can never collide with this.
-_BUILD_POOL_TAG = "model-build"
 
 
 def _cg_fingerprint(problem: MappingProblem) -> str:
@@ -148,8 +138,8 @@ def pool_key(
         Resolved contraction backend of the worker evaluators
         (``"dense"`` or ``"sparse"``, never ``"auto"`` — callers resolve
         first so worker results are bit-identical to the parent's).
-        Pools of different backends never alias: their workers attach
-        different shared-memory layouts.
+        Pools of different backends never alias: their workers read
+        different arrays (the dense transpose or the CSR triplet).
     executor : str, optional
         Executor spec (``"local"`` / ``"inline"`` / ``"tcp://…"``,
         see :func:`repro.core.executor.parse_executor_spec`). Appended
@@ -182,31 +172,6 @@ def pool_key(
     )
 
 
-class BuildPool(_ProcessBackendBase):
-    """A problem-free executor for CouplingModel column-build tasks.
-
-    Unlike :class:`~repro.core.executor.LocalProcessBackend` the
-    workers carry no initializer state: each build task ships the
-    (small, flat-array) build tables of its network plus a column range
-    (see :func:`repro.models.coupling._build_columns_task`), so one pool
-    serves the model builds of any number of architectures in a sweep.
-    Registered in the same LRU/atexit registry as the problem pools, and
-    always local — model builds never dispatch remotely.
-
-    Not instantiated directly; use :func:`get_build_pool`.
-    """
-
-    kind = "build"
-
-    def __init__(self, key: Tuple, n_workers: int):
-        super().__init__(key, n_workers)
-        self._executor = ProcessPoolExecutor(max_workers=self.n_workers)
-
-    def __repr__(self) -> str:
-        state = "closed" if self._executor is None else f"{self.n_workers} workers"
-        return f"BuildPool({state})"
-
-
 def _register_pool(key: Tuple, pool) -> None:
     """Insert a pool into the LRU registry, evicting and hooking atexit.
 
@@ -221,32 +186,8 @@ def _register_pool(key: Tuple, pool) -> None:
             _, evicted = _POOLS.popitem(last=False)
             evicted.close(wait=True)
         if not _ATEXIT_REGISTERED:
-            # Registered after CouplingModel's export-unlink hook, so LIFO
-            # atexit order shuts workers down before segments are unlinked.
             atexit.register(shutdown_pools)
             _ATEXIT_REGISTERED = True
-
-
-def _get_or_replace(key: Tuple, build) -> ExecutorBackend:
-    """The live backend registered under ``key``, else a fresh ``build()``.
-
-    A broken backend is unregistered and closed with ``wait=True``
-    before its replacement is built: a dying worker must be reaped
-    before the replacement attaches the same shared-memory segments — a
-    straggler outliving the registry entry could otherwise hold
-    attachments past the exporter's unlink.
-    """
-    with _LOCK:
-        pool = _POOLS.get(key)
-        if pool is not None:
-            if not pool.broken:
-                _POOLS.move_to_end(key)
-                return pool
-            _POOLS.pop(key, None)
-            pool.close(wait=True)
-        pool = build()
-        _register_pool(key, pool)
-        return pool
 
 
 def _build_backend(
@@ -299,13 +240,14 @@ def get_pool(
         affects placement.
     backend : str, optional
         Resolved contraction backend for the worker evaluators
-        (``"dense"`` or ``"sparse"``); decides which shared-memory
-        flavour local workers attach.
+        (``"dense"`` or ``"sparse"``); decides whether a local pool
+        builds the dense transpose or the CSR triplet before its workers
+        fork.
     model_cache_dir : str, optional
         On-disk model cache directory handed to the worker initializer
-        (so spawn-mode workers without shared memory load the coupling
-        model from disk instead of rebuilding it). Not part of the pool
-        key — it cannot change any result.
+        (so a worker that did not fork from the parent loads the
+        coupling model from disk instead of rebuilding it). Not part of
+        the pool key — it cannot change any result.
     executor : str, optional
         Executor spec selecting the backend implementation (default
         ``"local"``; see :func:`repro.core.executor.parse_executor_spec`).
@@ -320,44 +262,38 @@ def get_pool(
     -----
     At most :data:`MAX_POOLS` pools stay alive; the least recently used
     one is shut down (``wait=True``) to make room. All remaining pools
-    are shut down at interpreter exit, before the shared-memory segments
-    they attach are unlinked.
+    are shut down at interpreter exit. A broken backend is unregistered
+    and closed with ``wait=True`` before its replacement is built: its
+    dying workers are reaped before the replacement forks its own, so a
+    straggler never outlives its registry entry and repeated crashes
+    never stack generations of live worker processes.
     """
     executor = parse_executor_spec(executor)
     key = pool_key(problem, dtype, n_workers, backend, executor)
-    return _get_or_replace(
-        key,
-        lambda: _build_backend(
+    with _LOCK:
+        pool = _POOLS.get(key)
+        if pool is not None:
+            if not pool.broken:
+                _POOLS.move_to_end(key)
+                return pool
+            _POOLS.pop(key, None)
+            pool.close(wait=True)
+        pool = _build_backend(
             key, problem, dtype, n_workers, backend, model_cache_dir, executor
-        ),
-    )
-
-
-def get_build_pool(n_workers: int) -> BuildPool:
-    """Fetch (or lazily create) the model-build pool of ``n_workers``.
-
-    Serves the aggressor-sharded parallel builds of
-    :class:`~repro.models.coupling.CouplingModel`; lives in the same
-    LRU/atexit registry as the problem pools, under a key no problem
-    pool can collide with.
-    """
-    key = (_BUILD_POOL_TAG, int(n_workers))
-    return _get_or_replace(key, lambda: BuildPool(key, n_workers))
+        )
+        _register_pool(key, pool)
+        return pool
 
 
 def release_pools(
     problem: Optional[MappingProblem] = None,
     dtype=None,
     backend: Optional[str] = None,
-    include_build_pools: bool = False,
 ) -> int:
     """Shut down pools matching the given filters (all pools when none).
 
     A resident daemon uses this to evict one tenant's warm state without
-    killing unrelated pools: every component of the pool key can be
-    filtered on, and the problem-free :class:`BuildPool` — otherwise
-    only reachable through :func:`shutdown_pools` — is released on
-    request too.
+    killing unrelated pools.
 
     Parameters
     ----------
@@ -370,19 +306,12 @@ def release_pools(
         Restrict the match to pools of this resolved contraction
         backend (``"dense"`` or ``"sparse"`` — backend is part of the
         pool key, so mixed-backend tenants can be evicted selectively).
-    include_build_pools : bool, optional
-        Also close the model-build pools (default False: build pools
-        are problem-free and shared, so targeted releases leave them
-        warm). With no other filter set, everything — build pools
-        included — is released regardless, preserving the historical
-        ``release_pools()`` contract.
 
     Returns
     -------
     int
         Number of pools shut down.
     """
-    unfiltered = problem is None and dtype is None and backend is None
     fingerprint = signature = None
     if problem is not None:
         fingerprint = _cg_fingerprint(problem)
@@ -392,10 +321,6 @@ def release_pools(
     with _LOCK:
         victims = []
         for key in _POOLS:
-            if key[0] == _BUILD_POOL_TAG:
-                if include_build_pools or unfiltered:
-                    victims.append(key)
-                continue
             if fingerprint is not None and (
                 key[0] != fingerprint or key[1] != signature
             ):

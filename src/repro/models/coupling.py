@@ -23,8 +23,7 @@ around 55-77 % on the meshes of the paper's case studies. :meth:`CouplingModel.c
 exposes the same physics as a compressed-sparse-row triplet
 (``indptr``/``indices``/``values``, victim-major, columns sorted), which
 the evaluator's sparse backend streams instead of gathering from the
-dense ``O(n_pairs^2)`` matrix, and which shared-memory exports ship to
-pool workers in place of the (equally large) dense transpose.
+dense ``O(n_pairs^2)`` matrix.
 
 The matrices encode pure physics: *every* pair of simultaneously active
 paths couples. Which pairs can actually be simultaneously active (the
@@ -43,9 +42,7 @@ plus one deterministic ``np.add.at`` scatter per aggressor block. The
 scatter entries are ordered by emission instance (the legacy builder's
 iteration order), and ``np.add.at`` applies them sequentially, so the
 resulting matrices are **bit-identical** to the legacy per-aggressor walk
-loop at both float64 and float32 — for any ``build_workers`` count, since
-sharding splits *aggressor columns* and each column's accumulation order
-is internal to its own aggressor. The legacy builder is kept
+loop at both float64 and float32. The legacy builder is kept
 (``builder="legacy"``) as the cross-validation oracle for tests and
 benches.
 
@@ -86,8 +83,6 @@ __all__ = [
     "MODEL_VERSION",
     "CouplingCSR",
     "CouplingModel",
-    "SharedModelSpec",
-    "SharedCouplingModel",
     "clear_model_cache",
     "set_model_cache_dir",
     "get_model_cache_dir",
@@ -158,7 +153,7 @@ class CouplingCSR:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the three CSR arrays (the shm-export footprint)."""
+        """Bytes of the three CSR arrays."""
         return self.indptr.nbytes + self.indices.nbytes + self.values.nbytes
 
     def row_dots(self, weights: np.ndarray, out=None, scratch=None) -> np.ndarray:
@@ -219,139 +214,6 @@ def _build_csr(coupling: np.ndarray) -> CouplingCSR:
         nonzero_rows=nonzero_rows,
         nonzero_row_starts=indptr[:-1][nonzero_rows],
     )
-
-
-@dataclass(frozen=True)
-class SharedModelSpec:
-    """Pickle-friendly handle describing an exported coupling model.
-
-    Carries everything a worker process needs to attach the parent's
-    matrices without rebuilding them: the shared-memory segment name, the
-    layout parameters, and the process-cache key under which the attached
-    model should be registered so that :meth:`CouplingModel.for_network`
-    finds it transparently.
-
-    ``csr_nnz >= 0`` means the segment also carries the CSR triplet
-    (``indptr``/``indices``/``values``) of the coupling matrix, so workers
-    serving the sparse evaluator backend attach the sparse arrays instead
-    of rebuilding them from the dense matrix. Sparse-flavoured exports
-    drop the dense transpose (``with_transpose=False``): the delta
-    evaluator consumes CSR rows in its place, which is what shrinks the
-    per-export footprint.
-
-    ``nnz >= 0`` ships the coupling matrix's nonzero count, so a worker
-    resolving a ``backend="auto"`` evaluator against an attached model
-    reads it instead of re-scanning the whole shared matrix
-    (``np.count_nonzero`` over ~134 MB at 8x8, once per worker).
-
-    ``routes > 1`` marks a routed model: the pair axis is widened to
-    ``n_tiles**2 * routes`` slots (``slot = pair * routes + route``), and
-    the attached model scores joint mapping x routing candidates.
-    """
-
-    shm_name: str
-    cache_key: str
-    n_tiles: int
-    dtype: str
-    with_transpose: bool
-    csr_nnz: int = -1
-    nnz: int = -1
-    routes: int = 1
-
-    @property
-    def n_pairs(self) -> int:
-        return self.n_tiles * self.n_tiles * self.routes
-
-    @property
-    def with_csr(self) -> bool:
-        """Whether the segment carries the CSR triplet."""
-        return self.csr_nnz >= 0
-
-    def _layout(self):
-        """(name, dtype, shape, offset) for each array in the segment."""
-        dtype = np.dtype(self.dtype)
-        n_pairs = self.n_pairs
-        layout = []
-        offset = 0
-        parts = [
-            ("signal_linear", np.dtype(np.float64), (n_pairs,)),
-            ("insertion_loss_db", np.dtype(np.float64), (n_pairs,)),
-            ("coupling_linear", dtype, (n_pairs, n_pairs)),
-        ]
-        if self.with_transpose:
-            parts.append(("coupling_linear_T", dtype, (n_pairs, n_pairs)))
-        if self.with_csr:
-            parts.append(("csr_indptr", np.dtype(np.int64), (n_pairs + 1,)))
-            parts.append(("csr_indices", np.dtype(np.int32), (self.csr_nnz,)))
-            parts.append(("csr_values", dtype, (self.csr_nnz,)))
-        for name, dt, shape in parts:
-            layout.append((name, dt, shape, offset))
-            offset += dt.itemsize * int(np.prod(shape))
-        return layout, offset
-
-    @property
-    def nbytes(self) -> int:
-        return self._layout()[1]
-
-
-class SharedCouplingModel:
-    """Owner-side lifecycle handle for an exported coupling model.
-
-    Created by :meth:`CouplingModel.export_shared`; the owner keeps it
-    alive while worker processes are attached and calls :meth:`close`
-    (which also unlinks) once the pool has shut down. Usable as a context
-    manager.
-    """
-
-    def __init__(self, spec: SharedModelSpec, shm) -> None:
-        self.spec = spec
-        self._shm = shm
-
-    def close(self) -> None:
-        """Detach and remove the segment (idempotent)."""
-        if self._shm is None:
-            return
-        shm, self._shm = self._shm, None
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
-
-    def __enter__(self) -> "SharedCouplingModel":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-def _attach_segment(name: str):
-    """Attach an existing shared-memory segment without claiming ownership.
-
-    Python < 3.13 registers every attached segment with the resource
-    tracker as if the attacher owned it: under ``spawn`` the attacher's
-    own tracker would unlink the segment (with a warning) when the
-    attacher exits, and under ``fork`` — where the tracker process is
-    shared with the exporter — an unregister-after-attach workaround
-    would cancel the *exporter's* registration and make its eventual
-    unlink double-unregister. Suppressing registration for the duration
-    of the attach is correct in both modes: only the exporting process
-    ever tracks (and unlinks) the segment.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original_register
 
 
 @dataclass(frozen=True)
@@ -694,33 +556,23 @@ def _build_tables(network: PhotonicNoC, routes: int = 1) -> _BuildTables:
 _SCATTER_CHUNK = 4 << 20
 
 
-def _accumulate_columns(
-    tables: _BuildTables, out: np.ndarray, lo: int, hi: int
-) -> None:
-    """Scatter the couplings of aggressor pairs ``[lo, hi)`` into ``out``.
+def _accumulate_columns(tables: _BuildTables, out: np.ndarray) -> None:
+    """Scatter every aggressor's couplings into ``out``.
 
-    ``out`` is the zeroed ``(n_pairs, hi - lo)`` C-contiguous column
-    block at the model dtype. Deterministic and legacy-exact:
-    ``np.add.at`` applies entries sequentially (computing in float64 and
-    rounding to the block dtype per store, the same as the legacy
-    ``+=``), entries are ordered by emission instance, and every
-    ``(victim, aggressor)`` cell's contributions all come from the one
-    aggressor owning the column — so any column sharding reproduces the
-    legacy accumulation order exactly.
+    ``out`` is the zeroed ``(n_pairs, n_pairs)`` C-contiguous matrix at
+    the model dtype. Deterministic and legacy-exact: ``np.add.at``
+    applies entries sequentially (computing in float64 and rounding to
+    the matrix dtype per store, the same as the legacy ``+=``) and
+    entries are ordered by emission instance, so every ``(victim,
+    aggressor)`` cell accumulates in the legacy order.
     """
-    if lo == 0 and hi == tables.n_pairs:
-        sel = np.arange(len(tables.inst_pair), dtype=np.int64)
-    else:
-        sel = np.nonzero(
-            (tables.inst_pair >= lo) & (tables.inst_pair < hi)
-        )[0]
-    if not len(sel):
+    n_inst = len(tables.inst_pair)
+    if not n_inst:
         return
-    lens = tables.ch_len[tables.inst_channel[sel]]
+    lens = tables.ch_len[tables.inst_channel]
     ends = np.cumsum(lens)
-    width = hi - lo
+    width = tables.n_pairs
     flat = out.reshape(-1)
-    n_inst = len(sel)
     start = 0
     while start < n_inst:
         base = int(ends[start - 1]) if start else 0
@@ -731,8 +583,7 @@ def _accumulate_columns(
         if total == 0:
             start = stop
             continue
-        local = np.repeat(np.arange(start, stop, dtype=np.int64), chunk_lens)
-        inst = sel[local]
+        inst = np.repeat(np.arange(start, stop, dtype=np.int64), chunk_lens)
         chunk_ends = np.cumsum(chunk_lens)
         within = np.arange(total, dtype=np.int64) - np.repeat(
             chunk_ends - chunk_lens, chunk_lens
@@ -745,43 +596,10 @@ def _accumulate_columns(
         values /= tables.ch_div[j]
         np.add.at(
             flat,
-            tables.ch_victim[j] * width + (tables.inst_pair[inst] - lo),
+            tables.ch_victim[j] * width + tables.inst_pair[inst],
             values,
         )
         start = stop
-
-
-def _build_columns_task(
-    tables: _BuildTables,
-    dtype_name: str,
-    lo: int,
-    hi: int,
-    shm_name: Optional[str] = None,
-):
-    """One build-pool task: the ``[lo, hi)`` aggressor columns of a model.
-
-    The tables are built once in the parent and shipped (they are a few
-    flat arrays, orders of magnitude smaller than the matrix), so every
-    worker scatters from the *same* tables the inline path would use.
-    With ``shm_name`` the finished ``(n_pairs, hi - lo)`` slab is copied
-    into the named shared-memory matrix — pickling the slabs back
-    through the result pipe costs more than computing them — and
-    ``(lo, hi, None)`` is returned; without it the slab itself is.
-    """
-    dtype = np.dtype(dtype_name)
-    block = np.zeros((tables.n_pairs, hi - lo), dtype=dtype)
-    _accumulate_columns(tables, block, lo, hi)
-    if shm_name is None:
-        return lo, hi, block
-    shm = _attach_segment(shm_name)
-    try:
-        matrix = np.ndarray(
-            (tables.n_pairs, tables.n_pairs), dtype=dtype, buffer=shm.buf
-        )
-        matrix[:, lo:hi] = block
-    finally:
-        shm.close()
-    return lo, hi, None
 
 
 class CouplingModel:
@@ -791,7 +609,6 @@ class CouplingModel:
         self,
         network: PhotonicNoC,
         dtype=np.float64,
-        build_workers: int = 1,
         builder: str = "vectorized",
         routes: int = 1,
     ) -> None:
@@ -811,9 +628,8 @@ class CouplingModel:
         self._coupling_T: Optional[np.ndarray] = None
         self._csr: Optional[CouplingCSR] = None
         self._nnz: Optional[int] = None
-        self._shared_handles: Dict[Tuple[bool, bool], "SharedCouplingModel"] = {}
         if builder == "vectorized":
-            self._build(build_workers=int(build_workers))
+            self._build()
         elif builder == "legacy":
             self._build_legacy()
         else:
@@ -830,7 +646,9 @@ class CouplingModel:
         ``coupling_linear`` that walk is one cache miss per element, on
         the transpose it stays inside one row. Only dense-backend delta
         engines of SNR-family objectives pay the doubled memory:
-        loss-family engines keep no noise state and never read it.
+        loss-family engines keep no noise state and never read it. A
+        dense local pool builds it before its workers fork, so they all
+        share the parent's copy instead of building one each.
         """
         if self._coupling_T is None:
             self._coupling_T = np.ascontiguousarray(self.coupling_linear.T)
@@ -842,9 +660,9 @@ class CouplingModel:
         The sparse evaluator backend streams these arrays instead of
         gathering the dense ``(M, E, E)`` grid, and the delta evaluator
         consumes the rows in place of dense-transpose column walks; only
-        sparse users pay the extra ``O(nnz)`` memory. Worker processes
-        attaching a CSR-flavoured shared export get read-only views
-        instead of a rebuild.
+        sparse users pay the extra ``O(nnz)`` memory. A sparse local pool
+        builds it before its workers fork, so they all share the parent's
+        arrays instead of building their own.
         """
         if self._csr is None:
             self._csr = _build_csr(self.coupling_linear)
@@ -899,87 +717,22 @@ class CouplingModel:
 
     # -- construction --------------------------------------------------------------
 
-    def _build(self, build_workers: int = 1) -> None:
+    def _build(self) -> None:
         """Walk-once vectorized build (see the module docstring).
 
-        ``build_workers > 1`` shards the aggressor columns across the
-        build pool (:func:`repro.core.pool.get_build_pool`); any failure
-        there falls back to the inline single-process path. Either way
-        the matrices are bit-identical to :meth:`_build_legacy`.
+        The matrices are bit-identical to :meth:`_build_legacy`.
         """
         network = self.network
         for slot, path in _slot_paths(network, self.routes):
             self.signal_linear[slot] = path.total_linear
             self.insertion_loss_db[slot] = path.loss_db
-        tables = _build_tables(network, routes=self.routes)
-        built = build_workers > 1 and self._build_sharded(tables, build_workers)
-        if not built:
-            self.coupling_linear.fill(0)
-            _accumulate_columns(tables, self.coupling_linear, 0, self.n_pairs)
+        _accumulate_columns(
+            _build_tables(network, routes=self.routes), self.coupling_linear
+        )
         # The channel tables credit every victim including the aggressor
         # itself (the legacy builder excluded it up front); self-coupling
         # is exactly the diagonal, which the physics defines as zero.
         np.fill_diagonal(self.coupling_linear, 0.0)
-
-    def _build_sharded(
-        self, tables: _BuildTables, build_workers: int
-    ) -> bool:
-        """Aggressor-sharded parallel build; True when the pool delivered.
-
-        Each worker scatters a contiguous block of aggressor columns from
-        the parent's tables into a shared-memory copy of the matrix;
-        every ``(victim, aggressor)`` cell's accumulation order is
-        internal to its own column, so results are bit-identical for any
-        worker count. Any failure (no shared memory, no processes, a
-        dead worker) reports False and the caller rebuilds inline.
-        """
-        from multiprocessing import shared_memory
-
-        from repro.core import pool as _pool
-
-        n_workers = min(int(build_workers), self.n_pairs)
-        bounds = np.linspace(0, self.n_pairs, n_workers + 1).astype(np.int64)
-        dtype_name = self.coupling_linear.dtype.name
-        pool = None
-        shm = None
-        try:
-            shm = shared_memory.SharedMemory(
-                create=True, size=self.coupling_linear.nbytes
-            )
-            pool = _pool.get_build_pool(n_workers)
-            futures = [
-                pool.submit(
-                    _build_columns_task,
-                    tables,
-                    dtype_name,
-                    int(lo),
-                    int(hi),
-                    shm.name,
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            for future in futures:
-                future.result()
-            shared = np.ndarray(
-                self.coupling_linear.shape,
-                dtype=self.coupling_linear.dtype,
-                buffer=shm.buf,
-            )
-            np.copyto(self.coupling_linear, shared)
-            del shared
-        except Exception:  # broken pool / no segments: rebuild inline
-            if pool is not None:
-                pool.broken = True
-            return False
-        finally:
-            if shm is not None:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-        return True
 
     def _build_legacy(self) -> None:
         """The seed per-aggressor walk loop, kept as the parity oracle.
@@ -1084,147 +837,6 @@ class CouplingModel:
                             (element, straight_output(elements[element].kind, in_port))
                         )
 
-    # -- multi-process sharing ---------------------------------------------------------
-
-    def export_shared(
-        self, with_transpose: bool = True, with_csr: bool = False
-    ) -> SharedCouplingModel:
-        """Copy the read-only matrices into a shared-memory segment.
-
-        Returns the owner-side handle whose :attr:`~SharedCouplingModel.spec`
-        is what worker processes pass to :meth:`attach_shared`. With
-        ``with_transpose`` (the default) the contiguous transpose used by
-        the dense-mode delta evaluator is exported too, so workers never
-        build their own copy; ``with_csr`` ships the CSR triplet instead,
-        which is what the sparse backend's workers attach (a CSR export
-        is typically several times smaller than the transpose it
-        replaces). The owner must keep the handle alive while workers are
-        attached and :meth:`~SharedCouplingModel.close` it afterwards.
-
-        Raises whatever :mod:`multiprocessing.shared_memory` raises when
-        segments are unavailable (callers fall back to fork inheritance /
-        per-worker rebuilds).
-        """
-        from multiprocessing import shared_memory
-
-        csr = self.csr() if with_csr else None
-        spec = SharedModelSpec(
-            shm_name="",
-            cache_key=self.cache_key(
-                self.network, self.coupling_linear.dtype, routes=self.routes
-            ),
-            n_tiles=self.n_tiles,
-            dtype=self.coupling_linear.dtype.name,
-            with_transpose=bool(with_transpose),
-            csr_nnz=csr.nnz if csr is not None else -1,
-            nnz=self.nnz,
-            routes=self.routes,
-        )
-        layout, nbytes = spec._layout()
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        spec = SharedModelSpec(
-            shm_name=shm.name,
-            cache_key=spec.cache_key,
-            n_tiles=spec.n_tiles,
-            dtype=spec.dtype,
-            with_transpose=spec.with_transpose,
-            csr_nnz=spec.csr_nnz,
-            nnz=spec.nnz,
-            routes=spec.routes,
-        )
-        sources = {
-            "signal_linear": self.signal_linear,
-            "insertion_loss_db": self.insertion_loss_db,
-            "coupling_linear": self.coupling_linear,
-        }
-        if with_transpose:
-            sources["coupling_linear_T"] = self.coupling_linear_T
-        if csr is not None:
-            sources["csr_indptr"] = csr.indptr
-            sources["csr_indices"] = csr.indices
-            sources["csr_values"] = csr.values
-        for name, dt, shape, offset in layout:
-            view = np.ndarray(shape, dtype=dt, buffer=shm.buf, offset=offset)
-            view[...] = sources[name]
-        return SharedCouplingModel(spec, shm)
-
-    def shared_export(self, backend: str = "dense") -> SharedCouplingModel:
-        """The cached shared-memory export of this model for one backend.
-
-        Copying the matrices into a segment costs real time on big
-        architectures (~1.3 s for a 64-tile mesh's 2 x 134 MB), so each
-        export flavour is created once per process and reused by every
-        worker pool; the segments are unlinked by
-        :func:`clear_model_cache` or at interpreter exit, whichever comes
-        first. ``backend="dense"`` ships dense matrix + transpose (the
-        historical layout); ``backend="sparse"`` ships dense matrix + CSR
-        triplet — the transpose is dropped because sparse-mode delta
-        evaluation consumes CSR rows instead.
-        """
-        flavor = (
-            (False, True) if backend == "sparse" else (True, False)
-        )  # (with_transpose, with_csr)
-        handle = self._shared_handles.get(flavor)
-        if handle is None or handle._shm is None:
-            handle = self.export_shared(
-                with_transpose=flavor[0], with_csr=flavor[1]
-            )
-            self._shared_handles[flavor] = handle
-            _register_export(handle)
-        return handle
-
-    @classmethod
-    def attach_shared(
-        cls, spec: SharedModelSpec, network: PhotonicNoC
-    ) -> "CouplingModel":
-        """Attach to an exported model without rebuilding anything.
-
-        The returned instance's matrices are read-only views on the shared
-        segment; the segment handle is kept alive on the instance, and the
-        exporting process owns unlinking. Intended to run in pool workers
-        (see :mod:`repro.core.parallel`), which also seed the process
-        cache so :meth:`for_network` resolves to the attached model.
-        """
-        shm = _attach_segment(spec.shm_name)
-        layout, _ = spec._layout()
-        model = cls.__new__(cls)
-        model.network = network
-        model.n_tiles = spec.n_tiles
-        model.routes = spec.routes
-        model.n_pairs = spec.n_pairs
-        model._coupling_T = None
-        model._csr = None
-        # The spec ships the nonzero count, so attached backend="auto"
-        # evaluators never re-scan the shared matrix to resolve.
-        model._nnz = spec.nnz if spec.nnz >= 0 else None
-        model._shared_handles = {}
-        model._shm = shm  # keeps the mapping alive as long as the model
-        csr_parts = {}
-        for name, dt, shape, offset in layout:
-            view = np.ndarray(shape, dtype=dt, buffer=shm.buf, offset=offset)
-            view.flags.writeable = False
-            if name == "coupling_linear_T":
-                model._coupling_T = view
-            elif name.startswith("csr_"):
-                csr_parts[name[4:]] = view
-            else:
-                setattr(model, name, view)
-        if csr_parts:
-            # The reduceat split tables are derived, not shipped: O(n_pairs)
-            # to rebuild versus extra segment layout complexity.
-            indptr = csr_parts["indptr"]
-            nonzero_rows = np.nonzero(indptr[1:] > indptr[:-1])[0].astype(
-                np.int64
-            )
-            model._csr = CouplingCSR(
-                indptr=indptr,
-                indices=csr_parts["indices"],
-                values=csr_parts["values"],
-                nonzero_rows=nonzero_rows,
-                nonzero_row_starts=indptr[:-1][nonzero_rows],
-            )
-        return model
-
     # -- caching ---------------------------------------------------------------------
 
     @staticmethod
@@ -1242,7 +854,8 @@ class CouplingModel:
 
     @classmethod
     def register(cls, key: str, model: "CouplingModel") -> None:
-        """Seed the process cache (worker-side of shared-memory attach)."""
+        """Seed the process cache (TCP workers register the models they
+        load from disk or receive by streamed transfer)."""
         _CACHE[key] = model
 
     # The three persisted arrays; CSR / transpose stay derived (cheap
@@ -1320,7 +933,6 @@ class CouplingModel:
             # without faulting the whole memory-mapped matrix in.
             nnz = meta.get("nnz")
             model._nnz = int(nnz) if nnz is not None else None
-            model._shared_handles = {}
             return model
         except Exception:
             return None
@@ -1417,7 +1029,6 @@ class CouplingModel:
         model._csr = None
         nnz = payload.get("nnz")
         model._nnz = int(nnz) if nnz is not None else None
-        model._shared_handles = {}
         return model
 
     @classmethod
@@ -1427,7 +1038,6 @@ class CouplingModel:
         dtype=np.float64,
         use_cache: bool = True,
         cache_dir: Optional[str] = None,
-        build_workers: int = 1,
         routes: int = 1,
     ) -> "CouplingModel":
         """Build (or fetch from a cache) the model for a network.
@@ -1435,9 +1045,8 @@ class CouplingModel:
         Resolution order: the process cache (when ``use_cache``), then
         the on-disk cache (``cache_dir``, defaulting to
         :func:`get_model_cache_dir`; loaded models are read-only memory
-        maps), then a fresh build — sharded across ``build_workers``
-        processes when more than one — which is persisted back to the
-        disk cache best-effort. Every path yields bit-identical matrices.
+        maps), then a fresh build, which is persisted back to the disk
+        cache best-effort. Every path yields bit-identical matrices.
         """
         key = cls.cache_key(network, dtype, routes=routes)
         if use_cache:
@@ -1449,9 +1058,7 @@ class CouplingModel:
         if directory:
             model = cls.load_cached(network, dtype, directory, routes=routes)
         if model is None:
-            model = cls(
-                network, dtype=dtype, build_workers=build_workers, routes=routes
-            )
+            model = cls(network, dtype=dtype, routes=routes)
             if directory:
                 model.save_cached(directory)
         if use_cache:
@@ -1459,25 +1066,6 @@ class CouplingModel:
         return model
 
 
-#: Shared-memory exports owned by this process, unlinked at exit.
-_EXPORTS: List[SharedCouplingModel] = []
-
-
-def _register_export(handle: SharedCouplingModel) -> None:
-    if not _EXPORTS:
-        import atexit
-
-        atexit.register(_close_exports)
-    _EXPORTS.append(handle)
-
-
-def _close_exports() -> None:
-    """Unlink every shared-memory export this process still owns."""
-    while _EXPORTS:
-        _EXPORTS.pop().close()
-
-
 def clear_model_cache() -> None:
-    """Drop all cached coupling models and their shared exports."""
-    _close_exports()
+    """Drop all cached coupling models."""
     _CACHE.clear()

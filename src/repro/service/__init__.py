@@ -3,8 +3,8 @@
 The unit of work becomes a *request* — communication graph + network
 spec + objective + budget + seed — instead of a script run. The daemon
 keeps the expensive state resident across requests (the on-disk model
-cache, the in-process coupling-model registry with its shared-memory
-exports, and the warm executor backends of :mod:`repro.core.pool`), and
+cache, the in-process coupling-model registry, and the warm executor
+backends of :mod:`repro.core.pool`), and
 **coalesces batch-shardable work across concurrent requests** that
 resolve to the same objective-free pool key (see
 :mod:`repro.service.coalesce`).

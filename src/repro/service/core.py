@@ -5,8 +5,8 @@
 * one :class:`~repro.service.coalesce.BatchCoalescer` (plus its shared
   evaluator) per objective-free pool key, created lazily on the first
   request for that key and kept warm afterwards — along with the
-  process-wide coupling-model registry, shared-memory exports and the
-  persistent worker pools those evaluators create;
+  process-wide coupling-model registry and the persistent worker pools
+  those evaluators create;
 * admission control: a bounded queue (structured 429 when full), an
   in-flight concurrency cap, and per-request budget caps
   (:class:`ServiceLimits`);
@@ -245,7 +245,7 @@ class ServiceCore:
         New requests are answered 503 from the moment this is called;
         the persistent pools are left to the caller (the server calls
         :func:`repro.core.pool.shutdown_pools` after this returns, so
-        workers die before the shared-memory segments unlink).
+        workers exit before the daemon does).
         """
         self._closed = True
         deadline = time.monotonic() + timeout

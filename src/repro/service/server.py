@@ -206,8 +206,8 @@ class ServiceServer:
         The exact sequence the daemon's signal handling rides: stop
         accepting connections, drain in-flight requests and flush the
         coalescers (:meth:`ServiceCore.close`), shut the persistent
-        worker pools down *before* interpreter exit unlinks their
-        shared-memory segments, then unlink the unix socket.
+        worker pools down so their processes exit before the daemon,
+        then unlink the unix socket.
         """
         if self._stopped:
             return

@@ -30,9 +30,10 @@ from repro.core.moves import (
     reroute_moves,
     swap_moves,
 )
-from repro.core.pool import pool_key
+from repro.core.pool import get_pool, pool_key, release_pools
 from repro.core.registry import available_strategies, create_strategy
 from repro.errors import MappingError
+from repro.models import coupling as coupling_module
 
 TOLERANCE = 1e-9
 
@@ -321,6 +322,35 @@ class TestRoutedPoolKey:
             MappingProblem(cg, torus4_network, routes=1), np.float64, 1, "dense"
         )
         assert not any("routes" in str(part) for part in key)
+
+
+def _worker_model_routes():
+    """Pool task: the route count of the worker evaluator's model."""
+    from repro.core.parallel import worker_evaluator
+
+    return worker_evaluator().model.routes
+
+
+class TestRoutedPools:
+    def test_pools_resolve_the_routed_model(self, mesh4_network, monkeypatch):
+        # Every pool must resolve the problem's routes=3 model, the one
+        # its workers read; resolving routes=1 builds a model nobody uses.
+        monkeypatch.setattr(coupling_module, "_CACHE", {})
+        monkeypatch.setattr(coupling_module, "_MODEL_CACHE_DIR", None)
+        problem = MappingProblem(load_benchmark("mpeg4"), mesh4_network, routes=3)
+        release_pools(problem)
+        before = coupling_module.BUILD_COUNT
+        evaluator = MappingEvaluator(problem)
+        try:
+            for executor in ("local", "inline"):
+                pool = get_pool(
+                    problem, evaluator.dtype, 2, evaluator.backend,
+                    executor=executor,
+                )
+                assert pool.submit(_worker_model_routes).result() == 3
+            assert coupling_module.BUILD_COUNT - before == 1
+        finally:
+            release_pools(problem)
 
 
 class TestProblemValidation:

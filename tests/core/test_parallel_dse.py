@@ -17,7 +17,6 @@ import pytest
 from repro.core import DesignSpaceExplorer, MappingProblem
 from repro.core.parallel import merge_chain_results, spawn_seeds, split_budget
 from repro.errors import OptimizationError
-from repro.models.coupling import CouplingModel
 
 STRATEGIES = ("rs", "r-pbla", "tabu")
 
@@ -202,51 +201,41 @@ class TestChainMerge:
             merge_chain_results([])
 
 
-class TestSharedMemoryLifecycle:
-    def test_export_attach_roundtrip(self, pip_cg, mesh3_network):
-        model = CouplingModel.for_network(mesh3_network)
-        handle = model.export_shared()
-        try:
-            attached = CouplingModel.attach_shared(handle.spec, mesh3_network)
-            np.testing.assert_array_equal(
-                attached.coupling_linear, model.coupling_linear
-            )
-            np.testing.assert_array_equal(
-                attached.coupling_linear_T, model.coupling_linear_T
-            )
-            np.testing.assert_array_equal(
-                attached.signal_linear, model.signal_linear
-            )
-            np.testing.assert_array_equal(
-                attached.insertion_loss_db, model.insertion_loss_db
-            )
-            assert not attached.coupling_linear.flags.writeable
-            del attached
-        finally:
-            handle.close()
+class TestWorkerModelHydration:
+    def test_pools_leave_shared_memory_unimported(self):
+        # Local workers inherit the parent's coupling model through fork;
+        # no pool path may export it into shared-memory segments.
+        import os
+        import subprocess
+        import sys
 
-    def test_close_is_idempotent(self, mesh3_network):
-        handle = CouplingModel.for_network(mesh3_network).export_shared()
-        handle.close()
-        handle.close()
+        import repro
 
-    def test_cached_export_is_reused(self, mesh3_network):
-        model = CouplingModel.for_network(mesh3_network)
-        first = model.shared_export()
-        second = model.shared_export()
-        assert first is second
-        first.close()
-        third = model.shared_export()  # closed handles are replaced
-        assert third is not first
-        third.close()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        script = """
+import sys
+import numpy as np
+from repro.appgraph import load_benchmark
+from repro.core import DesignSpaceExplorer, MappingProblem
+from repro.core.mapping import random_assignment_batch
+from repro.noc import PhotonicNoC, mesh
 
-    def test_attach_without_transpose_builds_lazily(self, mesh3_network):
-        model = CouplingModel.for_network(mesh3_network)
-        handle = model.export_shared(with_transpose=False)
-        try:
-            attached = CouplingModel.attach_shared(handle.spec, mesh3_network)
-            np.testing.assert_array_equal(
-                attached.coupling_linear_T, model.coupling_linear_T
-            )
-        finally:
-            handle.close()
+problem = MappingProblem(load_benchmark("pip"), PhotonicNoC(mesh(3, 3)), "snr")
+with DesignSpaceExplorer(problem) as explorer:
+    evaluator = explorer.evaluator
+    rows = random_assignment_batch(
+        64, evaluator.n_tasks, evaluator.n_tiles, np.random.default_rng(0)
+    )
+    evaluator.evaluate_batch(rows, n_workers=2, min_shard_rows=1)
+    explorer.compare(("rs", "sa"), budget=100, seed=1, n_workers=2)
+print("multiprocessing.shared_memory" in sys.modules)
+"""
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"

@@ -302,12 +302,6 @@ class TestReleaseFilters:
         pool_registry._POOLS[key] = pool
         return key, pool
 
-    def _plant_build_pool(self, n_workers=2):
-        key = (pool_registry._BUILD_POOL_TAG, n_workers)
-        pool = _FakePool()
-        pool_registry._POOLS[key] = pool
-        return key, pool
-
     def test_dtype_filter_keeps_other_dtypes_warm(self, problem):
         key64, pool64 = self._plant(problem, dtype=np.float64)
         key32, pool32 = self._plant(problem, dtype=np.float32)
@@ -325,27 +319,10 @@ class TestReleaseFilters:
         assert key_dense in pool_registry._POOLS
         assert sparse_pool.closed_with is True
 
-    def test_targeted_release_leaves_build_pools_warm(self, problem):
-        self._plant(problem)
-        build_key, build_pool = self._plant_build_pool()
-        assert pool_registry.release_pools(problem) == 1
-        assert build_key in pool_registry._POOLS
-        assert build_pool.closed_with is None
-
-    def test_include_build_pools_releases_them_too(self, problem):
-        self._plant(problem)
-        build_key, build_pool = self._plant_build_pool()
-        assert (
-            pool_registry.release_pools(problem, include_build_pools=True) == 2
-        )
-        assert build_key not in pool_registry._POOLS
-        assert build_pool.closed_with is True
-
     def test_unfiltered_release_clears_everything(self, problem):
         self._plant(problem, dtype=np.float64)
         self._plant(problem, dtype=np.float32)
-        self._plant_build_pool()
-        assert pool_registry.release_pools() == 3
+        assert pool_registry.release_pools() == 2
         assert len(pool_registry._POOLS) == 0
 
     def test_broken_pool_replacement_reaps_with_wait(self, problem, evaluator):

@@ -29,6 +29,7 @@ from repro.core import pool as pool_registry
 from repro.core.evaluator import SPARSE_AUTO_FACTOR
 from repro.core.mapping import random_assignment_batch
 from repro.errors import MappingError
+from repro.models import coupling as coupling_module
 
 #: Absolute agreement demanded from float64 backends on dB metrics.
 TOLERANCE = 1e-9
@@ -53,6 +54,19 @@ def _batch(evaluator, rows, seed=11):
     return random_assignment_batch(
         rows, evaluator.n_tasks, evaluator.n_tiles, rng
     )
+
+
+def _derived_array(model, backend):
+    """The array a backend's delta engine reads besides the dense matrix."""
+    return model.csr().values if backend == "sparse" else model.coupling_linear_T
+
+
+def _worker_model_probe(backend):
+    """Pool task: the worker's build count and its derived array's address."""
+    from repro.core.parallel import worker_evaluator
+
+    model = worker_evaluator().model
+    return coupling_module.BUILD_COUNT, _derived_array(model, backend).ctypes.data
 
 
 @pytest.mark.parametrize("cg_name,topology", CASES)
@@ -241,16 +255,23 @@ class TestSparseDeterminism:
         key_sparse = pool_registry.pool_key(problem, np.float64, 2, "sparse")
         assert key_dense != key_sparse
 
-    def test_sparse_pool_workers_attach_csr_flavour(self, sparse_evaluator):
-        # The sharded call above creates a sparse-keyed pool whose spec
-        # ships CSR arrays and drops the dense transpose.
-        try:
-            pool = pool_registry.get_pool(
-                sparse_evaluator.problem, sparse_evaluator.dtype, 2, "sparse"
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_pool_workers_reuse_parent_arrays(self, mesh3_network, backend):
+        # The pool builds the array its evaluators read (dense transpose
+        # or CSR values) before its workers fork: every worker reads the
+        # parent's buffer and never builds a model of its own.
+        problem = MappingProblem(all_to_all_cg(8), mesh3_network, "snr")
+        pool_registry.release_pools(problem)
+        with DesignSpaceExplorer(problem, backend=backend) as explorer:
+            evaluator = explorer.evaluator
+            evaluator.evaluate_batch(
+                _batch(evaluator, 64), n_workers=2, min_shard_rows=1
             )
-            spec = sparse_evaluator.model.shared_export("sparse").spec
-            assert spec.with_csr and not spec.with_transpose
-            assert spec.csr_nnz == sparse_evaluator.model.nnz
-            assert pool.backend == "sparse"
-        finally:
-            pool_registry.release_pools(sparse_evaluator.problem)
+            explorer.compare(("sa", "tabu"), budget=200, seed=5, n_workers=2)
+            pool = pool_registry.get_pool(problem, evaluator.dtype, 2, backend)
+            futures = [pool.submit(_worker_model_probe, backend) for _ in range(4)]
+            probes = [future.result() for future in futures]
+            parent = _derived_array(evaluator.model, backend)
+            for build_count, address in probes:
+                assert build_count == coupling_module.BUILD_COUNT
+                assert address == parent.ctypes.data

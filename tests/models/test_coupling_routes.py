@@ -183,10 +183,3 @@ class TestRoutedArrayStreaming:
         payload["routes"] = 2  # arrays are sized for 3 menus per pair
         with pytest.raises(ModelError):
             CouplingModel.from_arrays(torus4_network, payload)
-
-    def test_shared_export_preserves_routes(self, torus4_network, routed):
-        handle = routed.shared_export("dense")
-        assert handle.spec.routes == ROUTES
-        attached = CouplingModel.attach_shared(handle.spec, torus4_network)
-        assert attached.routes == ROUTES
-        assert np.array_equal(attached.coupling_linear, routed.coupling_linear)

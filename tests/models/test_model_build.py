@@ -1,11 +1,11 @@
-"""Walk-once vectorized builder: legacy parity, sharding, the disk cache.
+"""Walk-once vectorized builder: legacy parity and the disk cache.
 
 The vectorized ``CouplingModel._build`` must be **bit-identical** to the
 seed per-aggressor walk loop (kept as ``builder="legacy"``) on meshes and
-tori, at float64 and float32, for any ``build_workers`` count — and the
-on-disk model cache must only ever be a fast path: hits are memory-mapped
-loads of identical arrays, misses (signature / dtype / version changes),
-corruption and unwritable directories all fall back to a correct build.
+tori, at float64 and float32 — and the on-disk model cache must only ever
+be a fast path: hits are memory-mapped loads of identical arrays, misses
+(signature / dtype / version changes), corruption and unwritable
+directories all fall back to a correct build.
 """
 
 import json
@@ -73,43 +73,6 @@ class TestLegacyParity:
             CouplingModel(mesh3_network, builder="quantum")
 
 
-class TestShardedBuild:
-    @pytest.mark.parametrize("build_workers", [2, 3])
-    def test_bit_identical_for_any_worker_count(
-        self, mesh3_network, build_workers
-    ):
-        reference = CouplingModel(mesh3_network)
-        sharded = CouplingModel(mesh3_network, build_workers=build_workers)
-        np.testing.assert_array_equal(
-            sharded.coupling_linear, reference.coupling_linear
-        )
-        np.testing.assert_array_equal(
-            sharded.signal_linear, reference.signal_linear
-        )
-
-    def test_float32_sharded_bit_identical(self, mesh3_network):
-        reference = CouplingModel(mesh3_network, dtype=np.float32)
-        sharded = CouplingModel(
-            mesh3_network, dtype=np.float32, build_workers=2
-        )
-        np.testing.assert_array_equal(
-            sharded.coupling_linear, reference.coupling_linear
-        )
-
-    def test_pool_failure_falls_back_inline(self, mesh3_network, monkeypatch):
-        from repro.core import pool as pool_module
-
-        def broken(n_workers):
-            raise RuntimeError("no processes today")
-
-        monkeypatch.setattr(pool_module, "get_build_pool", broken)
-        reference = CouplingModel(mesh3_network)
-        fallback = CouplingModel(mesh3_network, build_workers=4)
-        np.testing.assert_array_equal(
-            fallback.coupling_linear, reference.coupling_linear
-        )
-
-
 class TestTorusCrossValidation:
     """Wrap-around walks exercise the cutoff-terminated orbit paths."""
 
@@ -173,7 +136,7 @@ class TestDiskCache:
         assert (tmp_path / key / "meta.json").is_file()
 
         # A warm load must not build: poison the builder.
-        def no_build(self, build_workers=1):
+        def no_build(self):
             raise AssertionError("cache hit must not rebuild")
 
         monkeypatch.setattr(CouplingModel, "_build", no_build)

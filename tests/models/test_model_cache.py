@@ -1,10 +1,8 @@
-"""Coupling-model cache and shared-export lifecycle guarantees.
+"""Coupling-model process cache and CSR view guarantees.
 
-The process cache and the shared-memory export registry are global
-state: a model built with ``use_cache=False`` must stay out of the
-cache, ``clear_model_cache()`` must unlink every live export (so no
-segment survives to trip the resource tracker), and the CSR-flavoured
-export must round-trip bit-exactly through attach.
+The process cache is global state: a model built with
+``use_cache=False`` must stay out of the cache, and dtype keys must never
+alias. The CSR triplet must describe exactly the dense matrix's nonzeros.
 """
 
 import numpy as np
@@ -47,73 +45,7 @@ class TestProcessCache:
         assert m32.coupling_linear.dtype == np.float32
 
 
-class TestSharedExportLifecycle:
-    def test_clear_model_cache_unlinks_live_exports(self, mesh3_network):
-        from multiprocessing import shared_memory
-
-        model = CouplingModel.for_network(mesh3_network)
-        names = [
-            model.shared_export("dense").spec.shm_name,
-            model.shared_export("sparse").spec.shm_name,
-        ]
-        assert len(set(names)) == 2  # flavours are distinct segments
-        clear_model_cache()
-        assert coupling_module._EXPORTS == []
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_shared_export_is_cached_per_flavour(self, mesh3_network):
-        model = CouplingModel.for_network(mesh3_network)
-        dense = model.shared_export("dense")
-        sparse = model.shared_export("sparse")
-        assert model.shared_export("dense") is dense
-        assert model.shared_export("sparse") is sparse
-        dense.close()
-        replacement = model.shared_export("dense")  # closed: re-exported
-        assert replacement is not dense
-        replacement.close()
-        sparse.close()
-
-    def test_spec_ships_nnz_and_attach_seeds_it(self, mesh3_network, monkeypatch):
-        """A dense-flavour attach must not re-scan the shared matrix to
-        resolve ``backend="auto"``: the nonzero count ships in the spec."""
-        model = CouplingModel.for_network(mesh3_network)
-        expected = model.nnz
-        with model.export_shared(with_transpose=True, with_csr=False) as handle:
-            assert handle.spec.nnz == expected
-            attached = CouplingModel.attach_shared(handle.spec, mesh3_network)
-            assert attached._nnz == expected
-
-            def no_scan(*args, **kwargs):
-                raise AssertionError("attached model re-scanned the matrix")
-
-            monkeypatch.setattr(np, "count_nonzero", no_scan)
-            assert attached.nnz == expected
-            assert attached.density == pytest.approx(model.density)
-
-    def test_csr_flavour_round_trips_through_attach(self, mesh3_network):
-        model = CouplingModel.for_network(mesh3_network)
-        csr = model.csr()
-        with model.export_shared(with_transpose=False, with_csr=True) as handle:
-            spec = handle.spec
-            assert spec.with_csr and not spec.with_transpose
-            assert spec.csr_nnz == csr.nnz
-            attached = CouplingModel.attach_shared(spec, mesh3_network)
-            np.testing.assert_array_equal(
-                attached.coupling_linear, model.coupling_linear
-            )
-            acsr = attached.csr()
-            np.testing.assert_array_equal(acsr.indptr, csr.indptr)
-            np.testing.assert_array_equal(acsr.indices, csr.indices)
-            np.testing.assert_array_equal(acsr.values, csr.values)
-            np.testing.assert_array_equal(
-                acsr.nonzero_rows, csr.nonzero_rows
-            )
-            assert not acsr.values.flags.writeable
-            assert attached.nnz == model.nnz
-            assert attached.density == pytest.approx(model.density)
-
+class TestCouplingCSR:
     def test_csr_structure_matches_dense_matrix(self, mesh3_network):
         model = CouplingModel.for_network(mesh3_network)
         csr = model.csr()
