@@ -27,8 +27,9 @@ Three implementations exist:
   holds the others to;
 * :class:`~repro.distributed.scheduler.RemoteTcpBackend` — dispatches
   tasks over TCP to ``phonocmap worker`` processes (possibly on other
-  hosts), hydrating coupling models from cache keys instead of shipping
-  matrices.
+  hosts), which resolve the coupling model by cache key like a local
+  pool worker, from their own on-disk cache or by a build saved there;
+  no matrix is shipped.
 
 Failure handling is **backend-owned**: every future is watched by a
 done-callback that flips :attr:`~ExecutorBackend.broken` when the
@@ -437,7 +438,9 @@ class InlineBackend(ExecutorBackend):
             cache_dir=model_cache_dir,
             routes=problem.routes,
         )
-        self._context = _parallel.WorkerContext(problem, self.dtype, self.backend)
+        self._context = _parallel.WorkerContext(
+            problem, self.dtype, self.backend, model_cache_dir
+        )
         self._closed = False
 
     def _submit(self, fn, /, *args, **kwargs) -> Future:

@@ -19,8 +19,9 @@ matrices — reaches a worker the way it reaches every evaluator, through
 model (plus the transpose or CSR arrays its backend reads) before its
 workers fork, so each worker finds it in the inherited process cache,
 copy-on-write, and never pickles or rebuilds the O(n_pairs^2) coupling
-matrix. A worker that did not fork from the parent loads the model from
-the configured on-disk cache or, at worst, rebuilds it.
+matrix. A worker that did not fork from the parent, such as a
+``phonocmap worker``, loads the model from its context's on-disk cache
+or, at worst, builds it and saves it there.
 
 Since PR 3 the executors themselves are owned by :mod:`repro.core.pool`
 and persist across calls: workers are initialized with a *problem* (not
@@ -50,7 +51,6 @@ from repro.core.registry import create_strategy
 from repro.core.result import OptimizationResult
 from repro.core.strategy import MappingStrategy
 from repro.errors import OptimizationError
-from repro.models.coupling import set_model_cache_dir
 
 __all__ = [
     "WorkerContext",
@@ -138,10 +138,12 @@ class WorkerContext:
 
     A context is everything :func:`run_strategy_task` and
     :func:`evaluate_shard_task` need to run: the problem, the coupling
-    dtype, the resolved contraction backend, and a per-objective
-    evaluator cache (evaluators are built lazily — one warm context
-    serves e.g. both the SNR and the power-loss pass of a Table II
-    cell, because executors are keyed objective-free).
+    dtype, the resolved contraction backend, the on-disk model cache
+    directory its evaluators resolve models against (``None``: the
+    process default), and a per-objective evaluator cache (evaluators
+    are built lazily — one warm context serves e.g. both the SNR and
+    the power-loss pass of a Table II cell, because executors are keyed
+    objective-free).
 
     Where a context lives depends on the backend: a pool worker process
     holds exactly one (installed by :func:`_init_worker`); the inline
@@ -150,10 +152,17 @@ class WorkerContext:
     holds one per scheduler-initialized pool key.
     """
 
-    def __init__(self, problem: MappingProblem, dtype, backend: str = "dense"):
+    def __init__(
+        self,
+        problem: MappingProblem,
+        dtype,
+        backend: str = "dense",
+        model_cache_dir: Optional[str] = None,
+    ):
         self.problem = problem
         self.dtype = np.dtype(dtype)
         self.backend = str(backend)
+        self.model_cache_dir = model_cache_dir
         self.evaluators: Dict[object, MappingEvaluator] = {}
 
     def evaluator(self, objective=None) -> MappingEvaluator:
@@ -174,7 +183,10 @@ class WorkerContext:
                 # must produce the same metric-table set.
                 target = problem.with_objective(objective)
             evaluator = MappingEvaluator(
-                target, dtype=self.dtype, backend=self.backend
+                target,
+                dtype=self.dtype,
+                backend=self.backend,
+                model_cache_dir=self.model_cache_dir,
             )
             self.evaluators[objective] = evaluator
         return evaluator
@@ -234,16 +246,15 @@ def _init_worker(
     The context's evaluators resolve the coupling model lazily through
     :meth:`~repro.models.coupling.CouplingModel.for_network`: a forked
     worker finds it in the process cache it inherited, any other worker
-    loads it from ``model_cache_dir`` (installed here as this process's
-    default) or rebuilds it. ``backend`` is the parent evaluator's
-    *resolved* contraction backend (never ``"auto"``): worker evaluators
-    must run the same kernel as the parent for shard results to be
-    bit-identical to the inline path.
+    loads it from ``model_cache_dir`` or rebuilds it. ``backend`` is the
+    parent evaluator's *resolved* contraction backend (never
+    ``"auto"``): worker evaluators must run the same kernel as the
+    parent for shard results to be bit-identical to the inline path.
     """
     global _PROCESS_CONTEXT
-    if model_cache_dir:
-        set_model_cache_dir(model_cache_dir)
-    _PROCESS_CONTEXT = WorkerContext(problem, np.dtype(dtype_name), backend)
+    _PROCESS_CONTEXT = WorkerContext(
+        problem, np.dtype(dtype_name), backend, model_cache_dir
+    )
 
 
 def worker_evaluator(objective=None) -> MappingEvaluator:

@@ -17,7 +17,7 @@ never instrumented):
 ``worker.loop``
     Top of the worker's message loop, before reading the next frame.
 ``worker.init``
-    Before handling an ``init`` (context shipping / model hydration).
+    Before handling an ``init`` (decoding the shipped problem).
 ``worker.task``
     Before executing a dispatched task.
 ``worker.result``

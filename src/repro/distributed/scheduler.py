@@ -4,8 +4,8 @@ The :class:`WorkerHub` is the process-wide rendezvous point for one
 listening address: it accepts ``phonocmap worker`` connections, holds a
 shared task queue, and runs one dispatch thread per connected worker.
 Dispatch threads pull tasks, lazily initialize the task's execution
-context on their worker (shipping the pickled problem and — only on a
-double cache miss — streaming the coupling model once), run the
+context on their worker (shipping the pickled problem, never a coupling
+model: the worker resolves that by cache key itself), run the
 synchronous request/reply round-trip, and resolve the task's future.
 
 Failure domains (PR 9)
@@ -27,6 +27,9 @@ Liveness is active, not inferred from task traffic:
   The deadline is *soft*: it never cancels work, it only re-places it —
   and because tasks are pure functions of their pickled arguments, a
   re-placed (or even double-executed) task cannot change any result.
+  A worker whose ``--model-cache`` misses builds the coupling model
+  inside its first task of a context, so the deadline must exceed a
+  cold build unless that cache is warm.
 * **Authentication** — when a shared token is configured
   (``PHONOCMAP_AUTH_TOKEN`` or the ``auth_token`` hub argument), a
   connecting worker must present it in the hello frame; the compare is
@@ -70,7 +73,7 @@ import socket
 import threading
 import time
 from concurrent.futures import Future, InvalidStateError
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -191,21 +194,6 @@ class _Task:
         self.backend = backend
 
 
-class _Context:
-    """A registered execution context workers can be initialized with."""
-
-    __slots__ = ("ctx_id", "problem_payload", "dtype_name", "backend", "model_supplier")
-
-    def __init__(self, ctx_id, problem_payload, dtype_name, backend, model_supplier):
-        self.ctx_id = ctx_id
-        self.problem_payload = problem_payload
-        self.dtype_name = dtype_name
-        self.backend = backend
-        #: Called only on a worker's double cache miss; returns the
-        #: ``export_arrays`` payload for the one-time stream.
-        self.model_supplier = model_supplier
-
-
 class WorkerHub:
     """Listener + task queue + per-worker dispatch threads for one address.
 
@@ -261,7 +249,8 @@ class WorkerHub:
         #: Bound port — differs from the requested one when it was 0.
         self.port = self._listener.getsockname()[1]
         self._tasks: "queue.Queue[_Task]" = queue.Queue()
-        self._contexts: Dict[str, _Context] = {}
+        #: ctx_id -> the ``init`` frame that sets the context up on a worker.
+        self._contexts: Dict[str, dict] = {}
         self._lock = threading.Lock()
         self._worker_event = threading.Event()
         self._stop = threading.Event()
@@ -273,8 +262,6 @@ class WorkerHub:
         self.tasks_timed_out = 0
         self.heartbeats_sent = 0
         self.heartbeats_missed = 0
-        self.models_streamed = 0
-        self.model_bytes_streamed = 0
         self._accept_thread = threading.Thread(
             target=self._accept_loop,
             name=f"phonocmap-hub-{self.port}",
@@ -284,24 +271,17 @@ class WorkerHub:
 
     # -- the backend-facing surface ------------------------------------------
 
-    def register_context(
-        self,
-        ctx_id: str,
-        problem,
-        dtype,
-        backend: str,
-        model_supplier: Callable[[], dict],
-    ) -> None:
+    def register_context(self, ctx_id: str, problem, dtype, backend: str) -> None:
         """Make a context available for worker-side initialization."""
         with self._lock:
             if ctx_id not in self._contexts:
-                self._contexts[ctx_id] = _Context(
-                    ctx_id,
-                    wire.encode_payload(problem),
-                    np.dtype(dtype).name,
-                    str(backend),
-                    model_supplier,
-                )
+                self._contexts[ctx_id] = {
+                    "op": "init",
+                    "ctx_id": ctx_id,
+                    "problem": wire.encode_payload(problem),
+                    "dtype": np.dtype(dtype).name,
+                    "backend": str(backend),
+                }
 
     def ensure_worker(self, timeout: Optional[float] = None) -> None:
         """Block until at least one worker is connected, or fail typed.
@@ -346,8 +326,6 @@ class WorkerHub:
             "heartbeats_missed": self.heartbeats_missed,
             "auth_required": self.auth_token is not None,
             "task_deadline_s": self.task_deadline_s,
-            "models_streamed": self.models_streamed,
-            "model_bytes_streamed": self.model_bytes_streamed,
         }
 
     def close(self) -> None:
@@ -507,70 +485,25 @@ class WorkerHub:
             conn.settimeout(ROUND_TRIP_TIMEOUT_S)
 
     def _init_context(self, conn: socket.socket, rfile, wfile, ctx_id: str) -> None:
-        """Initialize a context on the connected worker (may stream).
+        """Initialize a context on the connected worker.
 
-        The *first* reply (``ready`` or ``need_model``) is bounded by the
-        soft task deadline when one is set: producing it costs only a
-        kilobyte-scale unpickle plus a cache probe, so a worker silent
-        past the deadline here is hung, not busy. Once the worker asks
-        for the model, the deadline comes *off* — streaming and
-        persisting a multi-hundred-MB model legitimately takes a while,
-        and the round-trip timeout still bounds that phase.
+        The worker only decodes the problem and replies ``ready``, so the
+        reply is bounded by the soft task deadline like a task's: a worker
+        silent past it here is hung, not busy. The coupling model is no
+        part of init; the worker's evaluator resolves it by cache key on
+        the first task.
         """
         with self._lock:
-            context = self._contexts[ctx_id]
-        wire.write_message(
-            wfile,
-            {
-                "op": "init",
-                "ctx_id": ctx_id,
-                "problem": context.problem_payload,
-                "dtype": context.dtype_name,
-                "backend": context.backend,
-            },
-        )
-        deadline = self.task_deadline_s
-        if deadline:
-            conn.settimeout(deadline)
-        try:
-            while True:
-                try:
-                    reply = wire.read_message(rfile)
-                except TimeoutError:
-                    with self._lock:
-                        self.tasks_timed_out += 1
-                    bound = deadline if deadline else ROUND_TRIP_TIMEOUT_S
-                    raise ConnectionError(
-                        f"worker silent past the {bound:.1f}s deadline "
-                        "during init"
-                    ) from None
-                if reply is None:
-                    raise ConnectionError("worker hung up during init")
-                op = reply.get("op")
-                if op == "ready":
-                    return
-                if op == "need_model":
-                    if deadline:
-                        conn.settimeout(ROUND_TRIP_TIMEOUT_S)
-                        deadline = None
-                    self._stream_model(wfile, context)
-                else:
-                    raise ConnectionError(f"unexpected init reply {op!r}")
-        finally:
-            if deadline:
-                conn.settimeout(ROUND_TRIP_TIMEOUT_S)
-
-    def _stream_model(self, wfile, context) -> None:
-        """Ship a context's coupling model to the asking worker once."""
-        payload = wire.encode_payload(context.model_supplier())
-        with self._lock:
-            self.models_streamed += 1
-            self.model_bytes_streamed += len(payload)
-        wire.write_message(wfile, {"op": "model", "payload": payload})
+            init = self._contexts[ctx_id]
+        reply = self._exchange(conn, rfile, wfile, init, "init")
+        if reply.get("op") != "ready":
+            raise ConnectionError(f"unexpected init reply {reply.get('op')!r}")
 
     def _round_trip(self, conn: socket.socket, rfile, wfile, task: _Task) -> dict:
         """Send one task, await its reply under the soft deadline."""
-        wire.write_message(
+        return self._exchange(
+            conn,
+            rfile,
             wfile,
             {
                 "op": "task",
@@ -579,7 +512,19 @@ class WorkerHub:
                 "fn": task.fn_name,
                 "payload": task.payload,
             },
+            "task",
         )
+
+    def _exchange(
+        self, conn: socket.socket, rfile, wfile, message: dict, phase: str
+    ) -> dict:
+        """Write one request and read its reply under the soft deadline.
+
+        A worker silent past :attr:`task_deadline_s` (when set) counts as
+        a timed-out task; that and a hang-up raise ``ConnectionError``,
+        which retires the connection and requeues the task in hand.
+        """
+        wire.write_message(wfile, message)
         deadline = self.task_deadline_s
         if deadline:
             conn.settimeout(deadline)
@@ -588,14 +533,15 @@ class WorkerHub:
         except TimeoutError:
             with self._lock:
                 self.tasks_timed_out += 1
+            bound = deadline or ROUND_TRIP_TIMEOUT_S
             raise ConnectionError(
-                f"worker silent past the {deadline:.1f}s task deadline"
+                f"worker silent past the {bound:.1f}s deadline during {phase}"
             ) from None
         finally:
             if deadline:
                 conn.settimeout(ROUND_TRIP_TIMEOUT_S)
         if reply is None:
-            raise ConnectionError("worker hung up mid-task")
+            raise ConnectionError(f"worker hung up during {phase}")
         return reply
 
     def _resolve(self, task: _Task, reply: dict) -> None:
@@ -713,11 +659,11 @@ class RemoteTcpBackend(ExecutorBackend):
 
     Registered in the pool registry like any other backend
     (``get_pool(..., executor="tcp://HOST:PORT")``). On construction it
-    resolves the coupling model locally — a process-cache hit whenever
-    an evaluator for the problem exists, and the source of the streamed
-    fallback payload — and registers its execution context with the
-    hub. ``n_workers`` remains the logical shard/chain count; the hub's
-    connected-worker count only affects placement.
+    registers its execution context — the pickled problem, dtype and
+    contraction backend — with the hub; it resolves no coupling model,
+    because each worker resolves its own by cache key. ``n_workers``
+    remains the logical shard/chain count; the hub's connected-worker
+    count only affects placement.
 
     Graceful degradation (``on_worker_loss="degrade"``): when remote
     execution is out of road — retries exhausted, the fleet collapsed,
@@ -748,8 +694,6 @@ class RemoteTcpBackend(ExecutorBackend):
         degrade_to: Optional[str] = None,
         worker_wait_timeout: Optional[float] = None,
     ):
-        from repro.models.coupling import CouplingModel
-
         super().__init__(key, n_workers)
         self.problem = problem
         self.dtype = np.dtype(dtype)
@@ -766,15 +710,7 @@ class RemoteTcpBackend(ExecutorBackend):
         self._fallback_lock = threading.Lock()
         self._fallback_backend: Optional[ExecutorBackend] = None
         self._ctx_id = hashlib.sha1(repr(key).encode()).hexdigest()[:16]
-        model = CouplingModel.for_network(
-            problem.network,
-            dtype=self.dtype,
-            cache_dir=model_cache_dir,
-            routes=getattr(problem, "routes", 1),
-        )
-        self.hub.register_context(
-            self._ctx_id, problem, self.dtype, self.backend, model.export_arrays
-        )
+        self.hub.register_context(self._ctx_id, problem, self.dtype, self.backend)
 
     @staticmethod
     def _resolve_degrade_to(explicit: Optional[str]) -> str:

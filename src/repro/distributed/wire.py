@@ -7,14 +7,15 @@ One message per line: a JSON object, UTF-8 encoded, terminated by
 transport (:mod:`repro.service.server`) speak the same protocol with the
 same code.
 
-Binary values (pickled problems, streamed model arrays) ride inside the
-JSON envelope as zlib-compressed, base64-encoded pickle payloads —
-:func:`encode_payload` / :func:`decode_payload`. JSON-with-base64 is
-deliberate over a binary framing: it keeps the protocol debuggable with
-``nc`` and needs nothing beyond the standard library (the container has
-no msgpack). The big payloads are rare by design — the distributed
-scheduler ships ~40-byte model cache keys, not matrices — so the base64
-overhead is confined to the one-time cache-miss fallback.
+Binary values (pickled problems, task arguments, results and errors)
+ride inside the JSON envelope as zlib-compressed, base64-encoded pickle
+payloads — :func:`encode_payload` / :func:`decode_payload`.
+JSON-with-base64 is deliberate over a binary framing: it keeps the
+protocol debuggable with ``nc`` and needs nothing beyond the standard
+library (msgpack is not a dependency). No coupling model crosses the
+link — workers resolve models by cache key themselves — so the largest
+payloads are a problem (tens of KB) and the rows and metric tables of a
+big shard.
 
 Robustness limits
 -----------------
@@ -71,8 +72,10 @@ __all__ = [
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Default decompressed-payload cap; env ``PHONOCMAP_MAX_PAYLOAD_BYTES``
-#: overrides. Generous because the one-time model-stream fallback is a
-#: legitimate multi-hundred-MB payload on large meshes.
+#: overrides. Well above what the hub and workers exchange, because task
+#: arguments and results grow with shard rows (one million mpeg4 rows
+#: are 96 MB of int64 assignments); the cap exists to stop a small zlib
+#: bomb from expanding without bound, not to size work.
 DEFAULT_MAX_PAYLOAD_BYTES = 1024 * 1024 * 1024
 
 

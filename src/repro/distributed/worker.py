@@ -1,4 +1,4 @@
-"""The ``phonocmap worker`` process: remote execution with cache-keyed hydration.
+"""The ``phonocmap worker`` process: remote execution of registered tasks.
 
 A worker dials the scheduler (``phonocmap worker --connect HOST:PORT``),
 announces itself, and then serves a simple request loop over the
@@ -6,15 +6,16 @@ newline-JSON wire protocol (:mod:`repro.distributed.wire`):
 
 ``init``
     Carries a pickled :class:`~repro.core.problem.MappingProblem`
-    (kilobytes — CG plus network description, never coupling matrices)
-    plus dtype / contraction backend. The worker hydrates the coupling
-    model for the problem's **cache key** locally: process cache first,
-    then the on-disk model cache (PR 5), and only when both miss does it
-    ask the scheduler to stream the arrays once (``need_model`` /
-    ``model``), persisting them to its disk cache so every later
-    hydration for that key is again key-only. The reply reports which
-    source won (``"process"`` / ``"disk"`` / ``"streamed"``) — the
-    parity suite asserts ``"streamed"`` never happens on a warm cache.
+    (23-73 KB for the paper's meshes — CG plus network netlist, never
+    coupling matrices) plus dtype / contraction backend. The worker
+    decodes it into a :class:`~repro.core.parallel.WorkerContext` and
+    replies ``ready``. The context's evaluator gets the coupling model
+    on the first task the way every evaluator does, through
+    :meth:`~repro.models.coupling.CouplingModel.for_network` by cache
+    key: the process cache, then this worker's ``--model-cache``, then
+    a build saved there. So a cold worker spends its first task on the
+    build (seconds on an 8x8 mesh), and a soft ``task_deadline_s`` must
+    exceed that unless the cache is warm.
 
 ``task``
     Names a registered task function (``"strategy"`` →
@@ -68,8 +69,6 @@ from repro.core import parallel as _parallel
 from repro.core.executor import split_tcp_address
 from repro.distributed import chaos, wire
 from repro.errors import ProtocolError
-from repro.models import coupling as _coupling
-from repro.models.coupling import CouplingModel
 
 __all__ = ["run_worker"]
 
@@ -115,48 +114,6 @@ def reconnect_backoff_s(address: str, attempt: int, pid: Optional[int] = None) -
     return base * (1.0 + 0.25 * fraction)
 
 
-def _hydrate(
-    network,
-    dtype,
-    model_cache_dir: Optional[str],
-    rfile,
-    wfile,
-    ctx_id: str,
-    routes: int = 1,
-) -> str:
-    """Materialize the coupling model for a cache key; returns the source.
-
-    Resolution order mirrors :meth:`CouplingModel.for_network` with the
-    build step replaced by a one-time streamed transfer from the
-    scheduler — a worker never burns CPU rebuilding a matrix the
-    scheduler already holds.
-    """
-    key = CouplingModel.cache_key(network, dtype, routes=routes)
-    if key in _coupling._CACHE:
-        return "process"
-    model = None
-    if model_cache_dir:
-        model = CouplingModel.load_cached(
-            network, dtype, model_cache_dir, routes=routes
-        )
-    if model is not None:
-        CouplingModel.register(key, model)
-        return "disk"
-    wire.write_message(wfile, {"op": "need_model", "ctx_id": ctx_id})
-    # A streamed model is the one legitimately huge frame on this link;
-    # bound it by the payload cap, not the (much smaller) frame cap.
-    message = wire.read_message(rfile, max_bytes=wire.max_payload_bytes())
-    if message is None or message.get("op") != "model":
-        raise ConnectionError("scheduler hung up during model transfer")
-    model = CouplingModel.from_arrays(
-        network, wire.decode_payload(message["payload"])
-    )
-    if model_cache_dir:
-        model.save_cached(model_cache_dir)
-    CouplingModel.register(key, model)
-    return "streamed"
-
-
 def run_worker(
     address: str,
     model_cache_dir: Optional[str] = None,
@@ -171,9 +128,10 @@ def run_worker(
         ``HOST:PORT`` (a ``tcp://`` prefix is tolerated) of the
         scheduler's :class:`~repro.distributed.scheduler.WorkerHub`.
     model_cache_dir : str, optional
-        On-disk model cache this worker hydrates from (and persists
-        streamed models into). Strongly recommended: a shared or
-        pre-seeded cache keeps model matrices off the wire entirely.
+        On-disk model cache this worker's evaluators load from, and
+        save the models they build into (default: the process default,
+        ``PHONOCMAP_MODEL_CACHE``). A pre-seeded cache spares a cold
+        worker the build on its first task.
     auth_token : str, optional
         Shared secret presented in the hello frame; defaults to
         ``PHONOCMAP_AUTH_TOKEN``. Required when the hub enforces
@@ -248,24 +206,13 @@ def _serve_connection(
             elif op == "init":
                 chaos.trip("worker.init")
                 ctx_id = message["ctx_id"]
-                problem = wire.decode_payload(message["problem"])
-                dtype = np.dtype(message["dtype"])
-                source = _hydrate(
-                    problem.network,
-                    dtype,
-                    model_cache_dir,
-                    rfile,
-                    wfile,
-                    ctx_id,
-                    routes=getattr(problem, "routes", 1),
-                )
                 contexts[ctx_id] = _parallel.WorkerContext(
-                    problem, dtype, message.get("backend", "dense")
+                    wire.decode_payload(message["problem"]),
+                    np.dtype(message["dtype"]),
+                    message.get("backend", "dense"),
+                    model_cache_dir,
                 )
-                wire.write_message(
-                    wfile,
-                    {"op": "ready", "ctx_id": ctx_id, "model_source": source},
-                )
+                wire.write_message(wfile, {"op": "ready", "ctx_id": ctx_id})
             elif op == "task":
                 chaos.trip("worker.task")
                 reply = _run_task(contexts, message)

@@ -102,7 +102,7 @@ BUILD_COUNT = 0
 
 #: Process-wide default directory of the on-disk model cache (``None``
 #: disables it). Seeded from ``PHONOCMAP_MODEL_CACHE``; the CLI's
-#: ``--model-cache`` and pool worker initializers override it.
+#: ``--model-cache`` overrides it for the duration of one command.
 _MODEL_CACHE_DIR: Optional[str] = os.environ.get("PHONOCMAP_MODEL_CACHE") or None
 
 
@@ -110,8 +110,9 @@ def set_model_cache_dir(path: Optional[str]) -> None:
     """Set the process-wide default on-disk model cache directory.
 
     ``None`` disables the default (explicit ``cache_dir=`` arguments
-    still work). Worker initializers call this so pool workers resolve
-    models from the same cache as their parent.
+    still work). Worker code does not call this: each worker context
+    hands its cache directory to the evaluators it builds, so a worker
+    hosted on a thread cannot change the default for its whole process.
     """
     global _MODEL_CACHE_DIR
     _MODEL_CACHE_DIR = str(path) if path else None
@@ -852,12 +853,6 @@ class CouplingModel:
             key += f"|routes={int(routes)}"
         return key
 
-    @classmethod
-    def register(cls, key: str, model: "CouplingModel") -> None:
-        """Seed the process cache (TCP workers register the models they
-        load from disk or receive by streamed transfer)."""
-        _CACHE[key] = model
-
     # The three persisted arrays; CSR / transpose stay derived (cheap
     # relative to the build, and dtype-dependent consumers rebuild them).
     _DISK_ARRAYS = ("signal_linear", "insertion_loss_db", "coupling_linear")
@@ -912,9 +907,13 @@ class CouplingModel:
             }
             n_tiles = network.topology.n_tiles
             n_pairs = n_tiles * n_tiles * int(routes)
+            # A build keeps signal and loss at float64 whatever the
+            # coupling dtype; any other dtype here would shift scores.
             if (
                 arrays["signal_linear"].shape != (n_pairs,)
+                or arrays["signal_linear"].dtype != np.float64
                 or arrays["insertion_loss_db"].shape != (n_pairs,)
+                or arrays["insertion_loss_db"].dtype != np.float64
                 or arrays["coupling_linear"].shape != (n_pairs, n_pairs)
                 or arrays["coupling_linear"].dtype != np.dtype(dtype)
             ):
@@ -984,52 +983,6 @@ class CouplingModel:
 
             shutil.rmtree(tmp, ignore_errors=True)
             return None
-
-    def export_arrays(self) -> dict:
-        """Pack this model's arrays for a one-time streamed transfer.
-
-        The cache-miss fallback of distributed hydration: when a remote
-        worker holds neither a process- nor disk-cached model for a
-        cache key, the scheduler streams this payload once and the
-        worker persists it (:meth:`from_arrays` + :meth:`save_cached`),
-        making every later hydration key-only again. Same array set as
-        the disk cache (:attr:`_DISK_ARRAYS`), so a streamed model is
-        bit-identical to a built or disk-loaded one.
-        """
-        payload = {
-            name: np.ascontiguousarray(getattr(self, name))
-            for name in self._DISK_ARRAYS
-        }
-        payload["nnz"] = self.nnz
-        payload["routes"] = self.routes
-        return payload
-
-    @classmethod
-    def from_arrays(cls, network: PhotonicNoC, payload: dict) -> "CouplingModel":
-        """Rebuild a model from an :meth:`export_arrays` payload."""
-        n_tiles = network.topology.n_tiles
-        routes = int(payload.get("routes", 1))
-        n_pairs = n_tiles * n_tiles * routes
-        coupling = np.asarray(payload["coupling_linear"])
-        if coupling.shape != (n_pairs, n_pairs):
-            raise ModelError(
-                f"streamed coupling matrix has shape {coupling.shape}, "
-                f"expected {(n_pairs, n_pairs)} for {network.signature!r} "
-                f"at routes={routes}"
-            )
-        model = cls.__new__(cls)
-        model.network = network
-        model.n_tiles = n_tiles
-        model.routes = routes
-        model.n_pairs = n_pairs
-        model.signal_linear = np.asarray(payload["signal_linear"])
-        model.insertion_loss_db = np.asarray(payload["insertion_loss_db"])
-        model.coupling_linear = coupling
-        model._coupling_T = None
-        model._csr = None
-        nnz = payload.get("nnz")
-        model._nnz = int(nnz) if nnz is not None else None
-        return model
 
     @classmethod
     def for_network(

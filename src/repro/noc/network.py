@@ -324,6 +324,20 @@ class PhotonicNoC:
             floorplan=self.floorplan,
         )
 
+    # -- pickling -------------------------------------------------------------------
+
+    def __getstate__(self) -> dict:
+        """Pickle the netlist without its lazily derived caches.
+
+        Paths, route menus and the turn table are pure functions of the
+        netlist and rebuild on demand, so a shipped network (a TCP
+        worker's ``init`` frame) stays netlist-sized however many paths
+        the sender has elaborated.
+        """
+        state = dict(self.__dict__)
+        state.update(_paths={}, _routed_paths={}, _route_sets={}, _turn_keys=None)
+        return state
+
     # -- identity -------------------------------------------------------------------
 
     @property

@@ -5,13 +5,14 @@ The determinism contract of the executor abstraction: for a given
 process pool, remote TCP workers — produces bit-identical best
 mappings, scores, convergence histories and evaluation counts,
 regardless of task placement, worker loss or retry. Also asserted
-here: remote workers hydrate coupling models from their on-disk cache
-by cache key (no matrix bytes on the wire on a cache hit), with the
-one-time streamed transfer only on a genuine double miss.
+here: remote workers resolve coupling models themselves by cache key,
+from their on-disk cache or by a build saved there, so the hub never
+writes model arrays to the wire and its ``init`` frames stay small.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -30,6 +31,7 @@ from repro.core.evaluator import MappingEvaluator
 from repro.core.mapping import random_assignment_batch
 from repro.core.pool import get_pool, shutdown_pools
 from repro.core.problem import MappingProblem
+from repro.distributed import wire
 from repro.distributed.scheduler import get_hub
 from repro.errors import ExecutorError
 from repro.models.coupling import CouplingModel
@@ -77,8 +79,8 @@ def cluster(tmp_path_factory):
     """A hub with two subprocess workers sharing a pre-seeded model cache.
 
     The cache is seeded *before* the workers start, so every worker
-    hydration in this module is a disk-cache hit — the
-    no-matrix-bytes-on-the-wire assertions depend on it.
+    resolves the model from disk instead of building it on its first
+    task.
     """
     cache_dir = str(tmp_path_factory.mktemp("model-cache"))
     cg = load_benchmark("mwd")
@@ -176,14 +178,35 @@ class TestShardParity:
                 np.testing.assert_array_equal(reference, column)
 
 
+@pytest.fixture
+def hub_frames(monkeypatch):
+    """``(op, bytes)`` of every frame written in this process.
+
+    The workers are subprocesses, so in this process only the hubs
+    write frames.
+    """
+    frames = []
+    write = wire.write_message
+
+    def recording(wfile, message):
+        size = len(json.dumps(message, separators=(",", ":"))) + 1
+        frames.append((message.get("op"), size))
+        write(wfile, message)
+
+    monkeypatch.setattr(wire, "write_message", recording)
+    return frames
+
+
 class TestCacheKeyedHydration:
-    def test_no_matrix_bytes_on_wire_on_cache_hit(self, cluster):
-        """Workers hydrated from their disk cache: nothing streamed."""
-        hub = cluster["hub"]
+    def test_no_matrix_bytes_on_wire_on_cache_hit(self, cluster, hub_frames):
+        """Workers load models from their disk cache; init frames stay small."""
         problem = cluster["problem"]
+        # A shard width no other test here uses: the pool key, and so
+        # the context, is new to both workers, and its init frames go
+        # out during this test.
         evaluator = MappingEvaluator(
             problem,
-            n_workers=4,
+            n_workers=5,
             executor=cluster["spec"],
             model_cache_dir=cluster["cache_dir"],
         )
@@ -194,22 +217,25 @@ class TestCacheKeyedHydration:
         pool = get_pool(
             problem,
             np.float64,
-            4,
+            5,
             evaluator.backend,
             model_cache_dir=cluster["cache_dir"],
             executor=cluster["spec"],
         )
-        assert pool.tasks_dispatched >= 4  # shards really went remote
-        # Cumulative over every dispatch this module's hub has served:
-        # the workers hydrate from their pre-seeded disk cache by cache
-        # key, so no coupling-matrix bytes ever crossed the wire.
-        assert hub.models_streamed == 0
-        assert hub.model_bytes_streamed == 0
+        assert pool.tasks_dispatched >= 5  # shards really went remote
+        ops = [op for op, _ in hub_frames]
+        assert "model" not in ops
+        assert set(ops) <= {"goodbye", "ping", "init", "task"}
+        init_sizes = [size for op, size in hub_frames if op == "init"]
+        assert init_sizes
+        # The problem ships as its netlist, never its derived path cache
+        # (the evaluator above has built every path of this network).
+        assert max(init_sizes) < 64 * 1024
 
-    def test_cold_worker_streams_model_once_then_caches(
-        self, cluster, tmp_path
+    def test_cold_worker_builds_model_once_then_caches(
+        self, cluster, tmp_path, hub_frames
     ):
-        """A worker with an empty cache falls back to one streamed copy."""
+        """A worker with an empty cache builds the model and saves it."""
         hub = get_hub("tcp://127.0.0.1:0")
         spec = f"tcp://127.0.0.1:{hub.port}"
         cold_cache = str(tmp_path / "cold-cache")
@@ -228,12 +254,11 @@ class TestCacheKeyedHydration:
                 executor=spec,
                 model_cache_dir=cluster["cache_dir"],
             ).submit_batch(rows, min_shard_rows=32).tables()
-            assert hub.models_streamed == 1
-            assert hub.model_bytes_streamed > 0
-            # The streamed model was persisted: the worker's disk cache
-            # now holds an entry, so a later hydration would be key-only.
-            assert os.listdir(cold_cache)
-            # And a streamed model is bit-identical to a cached one.
+            assert "model" not in [op for op, _ in hub_frames]
+            # The worker saved the model it built into its own cache.
+            key = CouplingModel.disk_key(problem.network.signature, np.float64)
+            assert key in os.listdir(cold_cache)
+            # And a worker-built model scores bit-identically.
             inline = MappingEvaluator(
                 problem,
                 n_workers=2,

@@ -168,18 +168,3 @@ class TestRoutedDiskCache:
             )
             is None
         )
-
-
-class TestRoutedArrayStreaming:
-    def test_export_arrays_round_trip(self, torus4_network, routed):
-        payload = routed.export_arrays()
-        assert payload["routes"] == ROUTES
-        rebuilt = CouplingModel.from_arrays(torus4_network, payload)
-        assert rebuilt.routes == ROUTES
-        assert np.array_equal(rebuilt.coupling_linear, routed.coupling_linear)
-
-    def test_from_arrays_rejects_width_mismatch(self, torus4_network, routed):
-        payload = routed.export_arrays()
-        payload["routes"] = 2  # arrays are sized for 3 menus per pair
-        with pytest.raises(ModelError):
-            CouplingModel.from_arrays(torus4_network, payload)

@@ -229,6 +229,45 @@ class TestDiskCache:
             np.asarray(repaired.coupling_linear), built.coupling_linear
         )
 
+    @pytest.mark.parametrize("bad_dtype", ["float32", "float16", "int64"])
+    @pytest.mark.parametrize("name", ["signal_linear", "insertion_loss_db"])
+    def test_wrong_dtype_signal_or_loss_rebuilds(
+        self, params, pip_cg, tmp_path, monkeypatch, name, bad_dtype
+    ):
+        """Every build keeps signal and loss at float64: an entry holding
+        another dtype would shift scores, so it misses and is repaired."""
+        from repro.core import MappingEvaluator, MappingProblem
+        from repro.core.mapping import random_assignment_batch
+
+        monkeypatch.setattr(coupling_module, "_MODEL_CACHE_DIR", None)
+        network = PhotonicNoC(mesh(3, 3), params=params)
+        CouplingModel.for_network(network, use_cache=False, cache_dir=str(tmp_path))
+        key = CouplingModel.disk_key(network.signature, np.float64)
+        planted = tmp_path / key / f"{name}.npy"
+        with np.errstate(invalid="ignore"):  # int64 has no NaN
+            np.save(planted, np.load(planted).astype(bad_dtype))
+        assert CouplingModel.load_cached(network, np.float64, str(tmp_path)) is None
+
+        builds = coupling_module.BUILD_COUNT
+        CouplingModel.for_network(network, cache_dir=str(tmp_path))
+        assert coupling_module.BUILD_COUNT == builds + 1
+        assert np.load(planted).dtype == np.float64  # the entry is repaired
+
+        rows = random_assignment_batch(
+            64, pip_cg.n_tasks, network.topology.n_tiles, np.random.default_rng(3)
+        )
+        problem = MappingProblem(pip_cg, network, "snr")
+        clear_model_cache()
+        cached = MappingEvaluator(problem, model_cache_dir=str(tmp_path))
+        assert isinstance(cached.model.coupling_linear, np.memmap)
+        clear_model_cache()
+        fresh = MappingEvaluator(problem)
+        assert not isinstance(fresh.model.coupling_linear, np.memmap)
+        for got, want in zip(
+            cached.submit_batch(rows).tables(), fresh.submit_batch(rows).tables()
+        ):
+            np.testing.assert_array_equal(got, want)
+
     def test_unwritable_cache_dir_falls_back_to_memory(self, params, tmp_path):
         """A cache_dir that cannot be written (here: obstructed by a
         plain file) must degrade to an ordinary in-memory build."""

@@ -1,9 +1,12 @@
 """Network assembly and path elaboration tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import RoutingError
+from repro.models.coupling import CouplingModel
 from repro.noc import Floorplan, PhotonicNoC, XYRouting, YXRouting, line, mesh, torus
 from repro.photonics import ElementKind, TraversalState
 
@@ -131,3 +134,30 @@ class TestSignature:
         a = PhotonicNoC(mesh(2, 2), params=params)
         b = PhotonicNoC(mesh(2, 2), params=params)
         assert a.signature == b.signature
+
+
+class TestPickling:
+    def test_pickle_drops_derived_caches(self, params):
+        """A network that has built its paths pickles no larger than a
+        fresh one, and its copy rebuilds the same paths and model."""
+        fresh = PhotonicNoC(torus(4, 4), params=params)
+        used = PhotonicNoC(torus(4, 4), params=params)
+        routed = used.all_paths_routed(2)
+        # Every lazily derived cache is filled.
+        assert used._paths and used._routed_paths and used._route_sets
+        assert used._turn_keys
+        assert len(pickle.dumps(used)) <= len(pickle.dumps(fresh))
+
+        copy = pickle.loads(pickle.dumps(used))
+        assert copy.signature == used.signature
+        for (src, dst, route), path in routed.items():
+            twin = copy.routed_path(src, dst, route, 2)
+            assert twin.traversals == path.traversals
+            np.testing.assert_array_equal(twin.losses_db, path.losses_db)
+        for routes in (1, 2):
+            original = CouplingModel(used, routes=routes)
+            rebuilt = CouplingModel(copy, routes=routes)
+            for name in ("signal_linear", "insertion_loss_db", "coupling_linear"):
+                np.testing.assert_array_equal(
+                    getattr(rebuilt, name), getattr(original, name)
+                )
