@@ -1,21 +1,24 @@
-"""Sparse (CSR) vs dense noise-contraction backends: speed, memory, parity.
+"""Sparse (CSR) vs dense noise-contraction kernels: speed, memory, parity.
 
-Three measurements around the evaluator's ``backend`` knob
-(:mod:`repro.core.evaluator`):
+Three measurements around the evaluator's two noise kernels
+(:mod:`repro.core.evaluator`). The evaluator picks its kernel from
+measured density alone (:func:`repro.core.evaluator.noise_kernel`), so
+each race pins one kernel at a time, the way the test suite's
+``pin_kernel`` fixture does:
 
 * **Uniform-traffic contraction race** (the headline): all-to-all traffic
   on a ``--side x --side`` mesh (default 8x8, the regime the dense
   ``(M, E, E)`` grid barely holds — at 12x12 it is ~3.4 GB per copy plus
-  a 408 MB grid *per mapping*). The sparse backend streams the CSR rows
+  a 408 MB grid *per mapping*). The sparse kernel streams the CSR rows
   instead and is expected to win by >= ``--min-speedup`` (default 2x).
 * **Fig. 3 workload race**: the paper's random-mapping sweep (edge-sparse
   benchmark CGs; ``--fig3-samples 100000`` for the paper-scale count),
-  where the dense gather wins and ``backend="auto"`` correctly keeps it —
-  the race documents the other side of the auto-selection crossover.
+  where the dense gather wins and the density rule correctly keeps it —
+  the race documents the other side of the crossover.
 * **Memory footprint**: measured CSR bytes vs the dense matrix (and the
-  dense transpose the sparse backend never builds).
+  dense transpose the sparse kernel never builds).
 
-Parity between the backends (1e-9 on float64 metrics) is enforced on
+Parity between the kernels (1e-9 on float64 metrics) is enforced on
 every race, whatever the machine; the speedup floor only applies to the
 full uniform-traffic race. ``--quick`` runs a tiny parity + density
 wiring check for CI.
@@ -27,7 +30,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_sparse_backend.py --quick    # CI wiring check
 
 Paper artefact: none (engineering bench; Fig. 3's sweep is the reference
-workload for the auto-selection rule).
+workload for the density rule).
 Expected runtime: ~2-4 minutes at the default 8x8 (most of it the one-off
 coupling-model build); ~10 s with ``--quick``. A 12x12 run is dominated
 by the O(n_pairs^2) model build (~10 min) and needs ~4 GB of RAM.
@@ -36,11 +39,13 @@ by the O(n_pairs^2) model build (~10 min) and needs ~4 GB of RAM.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import time
 from typing import List, Optional
 
 import numpy as np
 
+import repro.core.evaluator as evaluator_module
 from repro.analysis.distribution import random_mapping_distribution
 from repro.analysis.experiments import build_case_study_network
 from repro.appgraph import all_to_all_cg, grid_side_for, load_benchmark
@@ -53,8 +58,25 @@ try:  # script mode (python benchmarks/bench_sparse_backend.py)
 except ImportError:  # package mode (pytest from the repo root)
     from benchmarks.common import add_json_argument, record_bench
 
-#: Metric agreement demanded between the backends (float64).
+#: Metric agreement demanded between the kernels (float64).
 PARITY_TOLERANCE = 1e-9
+
+
+@contextlib.contextmanager
+def pinned_kernel(kernel: str):
+    """Make every evaluator built inside the block run ``kernel``.
+
+    Pools key on the problem, not on the kernel, so they are released
+    before and after the pin: none built under one kernel serves another.
+    """
+    shutdown_pools()
+    rule = evaluator_module.noise_kernel
+    evaluator_module.noise_kernel = lambda model, n_edges: kernel
+    try:
+        yield
+    finally:
+        shutdown_pools()
+        evaluator_module.noise_kernel = rule
 
 
 def _parity(dense_metrics, sparse_metrics) -> float:
@@ -82,8 +104,10 @@ def bench_uniform_traffic(side: int, samples: int, seed: int) -> dict:
     network = PhotonicNoC(mesh(side, side))
     cg = all_to_all_cg(side * side)
     problem = MappingProblem(cg, network, "snr")
-    dense = MappingEvaluator(problem, backend="dense")
-    sparse = MappingEvaluator(problem, backend="sparse")
+    with pinned_kernel("dense"):
+        dense = MappingEvaluator(problem)
+    with pinned_kernel("sparse"):
+        sparse = MappingEvaluator(problem)
     auto = MappingEvaluator(problem)  # resolves by density
     rng = np.random.default_rng(seed)
     batch = random_assignment_batch(samples, dense.n_tasks, dense.n_tiles, rng)
@@ -108,21 +132,23 @@ def bench_uniform_traffic(side: int, samples: int, seed: int) -> dict:
 
 
 def bench_fig3_sweep(app: str, samples: int, seed: int) -> dict:
-    """Race the Fig. 3 sweep (edge-sparse paper CG) across the backends."""
+    """Race the Fig. 3 sweep (edge-sparse paper CG) across the kernels."""
     cg = load_benchmark(app)
     network = build_case_study_network("mesh", grid_side_for(cg), "crux")
     problem = MappingProblem(cg, network, "snr")
     auto = MappingEvaluator(problem)
-    t0 = time.perf_counter()
-    dense_result = random_mapping_distribution(
-        cg, network, n_samples=samples, seed=seed, backend="dense"
-    )
-    t_dense = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    sparse_result = random_mapping_distribution(
-        cg, network, n_samples=samples, seed=seed, backend="sparse"
-    )
-    t_sparse = time.perf_counter() - t0
+    with pinned_kernel("dense"):
+        t0 = time.perf_counter()
+        dense_result = random_mapping_distribution(
+            cg, network, n_samples=samples, seed=seed
+        )
+        t_dense = time.perf_counter() - t0
+    with pinned_kernel("sparse"):
+        t0 = time.perf_counter()
+        sparse_result = random_mapping_distribution(
+            cg, network, n_samples=samples, seed=seed
+        )
+        t_sparse = time.perf_counter() - t0
     parity = max(
         float(
             np.abs(dense_result.worst_snr_db - sparse_result.worst_snr_db).max()
@@ -149,7 +175,7 @@ def memory_report(side: int) -> dict:
     """Measured bytes: dense matrix + transpose vs the CSR triplet."""
     network = PhotonicNoC(mesh(side, side))
     problem = MappingProblem(all_to_all_cg(side * side), network, "snr")
-    model = MappingEvaluator(problem, backend="sparse").model
+    model = MappingEvaluator(problem).model
     csr = model.csr()
     dense_bytes = model.coupling_linear.nbytes
     return {
@@ -169,7 +195,7 @@ def report_race(row: dict) -> None:
         f"sparse {row['t_sparse']:.2f}s -> {row['speedup']:.2f}x sparse "
         f"(density {row['density']:.3f}, auto picks {row['auto_backend']!r})"
     )
-    print(f"  backend parity (max |diff| over metrics): {row['parity']:.2e}")
+    print(f"  kernel parity (max |diff| over metrics): {row['parity']:.2e}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -177,7 +203,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--side", type=int, default=8,
         help="mesh side for the uniform-traffic race and the memory "
-             "report (default 8; 10 or 12 stress the dense backend hard)",
+             "report (default 8; 10 or 12 stress the dense kernel hard)",
     )
     parser.add_argument(
         "--samples", type=int, default=32,
@@ -229,7 +255,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         report_race(row)
         if row["parity"] > PARITY_TOLERANCE:
             print(
-                f"FAIL: backends disagree by {row['parity']:.2e} "
+                f"FAIL: kernels disagree by {row['parity']:.2e} "
                 f"(> {PARITY_TOLERANCE:.0e})"
             )
             failed = True
@@ -240,6 +266,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if uniform["auto_backend"] != "sparse":
         print("FAIL: auto did not pick sparse for uniform traffic")
         failed = True
+    for row in rows[1:]:
+        if row["auto_backend"] != "dense":
+            print(f"FAIL: auto did not pick dense for {row['label']}")
+            failed = True
     if args.min_speedup > 0 and uniform["speedup"] < args.min_speedup:
         print(
             f"FAIL: uniform-traffic sparse speedup {uniform['speedup']:.2f}x "
@@ -275,7 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if failed:
         return 1
     if args.quick:
-        print("quick ok: sparse and dense backends agree, density non-trivial")
+        print("quick ok: sparse and dense kernels agree, density non-trivial")
     return 0
 
 

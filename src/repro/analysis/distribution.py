@@ -80,7 +80,6 @@ def random_mapping_distribution(
     batch_size: int = 4096,
     n_workers: int = 1,
     dtype=np.float64,
-    backend: str = "auto",
     evaluator: Optional[MappingEvaluator] = None,
     executor: str = "local",
     routes: int = 1,
@@ -109,17 +108,14 @@ def random_mapping_distribution(
     dtype : numpy dtype-like, optional
         Coupling-matrix dtype (default ``float64``; ``float32`` halves
         both the dense and the CSR coupling memory).
-    backend : {"auto", "dense", "sparse"}, optional
-        Noise-contraction backend of the evaluator (default ``"auto"``,
-        selected by measured coupling density).
     evaluator : MappingEvaluator, optional
         Pre-built evaluator to sample through instead of constructing
-        one (``dtype``, ``backend`` and ``n_workers`` are then taken
-        from it). The service layer passes its coalescing evaluator
-        here, so concurrent distribution requests share merged batch
-        flights; any compliant evaluator yields the same samples —
-        generation depends only on ``seed``, and batch evaluation is
-        row-local — so the result stays bit-identical to the default.
+        one (``dtype`` and ``n_workers`` are then taken from it). The
+        service layer passes its coalescing evaluator here, so
+        concurrent distribution requests share merged batch flights; any
+        compliant evaluator yields the same samples — generation depends
+        only on ``seed``, and batch evaluation is row-local — so the
+        result stays bit-identical to the default.
     routes : int, optional
         Per-pair route-menu size (default 1: base routes only).
         ``routes > 1`` samples joint design vectors — random placements
@@ -138,8 +134,7 @@ def random_mapping_distribution(
     if evaluator is None:
         problem = MappingProblem(cg, network, Objective.SNR, routes=routes)
         evaluator = MappingEvaluator(
-            problem, dtype=dtype, n_workers=n_workers, backend=backend,
-            executor=executor,
+            problem, dtype=dtype, n_workers=n_workers, executor=executor,
         )
     rng = np.random.default_rng(seed)
     snr = np.empty(n_samples, dtype=np.float64)

@@ -132,7 +132,6 @@ def reproduce_fig3(
     router: str = "crux",
     n_workers: int = 1,
     dtype=np.float64,
-    backend: str = "auto",
     executor: str = "local",
     routes: int = 1,
 ) -> Dict[str, DistributionResult]:
@@ -141,8 +140,7 @@ def reproduce_fig3(
     ``n_workers > 1`` shards each application's batch evaluations across
     the persistent worker pool (generation overlaps evaluation); the
     sampled distributions are bit-identical for any worker count.
-    ``dtype`` and ``backend`` configure the evaluator's coupling memory
-    and noise-contraction kernel (see
+    ``dtype`` sets the evaluator's coupling memory (see
     :class:`~repro.core.evaluator.MappingEvaluator`). ``routes > 1``
     samples joint design vectors (placements plus uniform route genes);
     the default 1 reproduces the paper's experiment exactly.
@@ -153,8 +151,8 @@ def reproduce_fig3(
         network = build_case_study_network("mesh", grid_side_for(cg), router)
         results[name] = random_mapping_distribution(
             cg, network, n_samples=n_samples, seed=seed + index,
-            n_workers=n_workers, dtype=dtype, backend=backend,
-            executor=executor, routes=routes,
+            n_workers=n_workers, dtype=dtype, executor=executor,
+            routes=routes,
         )
     return results
 
@@ -263,7 +261,6 @@ def reproduce_table2(
     use_delta: bool = True,
     n_workers: int = 1,
     dtype=np.float64,
-    backend: str = "auto",
     executor: str = "local",
     routes: int = 1,
 ) -> Table2Result:
@@ -275,10 +272,9 @@ def reproduce_table2(
     equal-running-time protocol (DESIGN.md §4). ``n_workers > 1`` runs the
     per-strategy comparisons across a process pool; the results are
     bit-identical to the sequential ones (see :mod:`repro.core.dse`).
-    ``dtype`` and ``backend`` configure each cell's evaluator (coupling
-    memory and noise-contraction kernel). ``routes > 1`` widens every
-    cell's search to the joint mapping x routing space; the default 1
-    reproduces the paper's protocol exactly.
+    ``dtype`` sets the coupling memory of each cell's evaluator.
+    ``routes > 1`` widens every cell's search to the joint mapping x
+    routing space; the default 1 reproduces the paper's protocol exactly.
     """
     cells: Dict[Tuple[str, str, str], Table2Cell] = {}
     for application in applications:
@@ -292,8 +288,7 @@ def reproduce_table2(
                 problem = MappingProblem(cg, network, objective, routes=routes)
                 explorer = DesignSpaceExplorer(
                     problem, dtype=dtype, use_delta=use_delta,
-                    n_workers=n_workers, backend=backend,
-                    executor=executor,
+                    n_workers=n_workers, executor=executor,
                 )
                 results = explorer.compare(strategies, budget=budget, seed=seed)
                 for strategy, result in results.items():

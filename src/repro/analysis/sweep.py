@@ -167,7 +167,6 @@ def sweep_device_points(
     budget: int = 2_000,
     seed: Optional[int] = 0,
     dtype=np.float64,
-    backend: str = "auto",
     use_delta: bool = True,
     n_workers: int = 1,
     model_cache_dir: Optional[str] = None,
@@ -200,7 +199,6 @@ def sweep_device_points(
             dtype=dtype,
             use_delta=use_delta,
             n_workers=n_workers,
-            backend=backend,
             model_cache_dir=model_cache_dir,
         ) as explorer:
             result = explorer.run(strategy, budget=budget, seed=seed)

@@ -12,7 +12,7 @@ These generators produce the common MPSoC traffic shapes:
   requested edge count, reproducible from a seed;
 * :func:`all_to_all_cg` — uniform traffic (every ordered pair), the
   classic NoC stress workload and the edge-dense regime where the
-  evaluator's sparse coupling backend pays off.
+  evaluator picks its sparse noise kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def all_to_all_cg(n_tasks: int, bandwidth: float = 64.0) -> CommunicationGraph:
     The densest possible CG (``n_tasks * (n_tasks - 1)`` edges) — the
     standard uniform-traffic stress pattern of NoC evaluation, and the
     workload where the ``(M, E, E)`` dense noise grid grows quadratically
-    past memory while the sparse coupling backend keeps streaming
+    past memory while the sparse noise kernel keeps streaming
     ``O(nnz)``.
     """
     if n_tasks < 2:

@@ -67,12 +67,6 @@ def _add_evaluator_arguments(parser: argparse.ArgumentParser) -> None:
         help="use float32 coupling matrices (halves dense and CSR memory "
              "at reduced noise precision)",
     )
-    parser.add_argument(
-        "--backend", choices=("auto", "dense", "sparse"), default="auto",
-        help="noise-contraction backend: 'dense' gathers the (M, E, E) "
-             "grid, 'sparse' streams the CSR coupling rows, 'auto' "
-             "(default) picks by measured coupling density",
-    )
     _add_model_cache_argument(parser)
 
 
@@ -234,9 +228,6 @@ def _configure_evaluate(parser: argparse.ArgumentParser) -> None:
         help="print the full mapping report with noise breakdowns",
     )
     _add_objective_arguments(parser)
-    # The same evaluator knobs every other heavy subcommand exposes
-    # (--float32 / --backend / --model-cache) — `evaluate` used to take
-    # only --model-cache and silently score at float64/dense defaults.
     _add_evaluator_arguments(parser)
 
 
@@ -510,9 +501,7 @@ def _cmd_evaluate(args) -> int:
     problem = MappingProblem(
         cg, network, args.objective, variation=_variation_from(args)
     )
-    evaluator = problem.evaluator(
-        dtype=_evaluator_dtype(args), backend=args.backend
-    )
+    evaluator = problem.evaluator(dtype=_evaluator_dtype(args))
     if args.mapping_json:
         with open(args.mapping_json) as handle:
             placement = json.load(handle)
@@ -556,8 +545,8 @@ def _cmd_optimize(args) -> int:
     )
     explorer = DesignSpaceExplorer(
         problem, dtype=_evaluator_dtype(args), use_delta=not args.no_delta,
-        n_workers=args.workers, backend=args.backend,
-        model_cache_dir=args.model_cache, executor=args.executor,
+        n_workers=args.workers, model_cache_dir=args.model_cache,
+        executor=args.executor,
     )
     result = explorer.run(args.strategy, budget=args.budget, seed=args.seed)
     objective_line = f"objective: {problem.objective.value}"
@@ -591,7 +580,6 @@ def _cmd_table2(args) -> int:
         use_delta=not args.no_delta,
         n_workers=args.workers,
         dtype=_evaluator_dtype(args),
-        backend=args.backend,
         executor=args.executor,
         routes=args.routes,
     )
@@ -603,7 +591,7 @@ def _cmd_fig3(args) -> int:
     results = reproduce_fig3(
         applications=args.apps, n_samples=args.samples, seed=args.seed,
         n_workers=args.workers, dtype=_evaluator_dtype(args),
-        backend=args.backend, executor=args.executor, routes=args.routes,
+        executor=args.executor, routes=args.routes,
     )
     print(format_fig3(results))
     if args.curves:
@@ -642,7 +630,6 @@ def _cmd_sweep(args) -> int:
         budget=args.budget,
         seed=args.seed,
         dtype=_evaluator_dtype(args),
-        backend=args.backend,
         use_delta=not args.no_delta,
         n_workers=args.workers,
         model_cache_dir=args.model_cache,

@@ -65,8 +65,8 @@ Fallback to full evaluation happens in exactly three places:
 * strategies constructed with ``use_delta=False`` skip this module
   entirely and score candidates through ``evaluate_batch``.
 
-Backend awareness (PR 4): when the wrapped evaluator resolved to the
-sparse contraction backend, the dense row sums ``R[q] = sum_e C[q,
+Kernel awareness (PR 4): when the wrapped evaluator resolved to the
+sparse noise kernel, the dense row sums ``R[q] = sum_e C[q,
 pairs[e]]`` are produced by consuming the CSR rows of the coupling model
 (:meth:`~repro.models.coupling.CouplingCSR.row_dots` against the
 incumbent's pair counts) instead of walking rows of the dense transpose,
@@ -178,7 +178,7 @@ class DeltaEvaluator:
         self._routes = evaluator.routes
         self._edges = evaluator._edges
         self._E = len(self._edges)
-        # Sparse-backend evaluators share their CSR arrays: row sums come
+        # Sparse-kernel evaluators share their CSR arrays: row sums come
         # from CSR row dots instead of dense-transpose walks, so the
         # O(n_pairs^2) transpose is never materialized in sparse mode.
         self._csr = evaluator._csr if evaluator.backend == "sparse" else None

@@ -91,12 +91,6 @@ class DesignSpaceExplorer:
     chains of decomposable strategies in :meth:`run`; see the module
     docstring for the determinism contract.
 
-    ``backend`` selects the noise-contraction implementation of the
-    underlying :class:`~repro.core.evaluator.MappingEvaluator`
-    (``"auto"``, ``"dense"`` or ``"sparse"``); the resolved choice also
-    keys the worker pools, so pool workers run the parent's kernel and
-    parallel runs stay bit-identical to sequential ones per backend.
-
     ``model_cache_dir`` names an on-disk coupling-model cache: the
     explorer's evaluator loads the precomputed matrices as memory maps
     when the architecture was built before (and persists fresh builds),
@@ -110,7 +104,6 @@ class DesignSpaceExplorer:
         dtype=np.float64,
         use_delta: bool = True,
         n_workers: int = 1,
-        backend: str = "auto",
         model_cache_dir: Optional[str] = None,
         executor: str = "local",
     ) -> None:
@@ -119,7 +112,6 @@ class DesignSpaceExplorer:
         self.evaluator = MappingEvaluator(
             problem,
             dtype=dtype,
-            backend=backend,
             model_cache_dir=model_cache_dir,
             executor=executor,
         )
@@ -130,11 +122,6 @@ class DesignSpaceExplorer:
         self.executor = self.evaluator.executor
         self.use_delta = bool(use_delta)
         self.n_workers = self._check_workers(n_workers)
-
-    @property
-    def backend(self) -> str:
-        """The resolved contraction backend (``"dense"`` or ``"sparse"``)."""
-        return self.evaluator.backend
 
     @staticmethod
     def _check_workers(n_workers: int) -> int:
@@ -264,7 +251,6 @@ class DesignSpaceExplorer:
                 self.problem,
                 self.dtype,
                 n_workers,
-                self.backend,
                 model_cache_dir=self.model_cache_dir,
                 executor=self.executor,
             ),

@@ -28,10 +28,9 @@ O(E * affected edges) — falling back to the full path here on resets,
 periodic refreshes, and ``use_delta=False``. Evaluation counts are
 charged to this evaluator either way.
 
-Dense and sparse contraction backends (PR 4)
---------------------------------------------
-The noise contraction has two interchangeable implementations, selected
-by the ``backend`` constructor argument:
+Dense and sparse noise kernels (PR 4)
+-------------------------------------
+The noise contraction has two interchangeable kernels:
 
 * ``"dense"`` gathers the ``(M, E, E)`` coupling grid out of the dense
   ``O(n_pairs^2)`` matrix and contracts it against the serialization
@@ -46,11 +45,13 @@ by the ``backend`` constructor argument:
   ``O(E^2)`` gathers, which wins for edge-dense graphs — uniform /
   all-to-all traffic on 8x8+ meshes — where the dense grid barely fits
   in memory.
-* ``"auto"`` (the default) measures the model's nonzero count and picks
-  sparse when ``SPARSE_AUTO_FACTOR * E^2 >= nnz`` (the empirically
-  calibrated crossover of the two kernels' per-mapping cost).
 
-Either backend is bit-identical to itself for any ``n_workers`` (all
+:func:`noise_kernel` picks the kernel from measured density alone —
+sparse when ``SPARSE_AUTO_FACTOR * E^2 >= nnz`` — so every process
+evaluating a problem resolves the same one, exposed as
+:attr:`MappingEvaluator.backend`.
+
+Either kernel is bit-identical to itself for any ``n_workers`` (all
 reductions are row-local), and the two agree to tight tolerance — see
 ``tests/core/test_sparse_backend.py``.
 
@@ -95,6 +96,7 @@ __all__ = [
     "BatchMetrics",
     "PendingBatch",
     "MappingEvaluator",
+    "noise_kernel",
 ]
 
 #: Target bytes per evaluation chunk (keeps the (M, E, E) gather bounded).
@@ -104,9 +106,6 @@ _CHUNK_BYTES = 64 * 1024 * 1024
 #: more than the numpy work it ships, so batch submission falls back to
 #: the inline path (results are bit-identical either way).
 MIN_SHARD_ROWS = 64
-
-#: Recognized contraction backends.
-BACKENDS = ("auto", "dense", "sparse")
 
 def _row_sum(table: np.ndarray) -> np.ndarray:
     """Sum over the last axis with a batch-size-independent order.
@@ -127,12 +126,23 @@ def _row_sum(table: np.ndarray) -> np.ndarray:
     return out
 
 
-#: ``backend="auto"`` picks the sparse contraction when
+#: :func:`noise_kernel` picks the sparse contraction when
 #: ``SPARSE_AUTO_FACTOR * E^2 >= nnz``: the sparse kernel streams ~nnz
 #: coupling values per mapping while the dense kernel gathers ~E^2, and
 #: a streamed element costs roughly half a gathered one (measured on the
 #: 8x8-mesh races of ``benchmarks/bench_sparse_backend.py``).
 SPARSE_AUTO_FACTOR = 2.0
+
+
+def noise_kernel(model: CouplingModel, n_edges: int) -> str:
+    """The noise kernel (``"dense"`` or ``"sparse"``) for ``n_edges`` edges.
+
+    Evaluators and local pools call it through this module, so every
+    process resolves the same kernel for the same problem.
+    """
+    if SPARSE_AUTO_FACTOR * n_edges * n_edges >= model.nnz:
+        return "sparse"
+    return "dense"
 
 
 @dataclass(frozen=True)
@@ -268,7 +278,7 @@ class PendingBatch:
 
 
 class _SparseModelState:
-    """Per-sample CSR state for sparse-backend variation scoring.
+    """Per-sample CSR state for sparse-kernel variation scoring.
 
     The weight/row-dot scratch buffers are shared across models (they
     are sized by ``n_pairs``, identical for every sample of one
@@ -306,10 +316,6 @@ class MappingEvaluator:
         :meth:`submit_batch` (default 1, fully sequential). Any value
         yields bit-identical metrics; larger values only pay off for
         large batches (thousands of rows).
-    backend : {"auto", "dense", "sparse"}, optional
-        Noise-contraction implementation (default ``"auto"``: measured
-        density decides — see the module docstring). The resolved choice
-        is exposed as :attr:`backend` (never ``"auto"``).
     model_cache_dir : str, optional
         On-disk coupling-model cache directory (default: the process
         default of :func:`repro.models.coupling.get_model_cache_dir`).
@@ -328,8 +334,6 @@ class MappingEvaluator:
     evaluations : int
         Number of mapping evaluations charged so far (see
         :meth:`reset_count`).
-    backend : str
-        The resolved contraction backend, ``"dense"`` or ``"sparse"``.
     """
 
     def __init__(
@@ -337,7 +341,6 @@ class MappingEvaluator:
         problem: MappingProblem,
         dtype=np.float64,
         n_workers: int = 1,
-        backend: str = "auto",
         model_cache_dir: Optional[str] = None,
         executor: str = "local",
     ) -> None:
@@ -372,8 +375,8 @@ class MappingEvaluator:
         self._bandwidths = self.cg.bandwidth_array()
         self._bandwidth_weights = self._bandwidths / self._bandwidths.sum()
         self.n_workers = self._check_workers(n_workers)
-        self.backend = self._resolve_backend(backend)
-        if self.backend == "sparse":
+        self._backend = noise_kernel(self.model, len(self._edges))
+        if self._backend == "sparse":
             self._csr = self.model.csr()
             self._conf_idx, self._conf_w = self._conflict_tables()
             n_pairs = self.model.n_pairs
@@ -399,7 +402,7 @@ class MappingEvaluator:
                 )
                 for params in sample_params
             )
-            if self.backend == "sparse":
+            if self._backend == "sparse":
                 self._sample_sparse = tuple(
                     _SparseModelState(model) for model in self._sample_models
                 )
@@ -426,18 +429,10 @@ class MappingEvaluator:
             raise MappingError(f"n_workers must be >= 1, got {n_workers}")
         return n_workers
 
-    def _resolve_backend(self, backend: str) -> str:
-        """Validate ``backend`` and resolve ``"auto"`` by measured density."""
-        if backend not in BACKENDS:
-            raise MappingError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
-        if backend != "auto":
-            return backend
-        n_edges = len(self._edges)
-        if SPARSE_AUTO_FACTOR * n_edges * n_edges >= self.model.nnz:
-            return "sparse"
-        return "dense"
+    @property
+    def backend(self) -> str:
+        """The noise kernel :func:`noise_kernel` picked for this problem."""
+        return self._backend
 
     def _conflict_tables(self):
         """Padded per-victim tables of serialized aggressor edges.
@@ -616,7 +611,6 @@ class MappingEvaluator:
                 self.problem,
                 self.dtype,
                 workers,
-                self.backend,
                 model_cache_dir=self.model_cache_dir,
                 executor=self.executor,
             ),
@@ -732,7 +726,7 @@ class MappingEvaluator:
         per victim edge. Both the matvec (sequential within a CSR row)
         and the conflict sum (last-axis reduction of width K) have
         reduction orders independent of chunk and shard boundaries, so
-        the sparse backend keeps the bit-identical-for-any-``n_workers``
+        the sparse kernel keeps the bit-identical-for-any-``n_workers``
         guarantee.
 
         The subtraction cancels exactly-equal magnitudes for victims

@@ -321,15 +321,15 @@ class FanOut:
 class LocalProcessBackend(ExecutorBackend):
     """One reusable :class:`ProcessPoolExecutor` plus its wiring.
 
-    Workers are initialized once with the problem, the coupling dtype,
-    the resolved contraction backend and the on-disk model cache
-    directory; afterwards every submitted task — whole strategy runs,
-    independent chains, or batch shards — finds its evaluator warm in
-    the worker process. The constructor resolves the problem's coupling
-    model and builds the arrays this backend's evaluators read (the
-    dense transpose, or the CSR triplet of a sparse pool) before the
-    pool forks its workers at the first submit, so every worker shares
-    the parent's copies instead of rebuilding them.
+    Workers are initialized once with the problem, the coupling dtype
+    and the on-disk model cache directory; afterwards every submitted
+    task — whole strategy runs, independent chains, or batch shards —
+    finds its evaluator warm in the worker process. The constructor
+    resolves the problem's coupling model and builds the arrays its
+    evaluators' noise kernel reads (the dense transpose, or the CSR
+    triplet when :func:`repro.core.evaluator.noise_kernel` picks
+    sparse) before the pool forks its workers at the first submit, so
+    every worker shares the parent's copies instead of rebuilding them.
 
     Not instantiated directly; use :func:`repro.core.pool.get_pool`.
     """
@@ -343,16 +343,15 @@ class LocalProcessBackend(ExecutorBackend):
         problem,
         dtype,
         n_workers: int,
-        backend: str = "dense",
         model_cache_dir: Optional[str] = None,
     ):
+        from repro.core import evaluator as _evaluator
         from repro.core import parallel as _parallel
         from repro.models.coupling import CouplingModel
 
         super().__init__(key, n_workers)
         self.problem = problem
         self.dtype = np.dtype(dtype)
-        self.backend = str(backend)
         self.model_cache_dir = model_cache_dir
         model = CouplingModel.for_network(
             problem.network,
@@ -362,14 +361,14 @@ class LocalProcessBackend(ExecutorBackend):
         )
         # The first submit forks the workers: build what their evaluators
         # read now, so they all share the parent's copy.
-        if self.backend == "sparse":
+        if _evaluator.noise_kernel(model, problem.cg.n_edges) == "sparse":
             model.csr()
         else:
             model.coupling_linear_T
         self._executor = ProcessPoolExecutor(
             max_workers=self.n_workers,
             initializer=_parallel._init_worker,
-            initargs=(problem, self.dtype.name, self.backend, model_cache_dir),
+            initargs=(problem, self.dtype.name, model_cache_dir),
         )
 
     @property
@@ -420,7 +419,6 @@ class InlineBackend(ExecutorBackend):
         problem,
         dtype,
         n_workers: int = 1,
-        backend: str = "dense",
         model_cache_dir: Optional[str] = None,
     ):
         from repro.core import parallel as _parallel
@@ -429,7 +427,6 @@ class InlineBackend(ExecutorBackend):
         super().__init__(key, n_workers)
         self.problem = problem
         self.dtype = np.dtype(dtype)
-        self.backend = str(backend)
         # Resolve the model eagerly (cache hit when the caller's
         # evaluator exists already) so context evaluators build fast.
         CouplingModel.for_network(
@@ -439,7 +436,7 @@ class InlineBackend(ExecutorBackend):
             routes=problem.routes,
         )
         self._context = _parallel.WorkerContext(
-            problem, self.dtype, self.backend, model_cache_dir
+            problem, self.dtype, model_cache_dir
         )
         self._closed = False
 

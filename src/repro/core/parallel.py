@@ -16,8 +16,8 @@
 The heavy read-only state — the :class:`~repro.models.coupling.CouplingModel`
 matrices — reaches a worker the way it reaches every evaluator, through
 :meth:`CouplingModel.for_network` by cache key. A local pool resolves the
-model (plus the transpose or CSR arrays its backend reads) before its
-workers fork, so each worker finds it in the inherited process cache,
+model (plus the transpose or CSR arrays its noise kernel reads) before
+its workers fork, so each worker finds it in the inherited process cache,
 copy-on-write, and never pickles or rebuilds the O(n_pairs^2) coupling
 matrix. A worker that did not fork from the parent, such as a
 ``phonocmap worker``, loads the model from its context's on-disk cache
@@ -138,12 +138,11 @@ class WorkerContext:
 
     A context is everything :func:`run_strategy_task` and
     :func:`evaluate_shard_task` need to run: the problem, the coupling
-    dtype, the resolved contraction backend, the on-disk model cache
-    directory its evaluators resolve models against (``None``: the
-    process default), and a per-objective evaluator cache (evaluators
-    are built lazily — one warm context serves e.g. both the SNR and
-    the power-loss pass of a Table II cell, because executors are keyed
-    objective-free).
+    dtype, the on-disk model cache directory its evaluators resolve
+    models against (``None``: the process default), and a per-objective
+    evaluator cache (evaluators are built lazily — one warm context
+    serves e.g. both the SNR and the power-loss pass of a Table II cell,
+    because executors are keyed objective-free).
 
     Where a context lives depends on the backend: a pool worker process
     holds exactly one (installed by :func:`_init_worker`); the inline
@@ -156,12 +155,10 @@ class WorkerContext:
         self,
         problem: MappingProblem,
         dtype,
-        backend: str = "dense",
         model_cache_dir: Optional[str] = None,
     ):
         self.problem = problem
         self.dtype = np.dtype(dtype)
-        self.backend = str(backend)
         self.model_cache_dir = model_cache_dir
         self.evaluators: Dict[object, MappingEvaluator] = {}
 
@@ -185,7 +182,6 @@ class WorkerContext:
             evaluator = MappingEvaluator(
                 target,
                 dtype=self.dtype,
-                backend=self.backend,
                 model_cache_dir=self.model_cache_dir,
             )
             self.evaluators[objective] = evaluator
@@ -236,24 +232,20 @@ def current_context() -> WorkerContext:
 
 
 def _init_worker(
-    problem: MappingProblem,
-    dtype_name: str,
-    backend: str = "dense",
-    model_cache_dir=None,
+    problem: MappingProblem, dtype_name: str, model_cache_dir=None
 ) -> None:
     """Pool initializer: install the process context.
 
     The context's evaluators resolve the coupling model lazily through
     :meth:`~repro.models.coupling.CouplingModel.for_network`: a forked
     worker finds it in the process cache it inherited, any other worker
-    loads it from ``model_cache_dir`` or rebuilds it. ``backend`` is the
-    parent evaluator's *resolved* contraction backend (never
-    ``"auto"``): worker evaluators must run the same kernel as the
-    parent for shard results to be bit-identical to the inline path.
+    loads it from ``model_cache_dir`` or rebuilds it. Each resolves the
+    noise kernel from the same CG and model as the parent, so shard
+    results are bit-identical to the inline path.
     """
     global _PROCESS_CONTEXT
     _PROCESS_CONTEXT = WorkerContext(
-        problem, np.dtype(dtype_name), backend, model_cache_dir
+        problem, np.dtype(dtype_name), model_cache_dir
     )
 
 

@@ -12,9 +12,10 @@ This module owns the executors instead:
 
 * :func:`get_pool` returns a lazily created
   :class:`~repro.core.executor.ExecutorBackend` keyed on
-  ``(communication graph, network signature, coupling dtype, backend,
-  n_workers, executor spec)`` — everything the worker-side evaluator
-  depends on *except* the objective. Workers cache one evaluator per
+  ``(communication graph, network signature, coupling dtype, variation
+  fingerprint, n_workers, executor spec)`` — everything the worker-side
+  evaluator depends on *except* the objective (the noise kernel follows
+  from the CG and the model). Workers cache one evaluator per
   objective (see :func:`repro.core.parallel.worker_evaluator`), so the
   two objective passes of a Table II cell reuse one warm pool. The
   executor spec (``"local"`` / ``"inline"`` / ``"tcp://HOST:PORT"``)
@@ -60,6 +61,7 @@ from repro.core.problem import MappingProblem
 __all__ = [
     "MAX_POOLS",
     "executor_stats",
+    "flight_key",
     "get_pool",
     "pool_key",
     "release_pools",
@@ -115,11 +117,27 @@ def _network_key(problem: MappingProblem) -> str:
     return signature
 
 
+def flight_key(problem: MappingProblem, dtype) -> Tuple:
+    """The objective-free prefix of every pool key.
+
+    ``(CG fingerprint, network signature, coupling dtype, variation
+    fingerprint)``. The objective is excluded, so objective flips reuse
+    the warm pool and the service coalesces requests of any objective
+    into one flight; the variation fingerprint (empty without a plan)
+    decides which tables workers produce, so plans never mix.
+    """
+    return (
+        _cg_fingerprint(problem),
+        _network_key(problem),
+        np.dtype(dtype).name,
+        problem.variation_fingerprint,
+    )
+
+
 def pool_key(
     problem: MappingProblem,
     dtype,
     n_workers: int,
-    backend: str = "dense",
     executor: str = "local",
 ) -> Tuple:
     """The cache key of the pool serving ``problem`` at ``dtype``.
@@ -127,46 +145,23 @@ def pool_key(
     Parameters
     ----------
     problem : MappingProblem
-        The problem whose CG and network the workers must hold. The
-        objective is deliberately **excluded**: workers evaluate any
-        objective on demand, so objective flips reuse the warm pool.
+        The problem whose CG and network the workers must hold (see
+        :func:`flight_key` for what of it enters the key).
     dtype : numpy dtype-like
         Coupling-matrix dtype of the evaluators the workers build.
     n_workers : int
         Pool size; pools of different sizes never alias.
-    backend : str, optional
-        Resolved contraction backend of the worker evaluators
-        (``"dense"`` or ``"sparse"``, never ``"auto"`` — callers resolve
-        first so worker results are bit-identical to the parent's).
-        Pools of different backends never alias: their workers read
-        different arrays (the dense transpose or the CSR triplet).
     executor : str, optional
         Executor spec (``"local"`` / ``"inline"`` / ``"tcp://…"``,
-        see :func:`repro.core.executor.parse_executor_spec`). Appended
-        as the *last* key component, so the objective-free prefix
-        ``key[:5]`` the service coalescer groups on — and every
-        key-index filter of :func:`release_pools` — keeps its shape.
+        see :func:`repro.core.executor.parse_executor_spec`).
 
     Returns
     -------
     tuple
-        Hashable key for :data:`_POOLS`.
-
-    Notes
-    -----
-    The problem's **variation fingerprint** (empty string when no
-    variation plan is attached) sits at index 4: it is objective-free in
-    the same sense as the rest of the key — workers score any objective
-    from the metric tables — but it decides *which* tables the workers
-    produce (the robust column exists only under a variation plan), so
-    pools and coalesced flights must never mix plans.
+        Hashable key for :data:`_POOLS`: :func:`flight_key` followed by
+        ``n_workers`` and the executor spec.
     """
-    return (
-        _cg_fingerprint(problem),
-        _network_key(problem),
-        np.dtype(dtype).name,
-        str(backend),
-        problem.variation_fingerprint,
+    return flight_key(problem, dtype) + (
         int(n_workers),
         parse_executor_spec(executor),
     )
@@ -195,31 +190,25 @@ def _build_backend(
     problem: MappingProblem,
     dtype,
     n_workers: int,
-    backend: str,
     model_cache_dir: Optional[str],
     executor: str,
 ) -> ExecutorBackend:
     """Instantiate the backend class an executor spec names."""
     if executor == "inline":
-        return InlineBackend(
-            key, problem, dtype, n_workers, backend, model_cache_dir
-        )
+        return InlineBackend(key, problem, dtype, n_workers, model_cache_dir)
     if executor.startswith("tcp://"):
         from repro.distributed.scheduler import RemoteTcpBackend
 
         return RemoteTcpBackend(
-            key, problem, dtype, n_workers, backend, model_cache_dir, executor
+            key, problem, dtype, n_workers, model_cache_dir, executor
         )
-    return LocalProcessBackend(
-        key, problem, dtype, n_workers, backend, model_cache_dir
-    )
+    return LocalProcessBackend(key, problem, dtype, n_workers, model_cache_dir)
 
 
 def get_pool(
     problem: MappingProblem,
     dtype,
     n_workers: int,
-    backend: str = "dense",
     model_cache_dir: Optional[str] = None,
     executor: str = "local",
 ) -> ExecutorBackend:
@@ -238,11 +227,6 @@ def get_pool(
         shard/chain decomposition knob (the determinism contract's
         ``n_workers``) while the number of *connected* workers only
         affects placement.
-    backend : str, optional
-        Resolved contraction backend for the worker evaluators
-        (``"dense"`` or ``"sparse"``); decides whether a local pool
-        builds the dense transpose or the CSR triplet before its workers
-        fork.
     model_cache_dir : str, optional
         On-disk model cache directory handed to the worker initializer
         (so a worker that did not fork from the parent loads the
@@ -269,7 +253,7 @@ def get_pool(
     never stack generations of live worker processes.
     """
     executor = parse_executor_spec(executor)
-    key = pool_key(problem, dtype, n_workers, backend, executor)
+    key = pool_key(problem, dtype, n_workers, executor)
     with _LOCK:
         pool = _POOLS.get(key)
         if pool is not None:
@@ -279,7 +263,7 @@ def get_pool(
             _POOLS.pop(key, None)
             pool.close(wait=True)
         pool = _build_backend(
-            key, problem, dtype, n_workers, backend, model_cache_dir, executor
+            key, problem, dtype, n_workers, model_cache_dir, executor
         )
         _register_pool(key, pool)
         return pool
@@ -288,7 +272,6 @@ def get_pool(
 def release_pools(
     problem: Optional[MappingProblem] = None,
     dtype=None,
-    backend: Optional[str] = None,
 ) -> int:
     """Shut down pools matching the given filters (all pools when none).
 
@@ -302,10 +285,6 @@ def release_pools(
         network are closed; pools for other problems stay warm.
     dtype : numpy dtype-like, optional
         Restrict the match to pools of this coupling dtype.
-    backend : str, optional
-        Restrict the match to pools of this resolved contraction
-        backend (``"dense"`` or ``"sparse"`` — backend is part of the
-        pool key, so mixed-backend tenants can be evicted selectively).
 
     Returns
     -------
@@ -317,7 +296,6 @@ def release_pools(
         fingerprint = _cg_fingerprint(problem)
         signature = _network_key(problem)
     dtype_name = None if dtype is None else np.dtype(dtype).name
-    backend_name = None if backend is None else str(backend)
     with _LOCK:
         victims = []
         for key in _POOLS:
@@ -326,8 +304,6 @@ def release_pools(
             ):
                 continue
             if dtype_name is not None and key[2] != dtype_name:
-                continue
-            if backend_name is not None and key[3] != backend_name:
                 continue
             victims.append(key)
         pools = [_POOLS.pop(key) for key in victims]
@@ -357,7 +333,9 @@ def executor_stats() -> dict:
     One :meth:`~repro.core.executor.ExecutorBackend.info` dict per
     registered backend plus cross-backend totals — the executor section
     of the service ``stats`` endpoint. Registry stand-ins without an
-    ``info`` method (tests plant fakes) are skipped.
+    ``info`` method (tests plant fakes) are skipped. Task counts sum
+    each backend's own; TCP backends sharing a hub share its fleet, so
+    each hub address's connected workers count once.
     """
     with _LOCK:
         pools = list(_POOLS.values())
@@ -369,6 +347,7 @@ def executor_stats() -> dict:
         "workers": 0,
         "degraded": False,
     }
+    hub_workers = {}
     for pool in pools:
         info_method = getattr(pool, "info", None)
         if info_method is None:
@@ -378,7 +357,12 @@ def executor_stats() -> dict:
         totals["tasks_dispatched"] += info.get("tasks_dispatched", 0)
         totals["tasks_retried"] += info.get("tasks_retried", 0)
         totals["tasks_degraded"] += info.get("tasks_degraded", 0)
-        totals["workers"] += info.get("workers_connected", info.get("n_workers", 0))
+        hub = info.get("hub")
+        if hub is None:
+            totals["workers"] += info.get("n_workers", 0)
+        else:
+            hub_workers[hub["address"]] = hub["workers_connected"]
         if info.get("degraded"):
             totals["degraded"] = True
+    totals["workers"] += sum(hub_workers.values())
     return {"backends": backends, "totals": totals}

@@ -102,13 +102,13 @@ class MappingProblem:
             routes=self.routes,
         )
 
-    def evaluator(self, dtype=None, backend: str = "auto") -> "MappingEvaluator":
+    def evaluator(self, dtype=None) -> "MappingEvaluator":
         """Build the (matrix-backed) evaluator for this problem."""
         from repro.core.evaluator import MappingEvaluator
 
         if dtype is None:
-            return MappingEvaluator(self, backend=backend)
-        return MappingEvaluator(self, dtype=dtype, backend=backend)
+            return MappingEvaluator(self)
+        return MappingEvaluator(self, dtype=dtype)
 
     def __repr__(self) -> str:
         variation = (

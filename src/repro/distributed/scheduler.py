@@ -271,7 +271,7 @@ class WorkerHub:
 
     # -- the backend-facing surface ------------------------------------------
 
-    def register_context(self, ctx_id: str, problem, dtype, backend: str) -> None:
+    def register_context(self, ctx_id: str, problem, dtype) -> None:
         """Make a context available for worker-side initialization."""
         with self._lock:
             if ctx_id not in self._contexts:
@@ -280,7 +280,6 @@ class WorkerHub:
                     "ctx_id": ctx_id,
                     "problem": wire.encode_payload(problem),
                     "dtype": np.dtype(dtype).name,
-                    "backend": str(backend),
                 }
 
     def ensure_worker(self, timeout: Optional[float] = None) -> None:
@@ -659,8 +658,8 @@ class RemoteTcpBackend(ExecutorBackend):
 
     Registered in the pool registry like any other backend
     (``get_pool(..., executor="tcp://HOST:PORT")``). On construction it
-    registers its execution context — the pickled problem, dtype and
-    contraction backend — with the hub; it resolves no coupling model,
+    registers its execution context — the pickled problem and the
+    coupling dtype — with the hub; it resolves no coupling model,
     because each worker resolves its own by cache key. ``n_workers``
     remains the logical shard/chain count; the hub's connected-worker
     count only affects placement.
@@ -687,7 +686,6 @@ class RemoteTcpBackend(ExecutorBackend):
         problem,
         dtype,
         n_workers: int,
-        backend: str = "dense",
         model_cache_dir: Optional[str] = None,
         executor: str = "tcp://127.0.0.1:0",
         on_worker_loss: Optional[str] = None,
@@ -697,7 +695,6 @@ class RemoteTcpBackend(ExecutorBackend):
         super().__init__(key, n_workers)
         self.problem = problem
         self.dtype = np.dtype(dtype)
-        self.backend = str(backend)
         self.model_cache_dir = model_cache_dir
         self.spec = parse_executor_spec(executor)
         self.hub = get_hub(self.spec)
@@ -710,7 +707,7 @@ class RemoteTcpBackend(ExecutorBackend):
         self._fallback_lock = threading.Lock()
         self._fallback_backend: Optional[ExecutorBackend] = None
         self._ctx_id = hashlib.sha1(repr(key).encode()).hexdigest()[:16]
-        self.hub.register_context(self._ctx_id, problem, self.dtype, self.backend)
+        self.hub.register_context(self._ctx_id, problem, self.dtype)
 
     @staticmethod
     def _resolve_degrade_to(explicit: Optional[str]) -> str:
@@ -789,7 +786,6 @@ class RemoteTcpBackend(ExecutorBackend):
                         self.problem,
                         self.dtype,
                         self.n_workers,
-                        self.backend,
                         self.model_cache_dir,
                     )
                 except Exception:
@@ -800,7 +796,6 @@ class RemoteTcpBackend(ExecutorBackend):
                     self.problem,
                     self.dtype,
                     self.n_workers,
-                    self.backend,
                     self.model_cache_dir,
                 )
             return self._fallback_backend
@@ -811,11 +806,13 @@ class RemoteTcpBackend(ExecutorBackend):
         return not self.broken and not self._closed
 
     def info(self) -> dict:
+        """This backend's own counters, with its hub's fleet-wide ones
+        (shared by every TCP backend at the address) nested under ``hub``."""
         info = super().info()
-        info.update(self.hub.stats())
         fallback = self._fallback_backend
         info.update(
             {
+                "hub": self.hub.stats(),
                 "on_worker_loss": self.on_worker_loss,
                 "degrade_to": self.degrade_to,
                 "degraded": self.degraded,

@@ -7,13 +7,13 @@ newline-JSON wire protocol (:mod:`repro.distributed.wire`):
 ``init``
     Carries a pickled :class:`~repro.core.problem.MappingProblem`
     (23-73 KB for the paper's meshes — CG plus network netlist, never
-    coupling matrices) plus dtype / contraction backend. The worker
-    decodes it into a :class:`~repro.core.parallel.WorkerContext` and
-    replies ``ready``. The context's evaluator gets the coupling model
-    on the first task the way every evaluator does, through
-    :meth:`~repro.models.coupling.CouplingModel.for_network` by cache
-    key: the process cache, then this worker's ``--model-cache``, then
-    a build saved there. So a cold worker spends its first task on the
+    coupling matrices) plus the coupling dtype. The worker decodes it
+    into a :class:`~repro.core.parallel.WorkerContext` and replies
+    ``ready``. The context's evaluator gets the coupling model (and from
+    it the noise kernel) on the first task the way every evaluator does,
+    through :meth:`~repro.models.coupling.CouplingModel.for_network` by
+    cache key: the process cache, then this worker's ``--model-cache``,
+    then a build saved there. So a cold worker spends its first task on the
     build (seconds on an 8x8 mesh), and a soft ``task_deadline_s`` must
     exceed that unless the cache is warm.
 
@@ -209,7 +209,6 @@ def _serve_connection(
                 contexts[ctx_id] = _parallel.WorkerContext(
                     wire.decode_payload(message["problem"]),
                     np.dtype(message["dtype"]),
-                    message.get("backend", "dense"),
                     model_cache_dir,
                 )
                 wire.write_message(wfile, {"op": "ready", "ctx_id": ctx_id})

@@ -22,7 +22,7 @@ zero), a substantial fraction of ``coupling_linear`` is exactly ``0.0`` —
 around 55-77 % on the meshes of the paper's case studies. :meth:`CouplingModel.csr`
 exposes the same physics as a compressed-sparse-row triplet
 (``indptr``/``indices``/``values``, victim-major, columns sorted), which
-the evaluator's sparse backend streams instead of gathering from the
+the evaluator's sparse noise kernel streams instead of gathering from the
 dense ``O(n_pairs^2)`` matrix.
 
 The matrices encode pure physics: *every* pair of simultaneously active
@@ -645,7 +645,7 @@ class CouplingModel:
         The delta evaluator gathers ``coupling_linear[v, a]`` with ``a``
         fixed and ``v`` running over a victim set; on the row-major
         ``coupling_linear`` that walk is one cache miss per element, on
-        the transpose it stays inside one row. Only dense-backend delta
+        the transpose it stays inside one row. Only dense-kernel delta
         engines of SNR-family objectives pay the doubled memory:
         loss-family engines keep no noise state and never read it. A
         dense local pool builds it before its workers fork, so they all
@@ -658,7 +658,7 @@ class CouplingModel:
     def csr(self) -> CouplingCSR:
         """Victim-major CSR triplet of :attr:`coupling_linear`, built lazily.
 
-        The sparse evaluator backend streams these arrays instead of
+        The evaluator's sparse noise kernel streams these arrays instead of
         gathering the dense ``(M, E, E)`` grid, and the delta evaluator
         consumes the rows in place of dense-transpose column walks; only
         sparse users pay the extra ``O(nnz)`` memory. A sparse local pool
@@ -673,9 +673,10 @@ class CouplingModel:
     def nnz(self) -> int:
         """Number of nonzero couplings (one matrix scan, cached).
 
-        Deliberately cheaper than :meth:`csr`: ``backend="auto"``
-        evaluators read this on every construction, and most of them
-        resolve to the dense backend without ever needing the CSR arrays.
+        Deliberately cheaper than :meth:`csr`: every evaluator reads this
+        on construction to pick its noise kernel
+        (:func:`repro.core.evaluator.noise_kernel`), and most of them
+        resolve to the dense kernel without ever needing the CSR arrays.
         """
         if self._csr is not None:
             return self._csr.nnz
@@ -687,11 +688,11 @@ class CouplingModel:
     def density(self) -> float:
         """Nonzero fraction of the coupling matrix (0.0 to 1.0).
 
-        The statistic behind the evaluator's ``backend="auto"`` rule: the
-        sparse contraction streams ``nnz = density * n_pairs^2`` values
-        per evaluated mapping, the dense one gathers ``E^2``, so sparsity
-        only pays off once the communication graph is edge-dense enough
-        (see :meth:`repro.core.evaluator.MappingEvaluator`).
+        The statistic behind :func:`repro.core.evaluator.noise_kernel`:
+        the sparse contraction streams ``nnz = density * n_pairs^2``
+        values per evaluated mapping, the dense one gathers ``E^2``, so
+        sparsity only pays off once the communication graph is
+        edge-dense enough.
         """
         size = float(self.n_pairs * self.n_pairs)
         return self.nnz / size if size else 0.0
@@ -928,7 +929,7 @@ class CouplingModel:
             model.coupling_linear = arrays["coupling_linear"]
             model._coupling_T = None
             model._csr = None
-            # nnz ships in the metadata: auto-backend evaluators resolve
+            # nnz ships in the metadata: evaluators pick their noise kernel
             # without faulting the whole memory-mapped matrix in.
             nnz = meta.get("nnz")
             model._nnz = int(nnz) if nnz is not None else None

@@ -2,8 +2,8 @@
 
 The daemon's defining optimization: concurrent requests that resolve to
 the **same objective-free pool key** — CG fingerprint, network
-signature, coupling dtype, resolved backend, variation fingerprint;
-exactly the key :func:`repro.core.pool.pool_key` was designed around —
+signature, coupling dtype, variation fingerprint; exactly
+:func:`repro.core.pool.flight_key`, the prefix of every pool key —
 have their batch-shardable work merged into shared
 :meth:`~repro.core.evaluator.MappingEvaluator.submit_batch` flights.
 (The variation fingerprint matters: it decides the wire table set, so

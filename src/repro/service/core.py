@@ -29,7 +29,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.evaluator import MappingEvaluator
-from repro.core.pool import pool_key
+from repro.core.pool import flight_key
 from repro.core.registry import create_strategy
 from repro.core.result import OptimizationResult
 from repro.errors import ExecutorError, ReproError, ServiceError
@@ -288,22 +288,19 @@ class ServiceCore:
             evaluator = CoalescingEvaluator(
                 problem,
                 dtype=request.dtype,
-                backend=request.backend,
                 model_cache_dir=self.model_cache_dir,
                 executor=self.executor,
             )
-            # The objective-free pool key (minus n_workers / executor):
-            # requests agreeing on it — including the variation
-            # fingerprint, which decides the wire table set — can share
-            # flights whatever their objective.
-            key = pool_key(problem, request.dtype, 1, evaluator.backend)[:5]
+            # Requests agreeing on the objective-free pool key — including
+            # the variation fingerprint, which decides the wire table set —
+            # can share flights whatever their objective.
+            key = flight_key(problem, request.dtype)
             coalescer = self._coalescers.get(key)
             if coalescer is None:
                 shared = MappingEvaluator(
                     problem,
                     dtype=request.dtype,
                     n_workers=self.n_workers,
-                    backend=evaluator.backend,
                     model_cache_dir=self.model_cache_dir,
                     executor=self.executor,
                 )
@@ -318,7 +315,6 @@ class ServiceCore:
                     "network": problem.network.signature.split("|params")[0],
                     "params": problem.network.params.content_hash[:12],
                     "dtype": str(np.dtype(request.dtype).name),
-                    "backend": evaluator.backend,
                     "variation": problem.variation_fingerprint,
                     "routes": problem.routes,
                 }
@@ -330,7 +326,7 @@ class ServiceCore:
 
         Same strategy construction, the same ``np.random.default_rng``
         stream from the request seed and the same evaluation accounting
-        as ``DesignSpaceExplorer(problem, dtype=, backend=,
+        as ``DesignSpaceExplorer(problem, dtype=,
         use_delta=).run(strategy, budget=, seed=)`` — the coalescing
         evaluator changes where batch rows are scored, never their
         values — so the response is bit-identical to the offline run.
@@ -388,8 +384,8 @@ class ServiceCore:
     def _handle_evaluate(self, request: ServiceRequest) -> dict:
         """Score explicit or random mappings; offline: ``evaluate_batch``.
 
-        Offline counterpart: ``MappingEvaluator(problem, dtype=,
-        backend=).evaluate_batch(assignments)`` with random rows drawn
+        Offline counterpart: ``MappingEvaluator(problem,
+        dtype=).evaluate_batch(assignments)`` with random rows drawn
         by ``random_assignment_batch`` from the request seed — the
         service returns the identical per-row metric vectors.
         """

@@ -12,9 +12,8 @@ A request is one JSON object. Common fields:
     Network spec, same semantics as the CLI: ``mesh`` (default) or
     ``torus``, ``side`` defaulting to the smallest square fitting the
     application, ``router`` defaulting to ``crux``.
-``dtype`` / ``backend``
-    ``"float64"`` (default) or ``"float32"``; ``"auto"`` (default) /
-    ``"dense"`` / ``"sparse"``.
+``dtype``
+    ``"float64"`` (default) or ``"float32"``.
 ``seed``
     Integer or null. Responses are **bit-identical to the equivalent
     offline run with the same seed** (see ``docs/ARCHITECTURE.md``).
@@ -26,10 +25,10 @@ A request is one JSON object. Common fields:
     bit-identical to requests without the field.
 
 Kind-specific fields: ``optimize`` takes ``strategy`` / ``budget`` /
-``objective`` / ``use_delta``; ``distribution`` takes ``samples`` /
-``batch_size``; ``evaluate`` takes either explicit ``mappings`` (a list
-of task->tile assignment rows) or ``n_random`` + ``seed``, plus
-``objective``.
+``objective`` / ``use_delta`` (a JSON boolean); ``distribution`` takes
+``samples`` / ``batch_size``; ``evaluate`` takes either explicit
+``mappings`` (a list of task->tile assignment rows) or ``n_random`` +
+``seed``, plus ``objective``.
 
 Variation fields (``variation_samples`` / ``variation_sigma`` /
 ``variation_seed`` / ``variation_quantile``) configure the
@@ -103,7 +102,6 @@ class ServiceRequest:
     objective: Objective = Objective.SNR
     variation: Optional[VariationSpec] = None
     dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float64))
-    backend: str = "auto"
     seed: Optional[int] = None
     routes: int = 1
     # optimize
@@ -201,12 +199,6 @@ def parse_request(
         f"field 'dtype' must be one of {sorted(_DTYPES)}, got {dtype_name!r}",
     )
     request.dtype = np.dtype(_DTYPES[dtype_name])
-    request.backend = payload.get("backend", "auto")
-    _require(
-        request.backend in ("auto", "dense", "sparse"),
-        f"field 'backend' must be 'auto', 'dense' or 'sparse', "
-        f"got {request.backend!r}",
-    )
     request.seed = _int_field(payload, "seed", None, minimum=0)
     request.routes = _int_field(payload, "routes", default_routes, minimum=1)
 
@@ -230,7 +222,12 @@ def parse_request(
             kind="unknown_strategy",
         )
         request.budget = _int_field(payload, "budget", 20_000)
-        request.use_delta = bool(payload.get("use_delta", True))
+        request.use_delta = payload.get("use_delta", True)
+        _require(
+            isinstance(request.use_delta, bool),
+            f"field 'use_delta' must be true or false, "
+            f"got {request.use_delta!r}",
+        )
     elif kind == "distribution":
         request.samples = _int_field(payload, "samples", 100_000)
         request.batch_size = _int_field(payload, "batch_size", 4096)

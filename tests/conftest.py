@@ -9,8 +9,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.evaluator as evaluator_module
 from repro.appgraph import load_benchmark, pipeline_cg
 from repro.core import MappingEvaluator, MappingProblem, Objective
+from repro.core.pool import shutdown_pools
 from repro.noc import Floorplan, PhotonicNoC, line, mesh, torus
 from repro.photonics import PhysicalParameters
 
@@ -74,3 +76,25 @@ def pip_evaluator(pip_cg, mesh3_network):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture()
+def pin_kernel(monkeypatch):
+    """``pin_kernel(kernel)`` makes every evaluator built after it run
+    ``kernel`` ("dense" or "sparse"), whatever the density rule of
+    :func:`repro.core.evaluator.noise_kernel` would pick.
+
+    Forked pool workers and in-thread TCP workers inherit the pin;
+    separate worker processes do not. Pools key on the problem, not on
+    the kernel, so every pool is shut down before each pin and at
+    teardown: no pool built under one kernel serves another.
+    """
+
+    def pin(kernel):
+        shutdown_pools()
+        monkeypatch.setattr(
+            evaluator_module, "noise_kernel", lambda model, n_edges: kernel
+        )
+
+    yield pin
+    shutdown_pools()

@@ -32,10 +32,10 @@ CASES = [
 ]
 
 
-def _evaluator(request, cg_name, topology, objective="snr", backend="auto"):
+def _evaluator(request, cg_name, topology, objective="snr"):
     network = request.getfixturevalue(topology)
     problem = MappingProblem(load_benchmark(cg_name), network, objective)
-    return MappingEvaluator(problem, backend=backend)
+    return MappingEvaluator(problem)
 
 
 def _full_scores(evaluator, assignment, moves):
@@ -99,16 +99,19 @@ class TestRandomWalkParity:
     [("vopd", "mesh4_network"), ("mpeg4", "torus4_network")],
 )
 class TestSparseBackendParity:
-    """CSR rows drive ``score_moves``/``commit`` (evaluator backend="sparse").
+    """CSR rows drive ``score_moves``/``commit`` (sparse kernel, pinned).
 
     In sparse mode the delta engine's dense row sums come from CSR row
     dots instead of dense-transpose walks, and commits update them with
     strided column gathers; the walk below proves the incremental scores
-    still track full (sparse-backend) evaluation move for move.
+    still track full (sparse-kernel) evaluation move for move.
     """
 
-    def test_walk_matches_full_evaluation(self, request, cg_name, topology):
-        evaluator = _evaluator(request, cg_name, topology, backend="sparse")
+    def test_walk_matches_full_evaluation(
+        self, pin_kernel, request, cg_name, topology
+    ):
+        pin_kernel("sparse")
+        evaluator = _evaluator(request, cg_name, topology)
         assert evaluator.backend == "sparse"
         engine = DeltaEvaluator(evaluator)
         assert engine._csr is not None  # CSR rows, not coupling_linear_T
@@ -136,9 +139,13 @@ class TestSparseBackendParity:
             )
             assert committed == pytest.approx(reference, abs=TOLERANCE)
 
-    def test_sparse_and_dense_engines_agree(self, request, cg_name, topology):
-        sparse_ev = _evaluator(request, cg_name, topology, backend="sparse")
-        dense_ev = _evaluator(request, cg_name, topology, backend="dense")
+    def test_sparse_and_dense_engines_agree(
+        self, pin_kernel, request, cg_name, topology
+    ):
+        pin_kernel("sparse")
+        sparse_ev = _evaluator(request, cg_name, topology)
+        pin_kernel("dense")
+        dense_ev = _evaluator(request, cg_name, topology)
         sparse_engine = DeltaEvaluator(sparse_ev)
         dense_engine = DeltaEvaluator(dense_ev)
         rng = np.random.default_rng(23)

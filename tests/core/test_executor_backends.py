@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 from concurrent.futures import BrokenExecutor, Future
 
@@ -33,6 +34,7 @@ from repro.core.executor import (
 from repro.core.mapping import random_assignment_batch
 from repro.core.pool import (
     executor_stats,
+    flight_key,
     get_pool,
     pool_key,
     release_pools,
@@ -111,13 +113,13 @@ class TestPoolKey:
         assert inline[-1] == "inline"
 
     def test_objective_free_prefix_is_stable(self, problem):
-        # The service coalescer groups on key[:5]; appending the
-        # executor spec must not have changed that prefix's meaning.
-        key = pool_key(problem, np.float64, 1, "dense")
+        # The service coalescer groups on flight_key, the prefix every
+        # pool key extends with n_workers and the executor spec.
+        key = pool_key(problem, np.float64, 1)
+        assert key[:4] == flight_key(problem, np.float64)
         assert key[2] == "float64"
-        assert key[3] == "dense"
-        assert key[4] == ""  # no variation spec on this problem
-        assert len(key) == 7
+        assert key[3] == ""  # no variation spec on this problem
+        assert len(key) == 6
 
     def test_variation_fingerprint_in_the_key(self, problem):
         from repro.photonics import VariationSpec
@@ -128,11 +130,11 @@ class TestPoolKey:
             "robust_snr",
             variation=VariationSpec(n_samples=4, seed=3),
         )
-        key = pool_key(varied, np.float64, 1, "dense")
-        assert key[4] == varied.variation_fingerprint
-        assert key[4].startswith("n=4,")
+        key = pool_key(varied, np.float64, 1)
+        assert key[3] == varied.variation_fingerprint
+        assert key[3].startswith("n=4,")
         # The fingerprint is objective-free context: same spec, same slot.
-        assert key[:4] == pool_key(problem, np.float64, 1, "dense")[:4]
+        assert key[:3] == pool_key(problem, np.float64, 1)[:3]
 
     def test_tcp_spec_is_normalized_into_the_key(self, problem):
         key = pool_key(problem, np.float64, 2, executor="tcp://h:9")
@@ -141,19 +143,19 @@ class TestPoolKey:
 
 class TestInlineBackend:
     def test_get_pool_dispatches_to_inline(self, problem):
-        pool = get_pool(problem, np.float64, 2, "dense", executor="inline")
+        pool = get_pool(problem, np.float64, 2, executor="inline")
         assert isinstance(pool, InlineBackend)
         assert pool.kind == "inline"
         # Same spec: same instance. Different spec: different backend.
-        assert get_pool(problem, np.float64, 2, "dense", executor="inline") is pool
-        local = get_pool(problem, np.float64, 2, "dense")
+        assert get_pool(problem, np.float64, 2, executor="inline") is pool
+        local = get_pool(problem, np.float64, 2)
         assert isinstance(local, LocalProcessBackend)
         assert local is not pool
 
     def test_inline_futures_complete_synchronously(self, problem):
         from repro.core.parallel import evaluate_shard_task
 
-        pool = get_pool(problem, np.float64, 2, "dense", executor="inline")
+        pool = get_pool(problem, np.float64, 2, executor="inline")
         rows = _rows(problem, 8, seed=1)
         future = pool.submit(evaluate_shard_task, rows)
         assert future.done()
@@ -166,19 +168,19 @@ class TestInlineBackend:
     def test_inline_task_error_does_not_break_the_backend(self, problem):
         from repro.core.parallel import evaluate_shard_task
 
-        pool = get_pool(problem, np.float64, 2, "dense", executor="inline")
+        pool = get_pool(problem, np.float64, 2, executor="inline")
         future = pool.submit(evaluate_shard_task, "not an array")
         assert future.exception() is not None
         assert not pool.broken  # task-level failure, not executor-level
 
     def test_closed_inline_backend_is_replaced(self, problem):
-        pool = get_pool(problem, np.float64, 2, "dense", executor="inline")
+        pool = get_pool(problem, np.float64, 2, executor="inline")
         pool.close()
         assert not pool.alive()
         with pytest.raises(RuntimeError):
             pool.submit(os.getpid)
         assert pool.broken  # submit-time failure marks it
-        rebuilt = get_pool(problem, np.float64, 2, "dense", executor="inline")
+        rebuilt = get_pool(problem, np.float64, 2, executor="inline")
         assert rebuilt is not pool
 
     def test_evaluator_inline_matches_sequential(self, problem):
@@ -195,7 +197,7 @@ class TestInlineBackend:
 
 class TestExecutorStats:
     def test_stats_snapshot_live_backends(self, problem):
-        get_pool(problem, np.float64, 2, "dense", executor="inline")
+        get_pool(problem, np.float64, 2, executor="inline")
         stats = executor_stats()
         kinds = [entry["kind"] for entry in stats["backends"]]
         assert "inline" in kinds
@@ -203,6 +205,50 @@ class TestExecutorStats:
             "tasks_dispatched", "tasks_retried", "workers",
             "tasks_degraded", "degraded",
         }
+
+    def test_tcp_backends_sharing_a_hub_count_it_once(self, problem):
+        # Two TCP pools on one hub and one in-thread worker: each
+        # backend reports its own tasks, and the shared fleet counts once.
+        from repro.core.parallel import evaluate_shard_task
+        from repro.distributed.scheduler import get_hub
+        from repro.distributed.worker import run_worker
+
+        shutdown_pools()
+        hub = get_hub("tcp://127.0.0.1:0")
+        spec = f"tcp://127.0.0.1:{hub.port}"
+        worker = threading.Thread(
+            target=run_worker, args=(f"127.0.0.1:{hub.port}",), daemon=True
+        )
+        worker.start()
+        pip_cg = load_benchmark("pip")
+        pip = MappingProblem(
+            pip_cg,
+            build_case_study_network("mesh", grid_side_for(pip_cg), "crux"),
+            "snr",
+        )
+        try:
+            pools = []
+            for served in (pip, problem):
+                pool = get_pool(served, np.float64, 2, executor=spec)
+                futures = [
+                    pool.submit(evaluate_shard_task, _rows(served, 4, seed))
+                    for seed in range(3)
+                ]
+                for future in futures:
+                    future.result(timeout=60)
+                pools.append(pool)
+            assert [pool.info()["tasks_dispatched"] for pool in pools] == [3, 3]
+            totals = executor_stats()["totals"]
+            assert totals["tasks_dispatched"] == 6
+            assert totals["workers"] == 1
+            hub_stats = pools[0].info()["hub"]
+            assert hub_stats["tasks_dispatched"] == 6
+            assert hub_stats["workers_connected"] == 1
+        finally:
+            shutdown_pools()
+            hub.close()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
 
     def test_stats_skips_registry_stand_ins(self, problem):
         class Fake:
@@ -298,7 +344,7 @@ class TestBrokenPoolRecovery:
         # futures fail with BrokenProcessPool and the pending batch must
         # transparently resubmit against the rebuilt pool.
         pool = get_pool(
-            problem, np.float64, 2, evaluator.backend,
+            problem, np.float64, 2,
             model_cache_dir=evaluator.model_cache_dir,
         )
         _kill_one_pool_worker(pool)
@@ -309,7 +355,7 @@ class TestBrokenPoolRecovery:
         )
         assert pool.broken
         rebuilt = get_pool(
-            problem, np.float64, 2, evaluator.backend,
+            problem, np.float64, 2,
             model_cache_dir=evaluator.model_cache_dir,
         )
         assert rebuilt is not pool
@@ -334,7 +380,7 @@ class TestBrokenPoolRecovery:
             problem, n_workers=2, executor="inline"
         ).compare(["rs", "ga"], budget=400, seed=13)
         pool = get_pool(
-            problem, np.float64, 2, explorer.backend,
+            problem, np.float64, 2,
             model_cache_dir=explorer.model_cache_dir,
         )
         _kill_one_pool_worker(pool)
@@ -351,7 +397,7 @@ class TestBrokenPoolRecovery:
             "sa", budget=600, seed=21
         )
         pool = get_pool(
-            problem, np.float64, 2, explorer.backend,
+            problem, np.float64, 2,
             model_cache_dir=explorer.model_cache_dir,
         )
         _kill_one_pool_worker(pool)

@@ -189,14 +189,17 @@ class TestJointVectors:
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
 class TestRoutedDeltaParity:
-    def test_mixed_walk_matches_full_evaluation(self, torus4_network, backend):
+    def test_mixed_walk_matches_full_evaluation(
+        self, torus4_network, backend, pin_kernel
+    ):
         """Seeded walk over the joint neighbourhood: every sampled
         neighbourhood (mapping and reroute moves together) and every
         committed incumbent scores identically under delta and full."""
         problem = MappingProblem(
             load_benchmark("pip"), torus4_network, routes=3
         )
-        evaluator = MappingEvaluator(problem, backend=backend)
+        pin_kernel(backend)
+        evaluator = MappingEvaluator(problem)
         engine = DeltaEvaluator(evaluator)
         rng = np.random.default_rng(29)
         vector = evaluator.random_vector(rng)
@@ -218,11 +221,12 @@ class TestRoutedDeltaParity:
         final_full = float(evaluator.evaluate_batch(vector[None, :]).score[0])
         assert final_delta == pytest.approx(final_full, abs=TOLERANCE)
 
-    def test_reroute_only_walk(self, torus4_network, backend):
+    def test_reroute_only_walk(self, torus4_network, backend, pin_kernel):
         problem = MappingProblem(
             load_benchmark("pip"), torus4_network, routes=3
         )
-        evaluator = MappingEvaluator(problem, backend=backend)
+        pin_kernel(backend)
+        evaluator = MappingEvaluator(problem)
         engine = DeltaEvaluator(evaluator)
         rng = np.random.default_rng(31)
         vector = evaluator.random_vector(rng)
@@ -310,16 +314,16 @@ class TestJointStrategies:
 class TestRoutedPoolKey:
     def test_routes_fork_the_pool_key(self, torus4_network):
         cg = load_benchmark("pip")
-        plain = pool_key(MappingProblem(cg, torus4_network), np.float64, 1, "dense")
+        plain = pool_key(MappingProblem(cg, torus4_network), np.float64, 1)
         routed = pool_key(
-            MappingProblem(cg, torus4_network, routes=3), np.float64, 1, "dense"
+            MappingProblem(cg, torus4_network, routes=3), np.float64, 1
         )
         assert plain != routed
 
     def test_k1_pool_key_is_legacy(self, torus4_network):
         cg = load_benchmark("pip")
         key = pool_key(
-            MappingProblem(cg, torus4_network, routes=1), np.float64, 1, "dense"
+            MappingProblem(cg, torus4_network, routes=1), np.float64, 1
         )
         assert not any("routes" in str(part) for part in key)
 
@@ -343,10 +347,7 @@ class TestRoutedPools:
         evaluator = MappingEvaluator(problem)
         try:
             for executor in ("local", "inline"):
-                pool = get_pool(
-                    problem, evaluator.dtype, 2, evaluator.backend,
-                    executor=executor,
-                )
+                pool = get_pool(problem, evaluator.dtype, 2, executor=executor)
                 assert pool.submit(_worker_model_routes).result() == 3
             assert coupling_module.BUILD_COUNT - before == 1
         finally:

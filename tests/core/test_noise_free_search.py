@@ -26,8 +26,9 @@ STRATEGIES = ("rs", "ga", "r-pbla", "sa", "tabu")
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
 @pytest.mark.parametrize("objective", LOSS_FAMILY, ids=lambda obj: obj.value)
 def test_search_runs_noise_kernels_only_for_the_final_evaluate(
-    objective, backend, pip_cg, mesh3_network, monkeypatch
+    objective, backend, pip_cg, mesh3_network, monkeypatch, pin_kernel
 ):
+    pin_kernel(backend)
     calls = []
     for name in ("_dense_noise", "_sparse_noise"):
         original = getattr(MappingEvaluator, name)
@@ -38,7 +39,7 @@ def test_search_runs_noise_kernels_only_for_the_final_evaluate(
 
         monkeypatch.setattr(MappingEvaluator, name, counted)
     explorer = DesignSpaceExplorer(
-        MappingProblem(pip_cg, mesh3_network, objective), backend=backend
+        MappingProblem(pip_cg, mesh3_network, objective)
     )
     results = explorer.compare(STRATEGIES, budget=400, seed=3)
     assert all(result.evaluations > 1 for result in results.values())
@@ -56,8 +57,9 @@ def test_loss_engine_scores_exactly_without_the_transpose(
     a freshly built model's lazy transpose stays unbuilt."""
     monkeypatch.setattr(coupling_module, "_CACHE", {})  # fresh model build
     evaluator = MappingEvaluator(
-        MappingProblem(pip_cg, mesh3_network, objective), backend="dense"
+        MappingProblem(pip_cg, mesh3_network, objective)
     )
+    assert evaluator.backend == "dense"
     assert evaluator.model._coupling_T is None
     engine = DeltaEvaluator(evaluator, refresh_interval=3)
     rng = np.random.default_rng(41)

@@ -210,14 +210,17 @@ class TestDeterminism:
 
 
 class TestBackendParity:
-    def test_dense_and_sparse_agree(self, objective, pip_cg, mesh3_network):
-        """The backends agree at either precision, and each one's
+    def test_dense_and_sparse_agree(
+        self, objective, pip_cg, mesh3_network, pin_kernel
+    ):
+        """The kernels agree at either precision, and each one's
         ``score_only`` score is its own full score byte for byte."""
         for dtype in DTYPES:
             scores = {}
             for backend in ("dense", "sparse"):
+                pin_kernel(backend)
                 evaluator = _evaluator(
-                    pip_cg, mesh3_network, objective, backend=backend, dtype=dtype
+                    pip_cg, mesh3_network, objective, dtype=dtype
                 )
                 rows = _rows(evaluator, 40)
                 scores[backend] = evaluator.evaluate_batch(rows).score
@@ -235,13 +238,14 @@ class TestBackendParity:
             )
 
     def test_sparse_is_chunk_invariant_too(
-        self, objective, pip_cg, mesh3_network, monkeypatch
+        self, objective, pip_cg, mesh3_network, monkeypatch, pin_kernel
     ):
-        evaluator = _evaluator(pip_cg, mesh3_network, objective, backend="sparse")
+        pin_kernel("sparse")
+        evaluator = _evaluator(pip_cg, mesh3_network, objective)
         rows = _rows(evaluator, 20)
         expected = evaluator.evaluate_batch(rows).score
         monkeypatch.setattr(evaluator_module, "_CHUNK_BYTES", 1)
-        chunked = _evaluator(pip_cg, mesh3_network, objective, backend="sparse")
+        chunked = _evaluator(pip_cg, mesh3_network, objective)
         np.testing.assert_array_equal(
             chunked.evaluate_batch(rows).score, expected
         )

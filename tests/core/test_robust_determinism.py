@@ -37,20 +37,20 @@ def rows(robust_problem):
 @pytest.fixture(scope="module")
 def reference(robust_problem, rows):
     """Sequential dense single-worker scores: the grid's ground truth."""
-    return MappingEvaluator(robust_problem, backend="dense").evaluate_batch(
-        rows
-    ).score
+    evaluator = MappingEvaluator(robust_problem)
+    assert evaluator.backend == "dense"
+    return evaluator.evaluate_batch(rows).score
 
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
 @pytest.mark.parametrize("executor", ["inline", "local"])
 @pytest.mark.parametrize("n_workers", [1, 2, 3])
 def test_robust_scores_identical_across_the_grid(
-    robust_problem, rows, reference, backend, executor, n_workers
+    robust_problem, rows, reference, backend, executor, n_workers, pin_kernel
 ):
+    pin_kernel(backend)
     evaluator = MappingEvaluator(
         robust_problem,
-        backend=backend,
         executor=executor,
         n_workers=n_workers,
     )
@@ -69,13 +69,12 @@ def test_robust_scores_identical_across_the_grid(
 
 @pytest.mark.parametrize("backend", ["dense", "sparse"])
 def test_sharded_robust_is_bit_identical_to_sequential(
-    robust_problem, rows, backend
+    robust_problem, rows, backend, pin_kernel
 ):
-    """Same backend, 1 vs 3 workers: zero bits of drift."""
-    sequential = MappingEvaluator(robust_problem, backend=backend)
-    sharded = MappingEvaluator(
-        robust_problem, backend=backend, n_workers=3, executor="local"
-    )
+    """Same kernel, 1 vs 3 workers: zero bits of drift."""
+    pin_kernel(backend)
+    sequential = MappingEvaluator(robust_problem)
+    sharded = MappingEvaluator(robust_problem, n_workers=3, executor="local")
     try:
         np.testing.assert_array_equal(
             sharded.evaluate_batch(rows, min_shard_rows=1).score,

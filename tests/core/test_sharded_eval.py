@@ -296,8 +296,8 @@ class TestReleaseFilters:
         yield
         pool_registry._POOLS.clear()
 
-    def _plant(self, problem, dtype=np.float64, backend="dense", n_workers=2):
-        key = pool_registry.pool_key(problem, dtype, n_workers, backend)
+    def _plant(self, problem, dtype=np.float64, n_workers=2):
+        key = pool_registry.pool_key(problem, dtype, n_workers)
         pool = _FakePool()
         pool_registry._POOLS[key] = pool
         return key, pool
@@ -310,14 +310,6 @@ class TestReleaseFilters:
         assert key64 in pool_registry._POOLS
         assert pool32.closed_with is True  # reaped before shm unlink
         assert pool64.closed_with is None
-
-    def test_backend_filter_keeps_other_backends_warm(self, problem):
-        key_dense, _ = self._plant(problem, backend="dense")
-        key_sparse, sparse_pool = self._plant(problem, backend="sparse")
-        assert pool_registry.release_pools(backend="sparse") == 1
-        assert key_sparse not in pool_registry._POOLS
-        assert key_dense in pool_registry._POOLS
-        assert sparse_pool.closed_with is True
 
     def test_unfiltered_release_clears_everything(self, problem):
         self._plant(problem, dtype=np.float64)
@@ -345,7 +337,7 @@ class TestReleaseFilters:
         def churn(dtype):
             try:
                 for _ in range(50):
-                    key = pool_registry.pool_key(problem, dtype, 2, "dense")
+                    key = pool_registry.pool_key(problem, dtype, 2)
                     pool_registry._register_pool(key, _FakePool())
                     pool_registry.release_pools(problem, dtype=dtype)
             except Exception as error:  # pragma: no cover - failure path

@@ -1,18 +1,24 @@
-"""Parity and invariance oracle for the sparse (CSR) coupling backend.
+"""Parity and invariance oracle for the sparse (CSR) noise kernel.
 
 The contract (module docstring of :mod:`repro.core.evaluator`):
 
-* sparse and dense backends agree on every metric to tight tolerance on
+* sparse and dense kernels agree on every metric to tight tolerance on
   randomized batches, across topologies and coupling dtypes — float64 to
   1e-9, float32 to the float32 contraction's own rounding scale;
 * victims whose true masked noise is exactly zero hit the SNR cap under
-  **both** backends (the sparse kernel's cancellation guard);
-* each backend is bit-identical to itself for any ``n_workers`` and any
+  **both** kernels (the sparse kernel's cancellation guard);
+* each kernel is bit-identical to itself for any ``n_workers`` and any
   chunking — shard and chunk boundaries never change a value;
-* ``backend="auto"`` resolves by the measured density crossover, and the
-  resolved backend decides the worker-pool key (pools of different
-  backends never alias, so workers always run the parent's kernel).
+* :func:`~repro.core.evaluator.noise_kernel` picks the kernel by the
+  measured density crossover, and every worker — local pool, inline
+  context, TCP worker — resolves the parent's kernel without being told.
+
+Tests that need the kernel the rule would not pick for their input pin
+it with the ``pin_kernel`` fixture (``tests/conftest.py``).
 """
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +34,9 @@ from repro.core import (
 from repro.core import pool as pool_registry
 from repro.core.evaluator import SPARSE_AUTO_FACTOR
 from repro.core.mapping import random_assignment_batch
-from repro.errors import MappingError
+from repro.core.parallel import evaluate_shard_task
+from repro.distributed import worker as worker_module
+from repro.distributed.scheduler import get_hub
 from repro.models import coupling as coupling_module
 
 #: Absolute agreement demanded from float64 backends on dB metrics.
@@ -41,11 +49,19 @@ CASES = [
 ]
 
 
-def _pair(request, cg_name, topology, dtype=np.float64):
+def _pair(pin_kernel, request, cg_name, topology, dtype=np.float64):
     network = request.getfixturevalue(topology)
     problem = MappingProblem(load_benchmark(cg_name), network, "snr")
-    dense = MappingEvaluator(problem, dtype=dtype, backend="dense")
-    sparse = MappingEvaluator(problem, dtype=dtype, backend="sparse")
+    return _kernel_pair(pin_kernel, problem, dtype=dtype)
+
+
+def _kernel_pair(pin_kernel, problem, dtype=np.float64):
+    """One inline evaluator per kernel for ``problem``."""
+    pin_kernel("dense")
+    dense = MappingEvaluator(problem, dtype=dtype)
+    pin_kernel("sparse")
+    sparse = MappingEvaluator(problem, dtype=dtype)
+    assert (dense.backend, sparse.backend) == ("dense", "sparse")
     return dense, sparse
 
 
@@ -69,10 +85,19 @@ def _worker_model_probe(backend):
     return coupling_module.BUILD_COUNT, _derived_array(model, backend).ctypes.data
 
 
+def _kernel_probe(*_):
+    """Pool task: the noise kernel of the worker's evaluator."""
+    from repro.core.parallel import worker_evaluator
+
+    return worker_evaluator().backend
+
+
 @pytest.mark.parametrize("cg_name,topology", CASES)
 class TestBackendParity:
-    def test_float64_metrics_agree_to_1e9(self, request, cg_name, topology):
-        dense, sparse = _pair(request, cg_name, topology)
+    def test_float64_metrics_agree_to_1e9(
+        self, pin_kernel, request, cg_name, topology
+    ):
+        dense, sparse = _pair(pin_kernel, request, cg_name, topology)
         batch = _batch(dense, 120)
         md = dense.evaluate_batch(batch)
         ms = sparse.evaluate_batch(batch)
@@ -88,13 +113,15 @@ class TestBackendParity:
         )
 
     def test_float32_metrics_agree_to_f32_rounding(
-        self, request, cg_name, topology
+        self, pin_kernel, request, cg_name, topology
     ):
         # The two backends accumulate the same float32 products in
         # different orders (the sparse kernel even promotes to float64),
         # so agreement is bounded by float32 rounding of the noise sum —
         # ~1e-6 relative, i.e. ~1e-5 dB — not by 1e-9.
-        dense, sparse = _pair(request, cg_name, topology, dtype=np.float32)
+        dense, sparse = _pair(
+            pin_kernel, request, cg_name, topology, dtype=np.float32
+        )
         batch = _batch(dense, 80)
         md = dense.evaluate_batch(batch)
         ms = sparse.evaluate_batch(batch)
@@ -106,9 +133,9 @@ class TestBackendParity:
         )
 
     def test_single_evaluation_matches_batch_paths(
-        self, request, cg_name, topology
+        self, pin_kernel, request, cg_name, topology
     ):
-        dense, sparse = _pair(request, cg_name, topology)
+        dense, sparse = _pair(pin_kernel, request, cg_name, topology)
         assignment = _batch(dense, 1)[0]
         es = sparse.evaluate(assignment, with_edges=True)
         ed = dense.evaluate(assignment, with_edges=True)
@@ -124,15 +151,16 @@ class TestBackendParity:
 
 
 class TestExactZeroNoise:
-    def test_isolated_edges_hit_the_cap_in_both_backends(self, mesh4_network):
+    def test_isolated_edges_hit_the_cap_in_both_backends(
+        self, pin_kernel, mesh4_network
+    ):
         # Two isolated communications: every victim's masked noise is a
         # sum of exactly-zero couplings for corner placements. The sparse
         # kernel's dense-minus-conflicts form would leave ~1e-19 residue
         # without its guard and miss the SNR cap by tens of dB.
         cg = CommunicationGraph("iso", ["a", "b", "c", "d"], [(0, 1), (2, 3)])
         problem = MappingProblem(cg, mesh4_network, "snr")
-        dense = MappingEvaluator(problem, backend="dense")
-        sparse = MappingEvaluator(problem, backend="sparse")
+        dense, sparse = _kernel_pair(pin_kernel, problem)
         batch = _batch(dense, 200, seed=5)
         md = dense.evaluate_batch(batch)
         ms = sparse.evaluate_batch(batch)
@@ -144,13 +172,14 @@ class TestExactZeroNoise:
             ms.worst_snr_db, md.worst_snr_db, rtol=TOLERANCE, atol=TOLERANCE
         )
 
-    def test_single_edge_cg_evaluates_in_both_backends(self, mesh3_network):
+    def test_single_edge_cg_evaluates_in_both_backends(
+        self, pin_kernel, mesh3_network
+    ):
         # E == 1: the victim's only aggressor is itself (masked), so the
         # noise is exactly zero and every table is one column wide.
         cg = CommunicationGraph("one", ["a", "b"], [(0, 1)])
         problem = MappingProblem(cg, mesh3_network, "snr")
-        for backend in ("dense", "sparse"):
-            evaluator = MappingEvaluator(problem, backend=backend)
+        for evaluator in _kernel_pair(pin_kernel, problem):
             metrics = evaluator.evaluate_batch(_batch(evaluator, 16, seed=2))
             assert metrics.score.shape == (16,)
             assert (metrics.worst_snr_db == SNR_CAP_DB).all()
@@ -161,7 +190,7 @@ class TestExactZeroNoise:
 class TestAutoSelection:
     def test_paper_benchmarks_resolve_dense(self, mesh4_network):
         problem = MappingProblem(load_benchmark("vopd"), mesh4_network, "snr")
-        evaluator = MappingEvaluator(problem)  # backend="auto"
+        evaluator = MappingEvaluator(problem)
         assert evaluator.backend == "dense"
         n_edges = len(evaluator._edges)
         assert SPARSE_AUTO_FACTOR * n_edges**2 < evaluator.model.nnz
@@ -173,15 +202,6 @@ class TestAutoSelection:
         assert evaluator.backend == "sparse"
         n_edges = len(evaluator._edges)
         assert SPARSE_AUTO_FACTOR * n_edges**2 >= evaluator.model.nnz
-
-    def test_explicit_backend_overrides_auto(self, mesh3_network):
-        problem = MappingProblem(all_to_all_cg(8), mesh3_network, "snr")
-        assert MappingEvaluator(problem, backend="dense").backend == "dense"
-
-    def test_invalid_backend_rejected(self, mesh3_network):
-        problem = MappingProblem(load_benchmark("pip"), mesh3_network, "snr")
-        with pytest.raises(MappingError, match="backend"):
-            MappingEvaluator(problem, backend="csr")
 
     def test_density_statistic_is_consistent(self, mesh3_network):
         problem = MappingProblem(load_benchmark("pip"), mesh3_network, "snr")
@@ -195,12 +215,17 @@ class TestAutoSelection:
 
 
 class TestSparseDeterminism:
-    """The sparse backend's own bit-identity guarantees."""
+    """The sparse kernel's own bit-identity guarantees.
+
+    Uniform traffic on a 3x3 mesh is dense enough that the density rule
+    picks the sparse kernel by itself: no pin needed.
+    """
 
     @pytest.fixture()
     def sparse_evaluator(self, mesh3_network):
         problem = MappingProblem(all_to_all_cg(8), mesh3_network, "snr")
-        evaluator = MappingEvaluator(problem, backend="sparse")
+        evaluator = MappingEvaluator(problem)
+        assert evaluator.backend == "sparse"
         yield evaluator
         evaluator.close()
 
@@ -233,12 +258,12 @@ class TestSparseDeterminism:
         np.testing.assert_array_equal(sharded.score, sequential.score)
 
     def test_rs_run_bit_identical_across_worker_counts(self, mesh3_network):
-        # The strategy-level analogue of the shard tests: a sparse-backend
+        # The strategy-level analogue of the shard tests: a sparse-kernel
         # explorer's batch-shardable run must reproduce the sequential
         # best/score/count/history exactly for any worker count.
         problem = MappingProblem(all_to_all_cg(8), mesh3_network, "snr")
-        with DesignSpaceExplorer(problem, backend="sparse") as explorer:
-            assert explorer.backend == "sparse"
+        with DesignSpaceExplorer(problem) as explorer:
+            assert explorer.evaluator.backend == "sparse"
             sequential = explorer.run("rs", budget=600, seed=3)
             sharded = explorer.run("rs", budget=600, seed=3, n_workers=2)
             assert sharded.best_score == sequential.best_score
@@ -249,29 +274,91 @@ class TestSparseDeterminism:
             assert sharded.evaluations == sequential.evaluations
             assert sharded.history == sequential.history
 
-    def test_backend_keyed_pools_never_alias(self, mesh3_network):
-        problem = MappingProblem(all_to_all_cg(8), mesh3_network, "snr")
-        key_dense = pool_registry.pool_key(problem, np.float64, 2, "dense")
-        key_sparse = pool_registry.pool_key(problem, np.float64, 2, "sparse")
-        assert key_dense != key_sparse
-
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_pool_workers_reuse_parent_arrays(self, mesh3_network, backend):
+    def test_pool_workers_reuse_parent_arrays(
+        self, pin_kernel, mesh3_network, backend
+    ):
         # The pool builds the array its evaluators read (dense transpose
         # or CSR values) before its workers fork: every worker reads the
         # parent's buffer and never builds a model of its own.
         problem = MappingProblem(all_to_all_cg(8), mesh3_network, "snr")
-        pool_registry.release_pools(problem)
-        with DesignSpaceExplorer(problem, backend=backend) as explorer:
+        pin_kernel(backend)
+        with DesignSpaceExplorer(problem) as explorer:
             evaluator = explorer.evaluator
             evaluator.evaluate_batch(
                 _batch(evaluator, 64), n_workers=2, min_shard_rows=1
             )
             explorer.compare(("sa", "tabu"), budget=200, seed=5, n_workers=2)
-            pool = pool_registry.get_pool(problem, evaluator.dtype, 2, backend)
+            pool = pool_registry.get_pool(problem, evaluator.dtype, 2)
             futures = [pool.submit(_worker_model_probe, backend) for _ in range(4)]
             probes = [future.result() for future in futures]
             parent = _derived_array(evaluator.model, backend)
             for build_count, address in probes:
                 assert build_count == coupling_module.BUILD_COUNT
                 assert address == parent.ctypes.data
+
+
+@pytest.fixture(scope="module")
+def tcp_spec():
+    """A fresh hub served by one in-thread ``run_worker``."""
+    hub = get_hub("tcp://127.0.0.1:0")
+    thread = threading.Thread(
+        target=worker_module.run_worker,
+        args=(f"127.0.0.1:{hub.port}",),
+        daemon=True,
+    )
+    thread.start()
+    deadline = time.monotonic() + 30
+    while hub.workers_connected < 1:
+        assert time.monotonic() < deadline, "worker never connected"
+        time.sleep(0.01)
+    yield f"tcp://127.0.0.1:{hub.port}"
+    pool_registry.shutdown_pools()
+    hub.close()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+class TestWorkersResolveTheParentsKernel:
+    """Nothing tells a worker the kernel: it follows from the problem.
+
+    Unpinned on purpose: pip resolves dense and uniform traffic resolves
+    sparse on the same 3x3 mesh, so each executor must reproduce both.
+    """
+
+    @pytest.mark.parametrize("executor", ["local", "inline", "tcp"])
+    @pytest.mark.parametrize(
+        "application,kernel", [("pip", "dense"), ("all_to_all", "sparse")]
+    )
+    def test_worker_kernel_and_shards_match_the_parent(
+        self, mesh3_network, tcp_spec, monkeypatch, executor, application,
+        kernel,
+    ):
+        cg = (
+            load_benchmark("pip") if application == "pip" else all_to_all_cg(8)
+        )
+        problem = MappingProblem(cg, mesh3_network, "snr")
+        spec = tcp_spec if executor == "tcp" else executor
+        evaluator = MappingEvaluator(problem, n_workers=2, executor=spec)
+        assert evaluator.backend == kernel
+        pool = pool_registry.get_pool(problem, np.float64, 2, executor=spec)
+        if executor == "tcp":
+            # Only registered task functions cross the wire: the
+            # in-thread worker runs the probe under the shard name.
+            with monkeypatch.context() as patch:
+                patch.setitem(
+                    worker_module.TASK_FUNCTIONS, "shard", _kernel_probe
+                )
+                probes = [pool.submit(evaluate_shard_task) for _ in range(2)]
+                kernels = {future.result(timeout=60) for future in probes}
+        else:
+            probes = [pool.submit(_kernel_probe) for _ in range(4)]
+            kernels = {future.result(timeout=60) for future in probes}
+        assert kernels == {kernel}
+        batch = _batch(evaluator, 64, seed=6)
+        sequential = evaluator.evaluate_batch(batch)
+        sharded = evaluator.evaluate_batch(batch, min_shard_rows=1)
+        for name in ("worst_insertion_loss_db", "worst_snr_db", "score"):
+            np.testing.assert_array_equal(
+                getattr(sharded, name), getattr(sequential, name)
+            )

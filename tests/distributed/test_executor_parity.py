@@ -180,7 +180,7 @@ class TestShardParity:
 
 @pytest.fixture
 def hub_frames(monkeypatch):
-    """``(op, bytes)`` of every frame written in this process.
+    """``(op, bytes, field names)`` of every frame written in this process.
 
     The workers are subprocesses, so in this process only the hubs
     write frames.
@@ -190,7 +190,7 @@ def hub_frames(monkeypatch):
 
     def recording(wfile, message):
         size = len(json.dumps(message, separators=(",", ":"))) + 1
-        frames.append((message.get("op"), size))
+        frames.append((message.get("op"), size, set(message)))
         write(wfile, message)
 
     monkeypatch.setattr(wire, "write_message", recording)
@@ -218,16 +218,19 @@ class TestCacheKeyedHydration:
             problem,
             np.float64,
             5,
-            evaluator.backend,
             model_cache_dir=cluster["cache_dir"],
             executor=cluster["spec"],
         )
         assert pool.tasks_dispatched >= 5  # shards really went remote
-        ops = [op for op, _ in hub_frames]
+        ops = [op for op, _, _ in hub_frames]
         assert "model" not in ops
         assert set(ops) <= {"goodbye", "ping", "init", "task"}
-        init_sizes = [size for op, size in hub_frames if op == "init"]
+        init_sizes = [size for op, size, _ in hub_frames if op == "init"]
         assert init_sizes
+        # No kernel on the wire: a worker resolves it from the problem.
+        for op, _, fields in hub_frames:
+            if op == "init":
+                assert fields == {"op", "ctx_id", "problem", "dtype"}
         # The problem ships as its netlist, never its derived path cache
         # (the evaluator above has built every path of this network).
         assert max(init_sizes) < 64 * 1024
@@ -254,7 +257,7 @@ class TestCacheKeyedHydration:
                 executor=spec,
                 model_cache_dir=cluster["cache_dir"],
             ).submit_batch(rows, min_shard_rows=32).tables()
-            assert "model" not in [op for op, _ in hub_frames]
+            assert "model" not in [op for op, _, _ in hub_frames]
             # The worker saved the model it built into its own cache.
             key = CouplingModel.disk_key(problem.network.signature, np.float64)
             assert key in os.listdir(cold_cache)
@@ -325,7 +328,6 @@ class TestProtocolGuards:
             cluster["problem"],
             np.float64,
             2,
-            "dense",
             model_cache_dir=cluster["cache_dir"],
             executor=cluster["spec"],
         )
@@ -338,7 +340,6 @@ class TestProtocolGuards:
             cluster["problem"],
             np.float64,
             2,
-            "dense",
             model_cache_dir=cluster["cache_dir"],
             executor=cluster["spec"],
         )

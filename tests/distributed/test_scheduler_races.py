@@ -108,7 +108,7 @@ def _rows(problem, n=8, seed=5):
 
 def _inline_reference(problem, cache_dir, rows):
     backend = InlineBackend(
-        ("races-ref",), problem, "float64", 2, "dense", cache_dir
+        ("races-ref",), problem, "float64", 2, cache_dir
     )
     try:
         return backend.submit(_parallel.evaluate_shard_task, rows).result()

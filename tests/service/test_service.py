@@ -72,8 +72,27 @@ class TestSchema:
     def test_bad_dtype_and_backend(self):
         with pytest.raises(ServiceError, match="dtype"):
             parse_request({"kind": "evaluate", "app": "pip", "dtype": "f16"})
-        with pytest.raises(ServiceError, match="backend"):
-            parse_request({"kind": "evaluate", "app": "pip", "backend": "gpu"})
+        # The noise kernel is no request field: ``backend`` is ignored
+        # like any other unknown field.
+        request = parse_request(
+            {"kind": "evaluate", "app": "pip", "backend": "gpu"}
+        )
+        assert not hasattr(request, "backend")
+
+    @pytest.mark.parametrize("value", ["false", "no", 0, None, []])
+    def test_use_delta_must_be_a_json_boolean(self, value):
+        with pytest.raises(ServiceError, match="use_delta") as raised:
+            parse_request(
+                {"kind": "optimize", "app": "pip", "use_delta": value}
+            )
+        assert (raised.value.status, raised.value.kind) == (400, "bad_request")
+
+    def test_use_delta_booleans_parse(self):
+        payload = {"kind": "optimize", "app": "pip"}
+        assert parse_request(payload).use_delta is True
+        for value in (True, False):
+            request = parse_request(dict(payload, use_delta=value))
+            assert request.use_delta is value
 
     def test_non_injective_mapping_rejected(self):
         with pytest.raises(ServiceError, match="distinct tiles"):
@@ -116,17 +135,20 @@ class TestCoreDispatch:
             == offline.worst_insertion_loss_db.tolist()
         )
 
-    def test_explicit_mappings_and_float32_backend(self, core):
+    def test_explicit_mappings_and_float32_backend(self, core, pin_kernel):
+        # pip resolves the dense kernel: pin sparse to serve it too.
+        pin_kernel("sparse")
         problem = offline_problem("pip")
         rows = [list(range(8)), list(range(8))[::-1]]
         body, status = core.handle(
             {
                 "kind": "evaluate", "app": "pip", "mappings": rows,
-                "dtype": "float32", "backend": "sparse",
+                "dtype": "float32",
             }
         )
         assert status == 200, body
-        evaluator = MappingEvaluator(problem, dtype=np.float32, backend="sparse")
+        evaluator = MappingEvaluator(problem, dtype=np.float32)
+        assert evaluator.backend == "sparse"
         offline = evaluator.evaluate_batch(np.asarray(rows))
         evaluator.close()
         assert body["result"]["worst_snr_db"] == offline.worst_snr_db.tolist()

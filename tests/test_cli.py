@@ -94,8 +94,8 @@ class TestEvaluate:
     def test_dtype_and_backend_flags_reach_the_evaluator(
         self, capsys, monkeypatch
     ):
-        # `evaluate` silently ignored --float32/--backend before it was
-        # routed through the shared evaluator argument group.
+        # `evaluate` silently ignored --float32 before it was routed
+        # through the shared evaluator argument group.
         from repro.core.problem import MappingProblem
 
         seen = {}
@@ -107,11 +107,9 @@ class TestEvaluate:
 
         monkeypatch.setattr(MappingProblem, "evaluator", spy)
         assert main(
-            ["evaluate", "--app", "pip", "--seed", "1",
-             "--float32", "--backend", "sparse"]
+            ["evaluate", "--app", "pip", "--seed", "1", "--float32"]
         ) == 0
         assert seen["dtype"] is np.float32
-        assert seen["backend"] == "sparse"
         assert "worst-case SNR" in capsys.readouterr().out
 
 
