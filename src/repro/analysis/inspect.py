@@ -5,7 +5,9 @@ needs to know *which* aggressor communication injects the noise. These
 helpers decompose every CG edge's noise into its per-aggressor
 contributions (honouring the serialization mask) and render a designer-
 facing report: per-edge loss and SNR, and for the noisiest edges the
-dominant aggressors with their coupling strength.
+dominant aggressors with their coupling strength. Mappings are validated
+and slotted by the evaluator itself, so a routed evaluator's joint
+vectors are broken down along their chosen routes.
 """
 
 from __future__ import annotations
@@ -53,18 +55,12 @@ def edge_noise_breakdown(
         raise ConfigurationError(
             f"victim edge {victim_edge} outside 0..{cg.n_edges - 1}"
         )
-    if isinstance(mapping, Mapping):
-        assignment = mapping.assignment
-    else:
-        assignment = Mapping(cg, np.asarray(mapping), evaluator.n_tiles).assignment
-    edges = cg.edge_array()
-    mask = cg.serialization_mask()
+    pairs = evaluator._pair_table(evaluator._single_row(mapping))[0]
     model = evaluator.model
-    pairs = model.pair_indices(assignment[edges[:, 0]], assignment[edges[:, 1]])
     victim_pair = pairs[victim_edge]
     signal = model.signal_linear[victim_pair]
     couplings = model.coupling_linear[victim_pair, pairs].astype(np.float64)
-    couplings[~mask[victim_edge]] = 0.0
+    couplings[~evaluator._mask[victim_edge]] = 0.0
     total = couplings.sum()
     order = np.argsort(couplings)[::-1]
     contributions = []

@@ -65,9 +65,13 @@ Fallback to full evaluation happens in exactly three places:
 * strategies constructed with ``use_delta=False`` skip this module
   entirely and score candidates through ``evaluate_batch``.
 
+The engine restates no scoring rule: resets slot through the evaluator's
+pair table, and scores reduce through its SNR formula and metric tables,
+bit-identical to full evaluation of the same per-edge values.
+
 Kernel awareness (PR 4): when the wrapped evaluator resolved to the
 sparse noise kernel, the dense row sums ``R[q] = sum_e C[q,
-pairs[e]]`` are produced by consuming the CSR rows of the coupling model
+pairs[e]]`` are produced by consuming the evaluator's nominal CSR state
 (:meth:`~repro.models.coupling.CouplingCSR.row_dots` against the
 incumbent's pair counts) instead of walking rows of the dense transpose,
 and the per-commit updates read the affected coupling columns with a
@@ -90,9 +94,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 import repro.core.evaluator as _evaluator_module
-from repro.core.evaluator import MappingEvaluator, _row_sum
+from repro.core.evaluator import MappingEvaluator, _snr_db
 from repro.core.moves import REROUTE, Move, apply_move
-from repro.core.objectives import SNR_CAP_DB, spec_for
+from repro.core.objectives import spec_for
 from repro.errors import MappingError
 
 __all__ = [
@@ -178,12 +182,11 @@ class DeltaEvaluator:
         self._routes = evaluator.routes
         self._edges = evaluator._edges
         self._E = len(self._edges)
-        # Sparse-kernel evaluators share their CSR arrays: row sums come
-        # from CSR row dots instead of dense-transpose walks, so the
+        # Sparse-kernel evaluators share their nominal CSR state: row sums
+        # come from CSR row dots instead of dense-transpose walks, so the
         # O(n_pairs^2) transpose is never materialized in sparse mode.
-        self._csr = evaluator._csr if evaluator.backend == "sparse" else None
+        self._sparse = evaluator._sparse
         self._maskf = evaluator._mask_linear  # read-only share, hoisted there
-        self._bw = evaluator._bandwidth_weights
         self._refresh_interval = refresh_interval
         self._commits = 0
         self._assignment: Optional[np.ndarray] = None
@@ -274,12 +277,7 @@ class DeltaEvaluator:
 
     def _rebuild_tables(self) -> None:
         """Full fallback: recompute every per-edge table exactly."""
-        a = self._assignment
-        edges = self._edges
-        pairs = self._model.pair_indices(a[edges[:, 0]], a[edges[:, 1]])
-        if self._routes > 1:
-            pairs = pairs + a[self._ev.n_tasks:]
-        self._pairs = pairs.astype(np.int64)
+        self._pairs = self._ev._pair_table(self._assignment)
         self._il = self._model.insertion_loss_db[self._pairs].copy()
         self._signal = self._model.signal_linear[self._pairs].copy()
         if not self._tracks_noise:
@@ -301,19 +299,12 @@ class DeltaEvaluator:
         # affected victim's recomputed noise row. Sparse mode consumes
         # the CSR rows (one O(nnz) stream against the incumbent's pair
         # counts); dense mode walks rows of the contiguous transpose.
-        if self._csr is not None:
-            # Reuse the evaluator's lazy (nnz,) scratch: delta and full
-            # evaluation never run concurrently within one evaluator, so
-            # one buffer serves both instead of doubling ~nnz * 8 bytes.
-            if self._ev._value_scratch is None and self._csr.nnz:
-                self._ev._value_scratch = np.empty(
-                    self._csr.nnz, dtype=np.float64
-                )
+        if self._sparse is not None:
             counts = np.bincount(
                 self._pairs, minlength=self._model.n_pairs
             ).astype(np.float64)
-            self._rowsum = self._csr.row_dots(
-                counts, scratch=self._ev._value_scratch
+            self._rowsum = self._sparse.csr.row_dots(
+                counts, scratch=self._sparse.values
             )
         else:
             self._rowsum = self._model.coupling_linear_T[self._pairs].sum(axis=0)
@@ -389,7 +380,7 @@ class DeltaEvaluator:
             # — a few columns per commit, so the stride cost is
             # negligible.
             self._cols_inc[:, idx] = coupling[self._pairs[idx], :].T
-            if self._csr is not None:
+            if self._sparse is not None:
                 self._rowsum += coupling[:, self._pairs[idx]].sum(
                     axis=1, dtype=np.float64
                 )
@@ -545,7 +536,7 @@ class DeltaEvaluator:
         # dense-minus-sparse reconstruction subtract equal-magnitude
         # terms, so a victim whose true masked noise is exactly zero
         # (isolated communications) can come out as ~1e-19 residue — and
-        # the SNR cap in _scores_from keys on noise > 0. Any entry that
+        # the SNR cap (evaluator._snr_db) keys on noise > 0. Any entry that
         # is tiny relative to the magnitude of the summed terms (the
         # exact row-sum scale captured at the last rebuild) is recomputed
         # as the cancellation-free masked sum of non-negative couplings,
@@ -563,27 +554,17 @@ class DeltaEvaluator:
         return il, signal, noise, aff, new_pa, scatter
 
     def _scores_from(self, il, signal, noise) -> np.ndarray:
-        """Objective scores from (M, >= E) tables — mirrors ``_tables_from_pairs``.
+        """Objective scores from (M, >= E) per-edge tables.
 
         Reads the first E columns (``_move_tables`` appends a dummy
-        one). Only the objective's own table is materialized (the spec's
-        ``table`` name, resolved at construction); every transform below
-        is row-local, so the scores are bit-identical to the full
-        pipeline's for the same rows. ``noise`` is read only by the SNR
-        tables, and is ``None`` for loss-family engines.
+        one) and reduces them through the evaluator's own SNR formula
+        and metric table (the spec's ``table`` name, resolved at
+        construction), so the scores are bit-identical to the full
+        pipeline's for the same per-edge values. ``noise`` is ``None``
+        for loss-family engines, which never compute SNR.
         """
-        il = il[:, : self._E]
-        if self._score_table == "worst_il":
-            return il.min(axis=1)
-        if self._score_table == "weighted_il":
-            return _row_sum(il * self._bw)
-        if self._score_table == "laser_power":
-            return self._ev._laser_power_table(il)
-        signal = signal[:, : self._E]
-        noise = noise[:, : self._E]
-        with np.errstate(divide="ignore"):
-            snr = 10.0 * np.log10(signal / np.where(noise > 0.0, noise, 1.0))
-        snr = np.where(noise > 0.0, snr, SNR_CAP_DB)
-        if self._score_table == "mean_snr":
-            return _row_sum(snr) / snr.shape[1]
-        return snr.min(axis=1)
+        n_edges = self._E
+        snr = None
+        if noise is not None:
+            snr = _snr_db(signal[:, :n_edges], noise[:, :n_edges])
+        return self._ev._table(self._score_table, il[:, :n_edges], snr)

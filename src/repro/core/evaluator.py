@@ -28,6 +28,11 @@ O(E * affected edges) — falling back to the full path here on resets,
 periodic refreshes, and ``use_delta=False``. Evaluation counts are
 charged to this evaluator either way.
 
+Each row-scoring rule has one home here, which the single, batch,
+coalesced, delta and inspection paths all call: the slot rule
+(``_pair_table``), the SNR formula (``_snr_db``), the metric tables
+(``_table``) and the batch charge (``_charge``).
+
 Dense and sparse noise kernels (PR 4)
 -------------------------------------
 The noise contraction has two interchangeable kernels:
@@ -124,6 +129,13 @@ def _row_sum(table: np.ndarray) -> np.ndarray:
     for k in range(table.shape[-1]):
         out += table[..., k]
     return out
+
+
+def _snr_db(signal: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Per-edge SNR (eq. 4) in dB, capped at ``SNR_CAP_DB`` where noise is 0."""
+    with np.errstate(divide="ignore"):
+        snr = 10.0 * np.log10(signal / np.where(noise > 0.0, noise, 1.0))
+    return np.where(noise > 0.0, snr, SNR_CAP_DB)
 
 
 #: :func:`noise_kernel` picks the sparse contraction when
@@ -269,31 +281,32 @@ class PendingBatch:
         if self._metrics is None:
             tables = self.tables()
             self._tables = None
-            self._evaluator.evaluations += self._n
-            score = self._evaluator._score_tables(tables)
-            # worst_il / worst_snr are the first two wire columns in
-            # every table set (BASE_TABLES order).
-            self._metrics = BatchMetrics(tables[0], tables[1], score)
+            self._metrics = self._evaluator._charge(tables, self._n)
         return self._metrics
 
 
 class _SparseModelState:
-    """Per-sample CSR state for sparse-kernel variation scoring.
+    """One coupling model's CSR state: the nominal model's or a sample's.
 
     The weight/row-dot scratch buffers are shared across models (they
     are sized by ``n_pairs``, identical for every sample of one
-    topology); only the CSR arrays and the per-CSR value scratch —
-    sized by that sample's nonzero count — are per-model.
+    topology); only the CSR arrays and the value scratch — sized by
+    the model's nonzero count — are per-model.
     """
 
-    __slots__ = ("csr", "values", "coupling")
+    __slots__ = ("csr", "coupling", "_values")
 
     def __init__(self, model) -> None:
         self.csr = model.csr()
-        self.values = (
-            np.empty(self.csr.nnz, dtype=np.float64) if self.csr.nnz else None
-        )
         self.coupling = model.coupling_linear
+        self._values: Optional[np.ndarray] = None
+
+    @property
+    def values(self) -> Optional[np.ndarray]:
+        """The ``(nnz,)`` row-dot scratch, allocated on first use."""
+        if self._values is None and self.csr.nnz:
+            self._values = np.empty(self.csr.nnz, dtype=np.float64)
+        return self._values
 
 
 class MappingEvaluator:
@@ -376,13 +389,13 @@ class MappingEvaluator:
         self._bandwidth_weights = self._bandwidths / self._bandwidths.sum()
         self.n_workers = self._check_workers(n_workers)
         self._backend = noise_kernel(self.model, len(self._edges))
+        self._sparse: Optional[_SparseModelState] = None  # sparse kernel only
         if self._backend == "sparse":
-            self._csr = self.model.csr()
+            self._sparse = _SparseModelState(self.model)
             self._conf_idx, self._conf_w = self._conflict_tables()
             n_pairs = self.model.n_pairs
             self._w_scratch = np.zeros(n_pairs, dtype=np.float64)
             self._rowdot_scratch = np.zeros(n_pairs, dtype=np.float64)
-            self._value_scratch: Optional[np.ndarray] = None  # (nnz,), lazy
         # Variation-robust scoring: one coupling model per perturbed
         # device sample, each resolved through the same process/disk
         # cache chain as the nominal model (the perturbed params' content
@@ -402,10 +415,10 @@ class MappingEvaluator:
                 )
                 for params in sample_params
             )
-            if self._backend == "sparse":
-                self._sample_sparse = tuple(
-                    _SparseModelState(model) for model in self._sample_models
-                )
+            self._sample_sparse = tuple(
+                None if self._sparse is None else _SparseModelState(model)
+                for model in self._sample_models
+            )
         #: Names of the per-row metric tables this evaluator produces, in
         #: wire order (grows the ``robust_snr`` column when the problem
         #: carries a variation plan).
@@ -657,47 +670,42 @@ class MappingEvaluator:
             return max(1, _CHUNK_BYTES // (itemsize * width))
         return max(1, _CHUNK_BYTES // max(1, itemsize * n_edges * n_edges))
 
-    def _pair_table(self, assignments: np.ndarray) -> np.ndarray:
-        """(M, E) flat model-slot indices of a chunk of design vectors.
+    def _pair_table(self, vectors: np.ndarray) -> np.ndarray:
+        """Flat model-slot indices: (M, E) for a batch, (E,) for one vector.
 
         Pair indices depend only on the mapping and the topology (and,
         for routed evaluators, the per-edge route genes riding in the
-        vector's tail), so one table serves the nominal model and every
-        variation sample. At ``routes == 1`` the gene offset vanishes
-        and this is exactly the legacy tile-pair table.
+        vector's tail), so one table serves the nominal model, every
+        variation sample and the delta engine's incumbent. At
+        ``routes == 1`` the gene offset vanishes and this is exactly the
+        tile-pair table.
         """
-        src_tiles = assignments[:, self._edges[:, 0]]
-        dst_tiles = assignments[:, self._edges[:, 1]]
-        pairs = self.model.pair_indices(src_tiles, dst_tiles)
+        # Not vectors[..., idx]: on one short vector that costs ~1 us more.
+        src, dst = self._edges[:, 0], self._edges[:, 1]
+        if vectors.ndim == 2:
+            src, dst = (slice(None), src), (slice(None), dst)
+        pairs = self.model.pair_indices(vectors[src], vectors[dst])
         if self.routes > 1:
-            pairs = pairs + assignments[:, self.cg.n_tasks:]
+            pairs = pairs + vectors[..., self.cg.n_tasks:]
         return pairs
 
-    def _tables_from_pairs(self, pairs, model=None, sparse_state=None):
+    def _tables_from_pairs(self, pairs, model, sparse_state):
         """(il, snr, noise, signal) tables of shape (M, E) for one model.
 
-        ``model=None`` scores against the nominal coupling model with
-        the evaluator's own scratch state; variation sampling passes
-        each perturbed sample model (and, in sparse mode, its CSR state)
-        through the same kernels, so every sample inherits the
-        row-local-reduction determinism guarantees.
+        The nominal model and every variation sample (each with its own
+        CSR state, ``None`` on the dense kernel) go through the same
+        kernels, so every sample inherits the row-local-reduction
+        determinism guarantees.
         """
-        if model is None:
-            model = self.model
         il = model.insertion_loss_db[pairs]
         signal = model.signal_linear[pairs]
-        if self.backend == "sparse":
+        if sparse_state is not None:
             noise = self._sparse_noise(pairs, sparse_state)
         else:
             noise = self._dense_noise(pairs, model.coupling_linear)
-        with np.errstate(divide="ignore"):
-            snr = 10.0 * np.log10(signal / np.where(noise > 0.0, noise, 1.0))
-        snr = np.where(noise > 0.0, snr, SNR_CAP_DB)
-        return il, snr, noise, signal
+        return il, _snr_db(signal, noise), noise, signal
 
-    def _dense_noise(
-        self, pairs: np.ndarray, coupling: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def _dense_noise(self, pairs: np.ndarray, coupling: np.ndarray) -> np.ndarray:
         """Masked noise contraction over a dense coupling matrix.
 
         NOT einsum, and NOT a native ``grid.sum(axis=2)``: both block
@@ -707,14 +715,12 @@ class MappingEvaluator:
         sequential :func:`_row_sum` reduces each (m, v) row in an order
         that depends only on E.
         """
-        if coupling is None:
-            coupling = self.model.coupling_linear
         grid = coupling[pairs[:, :, None], pairs[:, None, :]]
         grid *= self._mask_linear
         return _row_sum(grid)
 
     def _sparse_noise(
-        self, pairs: np.ndarray, state: Optional[_SparseModelState] = None
+        self, pairs: np.ndarray, state: _SparseModelState
     ) -> np.ndarray:
         """Masked noise contraction streaming the CSR coupling rows.
 
@@ -737,16 +743,7 @@ class MappingEvaluator:
         exactly 0.0 when the true noise is.
         """
         n_moves, n_edges = pairs.shape
-        if state is None:
-            csr = self._csr
-            if self._value_scratch is None and csr.nnz:
-                self._value_scratch = np.empty(csr.nnz, dtype=np.float64)
-            values = self._value_scratch
-            coupling = self.model.coupling_linear
-        else:
-            csr = state.csr
-            values = state.values
-            coupling = state.coupling
+        csr, values, coupling = state.csr, state.values, state.coupling
         w = self._w_scratch
         rowdot = self._rowdot_scratch
         unmasked = np.empty((n_moves, n_edges), dtype=np.float64)
@@ -777,21 +774,31 @@ class MappingEvaluator:
             noise[suspect_m, suspect_v] = _row_sum(grid_rows)
         return noise
 
-    def _laser_power_table(self, il: np.ndarray) -> np.ndarray:
-        """Per-row negated laser-power budget from the (M, E) IL table.
+    def _table(
+        self, name: str, il: np.ndarray, snr: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Per-row metric table ``name`` from (M, E) IL and SNR tables.
 
-        Every CG edge needs transmit power proportional to the
-        reciprocal of its end-to-end transmission — ``10^(-il_db/10)``,
-        with ``il_db <= 0`` — and the mapping's budget sums the per-edge
-        requirements (PROTEUS-style worst-case provisioning: the laser
-        must drive all communications at their loss). The score is the
-        negated budget in dB, so *maximizing* it minimizes the
-        provisioned laser power. Row-local (an elementwise power plus
-        the sequential :func:`_row_sum` of width E), so the table keeps
-        the bit-identical-for-any-chunk/shard guarantee.
+        The one definition of every nominal table, shared by batches,
+        :meth:`evaluate`, :meth:`_robust_table` and the delta engine.
+        ``snr`` may be ``None`` for the loss tables. Minima are
+        order-free and sums run through :func:`_row_sum`, so a row's
+        value never depends on the rows beside it. ``laser_power`` is
+        the negated PROTEUS-style budget in dB: each edge needs power
+        ``10^(-il_db/10)`` to drive its path, so *maximizing* the table
+        minimizes the provisioned laser power.
         """
-        required = np.power(10.0, il * -0.1)
-        return -10.0 * np.log10(_row_sum(required))
+        if name == "worst_il":
+            return il.min(axis=1)
+        if name == "weighted_il":
+            return _row_sum(il * self._bandwidth_weights)
+        if name == "laser_power":
+            return -10.0 * np.log10(_row_sum(np.power(10.0, il * -0.1)))
+        if name == "worst_snr":
+            return snr.min(axis=1)
+        if name == "mean_snr":
+            return _row_sum(snr) / snr.shape[1]
+        raise MappingError(f"no nominal metric table named {name!r}")
 
     def _robust_table(self, pairs: np.ndarray) -> np.ndarray:
         """Per-row variation-aggregated worst-case SNR for a chunk.
@@ -807,12 +814,10 @@ class MappingEvaluator:
         n_rows = pairs.shape[0]
         n_samples = len(self._sample_models)
         worst = np.empty((n_rows, n_samples), dtype=np.float64)
-        for j, model in enumerate(self._sample_models):
-            state = self._sample_sparse[j] if self._sample_sparse else None
-            _il, snr, _noise, _signal = self._tables_from_pairs(
-                pairs, model=model, sparse_state=state
-            )
-            worst[:, j] = snr.min(axis=1)
+        samples = zip(self._sample_models, self._sample_sparse)
+        for j, (model, state) in enumerate(samples):
+            il, snr, _noise, _signal = self._tables_from_pairs(pairs, model, state)
+            worst[:, j] = self._table("worst_snr", il, snr)
         if self.variation.quantile is None:
             return _row_sum(worst) / n_samples
         return np.quantile(worst, self.variation.quantile, axis=1)
@@ -823,31 +828,47 @@ class MappingEvaluator:
         Computes only what those tables read: the nominal noise
         contraction runs only for ``worst_snr`` / ``mean_snr`` and the
         per-sample ones only for ``robust_snr``, so loss-family tables
-        never touch the coupling matrix.
+        never touch the coupling matrix. Returns the chunk's nominal
+        per-edge ``(il, snr, noise, signal)`` tables (the last three
+        ``None`` when no nominal SNR table was asked for), which
+        :meth:`evaluate` keeps for ``with_edges``.
         """
         pairs = self._pair_table(assignments)
         if "worst_snr" in out or "mean_snr" in out:
-            il, snr, _noise, _signal = self._tables_from_pairs(pairs)
-            if "worst_snr" in out:
-                out["worst_snr"][:] = snr.min(axis=1)
-            if "mean_snr" in out:
-                out["mean_snr"][:] = _row_sum(snr) / snr.shape[1]
+            tables = self._tables_from_pairs(pairs, self.model, self._sparse)
         else:
-            il = self.model.insertion_loss_db[pairs]
-        if "worst_il" in out:
-            out["worst_il"][:] = il.min(axis=1)
-        if "weighted_il" in out:
-            out["weighted_il"][:] = _row_sum(il * self._bandwidth_weights)
-        if "laser_power" in out:
-            out["laser_power"][:] = self._laser_power_table(il)
-        if "robust_snr" in out:
-            out["robust_snr"][:] = self._robust_table(pairs)
+            tables = (self.model.insertion_loss_db[pairs], None, None, None)
+        for name, column in out.items():
+            if name == "robust_snr":
+                column[:] = self._robust_table(pairs)
+            else:
+                column[:] = self._table(name, tables[0], tables[1])
+        return tables
 
-    def _score_tables(self, tables) -> np.ndarray:
-        """The objective score column of a :attr:`table_names`-ordered tuple."""
-        return tables[self._score_index]
+    def _charge(self, tables, n_rows: int) -> BatchMetrics:
+        """Charge ``n_rows`` collected rows; their :class:`BatchMetrics`.
+
+        ``tables`` follows :attr:`table_names`, which leads with
+        ``worst_il`` and ``worst_snr`` in every table set.
+        """
+        self.evaluations += n_rows
+        return BatchMetrics(tables[0], tables[1], tables[self._score_index])
 
     # -- single evaluation -----------------------------------------------------------
+
+    def _single_row(self, mapping: Union[Mapping, np.ndarray]) -> np.ndarray:
+        """One mapping as a validated ``(1, vector_width)`` batch.
+
+        The assignment gets :class:`~repro.core.mapping.Mapping`'s
+        placement check; a routed joint vector's genes pass through.
+        """
+        if isinstance(mapping, Mapping):
+            return self._check_batch(mapping.assignment[None, :])
+        vector = head = np.asarray(mapping)
+        if self.routes > 1 and vector.ndim == 1 and len(vector) == self.vector_width:
+            head = vector[: self.cg.n_tasks]
+        head = Mapping(self.cg, head, self.n_tiles).assignment
+        return self._check_batch(np.concatenate([head, vector[len(head):]])[None, :])
 
     def evaluate(
         self, mapping: Union[Mapping, np.ndarray], with_edges: bool = False
@@ -856,62 +877,27 @@ class MappingEvaluator:
 
         Routed evaluators additionally accept a widened joint vector
         (``n_tasks + n_edges`` entries); its assignment head is
-        validated exactly like a plain mapping.
+        validated exactly like a plain mapping. Scored as a one-row
+        batch, so it agrees bit for bit with that row of any batch.
         """
-        if isinstance(mapping, Mapping):
-            assignment = mapping.assignment
-        else:
-            candidate = np.asarray(mapping)
-            if (
-                self.routes > 1
-                and candidate.ndim == 1
-                and len(candidate) == self.cg.n_tasks + self.n_edges
-            ):
-                assignment = np.concatenate(
-                    [
-                        Mapping(
-                            self.cg,
-                            candidate[: self.cg.n_tasks],
-                            self.problem.n_tiles,
-                        ).assignment,
-                        candidate[self.cg.n_tasks:].astype(np.int64),
-                    ]
-                )
-            else:
-                assignment = Mapping(
-                    self.cg, candidate, self.problem.n_tiles
-                ).assignment
-        batch = self._check_batch(assignment[None, :])
-        pairs = self._pair_table(batch)
-        il, snr, noise, signal = self._tables_from_pairs(pairs)
+        out = {name: np.empty(1, dtype=np.float64) for name in self.table_names}
+        il, snr, noise, signal = self._evaluate_chunk(
+            self._single_row(mapping), out
+        )
         self.evaluations += 1
-        # The same _row_sum kernels as _evaluate_chunk, on the 1-row
-        # batch: row i of any batch and evaluate() of row i agree bit
-        # for bit (the objective contract suite enforces this).
-        columns = {
-            "worst_il": float(il.min()),
-            "worst_snr": float(snr.min()),
-            "mean_snr": float(_row_sum(snr)[0] / snr.shape[1]),
-            "weighted_il": float(_row_sum(il * self._bandwidth_weights)[0]),
-            "laser_power": float(self._laser_power_table(il)[0]),
-        }
-        robust = None
-        if self.variation is not None:
-            robust = float(self._robust_table(pairs)[0])
-            columns["robust_snr"] = robust
-        score = columns[self.table_names[self._score_index]]
+        value = {name: float(column[0]) for name, column in out.items()}
         edges = None
         if with_edges:
             edges = EdgeMetrics(il[0].copy(), snr[0].copy(), noise[0].copy(), signal[0].copy())
         return MappingMetrics(
-            columns["worst_il"],
-            columns["worst_snr"],
-            columns["mean_snr"],
-            columns["weighted_il"],
-            score,
+            value["worst_il"],
+            value["worst_snr"],
+            value["mean_snr"],
+            value["weighted_il"],
+            value[self.table_names[self._score_index]],
             edges,
-            laser_power_db=columns["laser_power"],
-            robust_snr_db=robust,
+            laser_power_db=value["laser_power"],
+            robust_snr_db=value.get("robust_snr"),
         )
 
     # -- conveniences ------------------------------------------------------------------
@@ -953,8 +939,8 @@ class MappingEvaluator:
         if self._route_counts is None:
             self._route_counts = self.network.route_counts(self.routes)
         vector = np.asarray(vector)
-        src_tiles = vector[self._edges[:, 0]]
-        dst_tiles = vector[self._edges[:, 1]]
+        src_tiles = vector[..., self._edges[:, 0]]
+        dst_tiles = vector[..., self._edges[:, 1]]
         return self._route_counts[src_tiles * self.n_tiles + dst_tiles]
 
     def random_vector(self, rng: np.random.Generator) -> np.ndarray:
@@ -972,8 +958,7 @@ class MappingEvaluator:
         assignment = random_assignment(self.cg.n_tasks, self.n_tiles, rng)
         if self.routes == 1:
             return assignment
-        menus = self.edge_menu_sizes(assignment)
-        genes = rng.integers(0, menus, dtype=np.int64)
+        genes = rng.integers(0, self.edge_menu_sizes(assignment), dtype=np.int64)
         return np.concatenate([assignment, genes])
 
     def random_vector_batch(
@@ -994,12 +979,7 @@ class MappingEvaluator:
         )
         if self.routes == 1:
             return batch
-        if self._route_counts is None:
-            self._route_counts = self.network.route_counts(self.routes)
-        src_tiles = batch[:, self._edges[:, 0]]
-        dst_tiles = batch[:, self._edges[:, 1]]
-        menus = self._route_counts[src_tiles * self.n_tiles + dst_tiles]
-        genes = rng.integers(0, menus, dtype=np.int64)
+        genes = rng.integers(0, self.edge_menu_sizes(batch), dtype=np.int64)
         return np.hstack([batch, genes])
 
     def moves_for(self, vector: np.ndarray) -> list:

@@ -270,7 +270,9 @@ class FanOut:
     futures, in task order. The policy:
 
     * dispatch makes up to :data:`SUBMIT_ATTEMPTS` attempts, each through
-      a fresh ``acquire()``, and raises the last error when all fail;
+      a fresh ``acquire()``, and raises the last error when all fail; a
+      :class:`WorkerLostError` is final, as its backend already waited
+      out the fleet and a fresh one on the same hub would wait again;
     * :meth:`results` resubmits once when collection fails with a
       :class:`~concurrent.futures.BrokenExecutor` or the backend is
       marked broken, charging ``note_retry(n_tasks)`` to the backend
@@ -296,6 +298,8 @@ class FanOut:
             backend = self._acquire()
             try:
                 return self._submit(backend), backend
+            except WorkerLostError:
+                raise
             except Exception as error:  # noqa: BLE001 — retried bounded
                 last_error = error
         raise last_error

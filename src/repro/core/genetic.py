@@ -242,9 +242,7 @@ class GeneticAlgorithm(MappingStrategy):
         if evaluator.routes > 1:
             # Route-gene segment: one uniform draw per edge, within the
             # menu of the edge's tile pair under that chromosome.
-            menus = np.stack(
-                [evaluator.edge_menu_sizes(row[:n_tasks]) for row in population]
-            )
+            menus = evaluator.edge_menu_sizes(population[:, :n_tasks])
             genes = rng.integers(0, menus, dtype=np.int64)
             population = np.hstack([population, genes])
         tracker = BestTracker(evaluator)

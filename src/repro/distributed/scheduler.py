@@ -664,18 +664,19 @@ class RemoteTcpBackend(ExecutorBackend):
     remains the logical shard/chain count; the hub's connected-worker
     count only affects placement.
 
-    Graceful degradation (``on_worker_loss="degrade"``): when remote
+    Graceful degradation (policy ``"degrade"``): when remote
     execution is out of road — retries exhausted, the fleet collapsed,
-    or no worker ever connected — tasks are finished on a local
-    fallback backend built for the *same* ``(key, n_workers)``. The
-    ladder is tcp → local → inline (``degrade_to`` /
-    ``PHONOCMAP_DEGRADE_TO`` pins the first fallback rung; a local
+    or no worker connected within ``PHONOCMAP_WORKER_WAIT_TIMEOUT_S``
+    — tasks are finished on a local fallback backend built for the
+    *same* ``(key, n_workers)``. The ladder is tcp → local → inline
+    (``PHONOCMAP_DEGRADE_TO`` pins the first fallback rung; a local
     pool that cannot be built drops to inline). Because the logical
     decomposition is unchanged, degraded results stay bit-identical.
     The :attr:`degraded` flag is sticky while the fleet is empty and
-    clears automatically once workers reconnect. The default policy is
-    ``"raise"`` (PR 7 semantics: typed ``WorkerLostError``), resolved
-    via :func:`repro.core.executor.worker_loss_policy`.
+    clears automatically once workers reconnect. The policy is the
+    process setting :func:`repro.core.executor.worker_loss_policy`
+    returns when the backend is built (default ``"raise"``: a typed
+    ``WorkerLostError``).
     """
 
     kind = "tcp"
@@ -688,9 +689,6 @@ class RemoteTcpBackend(ExecutorBackend):
         n_workers: int,
         model_cache_dir: Optional[str] = None,
         executor: str = "tcp://127.0.0.1:0",
-        on_worker_loss: Optional[str] = None,
-        degrade_to: Optional[str] = None,
-        worker_wait_timeout: Optional[float] = None,
     ):
         super().__init__(key, n_workers)
         self.problem = problem
@@ -698,9 +696,13 @@ class RemoteTcpBackend(ExecutorBackend):
         self.model_cache_dir = model_cache_dir
         self.spec = parse_executor_spec(executor)
         self.hub = get_hub(self.spec)
-        self.on_worker_loss = worker_loss_policy(on_worker_loss)
-        self.degrade_to = self._resolve_degrade_to(degrade_to)
-        self.worker_wait_timeout = worker_wait_timeout
+        self.on_worker_loss = worker_loss_policy()
+        self.degrade_to = os.environ.get("PHONOCMAP_DEGRADE_TO") or "local"
+        if self.degrade_to not in ("local", "inline"):
+            raise ExecutorError(
+                "PHONOCMAP_DEGRADE_TO must be 'local' or 'inline', "
+                f"got {self.degrade_to!r}"
+            )
         self.degraded = False
         self.tasks_degraded = 0
         self._closed = False
@@ -708,15 +710,6 @@ class RemoteTcpBackend(ExecutorBackend):
         self._fallback_backend: Optional[ExecutorBackend] = None
         self._ctx_id = hashlib.sha1(repr(key).encode()).hexdigest()[:16]
         self.hub.register_context(self._ctx_id, problem, self.dtype)
-
-    @staticmethod
-    def _resolve_degrade_to(explicit: Optional[str]) -> str:
-        choice = explicit or os.environ.get("PHONOCMAP_DEGRADE_TO") or "local"
-        if choice not in ("local", "inline"):
-            raise ExecutorError(
-                f"degrade_to must be 'local' or 'inline', got {choice!r}"
-            )
-        return choice
 
     @staticmethod
     def _task_function(fn_name: str):
@@ -744,7 +737,7 @@ class RemoteTcpBackend(ExecutorBackend):
                 self.tasks_degraded += 1
                 return self._fallback().submit(fn, *args, **kwargs)
         try:
-            self.hub.ensure_worker(timeout=self.worker_wait_timeout)
+            self.hub.ensure_worker()
         except WorkerLostError:
             if self.on_worker_loss != "degrade":
                 raise

@@ -263,10 +263,11 @@ class CoalescedBatch:
     """A :class:`~repro.core.evaluator.PendingBatch`-shaped handle.
 
     Wraps one coalescer ticket: :meth:`result` blocks until the merged
-    flight lands, applies *this request's* objective to its row slice
-    and charges this request's evaluator — exactly the accounting the
-    inline ``PendingBatch`` performs, so optimizers cannot tell the
-    difference.
+    flight lands, then hands its row slice to this request's evaluator,
+    which charges it and picks this request's score column through the
+    same method an inline ``PendingBatch`` uses — so optimizers cannot
+    tell the difference. The flight's evaluator shares this request's
+    pool key, so the column layouts agree by construction.
     """
 
     def __init__(self, evaluator: MappingEvaluator, ticket: _Ticket) -> None:
@@ -281,13 +282,9 @@ class CoalescedBatch:
     def result(self) -> BatchMetrics:
         """Collect this request's slice; charge its evaluator once."""
         if self._metrics is None:
-            tables = self._ticket.tables()
-            self._evaluator.evaluations += self._ticket.n_rows
-            score = self._evaluator._score_tables(tables)
-            # worst_il / worst_snr lead every table set (BASE_TABLES
-            # order); the flight's evaluator shares this request's pool
-            # key, so the column layouts agree by construction.
-            self._metrics = BatchMetrics(tables[0], tables[1], score)
+            self._metrics = self._evaluator._charge(
+                self._ticket.tables(), self._ticket.n_rows
+            )
         return self._metrics
 
 

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.inspect import edge_noise_breakdown, mapping_report
+from repro.appgraph.benchmarks import load_benchmark
+from repro.core.evaluator import MappingEvaluator
+from repro.core.mapping import random_assignment
+from repro.core.problem import MappingProblem
 from repro.errors import ConfigurationError
 
 
@@ -73,3 +77,37 @@ class TestReport:
         pip_evaluator.reset_count()
         mapping_report(pip_evaluator, assignment)
         assert pip_evaluator.evaluations == 0
+
+
+class TestJointVectors:
+    """A routed evaluator's joint vectors: assignment plus route genes."""
+
+    @pytest.fixture(scope="class")
+    def routed(self, torus4_network):
+        problem = MappingProblem(load_benchmark("mwd"), torus4_network, routes=2)
+        evaluator = MappingEvaluator(problem)
+        rng = np.random.default_rng(5)
+        assignment = random_assignment(evaluator.n_tasks, evaluator.n_tiles, rng)
+        genes = np.zeros(evaluator.n_edges, dtype=np.int64)
+        rerouted = np.nonzero(evaluator.edge_menu_sizes(assignment) > 1)[0][:3]
+        genes[rerouted] = 1
+        return evaluator, np.concatenate([assignment, genes])
+
+    def test_breakdown_sums_to_the_routed_noise(self, routed):
+        evaluator, vector = routed
+        assert np.count_nonzero(vector[evaluator.n_tasks:]) == 3
+        noise = evaluator.evaluate(vector, with_edges=True).edges.noise_linear
+        base = evaluator.evaluate(
+            vector[: evaluator.n_tasks], with_edges=True
+        ).edges.noise_linear
+        assert not np.allclose(noise, base)  # the genes change the noise
+        for victim in range(evaluator.n_edges):
+            contributions = edge_noise_breakdown(evaluator, vector, victim)
+            total = sum(c.coupling_linear for c in contributions)
+            assert total == pytest.approx(float(noise[victim]), rel=1e-12, abs=0.0)
+
+    def test_report_renders(self, routed):
+        evaluator, vector = routed
+        text = mapping_report(evaluator, vector)
+        assert "mapping report: mwd" in text
+        assert "noise into" in text

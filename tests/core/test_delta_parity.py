@@ -114,7 +114,7 @@ class TestSparseBackendParity:
         evaluator = _evaluator(request, cg_name, topology)
         assert evaluator.backend == "sparse"
         engine = DeltaEvaluator(evaluator)
-        assert engine._csr is not None  # CSR rows, not coupling_linear_T
+        assert engine._sparse is not None  # CSR rows, not coupling_linear_T
         rng = np.random.default_rng(len(cg_name + topology))
         assignment = random_assignment(
             evaluator.n_tasks, evaluator.n_tiles, rng

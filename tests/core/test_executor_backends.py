@@ -30,6 +30,7 @@ from repro.core.executor import (
     FanOut,
     InlineBackend,
     LocalProcessBackend,
+    WorkerLostError,
 )
 from repro.core.mapping import random_assignment_batch
 from repro.core.pool import (
@@ -331,6 +332,46 @@ class TestFanOut:
         with pytest.raises(BrokenExecutor):
             fanout.results()
         assert len(acquire.backends) == 2
+
+
+class TestEmptyFleet:
+    """A TCP executor without workers waits out the fleet once per call.
+
+    The backend raises :class:`WorkerLostError` only after waiting
+    ``PHONOCMAP_WORKER_WAIT_TIMEOUT_S`` for a worker; a fresh backend on
+    the same hub would wait again, so a submit that lost its fleet is
+    not retried.
+    """
+
+    @pytest.mark.parametrize("call", ["evaluate_batch", "compare"])
+    def test_fleet_is_awaited_once(self, problem, monkeypatch, call):
+        from repro.distributed.scheduler import WorkerHub, get_hub
+
+        monkeypatch.setenv("PHONOCMAP_WORKER_WAIT_TIMEOUT_S", "0.2")
+        waits = []
+        ensure_worker = WorkerHub.ensure_worker
+
+        def counted(hub, *args, **kwargs):
+            waits.append(hub)
+            return ensure_worker(hub, *args, **kwargs)
+
+        monkeypatch.setattr(WorkerHub, "ensure_worker", counted)
+        hub = get_hub("tcp://127.0.0.1:0")
+        spec = f"tcp://127.0.0.1:{hub.port}"
+        try:
+            with pytest.raises(WorkerLostError):
+                if call == "evaluate_batch":
+                    MappingEvaluator(problem, executor=spec).evaluate_batch(
+                        _rows(problem, 8, seed=1), n_workers=2, min_shard_rows=1
+                    )
+                else:
+                    DesignSpaceExplorer(problem, executor=spec).compare(
+                        ["rs", "ga"], budget=200, seed=1, n_workers=2
+                    )
+        finally:
+            shutdown_pools()
+            hub.close()
+        assert waits == [hub]
 
 
 class TestBrokenPoolRecovery:
