@@ -178,7 +178,6 @@ class DeltaEvaluator:
         self._tracks_noise = evaluator.objective.is_snr_based
         self._ev = evaluator
         self._model = evaluator.model
-        self._n_tiles = evaluator.n_tiles
         self._routes = evaluator.routes
         self._edges = evaluator._edges
         self._E = len(self._edges)
@@ -257,18 +256,16 @@ class DeltaEvaluator:
         Charges one evaluation unless ``count=False`` (use that when the
         incumbent's score was already paid for, e.g. SA calibration).
         """
-        array = np.array(assignment, dtype=np.int64, copy=True)
-        if array.shape == (self._ev.n_tasks,) and self._routes > 1:
-            # Plain assignment on a routed engine: base route everywhere.
-            array = np.concatenate(
-                [array, np.zeros(self._E, dtype=np.int64)]
-            )
-        if array.shape != (self._ev.vector_width,):
+        array = np.asarray(assignment, dtype=np.int64)
+        if array.ndim != 1 or len(array) not in (
+            self._ev.n_tasks, self._ev.vector_width
+        ):
             raise MappingError(
                 f"assignment must have one tile per task "
                 f"({self._ev.n_tasks}), got shape {array.shape}"
             )
-        self._assignment = array
+        # A plain assignment on a routed engine gets base-route genes.
+        self._assignment = self._ev._check_batch(array[None, :])[0].copy()
         self._commits = 0
         self._rebuild_tables()
         if count:
@@ -463,24 +460,15 @@ class DeltaEvaluator:
             dst == t, target, np.where(swap & (dst == o), task_tile, a[dst])
         )
         old_pa = self._pairs[aff0]
-        if self._routes == 1:
-            new_pa = np.where(pad, old_pa, src_tiles * self._n_tiles + dst_tiles)
-        else:
+        new_pa = self._model.pair_indices(src_tiles, dst_tiles)
+        if self._routes > 1:
             # Mapping moves carry the edge's gene to its new tile pair;
             # a reroute keeps the pair and overwrites the gene.
-            new_pa = np.where(
-                pad,
-                old_pa,
-                (src_tiles * self._n_tiles + dst_tiles) * self._routes
-                + old_pa % self._routes,
+            genes = np.where(
+                (others == REROUTE)[:, None], target, a[self._ev.n_tasks + aff0]
             )
-            is_reroute = others == REROUTE
-            if is_reroute.any():
-                rr = np.nonzero(is_reroute)[0]
-                rr_new = (
-                    old_pa[rr] // self._routes
-                ) * self._routes + tiles[rr][:, None]
-                new_pa[rr] = np.where(pad[rr], old_pa[rr], rr_new)
+            new_pa = new_pa + genes
+        new_pa = np.where(pad, old_pa, new_pa)
 
         # Padding and duplicates scatter into the dummy column.
         scatter = np.where(pad, n_edges, aff)

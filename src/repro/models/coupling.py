@@ -46,6 +46,13 @@ loop at both float64 and float32. The legacy builder is kept
 (``builder="legacy"``) as the cross-validation oracle for tests and
 benches.
 
+The build has no per-traversal Python loop: the network elaborates each
+path as arrays concatenated from per-connection router templates
+(:mod:`repro.noc.network`), the builder concatenates those arrays once,
+finds every traversal's emission with one table lookup, and resolves
+first encounters for bounded blocks of channels with one minimum scatter
+each. Only the per-channel walks run in Python.
+
 On top of the fast build sits an on-disk model cache
 (:meth:`CouplingModel.for_network` with ``cache_dir=``, or the
 process-wide :func:`set_model_cache_dir` default / the
@@ -71,8 +78,10 @@ import numpy as np
 from repro.errors import ModelError
 from repro.models.crosstalk import WALK_LOSS_CUTOFF_LINEAR, _MAX_WALK_STEPS
 from repro.noc.network import PhotonicNoC
+from repro.noc.paths import TRAVERSAL_STATES
 from repro.photonics.elements import (
     ElementKind,
+    is_valid_traversal,
     passive_loss_db,
     straight_output,
     traversal_emissions,
@@ -94,6 +103,10 @@ __all__ = [
 MODEL_VERSION = 1
 
 _CACHE: Dict[str, "CouplingModel"] = {}
+
+#: Element kinds by kind code (the build's emission-table index).
+_KINDS: Tuple[ElementKind, ...] = tuple(ElementKind)
+_KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 
 #: Process-wide count of from-scratch model builds (every cache-miss
 #: construction increments it). Observability for cache-effectiveness
@@ -320,229 +333,205 @@ def _slot_paths(network: PhotonicNoC, routes: int) -> List[tuple]:
     ]
 
 
+def _emission_table(params) -> Tuple[np.ndarray, np.ndarray]:
+    """Every traversal's emission as flat ``(k_linear, out_port)`` tables.
+
+    Indexed by ``((kind * 4 + in_port) * 4 + out_port) * 2 + state``
+    (kind codes index ``_KINDS``, state codes
+    :data:`~repro.noc.paths.TRAVERSAL_STATES`); ``out_port`` is -1 where
+    the traversal emits nothing. The physics emits at most once per
+    traversal, which lets the builder find every emission with one
+    lookup per traversal.
+    """
+    emissions_of = _emissions_lookup(params)
+    size = len(_KINDS) * 4 * 4 * len(TRAVERSAL_STATES)
+    k_linear = np.zeros(size, dtype=np.float64)
+    out_port = np.full(size, -1, dtype=np.int64)
+    index = 0
+    for kind in _KINDS:
+        for in_port in range(4):
+            for port in range(4):
+                for state in TRAVERSAL_STATES:
+                    if is_valid_traversal(kind, in_port, port, state):
+                        emitted = emissions_of(kind, in_port, port, state)
+                        if len(emitted) > 1:
+                            raise ModelError(
+                                f"{kind.value} traversal emits "
+                                f"{len(emitted)} times; the builder "
+                                "supports one emission per traversal"
+                            )
+                        if emitted:
+                            k_linear[index], out_port[index] = emitted[0]
+                    index += 1
+    return k_linear, out_port
+
+
+#: Candidate entries plus first-encounter table cells per resolution
+#: block: bounds the block's transient arrays to ~10 x 8 bytes x this
+#: many entries (~40 MB).
+_RESOLVE_BLOCK = 1 << 19
+
+
 def _build_tables(network: PhotonicNoC, routes: int = 1) -> _BuildTables:
     """Flatten a network's paths and emission walks into build tables.
 
-    Pure function of the network: the emission-channel walks are executed
-    exactly once per unique ``(element, out_port)`` channel (the legacy
-    builder re-ran them once per aggressor traversal emitting into them),
-    and the per-victim join/credit loops become lexsort-based
-    first-encounter resolutions over the flattened entry/exit indices.
+    Pure function of the network, on whole arrays: the paths' step
+    arrays are concatenated once, every traversal's emission comes from
+    one table lookup, and the emission-channel walks run exactly once per
+    unique ``(element, out_port)`` channel (the legacy builder re-ran
+    them once per aggressor traversal emitting into them). The
+    per-victim join/credit loops become first-encounter resolutions over
+    the flattened entry/exit indices, for bounded blocks of channels at
+    a time.
 
     With ``routes > 1`` the same pipeline runs over the routed slot set
     (:func:`_slot_paths`): victims and aggressors are routed slots, so
     the matrix resolves the route axis of both sides of every coupling.
     """
-    params = network.params
     elements = network.elements
     follow = network.wiring.get
     paths = _slot_paths(network, routes)
     n_tiles = network.topology.n_tiles
     n_pairs = n_tiles * n_tiles * routes
 
-    # Flatten every traversal of every path, in paths-iteration order —
-    # the global traversal id doubles as the legacy index-append rank.
+    # Every traversal of every path, in slot-path order — the global
+    # traversal id doubles as the legacy index-append rank.
+    slots = np.array([slot for slot, _path in paths], dtype=np.int64)
     pair_total = np.zeros(n_pairs, dtype=np.float64)
-    trav_pair_l: List[int] = []
-    trav_elem_l: List[int] = []
-    trav_in_l: List[int] = []
-    trav_out_l: List[int] = []
-    cum_in_parts: List[np.ndarray] = []
-    cum_out_parts: List[np.ndarray] = []
-    for pair, path in paths:
-        pair_total[pair] = path.total_linear
-        for step in path.traversals:
-            trav_pair_l.append(pair)
-            trav_elem_l.append(step.element)
-            trav_in_l.append(step.in_port)
-            trav_out_l.append(step.out_port)
-        cum_in_parts.append(path.cum_in_linear)
-        cum_out_parts.append(path.cum_out_linear)
-    trav_pair = np.asarray(trav_pair_l, dtype=np.int64)
-    trav_elem = np.asarray(trav_elem_l, dtype=np.int64)
-    trav_in = np.asarray(trav_in_l, dtype=np.int64)
-    trav_out = np.asarray(trav_out_l, dtype=np.int64)
-    trav_cum_in = (
-        np.concatenate(cum_in_parts) if cum_in_parts else np.zeros(0)
-    )
-    trav_cum_out = (
-        np.concatenate(cum_out_parts) if cum_out_parts else np.zeros(0)
+    pair_total[slots] = [path.total_linear for _slot, path in paths]
+    steps = np.concatenate([path.steps for _slot, path in paths])
+    trav_pair = np.repeat(slots, [len(path) for _slot, path in paths])
+    trav_elem, trav_in, trav_out, trav_state = np.ascontiguousarray(steps.T)
+    trav_cum_in = np.concatenate([path.cum_in_linear for _slot, path in paths])
+    trav_cum_out = np.concatenate(
+        [path.cum_out_linear for _slot, path in paths]
     )
 
     # Entry index (element -> traversal ids) and exit index
     # ((element, out_port) -> traversal ids), grouped by stable sort so
-    # within one group the ids keep the legacy append order.
+    # within one group the ids keep the legacy append order. One gather
+    # source holds both: exit ids first, entry ids after them.
     n_elements = len(elements)
     entry_order = np.argsort(trav_elem, kind="stable")
-    entry_elem_sorted = trav_elem[entry_order]
     entry_ptr = np.searchsorted(
-        entry_elem_sorted, np.arange(n_elements + 1, dtype=np.int64)
+        trav_elem[entry_order], np.arange(n_elements + 1, dtype=np.int64)
     )
     exit_key = trav_elem * 4 + trav_out  # ports are < 4
     exit_order = np.argsort(exit_key, kind="stable")
     exit_key_sorted = exit_key[exit_order]
+    source = np.concatenate([exit_order, entry_order])
+    entry_offset = len(exit_order)
 
-    def exit_slice(element: int, out_port: int) -> np.ndarray:
-        key = element * 4 + out_port
-        lo = np.searchsorted(exit_key_sorted, key)
-        hi = np.searchsorted(exit_key_sorted, key + 1)
-        return exit_order[lo:hi]
+    # Emission instances, in the legacy builder's iteration order: every
+    # emitting traversal, by traversal id.
+    kind_code = np.array(
+        [_KIND_CODES[info.kind] for info in elements], dtype=np.int64
+    )
+    emit_k, emit_port = _emission_table(network.params)
+    combo = (
+        (kind_code[trav_elem] * 4 + trav_in) * 4 + trav_out
+    ) * 2 + trav_state
+    trav_port = emit_port[combo]
+    inst_tid = np.flatnonzero(trav_port >= 0)
+    inst_base = emit_k[combo[inst_tid]] * trav_cum_in[inst_tid]
 
+    # Channel ids in first-appearance order over the instances.
+    keys, first_inst, inverse = np.unique(
+        trav_elem[inst_tid] * 4 + trav_port[inst_tid],
+        return_index=True,
+        return_inverse=True,
+    )
+    by_appearance = np.argsort(first_inst)
+    channel_rank = np.empty_like(by_appearance)
+    channel_rank[by_appearance] = np.arange(len(keys), dtype=np.int64)
+    channel_keys = keys[by_appearance]
+    exit_lo = np.searchsorted(exit_key_sorted, channel_keys)
+    exit_len = np.searchsorted(exit_key_sorted, channel_keys + 1) - exit_lo
+
+    # Walk each channel once, then resolve first encounters for blocks of
+    # channels. A channel's walk *slots* are slot 0, the join at the
+    # emitting element itself (victims that exit through the emission
+    # port; no loss inside the generating switch), and slots 1..L, the
+    # forward walk — same termination rules as the legacy builder, plus
+    # two exact shortcuts the legacy loop pays for in full: a repeated
+    # walk *position* means the rest of the walk is a lap of a cycle
+    # (torus orbits) that can credit nothing new, and a repeated walk
+    # *element* has already credited (or shielded) every pair entering it
+    # at its first occurrence, so later occurrences carry no candidates.
     passive_linear = _passive_lookup(network)
-    emissions_of = _emissions_lookup(params)
-
-    # Emission instances, in the legacy builder's iteration order.
-    channel_ids: Dict[Tuple[int, int], int] = {}
-    channel_keys: List[Tuple[int, int]] = []
-    inst_pair_l: List[int] = []
-    inst_base_l: List[float] = []
-    inst_channel_l: List[int] = []
-    for pair, path in paths:
-        cum_in = path.cum_in_linear
-        for index, step in enumerate(path.traversals):
-            info = elements[step.element]
-            if info.kind is ElementKind.WAVEGUIDE:
-                continue
-            emitted = emissions_of(
-                info.kind, step.in_port, step.out_port, step.state
-            )
-            if not emitted:
-                continue
-            power_at_input = cum_in[index]
-            for k_linear, emission_port in emitted:
-                key = (step.element, emission_port)
-                cid = channel_ids.get(key)
-                if cid is None:
-                    cid = len(channel_keys)
-                    channel_ids[key] = cid
-                    channel_keys.append(key)
-                inst_pair_l.append(pair)
-                inst_base_l.append(k_linear * power_at_input)
-                inst_channel_l.append(cid)
-
-    # Resolve each unique channel once: walk forward, then pick every
-    # victim pair's first encounter over (slot, append rank) and keep the
-    # co-entering ones.
-    ch_start = np.zeros(len(channel_keys), dtype=np.int64)
-    ch_len = np.zeros(len(channel_keys), dtype=np.int64)
-    victim_parts: List[np.ndarray] = []
-    wl_parts: List[np.ndarray] = []
-    div_parts: List[np.ndarray] = []
-    offset = 0
-    for cid, (element, emission_port) in enumerate(channel_keys):
-        # Slot 0: the join at the emitting element itself (victims that
-        # exit through the emission port; no loss inside the generating
-        # switch). Slots 1..L: the forward walk, same termination rules
-        # as the legacy builder — plus two exact shortcuts the legacy
-        # loop pays for in full: a repeated walk *position* means the
-        # rest of the walk is a lap of a cycle (torus orbits) that can
-        # credit nothing new, and a repeated walk *element* has already
-        # credited (or shielded) every pair entering it at its first
-        # occurrence, so later occurrences carry no candidates.
-        exit_tids = exit_slice(element, emission_port)
-        slot_elems: List[int] = []
-        slot_in = [-1]
-        slot_wl = [1.0]
+    # (passive linear loss, next position) of every walked position.
+    successor: Dict[Tuple[int, int], tuple] = {}
+    entry_count = np.diff(entry_ptr).tolist()
+    exit_count = exit_len.tolist()
+    lookups = (source, entry_offset, entry_ptr, exit_lo, exit_len)
+    traversal = (trav_pair, trav_in, trav_cum_in, trav_cum_out)
+    # Seeded empty, so a network without emissions builds empty tables.
+    ch_len_parts = [np.zeros(0, dtype=np.int64)]
+    resolved = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
+    block: List[List] = [[], [], [], []]  # channel, element, in_port, loss
+    block_first = block_size = 0
+    for cid, key in enumerate(channel_keys.tolist()):
+        element, emission_port = divmod(key, 4)
+        block[0].append(cid)
+        block[1].append(-1)  # -1 marks slot 0
+        block[2].append(-1)
+        block[3].append(1.0)
+        block_size += exit_count[cid]
         seen_positions = set()
         seen_elements = set()
         walk_loss = 1.0
         position = follow((element, emission_port))
-        steps = 0
+        steps_taken = 0
         while (
             position is not None
             and walk_loss > WALK_LOSS_CUTOFF_LINEAR
-            and steps < _MAX_WALK_STEPS
+            and steps_taken < _MAX_WALK_STEPS
             and position not in seen_positions
         ):
             seen_positions.add(position)
-            steps += 1
+            steps_taken += 1
             walk_element, in_port = position
             if walk_element not in seen_elements:
                 seen_elements.add(walk_element)
-                slot_elems.append(walk_element)
-                slot_in.append(in_port)
-                slot_wl.append(walk_loss)
-            walk_loss *= passive_linear(walk_element, in_port)
-            position = follow(
-                (
-                    walk_element,
-                    straight_output(elements[walk_element].kind, in_port),
+                block[0].append(cid)
+                block[1].append(walk_element)
+                block[2].append(in_port)
+                block[3].append(walk_loss)
+                block_size += entry_count[walk_element]
+            step = successor.get(position)
+            if step is None:
+                out_port = straight_output(elements[walk_element].kind, in_port)
+                step = successor[position] = (
+                    passive_linear(walk_element, in_port),
+                    follow((walk_element, out_port)),
                 )
+            loss, position = step
+            walk_loss *= loss
+        block_cells = (cid + 1 - block_first) * n_pairs
+        if (
+            block_size + block_cells >= _RESOLVE_BLOCK
+            or cid == len(channel_keys) - 1
+        ):
+            ch_len, found = _resolve_block(
+                block, block_first, cid + 1, n_pairs, lookups, traversal
             )
-        if slot_elems:
-            elems_arr = np.asarray(slot_elems, dtype=np.int64)
-            starts = entry_ptr[elems_arr]
-            lens = entry_ptr[elems_arr + 1] - starts
-            n_entries = int(lens.sum())
-            slot_ends = np.cumsum(lens)
-            within = np.arange(n_entries, dtype=np.int64) - np.repeat(
-                slot_ends - lens, lens
-            )
-            entry_tids = entry_order[np.repeat(starts, lens) + within]
-            entry_slots = np.repeat(
-                np.arange(1, len(slot_elems) + 1, dtype=np.int64), lens
-            )
-        else:
-            entry_tids = np.zeros(0, dtype=np.int64)
-            entry_slots = np.zeros(0, dtype=np.int64)
-        tids = np.concatenate([exit_tids, entry_tids])
-        if len(tids):
-            slots = np.concatenate(
-                [np.zeros(len(exit_tids), dtype=np.int64), entry_slots]
-            )
-            pairs = trav_pair[tids]
-            # First encounter wins: sort by (pair, slot, append rank) and
-            # keep the first row of each pair — the legacy `credited` set.
-            order = np.lexsort((tids, slots, pairs))
-            pair_sorted = pairs[order]
-            slot_sorted = slots[order]
-            tid_sorted = tids[order]
-            first = np.ones(len(order), dtype=bool)
-            first[1:] = pair_sorted[1:] != pair_sorted[:-1]
-            win_pair = pair_sorted[first]
-            win_slot = slot_sorted[first]
-            win_tid = tid_sorted[first]
-            is_exit = win_slot == 0
-            slot_in_arr = np.asarray(slot_in, dtype=np.int64)
-            keep = is_exit | (trav_in[win_tid] == slot_in_arr[win_slot])
-            win_pair = win_pair[keep]
-            win_tid = win_tid[keep]
-            win_slot = win_slot[keep]
-            is_exit = is_exit[keep]
-            victims = win_pair
-            wl = np.asarray(slot_wl, dtype=np.float64)[win_slot]
-            div = np.where(
-                is_exit, trav_cum_out[win_tid], trav_cum_in[win_tid]
-            )
-        else:
-            victims = np.zeros(0, dtype=np.int64)
-            wl = np.zeros(0, dtype=np.float64)
-            div = np.zeros(0, dtype=np.float64)
-        ch_start[cid] = offset
-        ch_len[cid] = len(victims)
-        offset += len(victims)
-        victim_parts.append(victims)
-        wl_parts.append(wl)
-        div_parts.append(div)
+            ch_len_parts.append(ch_len)
+            resolved.append(found)
+            block = [[], [], [], []]
+            block_first, block_size = cid + 1, 0
 
-    ch_victim = (
-        np.concatenate(victim_parts)
-        if victim_parts
-        else np.zeros(0, dtype=np.int64)
-    )
-    ch_wl = (
-        np.concatenate(wl_parts) if wl_parts else np.zeros(0, dtype=np.float64)
-    )
-    ch_div = (
-        np.concatenate(div_parts)
-        if div_parts
-        else np.zeros(0, dtype=np.float64)
+    ch_len = np.concatenate(ch_len_parts)
+    ch_start = np.zeros(len(ch_len), dtype=np.int64)
+    np.cumsum(ch_len[:-1], out=ch_start[1:])
+    ch_victim, ch_wl, ch_div = (
+        np.concatenate([found[field] for found in resolved])
+        for field in range(3)
     )
     return _BuildTables(
         n_pairs=n_pairs,
-        inst_pair=np.asarray(inst_pair_l, dtype=np.int64),
-        inst_base=np.asarray(inst_base_l, dtype=np.float64),
-        inst_channel=np.asarray(inst_channel_l, dtype=np.int64),
+        inst_pair=trav_pair[inst_tid],
+        inst_base=inst_base,
+        inst_channel=channel_rank[inverse],
         ch_start=ch_start,
         ch_len=ch_len,
         ch_victim=ch_victim,
@@ -550,6 +539,69 @@ def _build_tables(network: PhotonicNoC, routes: int = 1) -> _BuildTables:
         ch_total=pair_total[ch_victim],
         ch_div=ch_div,
     )
+
+
+def _resolve_block(
+    block, first_channel, stop_channel, n_pairs, lookups, traversal
+):
+    """First-encounter tables of channels ``first_channel..stop_channel-1``.
+
+    ``block`` lists the channels' walk slots (channel, element or -1 for
+    slot 0, walk in-port, walk loss before the slot). A slot's
+    candidates are the traversals leaving the emitting element through
+    the emission port (slot 0) or entering the slot's element, in
+    traversal-id order, so each channel's candidate list is ordered by
+    (slot, traversal id), and a victim pair's first encounter is its
+    lowest candidate index — found for every (channel, pair) cell at
+    once by a minimum scatter into a dense cell table. Co-entering
+    (port-matching) encounters, and every slot-0 one, credit the victim;
+    any other first encounter shields it and is dropped.
+
+    Returns ``(ch_len, (victim, walk_loss, divisor))`` with each channel's
+    victims in ascending pair order.
+    """
+    source, entry_offset, entry_ptr, exit_lo, exit_len = lookups
+    trav_pair, trav_in, trav_cum_in, trav_cum_out = traversal
+    slot_channel = np.array(block[0], dtype=np.int64)
+    slot_element = np.array(block[1], dtype=np.int64)
+    slot_in = np.array(block[2], dtype=np.int64)
+    slot_wl = np.array(block[3], dtype=np.float64)
+    is_exit_slot = slot_element < 0
+    walk_element = np.where(is_exit_slot, 0, slot_element)
+    starts = np.where(
+        is_exit_slot,
+        exit_lo[slot_channel],
+        entry_offset + entry_ptr[walk_element],
+    )
+    lens = np.where(
+        is_exit_slot,
+        exit_len[slot_channel],
+        entry_ptr[walk_element + 1] - entry_ptr[walk_element],
+    )
+    total = int(lens.sum())
+    cand_slot = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
+    cand_tid = source[
+        np.repeat(starts - (np.cumsum(lens) - lens), lens)
+        + np.arange(total, dtype=np.int64)
+    ]
+    cand_channel = slot_channel[cand_slot] - first_channel
+    cand_cell = cand_channel * n_pairs + trav_pair[cand_tid]
+    first = np.full((stop_channel - first_channel) * n_pairs, total, np.int64)
+    np.minimum.at(first, cand_cell, np.arange(total, dtype=np.int64))
+    win = first[first < total]  # in (channel, pair) order
+    win_slot = cand_slot[win]
+    win_tid = cand_tid[win]
+    is_exit = is_exit_slot[win_slot]
+    keep = is_exit | (trav_in[win_tid] == slot_in[win_slot])
+    win_slot = win_slot[keep]
+    win_tid = win_tid[keep]
+    is_exit = is_exit[keep]
+    ch_len = np.bincount(
+        slot_channel[win_slot] - first_channel,
+        minlength=stop_channel - first_channel,
+    ).astype(np.int64)
+    divisor = np.where(is_exit, trav_cum_out[win_tid], trav_cum_in[win_tid])
+    return ch_len, (trav_pair[win_tid], slot_wl[win_slot], divisor)
 
 
 #: Expanded scatter entries per accumulation chunk: bounds the transient

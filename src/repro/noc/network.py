@@ -5,6 +5,14 @@ connects router ports with inter-router link waveguides according to the
 topology, and elaborates the routing algorithm's hop lists into
 element-level :class:`~repro.noc.paths.NetworkPath` objects.
 
+Elaboration works on arrays. At the first path request the network turns
+every port-to-port connection of its router into a *template* — the step
+rows and per-step losses of that connection — and computes each link
+waveguide's step once; a hop through tile ``t`` is then the template
+shifted by ``t``'s element offset, followed by the outgoing link's step
+(cached per tile and hop the first time it is used), and a path is one
+concatenation of its hops. No traversal is visited in Python.
+
 Every element instance (router-internal elements of every tile, plus link
 waveguides) gets a *global element id*; paths and the crosstalk model work
 exclusively with these ids, so two communications interact exactly when
@@ -19,7 +27,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.noc.floorplan import Floorplan
-from repro.noc.paths import NetworkPath, Traversal
+from repro.noc.paths import STATE_CODES, NetworkPath
 from repro.noc.routing import (
     GATEWAY,
     KPathRouting,
@@ -41,6 +49,14 @@ from repro.router.layout import RouterSpec
 from repro.router.registry import build_router
 
 __all__ = ["NetworkElement", "PhotonicNoC"]
+
+
+def _port_names(in_dir: str, out_dir: str) -> Tuple[str, str]:
+    """Router port names of a hop entering via ``in_dir``, leaving via ``out_dir``."""
+    return (
+        "L_in" if in_dir == GATEWAY else f"{in_dir}_in",
+        "L_out" if out_dir == GATEWAY else f"{out_dir}_out",
+    )
 
 
 class NetworkElement:
@@ -102,6 +118,8 @@ class PhotonicNoC:
         self._routed_paths: Dict[Tuple[int, int, Tuple[str, ...]], NetworkPath] = {}
         self._route_sets: Dict[int, Dict[Tuple[int, int], RouteSet]] = {}
         self._turn_keys: Optional[set] = None
+        self._templates: Optional[dict] = None
+        self._segments: Dict[Tuple[int, str, str, bool], tuple] = {}
         self._assemble()
 
     # -- assembly --------------------------------------------------------------
@@ -207,9 +225,7 @@ class PhotonicNoC:
         """Whether this network's router provides the ``in -> out`` turn."""
         if self._turn_keys is None:
             self._turn_keys = set(self.router_spec.connections().keys())
-        in_name = "L_in" if in_dir == GATEWAY else f"{in_dir}_in"
-        out_name = "L_out" if out_dir == GATEWAY else f"{out_dir}_out"
-        return (in_name, out_name) in self._turn_keys
+        return _port_names(in_dir, out_dir) in self._turn_keys
 
     def route_set(self, src: int, dst: int, k: int) -> RouteSet:
         """The pair's route menu: up to ``k`` minimal-hop router-legal plans.
@@ -272,38 +288,93 @@ class PhotonicNoC:
     def _elaborate(
         self, src: int, dst: int, plan: Optional[Sequence[str]] = None
     ) -> NetworkPath:
-        spec = self.router_spec
-        local_count = self._local_count
-        params = self.params
         if plan is None:
             hops = self.routing.route(self.topology, src, dst)
         else:
             hops = walk_plan(
                 self.topology, src, dst, plan, label="route plan"
             )
-        traversals: List[Traversal] = []
-        losses: List[float] = []
-
-        def add(gid: int, in_port: int, out_port: int, state: TraversalState) -> None:
-            element = self.elements[gid]
-            traversals.append(Traversal(gid, in_port, out_port, state))
-            losses.append(
-                traversal_loss_db(
-                    element.kind, in_port, out_port, state, params,
-                    element.length_cm,
-                )
-            )
-
+        last = len(hops) - 1
+        segments = self._segments
+        parts = []
         for index, hop in enumerate(hops):
-            in_name = "L_in" if hop.in_dir == GATEWAY else f"{hop.in_dir}_in"
-            out_name = "L_out" if hop.out_dir == GATEWAY else f"{hop.out_dir}_out"
-            base = hop.tile * local_count
-            for step in spec.connection(in_name, out_name):
-                add(base + step.element, step.in_port, step.out_port, step.state)
-            if index < len(hops) - 1:
-                gid = self._link_gid[(hop.tile, hop.out_dir)]
-                add(gid, WG_IN, WG_OUT, TraversalState.PASSIVE)
-        return NetworkPath(src, dst, traversals, losses)
+            key = (hop.tile, hop.in_dir, hop.out_dir, index < last)
+            segment = segments.get(key)
+            if segment is None:
+                segment = segments[key] = self._segment(*key)
+            parts.append(segment)
+        return NetworkPath.from_arrays(
+            src,
+            dst,
+            np.concatenate([steps for steps, _losses in parts]),
+            np.concatenate([losses for _steps, losses in parts]),
+        )
+
+    def _segment(
+        self, tile: int, in_dir: str, out_dir: str, to_link: bool
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Step rows and losses of one hop: the router connection through
+        ``tile``, then (``to_link``) the link waveguide it feeds."""
+        if self._templates is None:
+            self._templates = self._build_templates()
+        connections, links = self._templates
+        ports = _port_names(in_dir, out_dir)
+        template = connections.get(ports)
+        if template is None:
+            self.router_spec.connection(*ports)  # raises
+        steps, losses = template
+        steps = steps.copy()
+        steps[:, 0] += tile * self._local_count
+        if to_link:
+            link_step, link_loss = links[(tile, out_dir)]
+            steps = np.concatenate([steps, link_step])
+            losses = np.concatenate([losses, link_loss])
+        return steps, losses
+
+    def _build_templates(self) -> tuple:
+        """Per-connection router templates and per-link steps.
+
+        A template is the ``(n, 4)`` step rows of one port-to-port
+        connection (local element ids) with its ``(n,)`` step losses; a
+        link step is the one-row traversal of a link waveguide with its
+        loss. :func:`~repro.photonics.elements.traversal_loss_db` runs once
+        per template step and once per link, and checks every step.
+        """
+        spec = self.router_spec
+        params = self.params
+        connections = {}
+        for ports, steps in spec.connections().items():
+            rows = np.array(
+                [
+                    (s.element, s.in_port, s.out_port, STATE_CODES[s.state])
+                    for s in steps
+                ],
+                dtype=np.int64,
+            ).reshape(-1, 4)
+            losses = np.array(
+                [
+                    traversal_loss_db(
+                        spec.elements[s.element].kind, s.in_port, s.out_port,
+                        s.state, params, spec.elements[s.element].length_cm,
+                    )
+                    for s in steps
+                ],
+                dtype=np.float64,
+            )
+            connections[ports] = (rows, losses)
+        passive = STATE_CODES[TraversalState.PASSIVE]
+        links = {}
+        for (tile, direction), gid in self._link_gid.items():
+            element = self.elements[gid]
+            loss = traversal_loss_db(
+                element.kind, WG_IN, WG_OUT, TraversalState.PASSIVE, params,
+                element.length_cm,
+            )
+            links[(tile, direction)] = (
+                np.array([[gid, WG_IN, WG_OUT, passive]], dtype=np.int64),
+                np.array([loss], dtype=np.float64),
+            )
+        return connections, links
 
     # -- derivation -----------------------------------------------------------------
 
@@ -329,13 +400,16 @@ class PhotonicNoC:
     def __getstate__(self) -> dict:
         """Pickle the netlist without its lazily derived caches.
 
-        Paths, route menus and the turn table are pure functions of the
-        netlist and rebuild on demand, so a shipped network (a TCP
-        worker's ``init`` frame) stays netlist-sized however many paths
-        the sender has elaborated.
+        Paths, route menus, the turn table and the elaboration templates
+        are pure functions of the netlist and rebuild on demand, so a
+        shipped network (a TCP worker's ``init`` frame) stays
+        netlist-sized however many paths the sender has elaborated.
         """
         state = dict(self.__dict__)
-        state.update(_paths={}, _routed_paths={}, _route_sets={}, _turn_keys=None)
+        state.update(
+            _paths={}, _routed_paths={}, _route_sets={}, _turn_keys=None,
+            _templates=None, _segments={},
+        )
         return state
 
     # -- identity -------------------------------------------------------------------

@@ -47,6 +47,12 @@ def mesh4_network(params):
 
 
 @pytest.fixture(scope="session")
+def torus3_network(params):
+    """3x3 folded torus, the smallest torus with wrap-around links."""
+    return PhotonicNoC(torus(3, 3), params=params)
+
+
+@pytest.fixture(scope="session")
 def torus4_network(params):
     """4x4 folded torus."""
     return PhotonicNoC(torus(4, 4), params=params)

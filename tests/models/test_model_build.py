@@ -29,8 +29,14 @@ def _clean_registry():
 
 @pytest.fixture(
     scope="module",
-    # The torus4 legacy oracle builds take ~10 s per dtype: slow lane.
-    params=["mesh3", "mesh4", pytest.param("torus4", marks=pytest.mark.slow)],
+    # torus3 keeps a wrap-around (cycle-shortcut) walk in the fast lane;
+    # the torus4 legacy oracle builds take ~10 s per dtype: slow lane.
+    params=[
+        "mesh3",
+        "mesh4",
+        "torus3",
+        pytest.param("torus4", marks=pytest.mark.slow),
+    ],
 )
 def network_pair(request):
     """(name, network) for every architecture of the parity matrix."""
