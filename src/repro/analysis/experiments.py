@@ -27,6 +27,7 @@ from repro.core.objectives import Objective
 from repro.core.problem import MappingProblem
 from repro.core.registry import PAPER_STRATEGIES
 from repro.errors import ConfigurationError
+from repro.models.coupling import cached_network
 from repro.noc.network import PhotonicNoC
 from repro.noc.topology import mesh, torus
 from repro.photonics.parameters import PhysicalParameters
@@ -78,6 +79,13 @@ PAPER_TABLE2: Dict[str, Dict[str, Dict[str, Tuple[float, float]]]] = {
 }
 
 
+#: Call arguments -> signature, for architectures whose netlist the model
+#: cache held at the last call: a warm call then skips building the
+#: topology its signature needs. Written only on a hit and dropped on a
+#: miss, so a failed request leaves no entry.
+_HELD_SIGNATURES: Dict[tuple, str] = {}
+
+
 def build_case_study_network(
     topology_name: str,
     side: int,
@@ -89,7 +97,20 @@ def build_case_study_network(
     ``params`` picks the device parameter set (default: the paper's
     Table I entry of the component library); sweeps pass each
     library-instantiated point here.
+
+    While the process holds a coupling model for this architecture
+    (:func:`repro.models.coupling.cached_network`), the call returns
+    that model's network instead of assembling a new one: netlists are
+    immutable and safe to share across threads (see
+    :class:`~repro.noc.network.PhotonicNoC`). No netlist is retained
+    beyond the model cache, so
+    :func:`~repro.models.coupling.clear_model_cache` releases it.
     """
+    params = params if params is not None else PhysicalParameters()
+    key = (topology_name, side, router, params)
+    held = cached_network(_HELD_SIGNATURES.get(key, ""))
+    if held is not None:
+        return held
     if topology_name == "mesh":
         topology = mesh(side, side)
     elif topology_name == "torus":
@@ -98,6 +119,12 @@ def build_case_study_network(
         raise ConfigurationError(
             f"case studies use 'mesh' or 'torus', got {topology_name!r}"
         )
+    signature = PhotonicNoC.signature_of(topology, router, params)
+    held = cached_network(signature)
+    if held is not None:
+        _HELD_SIGNATURES[key] = signature
+        return held
+    _HELD_SIGNATURES.pop(key, None)
     return PhotonicNoC(topology, router=router, params=params)
 
 

@@ -408,8 +408,10 @@ def _configure_serve(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--coalesce-window", type=float, default=0.004, metavar="SECONDS",
-        help="how long a batch flight lingers for concurrent "
-             "same-signature requests to join it (default: 0.004)",
+        help="the longest a batch flight waits for concurrent "
+             "same-signature requests to join it; it launches as soon "
+             "as no request that could still join is left "
+             "(default: 0.004)",
     )
     parser.add_argument(
         "--routes", type=int, default=1, metavar="K",

@@ -92,6 +92,7 @@ __all__ = [
     "MODEL_VERSION",
     "CouplingCSR",
     "CouplingModel",
+    "cached_network",
     "clear_model_cache",
     "set_model_cache_dir",
     "get_model_cache_dir",
@@ -103,6 +104,11 @@ __all__ = [
 MODEL_VERSION = 1
 
 _CACHE: Dict[str, "CouplingModel"] = {}
+
+#: The network of every process-cached model, by signature (the first
+#: one cached wins). :func:`cached_network` serves it, so callers reuse
+#: a netlist exactly as long as the process keeps a model for it.
+_NETWORKS: Dict[str, PhotonicNoC] = {}
 
 #: Element kinds by kind code (the build's emission-table index).
 _KINDS: Tuple[ElementKind, ...] = tuple(ElementKind)
@@ -1069,9 +1075,20 @@ class CouplingModel:
                 model.save_cached(directory)
         if use_cache:
             _CACHE[key] = model
+            _NETWORKS.setdefault(network.signature, network)
         return model
 
 
+def cached_network(signature: str) -> Optional[PhotonicNoC]:
+    """The network of a process-cached model with ``signature``, if any.
+
+    The netlist a model built or loaded by :meth:`CouplingModel.for_network`
+    holds anyway; sharing it is safe (see :class:`PhotonicNoC`).
+    """
+    return _NETWORKS.get(signature)
+
+
 def clear_model_cache() -> None:
-    """Drop all cached coupling models."""
+    """Drop all cached coupling models and the networks they hold."""
     _CACHE.clear()
+    _NETWORKS.clear()

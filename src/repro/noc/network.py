@@ -92,6 +92,22 @@ class PhotonicNoC:
         Physical coefficients; defaults to the paper's Table I.
     floorplan:
         Physical dimensions; defaults to a 2.5 mm tile pitch.
+
+    Sharing
+    -------
+    One instance may be shared by any number of threads, and
+    :func:`~repro.analysis.experiments.build_case_study_network` hands
+    the same instance to every caller while the process holds a
+    coupling model for it. Two facts make that safe:
+
+    * the netlist (elements, wiring, router spec, parameters) is never
+      mutated after assembly;
+    * every lazy cache (``_paths``, ``_routed_paths``, ``_route_sets``,
+      ``_turn_keys``, ``_templates``, ``_segments``) holds a pure
+      function of the netlist and is published by one assignment or
+      one dict insert, so a race costs duplicate work, never a torn
+      read. :meth:`all_paths` returns pairs in ``(src, dst)`` order
+      whatever order other threads elaborated them in.
     """
 
     def __init__(
@@ -211,13 +227,18 @@ class PhotonicNoC:
         return elaborated
 
     def all_paths(self) -> Dict[Tuple[int, int], NetworkPath]:
-        """Paths for every ordered tile pair (built on first call)."""
+        """Paths for every ordered tile pair, in ``(src, dst)`` order.
+
+        The order is the model build's slot order, so it must not depend
+        on which pairs some caller elaborated first.
+        """
         n = self.topology.n_tiles
-        for src in range(n):
-            for dst in range(n):
-                if src != dst:
-                    self.path(src, dst)
-        return dict(self._paths)
+        return {
+            (src, dst): self.path(src, dst)
+            for src in range(n)
+            for dst in range(n)
+            if src != dst
+        }
 
     # -- route menus (joint mapping x routing search) --------------------------
 
@@ -424,10 +445,30 @@ class PhotonicNoC:
         coefficient can never share a signature, and therefore never a
         model-cache entry or a worker pool.
         """
+        return self.signature_of(
+            self.topology, self.router_spec.name, self.params, self.routing,
+            self.floorplan,
+        )
+
+    @staticmethod
+    def signature_of(
+        topology: GridTopology,
+        router: str,
+        params: PhysicalParameters,
+        routing: Optional[RoutingAlgorithm] = None,
+        floorplan: Optional[Floorplan] = None,
+    ) -> str:
+        """The :attr:`signature` of a network built from these arguments.
+
+        Computed without compiling the router or assembling anything, so
+        a caller can look a network up before building it. ``router`` is
+        the compiled spec's name (each built-in router's registry name).
+        """
+        routing = routing if routing is not None else XYRouting()
+        floorplan = floorplan if floorplan is not None else Floorplan()
         return (
-            f"{self.topology.signature}|{self.router_spec.name}"
-            f"|{self.routing.name}|{self.floorplan.signature}"
-            f"|params={self.params.content_hash}"
+            f"{topology.signature}|{router}|{routing.name}"
+            f"|{floorplan.signature}|params={params.content_hash}"
         )
 
     def __repr__(self) -> str:

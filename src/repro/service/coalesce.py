@@ -26,13 +26,24 @@ Mechanics
 ---------
 One :class:`BatchCoalescer` per pool key owns a shared evaluator and a
 flusher thread. Request handlers submit row blocks and receive tickets;
-the flusher lingers a few milliseconds (only while other requests are
-active — a lone request pays no added latency) so concurrent
-submissions can join the flight, concatenates the pending blocks, and
-runs them as one ``submit_batch`` call — sharded across the warm
-persistent pool when large enough, inline otherwise. Flights per key
-are serialized by construction, which itself batches up work arriving
-while a flight is in progress.
+the flusher concatenates the pending blocks and runs them as one
+``submit_batch`` call — sharded across the warm persistent pool when
+large enough, inline otherwise. Flights per key are serialized by
+construction, which itself batches up work arriving while a flight is
+in progress.
+
+Before launching, a flight lingers only while a *co-traveller* exists:
+a request that could still add a block to it. Requests whose work is
+scored in batches :meth:`~BatchCoalescer.join` the coalescer of their
+key for their whole run; a joined request with no block pending is a
+co-traveller, and so is any request the
+:attr:`~BatchCoalescer.linger_hint` reports (the service core: admitted
+requests that have not yet bound to a key). Joining, leaving,
+submitting and :meth:`~BatchCoalescer.wake` all notify the flusher,
+which re-checks on every wakeup and launches as soon as no co-traveller
+is left — or when the window runs out, whichever comes first. A lone
+request therefore pays no added latency, and neither does a request
+whose only company is on another key or never submits a batch.
 
 :class:`CoalescingEvaluator` is the drop-in seam: a
 :class:`~repro.core.evaluator.MappingEvaluator` whose ``submit_batch``
@@ -68,6 +79,8 @@ class CoalesceStats:
         self.coalesced_batches = 0  # submissions sharing a flight with others
         self.rows = 0  # total mapping rows scored
         self.max_flight_batches = 0
+        self.lingered_flights = 0  # flights that waited for co-travellers
+        self.linger_ms = 0.0  # total time flights spent waiting
 
     def record_flight(self, n_batches: int, n_rows: int) -> None:
         """Account one launched flight of ``n_batches`` submissions."""
@@ -78,6 +91,11 @@ class CoalesceStats:
         self.rows += n_rows
         self.max_flight_batches = max(self.max_flight_batches, n_batches)
 
+    def record_linger(self, seconds: float) -> None:
+        """Account one flight that waited ``seconds`` for co-travellers."""
+        self.lingered_flights += 1
+        self.linger_ms += seconds * 1000.0
+
     def as_dict(self) -> dict:
         """JSON-serializable snapshot (for the ``stats`` request kind)."""
         return {
@@ -86,6 +104,8 @@ class CoalesceStats:
             "coalesced_batches": self.coalesced_batches,
             "rows": self.rows,
             "max_flight_batches": self.max_flight_batches,
+            "lingered_flights": self.lingered_flights,
+            "linger_ms": self.linger_ms,
             "coalescing_ratio": (
                 self.batches / self.flights if self.flights else None
             ),
@@ -95,10 +115,11 @@ class CoalesceStats:
 class _Ticket:
     """One submission's slot in a (future) flight."""
 
-    __slots__ = ("n_rows", "_event", "_tables", "_error")
+    __slots__ = ("n_rows", "owner", "_event", "_tables", "_error")
 
-    def __init__(self, n_rows: int) -> None:
+    def __init__(self, n_rows: int, owner: object = None) -> None:
         self.n_rows = n_rows
+        self.owner = owner
         self._event = threading.Event()
         self._tables: Optional[Tuple[np.ndarray, ...]] = None
         self._error: Optional[BaseException] = None
@@ -134,18 +155,21 @@ class BatchCoalescer:
         problem matches this evaluator's pool key can ride, whatever
         its objective.
     window_s : float, optional
-        How long a flight lingers for co-travellers before launching
-        (default 4 ms). Only applied while :attr:`linger_hint` reports
-        other active requests; a lone request's flights launch
-        immediately.
+        The longest a flight lingers for co-travellers before launching
+        (default 4 ms). It launches earlier as soon as no co-traveller
+        is left: no joined request without a pending block, and
+        :attr:`linger_hint` false.
     max_flight_rows : int, optional
         Row cap per flight; pending submissions beyond it launch in the
         next flight (values are unaffected — the cap only bounds the
         merged matrix's memory).
     linger_hint : callable, optional
-        Zero-argument callable; return True when waiting for
-        co-travellers is worthwhile (the core passes "more than one
-        request in flight"). Defaults to always lingering.
+        Zero-argument callable, called under the coalescer lock; return
+        True while a request that has not joined yet may still submit
+        to this coalescer (the core passes "an admitted request has not
+        bound to a key yet", and calls :meth:`wake` when that changes).
+        Defaults to always True, so a coalescer used on its own lingers
+        the whole window.
     """
 
     def __init__(
@@ -163,6 +187,7 @@ class BatchCoalescer:
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._pending: List[Tuple[_Ticket, np.ndarray]] = []
+        self._members: set = set()
         self._closed = False
         self._thread = threading.Thread(
             target=self._flush_loop,
@@ -171,15 +196,16 @@ class BatchCoalescer:
         )
         self._thread.start()
 
-    def submit(self, assignments: np.ndarray) -> _Ticket:
+    def submit(self, assignments: np.ndarray, owner: object = None) -> _Ticket:
         """Queue validated assignment rows for the next flight.
 
         The rows are snapshotted (the caller may reuse its buffer, the
         ``submit_batch`` contract) and the ticket's
-        :meth:`_Ticket.tables` blocks until the flight lands.
+        :meth:`_Ticket.tables` blocks until the flight lands. ``owner``
+        names the joined request submitting them (see :meth:`join`).
         """
         block = np.ascontiguousarray(assignments, dtype=np.int64).copy()
-        ticket = _Ticket(block.shape[0])
+        ticket = _Ticket(block.shape[0], owner)
         with self._wakeup:
             if self._closed:
                 raise ServiceError(
@@ -188,6 +214,27 @@ class BatchCoalescer:
             self._pending.append((ticket, block))
             self._wakeup.notify_all()
         return ticket
+
+    def join(self, member: object) -> None:
+        """Count ``member`` as a co-traveller whenever it has no block pending.
+
+        For requests whose work is scored in batches, from binding to
+        this coalescer until :meth:`leave`.
+        """
+        with self._wakeup:
+            self._members.add(member)
+            self._wakeup.notify_all()
+
+    def leave(self, member: object) -> None:
+        """Stop waiting for ``member`` (no-op if it never joined)."""
+        with self._wakeup:
+            self._members.discard(member)
+            self._wakeup.notify_all()
+
+    def wake(self) -> None:
+        """Make a lingering flight re-check :attr:`linger_hint` now."""
+        with self._wakeup:
+            self._wakeup.notify_all()
 
     def close(self, timeout: float = 30.0) -> None:
         """Stop accepting work; flush what is pending, join the flusher."""
@@ -208,6 +255,13 @@ class BatchCoalescer:
             if entries:
                 self._run_flight(entries)
 
+    def _co_traveller(self) -> bool:
+        """Whether a request that could still join the pending flight exists."""
+        if self.linger_hint():
+            return True
+        waiting = {ticket.owner for ticket, _ in self._pending}
+        return any(member not in waiting for member in self._members)
+
     def _collect_flight(self) -> Optional[List[Tuple[_Ticket, np.ndarray]]]:
         """Wait for work, linger for co-travellers, take one flight's load.
 
@@ -218,17 +272,21 @@ class BatchCoalescer:
                 self._wakeup.wait()
             if not self._pending:
                 return None  # closed and drained
-            if not self._closed and self.linger_hint():
-                deadline = time.monotonic() + self.window_s
-                while (
-                    not self._closed
-                    and sum(t.n_rows for t, _ in self._pending)
-                    < self.max_flight_rows
-                ):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._wakeup.wait(remaining)
+            start = time.monotonic()
+            deadline = start + self.window_s
+            lingered = False
+            while (
+                not self._closed
+                and sum(t.n_rows for t, _ in self._pending) < self.max_flight_rows
+                and self._co_traveller()
+            ):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                lingered = True
+                self._wakeup.wait(remaining)
+            if lingered:
+                self.stats.record_linger(time.monotonic() - start)
             take, rows = 0, 0
             while take < len(self._pending) and rows < self.max_flight_rows:
                 rows += self._pending[take][0].n_rows
@@ -319,4 +377,4 @@ class CoalescingEvaluator(MappingEvaluator):
                 assignments, n_workers, min_shard_rows, score_only
             )
         assignments = self._check_batch(assignments)
-        return CoalescedBatch(self, self.coalescer.submit(assignments))
+        return CoalescedBatch(self, self.coalescer.submit(assignments, owner=self))

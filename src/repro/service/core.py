@@ -5,8 +5,10 @@
 * one :class:`~repro.service.coalesce.BatchCoalescer` (plus its shared
   evaluator) per objective-free pool key, created lazily on the first
   request for that key and kept warm afterwards — along with the
-  process-wide coupling-model registry and the persistent worker pools
-  those evaluators create;
+  process-wide coupling-model registry, the netlist each model holds
+  (which :func:`~repro.analysis.experiments.build_case_study_network`
+  hands to every later request for that architecture) and the
+  persistent worker pools those evaluators create;
 * admission control: a bounded queue (structured 429 when full), an
   in-flight concurrency cap, and per-request budget caps
   (:class:`ServiceLimits`);
@@ -29,10 +31,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.evaluator import MappingEvaluator
+from repro.core.objectives import spec_for
 from repro.core.pool import flight_key
 from repro.core.registry import create_strategy
 from repro.core.result import OptimizationResult
 from repro.errors import ExecutorError, ReproError, ServiceError
+from repro.models.coupling import CouplingModel
 from repro.service.coalesce import BatchCoalescer, CoalescingEvaluator
 from repro.service.schema import (
     ServiceRequest,
@@ -75,8 +79,11 @@ class ServiceCore:
     limits : ServiceLimits, optional
         Admission-control caps.
     coalesce_window_s : float, optional
-        Linger window of the batch coalescers (see
-        :class:`~repro.service.coalesce.BatchCoalescer`).
+        The longest a batch flight lingers for co-travellers (see
+        :class:`~repro.service.coalesce.BatchCoalescer`). A flight waits
+        only while a request that could still join it exists: one that
+        holds a run slot and has not bound to a key yet, or one bound to
+        the flight's key, scored in batches, with no block pending.
     executor : str, optional
         Execution backend spec for the shared evaluators' sharded
         flights — ``"local"`` (default), ``"inline"``, or
@@ -138,7 +145,10 @@ class ServiceCore:
             self.limits.max_inflight + self.limits.queue_size
         )
         self._run_slots = threading.BoundedSemaphore(self.limits.max_inflight)
-        self._build_lock = threading.Lock()
+        # Requests holding a run slot that have not bound to a key yet:
+        # each may still join any key's flight (see _dispatch).
+        self._unbound = 0
+        self._model_locks: Dict[str, threading.Lock] = {}
         self._coalescers: Dict[Tuple, BatchCoalescer] = {}
         self._coalescer_meta: Dict[Tuple, dict] = {}
 
@@ -266,25 +276,90 @@ class ServiceCore:
     # -- dispatch ------------------------------------------------------------
 
     def _dispatch(self, request: ServiceRequest) -> dict:
-        if request.kind == "optimize":
-            return self._handle_optimize(request)
-        if request.kind == "distribution":
-            return self._handle_distribution(request)
-        return self._handle_evaluate(request)
+        """Run one request that holds a run slot.
 
-    def _should_linger(self) -> bool:
-        """Coalescer hint: linger only while other requests are active."""
+        Until it binds to its pool key's coalescer the request may still
+        join any key's flight, so every lingering flight waits for it;
+        once bound, only its own key's flights do, and only while its
+        work is scored in batches. It unbinds on every exit path.
+        """
         with self._lock:
-            return self._active > 1
+            self._unbound += 1
+        evaluator = None
+        try:
+            self._check_caps(request)
+            problem = request.problem()
+            evaluator = self._evaluator_for(request, problem)
+            if request.kind == "optimize":
+                return self._handle_optimize(request, problem, evaluator)
+            if request.kind == "distribution":
+                return self._handle_distribution(request, problem, evaluator)
+            return self._handle_evaluate(request, problem, evaluator)
+        finally:
+            if evaluator is None:
+                self._release_unbound()
+            else:
+                evaluator.coalescer.leave(evaluator)
+
+    def _unbound_waiting(self) -> bool:
+        """Coalescer hint: a request holding a run slot has not bound yet.
+
+        Called under a coalescer lock, so it reads the counter without
+        taking the core lock (the core never takes a coalescer lock
+        while holding its own).
+        """
+        return self._unbound > 0
+
+    def _release_unbound(self) -> None:
+        """A request bound to a key or ended unbound: re-check every linger."""
+        with self._lock:
+            self._unbound -= 1
+            coalescers = list(self._coalescers.values())
+        for coalescer in coalescers:
+            coalescer.wake()
+
+    def _check_caps(self, request: ServiceRequest) -> None:
+        """Enforce the per-request budget, sample and random-row caps."""
+        if request.kind == "optimize" and request.budget > self.limits.max_budget:
+            raise ServiceError(
+                f"budget {request.budget} exceeds the per-request cap "
+                f"{self.limits.max_budget}",
+                kind="over_budget",
+            )
+        if (
+            request.kind == "distribution"
+            and request.samples > self.limits.max_samples
+        ):
+            raise ServiceError(
+                f"samples {request.samples} exceeds the per-request cap "
+                f"{self.limits.max_samples}",
+                kind="over_budget",
+            )
+        if (
+            request.kind == "evaluate"
+            and request.assignments is None
+            and request.n_random > self.limits.max_mappings
+        ):
+            raise ServiceError(
+                f"n_random {request.n_random} exceeds the per-request "
+                f"cap {self.limits.max_mappings}",
+                kind="over_budget",
+            )
 
     def _evaluator_for(self, request: ServiceRequest, problem) -> CoalescingEvaluator:
         """This request's evaluator, bound to its pool key's coalescer.
 
-        Serialized by a build lock so two first requests for the same
-        architecture never build the coupling model twice, and the
-        coalescer registry stays consistent.
+        Serialized per coupling model (network signature, dtype, routes):
+        two first requests for one architecture build its model once and
+        create one coalescer per key, while a cold build never blocks
+        requests for other architectures.
         """
-        with self._build_lock:
+        model_key = CouplingModel.cache_key(
+            problem.network, request.dtype, routes=problem.routes
+        )
+        with self._lock:
+            model_lock = self._model_locks.setdefault(model_key, threading.Lock())
+        with model_lock:
             evaluator = CoalescingEvaluator(
                 problem,
                 dtype=request.dtype,
@@ -307,21 +382,25 @@ class ServiceCore:
                 coalescer = BatchCoalescer(
                     shared,
                     window_s=self.coalesce_window_s,
-                    linger_hint=self._should_linger,
+                    linger_hint=self._unbound_waiting,
                 )
-                self._coalescers[key] = coalescer
-                self._coalescer_meta[key] = {
-                    "application": problem.cg.name,
-                    "network": problem.network.signature.split("|params")[0],
-                    "params": problem.network.params.content_hash[:12],
-                    "dtype": str(np.dtype(request.dtype).name),
-                    "variation": problem.variation_fingerprint,
-                    "routes": problem.routes,
-                }
-            evaluator.coalescer = coalescer
+                with self._lock:
+                    self._coalescers[key] = coalescer
+                    self._coalescer_meta[key] = {
+                        "application": problem.cg.name,
+                        "network": problem.network.signature.split("|params")[0],
+                        "params": problem.network.params.content_hash[:12],
+                        "dtype": str(np.dtype(request.dtype).name),
+                        "variation": problem.variation_fingerprint,
+                        "routes": problem.routes,
+                    }
+        if _scored_in_batches(request):
+            coalescer.join(evaluator)
+        evaluator.coalescer = coalescer
+        self._release_unbound()
         return evaluator
 
-    def _handle_optimize(self, request: ServiceRequest) -> dict:
+    def _handle_optimize(self, request: ServiceRequest, problem, evaluator) -> dict:
         """Run one strategy; offline counterpart: ``DesignSpaceExplorer.run``.
 
         Same strategy construction, the same ``np.random.default_rng``
@@ -331,14 +410,6 @@ class ServiceCore:
         evaluator changes where batch rows are scored, never their
         values — so the response is bit-identical to the offline run.
         """
-        if request.budget > self.limits.max_budget:
-            raise ServiceError(
-                f"budget {request.budget} exceeds the per-request cap "
-                f"{self.limits.max_budget}",
-                kind="over_budget",
-            )
-        problem = request.problem()
-        evaluator = self._evaluator_for(request, problem)
         strategy = create_strategy(request.strategy)
         rng = np.random.default_rng(request.seed)
         result = strategy.optimize(
@@ -346,7 +417,9 @@ class ServiceCore:
         )
         return _serialize_result(result, problem)
 
-    def _handle_distribution(self, request: ServiceRequest) -> dict:
+    def _handle_distribution(
+        self, request: ServiceRequest, problem, evaluator
+    ) -> dict:
         """Random-mapping sweep; offline: ``random_mapping_distribution``.
 
         The offline function itself runs the sweep, handed this
@@ -356,14 +429,6 @@ class ServiceCore:
         """
         from repro.analysis.distribution import random_mapping_distribution
 
-        if request.samples > self.limits.max_samples:
-            raise ServiceError(
-                f"samples {request.samples} exceeds the per-request cap "
-                f"{self.limits.max_samples}",
-                kind="over_budget",
-            )
-        problem = request.problem()
-        evaluator = self._evaluator_for(request, problem)
         result = random_mapping_distribution(
             problem.cg,
             problem.network,
@@ -381,7 +446,7 @@ class ServiceCore:
             "loss_summary": result.summary("loss"),
         }
 
-    def _handle_evaluate(self, request: ServiceRequest) -> dict:
+    def _handle_evaluate(self, request: ServiceRequest, problem, evaluator) -> dict:
         """Score explicit or random mappings; offline: ``evaluate_batch``.
 
         Offline counterpart: ``MappingEvaluator(problem,
@@ -389,17 +454,9 @@ class ServiceCore:
         by ``random_assignment_batch`` from the request seed — the
         service returns the identical per-row metric vectors.
         """
-        problem = request.problem()
-        evaluator = self._evaluator_for(request, problem)
         if request.assignments is not None:
             assignments = request.assignments
         else:
-            if request.n_random > self.limits.max_mappings:
-                raise ServiceError(
-                    f"n_random {request.n_random} exceeds the per-request "
-                    f"cap {self.limits.max_mappings}",
-                    kind="over_budget",
-                )
             rng = np.random.default_rng(request.seed)
             assignments = evaluator.random_vector_batch(request.n_random, rng)
         if assignments.shape[0] > self.limits.max_mappings:
@@ -433,11 +490,22 @@ class ServiceCore:
             served_objectives = dict(self._served_objectives)
             active = self._active
             rejected = self._rejected_queue_full
+            coalescers = [
+                (self._coalescer_meta[key], coalescer)
+                for key, coalescer in self._coalescers.items()
+            ]
         per_key = []
-        totals = {"flights": 0, "batches": 0, "coalesced_batches": 0, "rows": 0}
-        for key, coalescer in list(self._coalescers.items()):
+        totals = {
+            "flights": 0,
+            "batches": 0,
+            "coalesced_batches": 0,
+            "rows": 0,
+            "lingered_flights": 0,
+            "linger_ms": 0.0,
+        }
+        for meta, coalescer in coalescers:
             snapshot = coalescer.stats.as_dict()
-            per_key.append({**self._coalescer_meta[key], **snapshot})
+            per_key.append({**meta, **snapshot})
             for name in totals:
                 totals[name] += snapshot[name]
         totals["coalescing_ratio"] = (
@@ -468,6 +536,24 @@ class ServiceCore:
             },
             "coalescing": {"per_key": per_key, "totals": totals},
         }
+
+
+def _scored_in_batches(request: ServiceRequest) -> bool:
+    """Whether the request's work reaches its coalescer as batches.
+
+    Evaluate and distribution requests always do. Optimize requests do
+    for population strategies (``batch_shardable``: rs, ga) and for any
+    strategy run without a delta engine (``use_delta`` false, or an
+    objective the engine does not support); the delta engine's local
+    searches score moves inline and never submit a flight block.
+    """
+    if request.kind != "optimize":
+        return True
+    return (
+        create_strategy(request.strategy).batch_shardable
+        or not request.use_delta
+        or not spec_for(request.objective).supports_delta
+    )
 
 
 def _serialize_result(result: OptimizationResult, problem) -> dict:
