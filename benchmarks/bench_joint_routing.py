@@ -21,7 +21,7 @@ parts:
   placements whose bottleneck never touches a multi-route pair, and
   joint == mapping-only at the optimum).
 * **Model-cache-hit race** (full mode): the routed coupling model is
-  content-addressed by ``(signature, routes, dtype)``; re-requesting
+  content-addressed by ``(signature, routes)``; re-requesting
   it must hit the process cache >100x faster than the cold build.
 
 Expected runtime: a few seconds with ``--quick``; ~2-4 minutes in full

@@ -8,7 +8,7 @@ into existence (:mod:`repro.models.coupling`):
 * the **vectorized** walk-once builder (emission channels resolved once,
   joins gathered, contributions scatter-accumulated);
 * a **warm on-disk cache** load (``for_network(cache_dir=...)``:
-  memory-mapped arrays keyed by signature/dtype/MODEL_VERSION).
+  memory-mapped arrays keyed by signature/MODEL_VERSION).
 
 Each builder is timed on its own freshly assembled network, so every
 time is a whole cold build — path elaboration included, as a user's first

@@ -79,7 +79,6 @@ def random_mapping_distribution(
     seed: Optional[int] = None,
     batch_size: int = 4096,
     n_workers: int = 1,
-    dtype=np.float64,
     evaluator: Optional[MappingEvaluator] = None,
     executor: str = "local",
     routes: int = 1,
@@ -105,12 +104,9 @@ def random_mapping_distribution(
         the parent generates the next — and results are written back by
         submission offset, so the returned distribution is
         **bit-identical for any** ``n_workers``.
-    dtype : numpy dtype-like, optional
-        Coupling-matrix dtype (default ``float64``; ``float32`` halves
-        both the dense and the CSR coupling memory).
     evaluator : MappingEvaluator, optional
         Pre-built evaluator to sample through instead of constructing
-        one (``dtype`` and ``n_workers`` are then taken from it). The
+        one (``n_workers`` is then taken from it). The
         service layer passes its coalescing evaluator here, so
         concurrent distribution requests share merged batch flights; any
         compliant evaluator yields the same samples — generation depends
@@ -134,7 +130,7 @@ def random_mapping_distribution(
     if evaluator is None:
         problem = MappingProblem(cg, network, Objective.SNR, routes=routes)
         evaluator = MappingEvaluator(
-            problem, dtype=dtype, n_workers=n_workers, executor=executor,
+            problem, n_workers=n_workers, executor=executor,
         )
     rng = np.random.default_rng(seed)
     snr = np.empty(n_samples, dtype=np.float64)

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.distribution import DistributionResult, random_mapping_distribution
 from repro.analysis.report import format_db, format_table
 from repro.appgraph.benchmarks import BENCHMARK_NAMES, grid_side_for, load_benchmark
@@ -158,7 +156,6 @@ def reproduce_fig3(
     seed: int = 2016,
     router: str = "crux",
     n_workers: int = 1,
-    dtype=np.float64,
     executor: str = "local",
     routes: int = 1,
 ) -> Dict[str, DistributionResult]:
@@ -167,8 +164,7 @@ def reproduce_fig3(
     ``n_workers > 1`` shards each application's batch evaluations across
     the persistent worker pool (generation overlaps evaluation); the
     sampled distributions are bit-identical for any worker count.
-    ``dtype`` sets the evaluator's coupling memory (see
-    :class:`~repro.core.evaluator.MappingEvaluator`). ``routes > 1``
+    ``routes > 1``
     samples joint design vectors (placements plus uniform route genes);
     the default 1 reproduces the paper's experiment exactly.
     """
@@ -178,8 +174,7 @@ def reproduce_fig3(
         network = build_case_study_network("mesh", grid_side_for(cg), router)
         results[name] = random_mapping_distribution(
             cg, network, n_samples=n_samples, seed=seed + index,
-            n_workers=n_workers, dtype=dtype, executor=executor,
-            routes=routes,
+            n_workers=n_workers, executor=executor, routes=routes,
         )
     return results
 
@@ -287,7 +282,6 @@ def reproduce_table2(
     router: str = "crux",
     use_delta: bool = True,
     n_workers: int = 1,
-    dtype=np.float64,
     executor: str = "local",
     routes: int = 1,
 ) -> Table2Result:
@@ -299,7 +293,6 @@ def reproduce_table2(
     equal-running-time protocol (DESIGN.md §4). ``n_workers > 1`` runs the
     per-strategy comparisons across a process pool; the results are
     bit-identical to the sequential ones (see :mod:`repro.core.dse`).
-    ``dtype`` sets the coupling memory of each cell's evaluator.
     ``routes > 1`` widens every cell's search to the joint mapping x
     routing space; the default 1 reproduces the paper's protocol exactly.
     """
@@ -314,7 +307,7 @@ def reproduce_table2(
             for objective in (Objective.SNR, Objective.INSERTION_LOSS):
                 problem = MappingProblem(cg, network, objective, routes=routes)
                 explorer = DesignSpaceExplorer(
-                    problem, dtype=dtype, use_delta=use_delta,
+                    problem, use_delta=use_delta,
                     n_workers=n_workers, executor=executor,
                 )
                 results = explorer.compare(strategies, budget=budget, seed=seed)

@@ -22,8 +22,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.analysis.report import format_table
 from repro.appgraph.graph import CommunicationGraph
 from repro.core.dse import DesignSpaceExplorer
@@ -166,7 +164,6 @@ def sweep_device_points(
     strategy: str = "r-pbla",
     budget: int = 2_000,
     seed: Optional[int] = 0,
-    dtype=np.float64,
     use_delta: bool = True,
     n_workers: int = 1,
     model_cache_dir: Optional[str] = None,
@@ -196,7 +193,6 @@ def sweep_device_points(
         problem = MappingProblem(cg, network, objective, variation=variation)
         with DesignSpaceExplorer(
             problem,
-            dtype=dtype,
             use_delta=use_delta,
             n_workers=n_workers,
             model_cache_dir=model_cache_dir,

@@ -39,24 +39,30 @@ def cg_to_dict(cg: CommunicationGraph) -> dict:
 
 
 def cg_from_dict(data: dict) -> CommunicationGraph:
-    """Rebuild a CG from :func:`cg_to_dict` output."""
+    """Rebuild a CG from :func:`cg_to_dict` output.
+
+    Descriptions come from files and service requests, so any malformed
+    one raises :class:`ConfigurationError`, never a bare exception.
+    """
     try:
         name = data["name"]
         tasks = list(data["tasks"])
         raw_edges = data["edges"]
+        index = {task: i for i, task in enumerate(tasks)}
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed CG description: {exc}") from None
-    index = {task: i for i, task in enumerate(tasks)}
     edges = []
-    for raw in raw_edges:
-        try:
+    try:
+        for raw in raw_edges:
             edges.append(
                 (index[raw["src"]], index[raw["dst"]], float(raw.get("bandwidth", 1.0)))
             )
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"CG edge references unknown field or task: {exc}"
-            ) from None
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"CG edge references unknown field or task: {exc}"
+        ) from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed CG edges: {exc}") from None
     return CommunicationGraph(name, tasks, edges)
 
 

@@ -60,23 +60,13 @@ from repro.router.registry import available_routers
 __all__ = ["main", "build_parser", "SUBCOMMANDS"]
 
 
-def _add_evaluator_arguments(parser: argparse.ArgumentParser) -> None:
-    """Evaluator knobs shared by the heavy-evaluation subcommands."""
-    parser.add_argument(
-        "--float32", action="store_true",
-        help="use float32 coupling matrices (halves dense and CSR memory "
-             "at reduced noise precision)",
-    )
-    _add_model_cache_argument(parser)
-
-
 def _add_model_cache_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model-cache", metavar="DIR", default=None,
         help="on-disk coupling-model cache directory: precomputed "
              "matrices are memory-mapped back instead of rebuilt "
-             "(keyed by architecture signature, dtype and model "
-             "version; results are bit-identical either way). Also "
+             "(keyed by architecture signature and model version; "
+             "results are bit-identical either way). Also "
              "settable via PHONOCMAP_MODEL_CACHE",
     )
 
@@ -98,10 +88,6 @@ def _add_executor_argument(parser: argparse.ArgumentParser) -> None:
              "local fallback backend, bit-identically). Also settable "
              "via PHONOCMAP_ON_WORKER_LOSS",
     )
-
-
-def _evaluator_dtype(args: argparse.Namespace):
-    return np.float32 if args.float32 else np.float64
 
 
 def _add_routes_argument(parser: argparse.ArgumentParser) -> None:
@@ -228,7 +214,7 @@ def _configure_evaluate(parser: argparse.ArgumentParser) -> None:
         help="print the full mapping report with noise breakdowns",
     )
     _add_objective_arguments(parser)
-    _add_evaluator_arguments(parser)
+    _add_model_cache_argument(parser)
 
 
 def _configure_optimize(parser: argparse.ArgumentParser) -> None:
@@ -252,7 +238,7 @@ def _configure_optimize(parser: argparse.ArgumentParser) -> None:
         "--mapping-out", metavar="FILE", help="write the best mapping as JSON"
     )
     _add_routes_argument(parser)
-    _add_evaluator_arguments(parser)
+    _add_model_cache_argument(parser)
     _add_executor_argument(parser)
 
 
@@ -276,7 +262,7 @@ def _configure_table2(parser: argparse.ArgumentParser) -> None:
         help="print the paper's numbers next to the measured ones",
     )
     _add_routes_argument(parser)
-    _add_evaluator_arguments(parser)
+    _add_model_cache_argument(parser)
     _add_executor_argument(parser)
 
 
@@ -295,7 +281,7 @@ def _configure_fig3(parser: argparse.ArgumentParser) -> None:
         "--curves", action="store_true", help="also print ASCII CDF curves"
     )
     _add_routes_argument(parser)
-    _add_evaluator_arguments(parser)
+    _add_model_cache_argument(parser)
     _add_executor_argument(parser)
 
 
@@ -340,7 +326,7 @@ def _configure_sweep(parser: argparse.ArgumentParser) -> None:
         "--json-out", metavar="FILE",
         help="also write the sweep points as a JSON document",
     )
-    _add_evaluator_arguments(parser)
+    _add_model_cache_argument(parser)
 
 
 def _parse_sweep_grid(param_args: List[str]):
@@ -503,7 +489,7 @@ def _cmd_evaluate(args) -> int:
     problem = MappingProblem(
         cg, network, args.objective, variation=_variation_from(args)
     )
-    evaluator = problem.evaluator(dtype=_evaluator_dtype(args))
+    evaluator = problem.evaluator()
     if args.mapping_json:
         with open(args.mapping_json) as handle:
             placement = json.load(handle)
@@ -546,7 +532,7 @@ def _cmd_optimize(args) -> int:
         routes=args.routes,
     )
     explorer = DesignSpaceExplorer(
-        problem, dtype=_evaluator_dtype(args), use_delta=not args.no_delta,
+        problem, use_delta=not args.no_delta,
         n_workers=args.workers, model_cache_dir=args.model_cache,
         executor=args.executor,
     )
@@ -581,7 +567,6 @@ def _cmd_table2(args) -> int:
         router=args.router,
         use_delta=not args.no_delta,
         n_workers=args.workers,
-        dtype=_evaluator_dtype(args),
         executor=args.executor,
         routes=args.routes,
     )
@@ -592,8 +577,7 @@ def _cmd_table2(args) -> int:
 def _cmd_fig3(args) -> int:
     results = reproduce_fig3(
         applications=args.apps, n_samples=args.samples, seed=args.seed,
-        n_workers=args.workers, dtype=_evaluator_dtype(args),
-        executor=args.executor, routes=args.routes,
+        n_workers=args.workers, executor=args.executor, routes=args.routes,
     )
     print(format_fig3(results))
     if args.curves:
@@ -631,7 +615,6 @@ def _cmd_sweep(args) -> int:
         strategy=args.strategy,
         budget=args.budget,
         seed=args.seed,
-        dtype=_evaluator_dtype(args),
         use_delta=not args.no_delta,
         n_workers=args.workers,
         model_cache_dir=args.model_cache,

@@ -209,18 +209,11 @@ class DeltaEvaluator:
         # a contiguous transpose keeps the column walk row-local (and does
         # not assume the serialization mask is symmetric).
         self._maskfT = np.ascontiguousarray(self._maskf.T)
-        # Padded conflict table: row v lists the aggressor columns a with
-        # mask[v, a] == 0 (the serialized edges, plus v itself) — the only
-        # terms by which v's masked noise row differs from the full row
-        # sum. Padding points at the dummy column E and carries weight 0.
-        n_edges = self._E
-        conflicts = [np.nonzero(~evaluator._mask[v, :])[0] for v in range(n_edges)]
-        k_width = max(1, max(len(c) for c in conflicts))
-        self._conf_row = np.full((n_edges, k_width), n_edges, dtype=np.int64)
-        self._conf_w = np.zeros((n_edges, k_width), dtype=self._maskf.dtype)
-        for v, c in enumerate(conflicts):
-            self._conf_row[v, : len(c)] = c
-            self._conf_w[v, : len(c)] = 1.0
+        # The evaluator's padded conflict table: row v lists the aggressor
+        # columns a with mask[v, a] == 0 (the serialized edges, plus v
+        # itself) — the only terms by which v's masked noise row differs
+        # from the full row sum. Padding carries weight 0.
+        self._conf_row, self._conf_w = evaluator._conflict_tables
 
     # -- incumbent state ---------------------------------------------------------
 
@@ -489,7 +482,7 @@ class DeltaEvaluator:
         # one.
         diff = self._cols_inc[new_pa] - self._cols_inc[old_pa]  # (M, L, E)
         base = np.einsum("mle,mle->me", self._maskfT[aff0], diff)
-        noise = np.empty((n_moves, n_edges + 1), dtype=base.dtype)
+        noise = np.empty((n_moves, n_edges + 1), dtype=np.float64)
         noise[:, :n_edges] = self._noise[None, :] + base
 
         # Affected victims: recompute the full masked row sum, but as the
@@ -501,13 +494,12 @@ class DeltaEvaluator:
         coupling = self._model.coupling_linear
         pairs_moved = np.empty((n_moves, n_edges + 1), dtype=np.int64)
         pairs_moved[:, :n_edges] = self._pairs[None, :]
-        pairs_moved[:, n_edges] = 0  # dummy column: weight-0 gathers land here
         np.put_along_axis(pairs_moved, scatter, new_pa, axis=1)
         cross = (
             coupling[new_pa[:, :, None], new_pa[:, None, :]]
             - coupling[new_pa[:, :, None], old_pa[:, None, :]]
         ).sum(axis=2)
-        conf = self._conf_row[aff0]  # (M, L, K) serialized columns, pad -> E
+        conf = self._conf_row[aff0]  # (M, L, K) serialized columns
         conf_pairs = pairs_moved[
             np.arange(n_moves)[:, None, None], conf
         ]

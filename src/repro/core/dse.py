@@ -44,7 +44,7 @@ each worker builds its own strategy instance — ``optimize`` is documented
 non-reentrant, one instance must never serve two concurrent runs.
 
 Since PR 3 the executors are *persistent* (:mod:`repro.core.pool`): one
-lazily created pool per (CG, network, dtype, n_workers) key serves
+lazily created pool per (CG, network, n_workers) key serves
 ``compare()`` fan-outs, chain decompositions **and** the row sharding of
 giant ``evaluate_batch`` calls, instead of a fresh pool per call. Batch
 strategies (random search, the GA) declare
@@ -101,17 +101,14 @@ class DesignSpaceExplorer:
     def __init__(
         self,
         problem: MappingProblem,
-        dtype=np.float64,
         use_delta: bool = True,
         n_workers: int = 1,
         model_cache_dir: Optional[str] = None,
         executor: str = "local",
     ) -> None:
         self.problem = problem
-        self.dtype = np.dtype(dtype)
         self.evaluator = MappingEvaluator(
             problem,
-            dtype=dtype,
             model_cache_dir=model_cache_dir,
             executor=executor,
         )
@@ -249,7 +246,6 @@ class DesignSpaceExplorer:
         return FanOut(
             lambda: _pool.get_pool(
                 self.problem,
-                self.dtype,
                 n_workers,
                 model_cache_dir=self.model_cache_dir,
                 executor=self.executor,

@@ -79,6 +79,7 @@ the sequential counter exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -93,7 +94,8 @@ from repro.core.objectives import (
 )
 from repro.core.problem import MappingProblem
 from repro.errors import MappingError
-from repro.models.coupling import CouplingModel
+from repro.models.coupling import CouplingModel, cached_network
+from repro.noc.network import PhotonicNoC
 
 __all__ = [
     "EdgeMetrics",
@@ -155,6 +157,21 @@ def noise_kernel(model: CouplingModel, n_edges: int) -> str:
     if SPARSE_AUTO_FACTOR * n_edges * n_edges >= model.nnz:
         return "sparse"
     return "dense"
+
+
+def _sample_network(network: PhotonicNoC, params) -> PhotonicNoC:
+    """``network`` at the device parameters ``params``, assembled once.
+
+    Returns the netlist of the process-cached model for that signature
+    when there is one, so a warm variation plan assembles nothing.
+    """
+    held = cached_network(
+        PhotonicNoC.signature_of(
+            network.topology, network.router_spec.name, params,
+            network.routing, network.floorplan,
+        )
+    )
+    return held if held is not None else network.with_params(params)
 
 
 @dataclass(frozen=True)
@@ -320,10 +337,6 @@ class MappingEvaluator:
     ----------
     problem : MappingProblem
         The problem instance (CG + network + objective) to evaluate for.
-    dtype : numpy dtype-like, optional
-        Dtype of the coupling matrix (default ``float64``; ``float32``
-        halves the memory of the O(n_pairs^2) matrix at reduced noise
-        precision).
     n_workers : int, optional
         Default shard width of :meth:`evaluate_batch` /
         :meth:`submit_batch` (default 1, fully sequential). Any value
@@ -352,7 +365,6 @@ class MappingEvaluator:
     def __init__(
         self,
         problem: MappingProblem,
-        dtype=np.float64,
         n_workers: int = 1,
         model_cache_dir: Optional[str] = None,
         executor: str = "local",
@@ -363,7 +375,6 @@ class MappingEvaluator:
         self.network = problem.network
         self.objective = problem.objective
         self.routes = problem.routes
-        self.dtype = np.dtype(dtype)
         # Resolve the process-wide default eagerly so worker pools are
         # initialized with the same cache directory this evaluator used.
         from repro.models.coupling import get_model_cache_dir
@@ -375,16 +386,13 @@ class MappingEvaluator:
         )
         self.model = CouplingModel.for_network(
             problem.network,
-            dtype=dtype,
             cache_dir=self.model_cache_dir,
             routes=self.routes,
         )
         self._edges = self.cg.edge_array()
         self._route_counts: Optional[np.ndarray] = None  # lazy, routes > 1
         self._mask = self.cg.serialization_mask()
-        # The noise contraction needs the mask at the coupling dtype;
-        # cast once here instead of once per evaluated chunk.
-        self._mask_linear = self._mask.astype(self.model.coupling_linear.dtype)
+        self._mask_linear = self._mask.astype(np.float64)
         self._bandwidths = self.cg.bandwidth_array()
         self._bandwidth_weights = self._bandwidths / self._bandwidths.sum()
         self.n_workers = self._check_workers(n_workers)
@@ -392,7 +400,6 @@ class MappingEvaluator:
         self._sparse: Optional[_SparseModelState] = None  # sparse kernel only
         if self._backend == "sparse":
             self._sparse = _SparseModelState(self.model)
-            self._conf_idx, self._conf_w = self._conflict_tables()
             n_pairs = self.model.n_pairs
             self._w_scratch = np.zeros(n_pairs, dtype=np.float64)
             self._rowdot_scratch = np.zeros(n_pairs, dtype=np.float64)
@@ -400,7 +407,8 @@ class MappingEvaluator:
         # device sample, each resolved through the same process/disk
         # cache chain as the nominal model (the perturbed params' content
         # hashes key distinct cache entries), so repeated sweeps and
-        # worker hydrations never rebuild a sample they have seen.
+        # worker hydrations never rebuild a sample they have seen, nor
+        # re-assemble the netlist of a sample the process holds.
         self.variation = problem.variation
         self._sample_models: tuple = ()
         self._sample_sparse: tuple = ()
@@ -408,8 +416,7 @@ class MappingEvaluator:
             sample_params = self.variation.samples(problem.network.params)
             self._sample_models = tuple(
                 CouplingModel.for_network(
-                    problem.network.with_params(params),
-                    dtype=dtype,
+                    _sample_network(problem.network, params),
                     cache_dir=self.model_cache_dir,
                     routes=self.routes,
                 )
@@ -447,6 +454,7 @@ class MappingEvaluator:
         """The noise kernel :func:`noise_kernel` picked for this problem."""
         return self._backend
 
+    @cached_property
     def _conflict_tables(self):
         """Padded per-victim tables of serialized aggressor edges.
 
@@ -455,6 +463,8 @@ class MappingEvaluator:
         the only columns by which a victim's masked noise differs from
         the plain sum over the mapping's pairs. Padding entries point at
         edge 0 and carry weight 0, so vectorized gathers stay rectangular.
+        Built on first use: the sparse kernel and every SNR-family delta
+        engine read it.
         """
         conflicts = [np.nonzero(~self._mask[v])[0] for v in range(len(self._edges))]
         width = max(1, max((len(c) for c in conflicts), default=1))
@@ -622,7 +632,6 @@ class MappingEvaluator:
         fanout = FanOut(
             lambda: _pool.get_pool(
                 self.problem,
-                self.dtype,
                 workers,
                 model_cache_dir=self.model_cache_dir,
                 executor=self.executor,
@@ -657,18 +666,15 @@ class MappingEvaluator:
     def _chunk_rows(self) -> int:
         """Mappings per chunk keeping per-chunk transients within budget.
 
-        Dense: the (M, E, E) gather dominates, sized by the coupling
-        matrix's actual element width (float32 models get twice the rows
-        of float64). Sparse: the per-mapping matvec reuses fixed scratch
-        buffers, so only the (M, E, K) conflict gather scales with the
-        chunk.
+        Dense: the (M, E, E) gather of 8-byte couplings dominates.
+        Sparse: the per-mapping matvec reuses fixed scratch buffers, so
+        only the (M, E, K) conflict gather scales with the chunk.
         """
         n_edges = len(self._edges)
-        itemsize = self.model.coupling_linear.dtype.itemsize
         if self.backend == "sparse":
-            width = max(1, n_edges * self._conf_idx.shape[1] * 3)
-            return max(1, _CHUNK_BYTES // (itemsize * width))
-        return max(1, _CHUNK_BYTES // max(1, itemsize * n_edges * n_edges))
+            width = max(1, n_edges * self._conflict_tables[0].shape[1] * 3)
+            return max(1, _CHUNK_BYTES // (8 * width))
+        return max(1, _CHUNK_BYTES // max(1, 8 * n_edges * n_edges))
 
     def _pair_table(self, vectors: np.ndarray) -> np.ndarray:
         """Flat model-slot indices: (M, E) for a batch, (E,) for one vector.
@@ -760,9 +766,10 @@ class MappingEvaluator:
         # bit-identical-for-any-n_workers contract. K sequential
         # elementwise adds are shape-independent by construction.
         conflict = np.zeros_like(unmasked)
-        for k in range(self._conf_idx.shape[1]):
-            conflict_pairs = pairs[:, self._conf_idx[:, k]]
-            conflict += coupling[pairs, conflict_pairs] * self._conf_w[:, k]
+        conf_idx, conf_w = self._conflict_tables
+        for k in range(conf_idx.shape[1]):
+            conflict_pairs = pairs[:, conf_idx[:, k]]
+            conflict += coupling[pairs, conflict_pairs] * conf_w[:, k]
         noise = unmasked - conflict
         suspect_m, suspect_v = np.nonzero(noise <= 1e-12 * unmasked)
         if len(suspect_m):
@@ -1010,7 +1017,7 @@ class MappingEvaluator:
 
         Sharded :meth:`evaluate_batch` calls lazily create process pools
         that otherwise stay warm until LRU eviction or interpreter exit;
-        ``close()`` shuts the ones for this problem (at this dtype) down
+        ``close()`` shuts the ones for this problem down
         deterministically. Safe to call when no pool was ever created,
         and the evaluator remains usable afterwards (a later sharded
         call simply builds a fresh pool). Also usable as a context
@@ -1018,7 +1025,7 @@ class MappingEvaluator:
         """
         from repro.core import pool as _pool
 
-        _pool.release_pools(self.problem, self.dtype)
+        _pool.release_pools(self.problem)
 
     def __enter__(self) -> "MappingEvaluator":
         """Enter a ``with`` block; :meth:`close` runs on exit."""

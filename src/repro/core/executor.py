@@ -58,8 +58,6 @@ import os
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ExecutorError
 
 __all__ = [
@@ -325,8 +323,8 @@ class FanOut:
 class LocalProcessBackend(ExecutorBackend):
     """One reusable :class:`ProcessPoolExecutor` plus its wiring.
 
-    Workers are initialized once with the problem, the coupling dtype
-    and the on-disk model cache directory; afterwards every submitted
+    Workers are initialized once with the problem and the on-disk model
+    cache directory; afterwards every submitted
     task — whole strategy runs, independent chains, or batch shards —
     finds its evaluator warm in the worker process. The constructor
     resolves the problem's coupling model and builds the arrays its
@@ -345,7 +343,6 @@ class LocalProcessBackend(ExecutorBackend):
         self,
         key: Tuple,
         problem,
-        dtype,
         n_workers: int,
         model_cache_dir: Optional[str] = None,
     ):
@@ -355,11 +352,9 @@ class LocalProcessBackend(ExecutorBackend):
 
         super().__init__(key, n_workers)
         self.problem = problem
-        self.dtype = np.dtype(dtype)
         self.model_cache_dir = model_cache_dir
         model = CouplingModel.for_network(
             problem.network,
-            dtype=self.dtype,
             cache_dir=model_cache_dir,
             routes=problem.routes,
         )
@@ -372,7 +367,7 @@ class LocalProcessBackend(ExecutorBackend):
         self._executor = ProcessPoolExecutor(
             max_workers=self.n_workers,
             initializer=_parallel._init_worker,
-            initargs=(problem, self.dtype.name, model_cache_dir),
+            initargs=(problem, model_cache_dir),
         )
 
     @property
@@ -421,7 +416,6 @@ class InlineBackend(ExecutorBackend):
         self,
         key: Tuple,
         problem,
-        dtype,
         n_workers: int = 1,
         model_cache_dir: Optional[str] = None,
     ):
@@ -430,18 +424,14 @@ class InlineBackend(ExecutorBackend):
 
         super().__init__(key, n_workers)
         self.problem = problem
-        self.dtype = np.dtype(dtype)
         # Resolve the model eagerly (cache hit when the caller's
         # evaluator exists already) so context evaluators build fast.
         CouplingModel.for_network(
             problem.network,
-            dtype=self.dtype,
             cache_dir=model_cache_dir,
             routes=problem.routes,
         )
-        self._context = _parallel.WorkerContext(
-            problem, self.dtype, model_cache_dir
-        )
+        self._context = _parallel.WorkerContext(problem, model_cache_dir)
         self._closed = False
 
     def _submit(self, fn, /, *args, **kwargs) -> Future:

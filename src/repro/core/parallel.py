@@ -137,9 +137,9 @@ class WorkerContext:
     """The state one executor worker holds to evaluate a problem.
 
     A context is everything :func:`run_strategy_task` and
-    :func:`evaluate_shard_task` need to run: the problem, the coupling
-    dtype, the on-disk model cache directory its evaluators resolve
-    models against (``None``: the process default), and a per-objective
+    :func:`evaluate_shard_task` need to run: the problem, the on-disk
+    model cache directory its evaluators resolve models against
+    (``None``: the process default), and a per-objective
     evaluator cache (evaluators are built lazily — one warm context
     serves e.g. both the SNR and the power-loss pass of a Table II cell,
     because executors are keyed objective-free).
@@ -154,11 +154,9 @@ class WorkerContext:
     def __init__(
         self,
         problem: MappingProblem,
-        dtype,
         model_cache_dir: Optional[str] = None,
     ):
         self.problem = problem
-        self.dtype = np.dtype(dtype)
         self.model_cache_dir = model_cache_dir
         self.evaluators: Dict[object, MappingEvaluator] = {}
 
@@ -180,9 +178,7 @@ class WorkerContext:
                 # must produce the same metric-table set.
                 target = problem.with_objective(objective)
             evaluator = MappingEvaluator(
-                target,
-                dtype=self.dtype,
-                model_cache_dir=self.model_cache_dir,
+                target, model_cache_dir=self.model_cache_dir
             )
             self.evaluators[objective] = evaluator
         return evaluator
@@ -231,9 +227,7 @@ def current_context() -> WorkerContext:
     return context
 
 
-def _init_worker(
-    problem: MappingProblem, dtype_name: str, model_cache_dir=None
-) -> None:
+def _init_worker(problem: MappingProblem, model_cache_dir=None) -> None:
     """Pool initializer: install the process context.
 
     The context's evaluators resolve the coupling model lazily through
@@ -244,9 +238,7 @@ def _init_worker(
     results are bit-identical to the inline path.
     """
     global _PROCESS_CONTEXT
-    _PROCESS_CONTEXT = WorkerContext(
-        problem, np.dtype(dtype_name), model_cache_dir
-    )
+    _PROCESS_CONTEXT = WorkerContext(problem, model_cache_dir)
 
 
 def worker_evaluator(objective=None) -> MappingEvaluator:

@@ -12,8 +12,8 @@ This module owns the executors instead:
 
 * :func:`get_pool` returns a lazily created
   :class:`~repro.core.executor.ExecutorBackend` keyed on
-  ``(communication graph, network signature, coupling dtype, variation
-  fingerprint, n_workers, executor spec)`` — everything the worker-side
+  ``(communication graph, network signature, variation fingerprint,
+  n_workers, executor spec)`` — everything the worker-side
   evaluator depends on *except* the objective (the noise kernel follows
   from the CG and the model). Workers cache one evaluator per
   objective (see :func:`repro.core.parallel.worker_evaluator`), so the
@@ -117,38 +117,34 @@ def _network_key(problem: MappingProblem) -> str:
     return signature
 
 
-def flight_key(problem: MappingProblem, dtype) -> Tuple:
+def flight_key(problem: MappingProblem) -> Tuple:
     """The objective-free prefix of every pool key.
 
-    ``(CG fingerprint, network signature, coupling dtype, variation
-    fingerprint)``. The objective is excluded, so objective flips reuse
-    the warm pool and the service coalesces requests of any objective
-    into one flight; the variation fingerprint (empty without a plan)
-    decides which tables workers produce, so plans never mix.
+    ``(CG fingerprint, network signature, variation fingerprint)``. The
+    objective is excluded, so objective flips reuse the warm pool and
+    the service coalesces requests of any objective into one flight;
+    the variation fingerprint (empty without a plan) decides which
+    tables workers produce, so plans never mix.
     """
     return (
         _cg_fingerprint(problem),
         _network_key(problem),
-        np.dtype(dtype).name,
         problem.variation_fingerprint,
     )
 
 
 def pool_key(
     problem: MappingProblem,
-    dtype,
     n_workers: int,
     executor: str = "local",
 ) -> Tuple:
-    """The cache key of the pool serving ``problem`` at ``dtype``.
+    """The cache key of the pool serving ``problem``.
 
     Parameters
     ----------
     problem : MappingProblem
         The problem whose CG and network the workers must hold (see
         :func:`flight_key` for what of it enters the key).
-    dtype : numpy dtype-like
-        Coupling-matrix dtype of the evaluators the workers build.
     n_workers : int
         Pool size; pools of different sizes never alias.
     executor : str, optional
@@ -161,7 +157,7 @@ def pool_key(
         Hashable key for :data:`_POOLS`: :func:`flight_key` followed by
         ``n_workers`` and the executor spec.
     """
-    return flight_key(problem, dtype) + (
+    return flight_key(problem) + (
         int(n_workers),
         parse_executor_spec(executor),
     )
@@ -188,26 +184,22 @@ def _register_pool(key: Tuple, pool) -> None:
 def _build_backend(
     key: Tuple,
     problem: MappingProblem,
-    dtype,
     n_workers: int,
     model_cache_dir: Optional[str],
     executor: str,
 ) -> ExecutorBackend:
     """Instantiate the backend class an executor spec names."""
     if executor == "inline":
-        return InlineBackend(key, problem, dtype, n_workers, model_cache_dir)
+        return InlineBackend(key, problem, n_workers, model_cache_dir)
     if executor.startswith("tcp://"):
         from repro.distributed.scheduler import RemoteTcpBackend
 
-        return RemoteTcpBackend(
-            key, problem, dtype, n_workers, model_cache_dir, executor
-        )
-    return LocalProcessBackend(key, problem, dtype, n_workers, model_cache_dir)
+        return RemoteTcpBackend(key, problem, n_workers, model_cache_dir, executor)
+    return LocalProcessBackend(key, problem, n_workers, model_cache_dir)
 
 
 def get_pool(
     problem: MappingProblem,
-    dtype,
     n_workers: int,
     model_cache_dir: Optional[str] = None,
     executor: str = "local",
@@ -219,8 +211,6 @@ def get_pool(
     problem : MappingProblem
         Problem the workers should serve; only its CG and network enter
         the key (see :func:`pool_key`).
-    dtype : numpy dtype-like
-        Coupling-matrix dtype of the worker evaluators.
     n_workers : int
         Logical worker count; must be >= 1. For the local backend this
         is the pool's process count; for remote backends it stays the
@@ -253,7 +243,7 @@ def get_pool(
     never stack generations of live worker processes.
     """
     executor = parse_executor_spec(executor)
-    key = pool_key(problem, dtype, n_workers, executor)
+    key = pool_key(problem, n_workers, executor)
     with _LOCK:
         pool = _POOLS.get(key)
         if pool is not None:
@@ -262,18 +252,13 @@ def get_pool(
                 return pool
             _POOLS.pop(key, None)
             pool.close(wait=True)
-        pool = _build_backend(
-            key, problem, dtype, n_workers, model_cache_dir, executor
-        )
+        pool = _build_backend(key, problem, n_workers, model_cache_dir, executor)
         _register_pool(key, pool)
         return pool
 
 
-def release_pools(
-    problem: Optional[MappingProblem] = None,
-    dtype=None,
-) -> int:
-    """Shut down pools matching the given filters (all pools when none).
+def release_pools(problem: Optional[MappingProblem] = None) -> int:
+    """Shut down the pools serving ``problem`` (all pools when ``None``).
 
     A resident daemon uses this to evict one tenant's warm state without
     killing unrelated pools.
@@ -283,8 +268,6 @@ def release_pools(
     problem : MappingProblem, optional
         When given, only pools whose key matches this problem's CG and
         network are closed; pools for other problems stay warm.
-    dtype : numpy dtype-like, optional
-        Restrict the match to pools of this coupling dtype.
 
     Returns
     -------
@@ -295,15 +278,12 @@ def release_pools(
     if problem is not None:
         fingerprint = _cg_fingerprint(problem)
         signature = _network_key(problem)
-    dtype_name = None if dtype is None else np.dtype(dtype).name
     with _LOCK:
         victims = []
         for key in _POOLS:
             if fingerprint is not None and (
                 key[0] != fingerprint or key[1] != signature
             ):
-                continue
-            if dtype_name is not None and key[2] != dtype_name:
                 continue
             victims.append(key)
         pools = [_POOLS.pop(key) for key in victims]

@@ -102,13 +102,11 @@ class MappingProblem:
             routes=self.routes,
         )
 
-    def evaluator(self, dtype=None) -> "MappingEvaluator":
+    def evaluator(self) -> "MappingEvaluator":
         """Build the (matrix-backed) evaluator for this problem."""
         from repro.core.evaluator import MappingEvaluator
 
-        if dtype is None:
-            return MappingEvaluator(self)
-        return MappingEvaluator(self, dtype=dtype)
+        return MappingEvaluator(self)
 
     def __repr__(self) -> str:
         variation = (

@@ -13,11 +13,10 @@ Failure domains (PR 9)
 Liveness is active, not inferred from task traffic:
 
 * **Heartbeats** — an idle dispatch thread pings its worker every
-  :attr:`WorkerHub.heartbeat_interval_s`; the pong is awaited with a
-  short per-read timeout and a miss budget
-  (:attr:`WorkerHub.heartbeat_misses`), after which the connection is
-  retired and the worker counts as lost. A *silent* worker is thereby
-  distinguished from a merely *idle* one within
+  :attr:`WorkerHub.heartbeat_interval_s`; the pong is awaited for a
+  miss budget of :attr:`WorkerHub.heartbeat_misses` short timeouts,
+  after which the connection is retired and the worker counts as lost.
+  A *silent* worker is thereby distinguished from a merely *idle* one within
   ``interval + misses × timeout`` seconds instead of the hour-scale
   round-trip timeout.
 * **Soft task deadlines** — with :attr:`WorkerHub.task_deadline_s` set,
@@ -59,8 +58,8 @@ holds every recovery path to bit-identity against the inline oracle.
 :class:`RemoteTcpBackend` plugs the hub into the pool registry
 (:func:`repro.core.pool.get_pool` with ``executor="tcp://HOST:PORT"``).
 Backends share hubs by address: closing a backend never tears a hub
-down, because other pool-registry entries (another dtype, another
-problem) may be dispatching through it.
+down, because other pool-registry entries (another problem, another
+worker count) may be dispatching through it.
 """
 
 from __future__ import annotations
@@ -74,8 +73,6 @@ import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 from typing import Dict, Optional, Tuple
-
-import numpy as np
 
 from repro.core import parallel as _parallel
 from repro.core.executor import (
@@ -271,7 +268,7 @@ class WorkerHub:
 
     # -- the backend-facing surface ------------------------------------------
 
-    def register_context(self, ctx_id: str, problem, dtype) -> None:
+    def register_context(self, ctx_id: str, problem) -> None:
         """Make a context available for worker-side initialization."""
         with self._lock:
             if ctx_id not in self._contexts:
@@ -279,7 +276,6 @@ class WorkerHub:
                     "op": "init",
                     "ctx_id": ctx_id,
                     "problem": wire.encode_payload(problem),
-                    "dtype": np.dtype(dtype).name,
                 }
 
     def ensure_worker(self, timeout: Optional[float] = None) -> None:
@@ -450,38 +446,41 @@ class WorkerHub:
     def _heartbeat(self, conn: socket.socket, rfile, wfile) -> None:
         """Ping an idle worker; raise ``ConnectionError`` when it is gone.
 
-        One ping, then up to :attr:`heartbeat_misses` bounded reads for
-        the *same* pong — repeated pings are never stacked, so the
+        One ping, then one read for the *same* pong bounded by the whole
+        miss budget, :attr:`heartbeat_misses` × :attr:`heartbeat_timeout_s`;
+        each whole timeout that passes first counts as a missed
+        heartbeat. One read, not one per miss: a socket file that timed
+        out once refuses every later read, so a second read could never
+        see a late pong. Repeated pings are never stacked, so the
         protocol cannot desync on a slow-but-alive worker.
         """
         wire.write_message(wfile, {"op": "ping"})
         with self._lock:
             self.heartbeats_sent += 1
-        misses = 0
-        conn.settimeout(self.heartbeat_timeout_s)
+        budget = max(1, self.heartbeat_misses)
+        timeout = self.heartbeat_timeout_s
+        conn.settimeout(budget * timeout)
+        started = time.monotonic()
         try:
-            while True:
-                try:
-                    reply = wire.read_message(rfile)
-                except TimeoutError:
-                    misses += 1
-                    with self._lock:
-                        self.heartbeats_missed += 1
-                    if misses >= self.heartbeat_misses:
-                        raise ConnectionError(
-                            f"worker missed {misses} heartbeats "
-                            f"({self.heartbeat_timeout_s:.1f}s each)"
-                        ) from None
-                    continue
-                if reply is None:
-                    raise ConnectionError("worker hung up during heartbeat")
-                if reply.get("op") == "pong":
-                    return
-                raise ConnectionError(
-                    f"unexpected heartbeat reply {reply.get('op')!r}"
-                )
+            reply = wire.read_message(rfile)
+        except TimeoutError:
+            with self._lock:
+                self.heartbeats_missed += budget
+            raise ConnectionError(
+                f"worker missed {budget} heartbeats ({timeout:.1f}s each)"
+            ) from None
         finally:
             conn.settimeout(ROUND_TRIP_TIMEOUT_S)
+        if reply is None:
+            raise ConnectionError("worker hung up during heartbeat")
+        if reply.get("op") != "pong":
+            raise ConnectionError(
+                f"unexpected heartbeat reply {reply.get('op')!r}"
+            )
+        late = int((time.monotonic() - started) // timeout) if timeout else 0
+        if late:
+            with self._lock:
+                self.heartbeats_missed += min(late, budget - 1)
 
     def _init_context(self, conn: socket.socket, rfile, wfile, ctx_id: str) -> None:
         """Initialize a context on the connected worker.
@@ -658,11 +657,10 @@ class RemoteTcpBackend(ExecutorBackend):
 
     Registered in the pool registry like any other backend
     (``get_pool(..., executor="tcp://HOST:PORT")``). On construction it
-    registers its execution context — the pickled problem and the
-    coupling dtype — with the hub; it resolves no coupling model,
-    because each worker resolves its own by cache key. ``n_workers``
-    remains the logical shard/chain count; the hub's connected-worker
-    count only affects placement.
+    registers its execution context — the pickled problem — with the
+    hub; it resolves no coupling model, because each worker resolves its
+    own by cache key. ``n_workers`` remains the logical shard/chain
+    count; the hub's connected-worker count only affects placement.
 
     Graceful degradation (policy ``"degrade"``): when remote
     execution is out of road — retries exhausted, the fleet collapsed,
@@ -685,14 +683,12 @@ class RemoteTcpBackend(ExecutorBackend):
         self,
         key: Tuple,
         problem,
-        dtype,
         n_workers: int,
         model_cache_dir: Optional[str] = None,
         executor: str = "tcp://127.0.0.1:0",
     ):
         super().__init__(key, n_workers)
         self.problem = problem
-        self.dtype = np.dtype(dtype)
         self.model_cache_dir = model_cache_dir
         self.spec = parse_executor_spec(executor)
         self.hub = get_hub(self.spec)
@@ -709,7 +705,7 @@ class RemoteTcpBackend(ExecutorBackend):
         self._fallback_lock = threading.Lock()
         self._fallback_backend: Optional[ExecutorBackend] = None
         self._ctx_id = hashlib.sha1(repr(key).encode()).hexdigest()[:16]
-        self.hub.register_context(self._ctx_id, problem, self.dtype)
+        self.hub.register_context(self._ctx_id, problem)
 
     @staticmethod
     def _task_function(fn_name: str):
@@ -777,7 +773,6 @@ class RemoteTcpBackend(ExecutorBackend):
                     self._fallback_backend = LocalProcessBackend(
                         self.key,
                         self.problem,
-                        self.dtype,
                         self.n_workers,
                         self.model_cache_dir,
                     )
@@ -787,7 +782,6 @@ class RemoteTcpBackend(ExecutorBackend):
                 self._fallback_backend = InlineBackend(
                     self.key,
                     self.problem,
-                    self.dtype,
                     self.n_workers,
                     self.model_cache_dir,
                 )
@@ -816,8 +810,8 @@ class RemoteTcpBackend(ExecutorBackend):
         return info
 
     def close(self, wait: bool = True) -> None:
-        # The hub is shared by address across backends (other dtypes,
-        # other problems) — closing one backend must not strand them.
+        # The hub is shared by address across backends (other problems,
+        # other worker counts) — closing one backend must not strand them.
         self._closed = True
         with self._fallback_lock:
             fallback, self._fallback_backend = self._fallback_backend, None

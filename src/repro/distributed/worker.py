@@ -7,8 +7,8 @@ newline-JSON wire protocol (:mod:`repro.distributed.wire`):
 ``init``
     Carries a pickled :class:`~repro.core.problem.MappingProblem`
     (23-73 KB for the paper's meshes — CG plus network netlist, never
-    coupling matrices) plus the coupling dtype. The worker decodes it
-    into a :class:`~repro.core.parallel.WorkerContext` and replies
+    coupling matrices). The worker decodes it into a
+    :class:`~repro.core.parallel.WorkerContext` and replies
     ``ready``. The context's evaluator gets the coupling model (and from
     it the noise kernel) on the first task the way every evaluator does,
     through :meth:`~repro.models.coupling.CouplingModel.for_network` by
@@ -62,8 +62,6 @@ import socket
 import time
 import traceback
 from typing import Optional, Tuple
-
-import numpy as np
 
 from repro.core import parallel as _parallel
 from repro.core.executor import split_tcp_address
@@ -207,9 +205,7 @@ def _serve_connection(
                 chaos.trip("worker.init")
                 ctx_id = message["ctx_id"]
                 contexts[ctx_id] = _parallel.WorkerContext(
-                    wire.decode_payload(message["problem"]),
-                    np.dtype(message["dtype"]),
-                    model_cache_dir,
+                    wire.decode_payload(message["problem"]), model_cache_dir
                 )
                 wire.write_message(wfile, {"op": "ready", "ctx_id": ctx_id})
             elif op == "task":

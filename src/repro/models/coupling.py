@@ -42,7 +42,7 @@ plus one deterministic ``np.add.at`` scatter per aggressor block. The
 scatter entries are ordered by emission instance (the legacy builder's
 iteration order), and ``np.add.at`` applies them sequentially, so the
 resulting matrices are **bit-identical** to the legacy per-aggressor walk
-loop at both float64 and float32. The legacy builder is kept
+loop. The legacy builder is kept
 (``builder="legacy"``) as the cross-validation oracle for tests and
 benches.
 
@@ -57,7 +57,7 @@ On top of the fast build sits an on-disk model cache
 (:meth:`CouplingModel.for_network` with ``cache_dir=``, or the
 process-wide :func:`set_model_cache_dir` default / the
 ``PHONOCMAP_MODEL_CACHE`` environment variable): finished models are
-persisted as ``.npy`` files keyed by ``(network.signature, dtype,
+persisted as ``.npy`` files keyed by ``(network.signature,
 MODEL_VERSION)`` and loaded back as read-only memory maps, so an
 architecture sweep pays each build exactly once per machine. Corrupted or
 stale entries fall back to a rebuild; unwritable cache directories fall
@@ -157,7 +157,7 @@ class CouplingCSR:
 
     indptr: np.ndarray  # (n_pairs + 1,) int64
     indices: np.ndarray  # (nnz,) int32, column-sorted within each row
-    values: np.ndarray  # (nnz,) coupling dtype
+    values: np.ndarray  # (nnz,) float64
     nonzero_rows: np.ndarray  # (n_nonzero_rows,) int64
     nonzero_row_starts: np.ndarray  # (n_nonzero_rows,) int64
 
@@ -218,7 +218,7 @@ def _build_csr(coupling: np.ndarray) -> CouplingCSR:
     np.cumsum(counts, out=indptr[1:])
     nnz = int(indptr[-1])
     indices = np.empty(nnz, dtype=np.int32)
-    values = np.empty(nnz, dtype=coupling.dtype)
+    values = np.empty(nnz, dtype=np.float64)
     block = max(1, (8 << 20) // max(1, coupling.shape[1] * 8))
     for start in range(0, n_rows, block):
         stop = min(start + block, n_rows)
@@ -618,12 +618,11 @@ _SCATTER_CHUNK = 4 << 20
 def _accumulate_columns(tables: _BuildTables, out: np.ndarray) -> None:
     """Scatter every aggressor's couplings into ``out``.
 
-    ``out`` is the zeroed ``(n_pairs, n_pairs)`` C-contiguous matrix at
-    the model dtype. Deterministic and legacy-exact: ``np.add.at``
-    applies entries sequentially (computing in float64 and rounding to
-    the matrix dtype per store, the same as the legacy ``+=``) and
-    entries are ordered by emission instance, so every ``(victim,
-    aggressor)`` cell accumulates in the legacy order.
+    ``out`` is the zeroed ``(n_pairs, n_pairs)`` C-contiguous float64
+    matrix. Deterministic and legacy-exact: ``np.add.at`` applies
+    entries sequentially, the same as the legacy ``+=``, and entries
+    are ordered by emission instance, so every ``(victim, aggressor)``
+    cell accumulates in the legacy order.
     """
     n_inst = len(tables.inst_pair)
     if not n_inst:
@@ -667,7 +666,6 @@ class CouplingModel:
     def __init__(
         self,
         network: PhotonicNoC,
-        dtype=np.float64,
         builder: str = "vectorized",
         routes: int = 1,
     ) -> None:
@@ -683,7 +681,7 @@ class CouplingModel:
         self.n_pairs = self.n_tiles * self.n_tiles * self.routes
         self.signal_linear = np.zeros(self.n_pairs, dtype=np.float64)
         self.insertion_loss_db = np.full(self.n_pairs, np.nan, dtype=np.float64)
-        self.coupling_linear = np.zeros((self.n_pairs, self.n_pairs), dtype=dtype)
+        self.coupling_linear = np.zeros((self.n_pairs, self.n_pairs), dtype=np.float64)
         self._coupling_T: Optional[np.ndarray] = None
         self._csr: Optional[CouplingCSR] = None
         self._nnz: Optional[int] = None
@@ -900,42 +898,38 @@ class CouplingModel:
     # -- caching ---------------------------------------------------------------------
 
     @staticmethod
-    def cache_key(network: PhotonicNoC, dtype, routes: int = 1) -> str:
-        """Process-cache key of the model for ``network`` at ``dtype``.
+    def cache_key(network: PhotonicNoC, routes: int = 1) -> str:
+        """Process-cache key of the model for ``network``.
 
-        Routed models (``routes > 1``) get a distinct key; single-route
-        keys are byte-identical to the pre-routing layout, so existing
-        cache entries stay valid.
+        Routed models (``routes > 1``) get a distinct key.
         """
-        key = f"{network.signature}|{np.dtype(dtype).name}"
+        key = network.signature
         if routes > 1:
             key += f"|routes={int(routes)}"
         return key
 
     # The three persisted arrays; CSR / transpose stay derived (cheap
-    # relative to the build, and dtype-dependent consumers rebuild them).
+    # relative to the build, and only some consumers need them).
     _DISK_ARRAYS = ("signal_linear", "insertion_loss_db", "coupling_linear")
 
     @staticmethod
-    def disk_key(signature: str, dtype, routes: int = 1) -> str:
-        """On-disk cache entry name for ``(signature, routes, dtype, version)``.
+    def disk_key(signature: str, routes: int = 1) -> str:
+        """On-disk cache entry name for ``(signature, routes, version)``.
 
         A hash, not the raw signature: signatures embed the full physical
         parameter table and overflow path-component limits on big
-        parameter sets. ``routes == 1`` hashes the pre-routing text, so
-        existing single-route entries keep their names.
+        parameter sets. The hashed text keeps its historical ``float64``
+        field, and ``routes == 1`` hashes the pre-routing text, so
+        existing entries keep their names.
         """
-        text = f"{signature}|{np.dtype(dtype).name}|v{MODEL_VERSION}"
+        text = f"{signature}|float64|v{MODEL_VERSION}"
         if routes > 1:
-            text = (
-                f"{signature}|routes={int(routes)}"
-                f"|{np.dtype(dtype).name}|v{MODEL_VERSION}"
-            )
+            text = f"{signature}|routes={int(routes)}|float64|v{MODEL_VERSION}"
         return hashlib.sha1(text.encode()).hexdigest()
 
     @classmethod
     def load_cached(
-        cls, network: PhotonicNoC, dtype, cache_dir: str, routes: int = 1
+        cls, network: PhotonicNoC, cache_dir: str, routes: int = 1
     ) -> Optional["CouplingModel"]:
         """Load a model from the on-disk cache, or ``None`` on any miss.
 
@@ -946,14 +940,14 @@ class CouplingModel:
         caller rebuilds; the cache can only ever be a fast path.
         """
         entry = os.path.join(
-            str(cache_dir), cls.disk_key(network.signature, dtype, routes=routes)
+            str(cache_dir), cls.disk_key(network.signature, routes=routes)
         )
         try:
             with open(os.path.join(entry, "meta.json")) as handle:
                 meta = json.load(handle)
             if (
                 meta.get("signature") != network.signature
-                or meta.get("dtype") != np.dtype(dtype).name
+                or meta.get("dtype") != "float64"
                 or meta.get("model_version") != MODEL_VERSION
                 or int(meta.get("routes", 1)) != int(routes)
             ):
@@ -966,15 +960,15 @@ class CouplingModel:
             }
             n_tiles = network.topology.n_tiles
             n_pairs = n_tiles * n_tiles * int(routes)
-            # A build keeps signal and loss at float64 whatever the
-            # coupling dtype; any other dtype here would shift scores.
+            # Cache files are outside input: any dtype but float64 here
+            # would shift scores.
             if (
                 arrays["signal_linear"].shape != (n_pairs,)
                 or arrays["signal_linear"].dtype != np.float64
                 or arrays["insertion_loss_db"].shape != (n_pairs,)
                 or arrays["insertion_loss_db"].dtype != np.float64
                 or arrays["coupling_linear"].shape != (n_pairs, n_pairs)
-                or arrays["coupling_linear"].dtype != np.dtype(dtype)
+                or arrays["coupling_linear"].dtype != np.float64
             ):
                 return None
             model = cls.__new__(cls)
@@ -1007,11 +1001,7 @@ class CouplingModel:
         directory = str(cache_dir)
         entry = os.path.join(
             directory,
-            self.disk_key(
-                self.network.signature,
-                self.coupling_linear.dtype,
-                routes=self.routes,
-            ),
+            self.disk_key(self.network.signature, routes=self.routes),
         )
         tmp = f"{entry}.tmp.{os.getpid()}"
         try:
@@ -1023,7 +1013,7 @@ class CouplingModel:
                 )
             meta = {
                 "signature": self.network.signature,
-                "dtype": self.coupling_linear.dtype.name,
+                "dtype": "float64",
                 "model_version": MODEL_VERSION,
                 "n_tiles": self.n_tiles,
                 "routes": self.routes,
@@ -1047,7 +1037,6 @@ class CouplingModel:
     def for_network(
         cls,
         network: PhotonicNoC,
-        dtype=np.float64,
         use_cache: bool = True,
         cache_dir: Optional[str] = None,
         routes: int = 1,
@@ -1060,7 +1049,7 @@ class CouplingModel:
         maps), then a fresh build, which is persisted back to the disk
         cache best-effort. Every path yields bit-identical matrices.
         """
-        key = cls.cache_key(network, dtype, routes=routes)
+        key = cls.cache_key(network, routes=routes)
         if use_cache:
             cached = _CACHE.get(key)
             if cached is not None:
@@ -1068,9 +1057,9 @@ class CouplingModel:
         directory = cache_dir if cache_dir is not None else get_model_cache_dir()
         model = None
         if directory:
-            model = cls.load_cached(network, dtype, directory, routes=routes)
+            model = cls.load_cached(network, directory, routes=routes)
         if model is None:
-            model = cls(network, dtype=dtype, routes=routes)
+            model = cls(network, routes=routes)
             if directory:
                 model.save_cached(directory)
         if use_cache:

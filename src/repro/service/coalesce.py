@@ -2,7 +2,7 @@
 
 The daemon's defining optimization: concurrent requests that resolve to
 the **same objective-free pool key** — CG fingerprint, network
-signature, coupling dtype, variation fingerprint; exactly
+signature, variation fingerprint; exactly
 :func:`repro.core.pool.flight_key`, the prefix of every pool key —
 have their batch-shardable work merged into shared
 :meth:`~repro.core.evaluator.MappingEvaluator.submit_batch` flights.

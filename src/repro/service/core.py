@@ -349,32 +349,28 @@ class ServiceCore:
     def _evaluator_for(self, request: ServiceRequest, problem) -> CoalescingEvaluator:
         """This request's evaluator, bound to its pool key's coalescer.
 
-        Serialized per coupling model (network signature, dtype, routes):
+        Serialized per coupling model (network signature, routes):
         two first requests for one architecture build its model once and
         create one coalescer per key, while a cold build never blocks
         requests for other architectures.
         """
-        model_key = CouplingModel.cache_key(
-            problem.network, request.dtype, routes=problem.routes
-        )
+        model_key = CouplingModel.cache_key(problem.network, routes=problem.routes)
         with self._lock:
             model_lock = self._model_locks.setdefault(model_key, threading.Lock())
         with model_lock:
             evaluator = CoalescingEvaluator(
                 problem,
-                dtype=request.dtype,
                 model_cache_dir=self.model_cache_dir,
                 executor=self.executor,
             )
             # Requests agreeing on the objective-free pool key — including
             # the variation fingerprint, which decides the wire table set —
             # can share flights whatever their objective.
-            key = flight_key(problem, request.dtype)
+            key = flight_key(problem)
             coalescer = self._coalescers.get(key)
             if coalescer is None:
                 shared = MappingEvaluator(
                     problem,
-                    dtype=request.dtype,
                     n_workers=self.n_workers,
                     model_cache_dir=self.model_cache_dir,
                     executor=self.executor,
@@ -390,7 +386,6 @@ class ServiceCore:
                         "application": problem.cg.name,
                         "network": problem.network.signature.split("|params")[0],
                         "params": problem.network.params.content_hash[:12],
-                        "dtype": str(np.dtype(request.dtype).name),
                         "variation": problem.variation_fingerprint,
                         "routes": problem.routes,
                     }
@@ -405,7 +400,7 @@ class ServiceCore:
 
         Same strategy construction, the same ``np.random.default_rng``
         stream from the request seed and the same evaluation accounting
-        as ``DesignSpaceExplorer(problem, dtype=,
+        as ``DesignSpaceExplorer(problem,
         use_delta=).run(strategy, budget=, seed=)`` — the coalescing
         evaluator changes where batch rows are scored, never their
         values — so the response is bit-identical to the offline run.
@@ -449,8 +444,8 @@ class ServiceCore:
     def _handle_evaluate(self, request: ServiceRequest, problem, evaluator) -> dict:
         """Score explicit or random mappings; offline: ``evaluate_batch``.
 
-        Offline counterpart: ``MappingEvaluator(problem,
-        dtype=).evaluate_batch(assignments)`` with random rows drawn
+        Offline counterpart: ``MappingEvaluator(problem).evaluate_batch(
+        assignments)`` with random rows drawn
         by ``random_assignment_batch`` from the request seed — the
         service returns the identical per-row metric vectors.
         """

@@ -13,7 +13,9 @@ A request is one JSON object. Common fields:
     ``torus``, ``side`` defaulting to the smallest square fitting the
     application, ``router`` defaulting to ``crux``.
 ``dtype``
-    ``"float64"`` (default) or ``"float32"``.
+    Optional, and only ``"float64"`` is accepted: every coupling model
+    is float64, so the field changes nothing and any other value is
+    refused rather than silently computed at float64.
 ``seed``
     Integer or null. Responses are **bit-identical to the equivalent
     offline run with the same seed** (see ``docs/ARCHITECTURE.md``).
@@ -44,7 +46,7 @@ responses — a malformed request can never take the daemon down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -67,9 +69,6 @@ __all__ = ["REQUEST_KINDS", "ServiceRequest", "error_response", "parse_request"]
 
 #: Request kinds the dispatcher understands.
 REQUEST_KINDS = ("optimize", "evaluate", "distribution", "stats")
-
-_DTYPES = {"float64": np.float64, "float32": np.float32}
-
 
 def _require(condition: bool, message: str, kind: str = "bad_request") -> None:
     if not condition:
@@ -101,7 +100,6 @@ class ServiceRequest:
     router: str = "crux"
     objective: Objective = Objective.SNR
     variation: Optional[VariationSpec] = None
-    dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float64))
     seed: Optional[int] = None
     routes: int = 1
     # optimize
@@ -193,12 +191,11 @@ def parse_request(
     request.side = _int_field(payload, "side", None, minimum=1)
     request.router = str(payload.get("router", "crux"))
 
-    dtype_name = payload.get("dtype", "float64")
+    dtype = payload.get("dtype", "float64")
     _require(
-        dtype_name in _DTYPES,
-        f"field 'dtype' must be one of {sorted(_DTYPES)}, got {dtype_name!r}",
+        isinstance(dtype, str) and dtype == "float64",
+        f"field 'dtype' must be 'float64', got {dtype!r}",
     )
-    request.dtype = np.dtype(_DTYPES[dtype_name])
     request.seed = _int_field(payload, "seed", None, minimum=0)
     request.routes = _int_field(payload, "routes", default_routes, minimum=1)
 

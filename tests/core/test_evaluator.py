@@ -158,65 +158,24 @@ class TestBatchEvaluation:
         assert pip_evaluator.evaluations == 11
 
 
-class TestDtypeChunking:
-    """Chunk sizing must follow the coupling matrix's element width, and
-    reduced-precision models must still agree with float64 reference
-    scores across chunk boundaries."""
+class TestChunking:
+    """Chunk sizing must follow the coupling matrix's 8-byte elements."""
 
-    def test_chunk_rows_scale_with_itemsize(
+    def test_chunk_rows_fill_the_byte_budget(
         self, pip_cg, mesh3_network, monkeypatch
     ):
-        """float32 elements are half as wide, so the same byte budget
-        must admit exactly twice the mappings per chunk (the old
-        hardcoded 8 bytes/element gave float32 half its budget)."""
         import repro.core.evaluator as evaluator_module
 
-        problem = MappingProblem(pip_cg, mesh3_network)
-        e64 = MappingEvaluator(problem)
-        e32 = MappingEvaluator(problem, dtype=np.float32)
-        n_edges = len(e64._edges)
+        evaluator = MappingEvaluator(MappingProblem(pip_cg, mesh3_network))
+        n_edges = len(evaluator._edges)
         monkeypatch.setattr(
             evaluator_module, "_CHUNK_BYTES", 8 * n_edges * n_edges * 6
         )
-        assert e64._chunk_rows() == 6
-        assert e32._chunk_rows() == 12
+        assert evaluator._chunk_rows() == 6
 
-    def test_mask_cast_hoisted_to_coupling_dtype(self, pip_cg, mesh3_network):
+    def test_mask_cast_hoisted_to_float64(self, pip_cg, mesh3_network):
         problem = MappingProblem(pip_cg, mesh3_network)
         assert MappingEvaluator(problem)._mask_linear.dtype == np.float64
-        assert (
-            MappingEvaluator(problem, dtype=np.float32)._mask_linear.dtype
-            == np.float32
-        )
-
-    def test_float32_parity_with_float64_across_chunks(
-        self, pip_cg, mesh3_network, rng, monkeypatch
-    ):
-        """float32 batches split into multiple uneven chunks must agree
-        with the float64 reference to single-precision accuracy."""
-        import repro.core.evaluator as evaluator_module
-
-        problem = MappingProblem(pip_cg, mesh3_network)
-        e64 = MappingEvaluator(problem)
-        e32 = MappingEvaluator(problem, dtype=np.float32)
-        batch = random_assignment_batch(23, 8, 9, rng)
-        expected = e64.evaluate_batch(batch)
-        n_edges = len(e32._edges)
-        # float32 chunks of 5 mappings: 23 = 5 + 5 + 5 + 5 + 3.
-        monkeypatch.setattr(
-            evaluator_module, "_CHUNK_BYTES", 4 * n_edges * n_edges * 5
-        )
-        assert e32._chunk_rows() == 5
-        got = e32.evaluate_batch(batch)
-        np.testing.assert_allclose(got.score, expected.score, rtol=1e-4)
-        np.testing.assert_allclose(
-            got.worst_snr_db, expected.worst_snr_db, rtol=1e-4
-        )
-        np.testing.assert_allclose(
-            got.worst_insertion_loss_db,
-            expected.worst_insertion_loss_db,
-            rtol=1e-5,
-        )
 
 
 class TestObjectives:

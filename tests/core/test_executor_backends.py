@@ -107,20 +107,19 @@ def _kill_one_pool_worker(pool) -> None:
 
 class TestPoolKey:
     def test_executor_spec_is_the_last_component(self, problem):
-        key = pool_key(problem, np.float64, 2)
+        key = pool_key(problem, 2)
         assert key[-1] == "local"
-        inline = pool_key(problem, np.float64, 2, executor="inline")
+        inline = pool_key(problem, 2, executor="inline")
         assert inline[:-1] == key[:-1]
         assert inline[-1] == "inline"
 
     def test_objective_free_prefix_is_stable(self, problem):
         # The service coalescer groups on flight_key, the prefix every
         # pool key extends with n_workers and the executor spec.
-        key = pool_key(problem, np.float64, 1)
-        assert key[:4] == flight_key(problem, np.float64)
-        assert key[2] == "float64"
-        assert key[3] == ""  # no variation spec on this problem
-        assert len(key) == 6
+        key = pool_key(problem, 1)
+        assert key[:3] == flight_key(problem)
+        assert key[2] == ""  # no variation spec on this problem
+        assert len(key) == 5
 
     def test_variation_fingerprint_in_the_key(self, problem):
         from repro.photonics import VariationSpec
@@ -131,32 +130,32 @@ class TestPoolKey:
             "robust_snr",
             variation=VariationSpec(n_samples=4, seed=3),
         )
-        key = pool_key(varied, np.float64, 1)
-        assert key[3] == varied.variation_fingerprint
-        assert key[3].startswith("n=4,")
+        key = pool_key(varied, 1)
+        assert key[2] == varied.variation_fingerprint
+        assert key[2].startswith("n=4,")
         # The fingerprint is objective-free context: same spec, same slot.
-        assert key[:3] == pool_key(problem, np.float64, 1)[:3]
+        assert key[:2] == pool_key(problem, 1)[:2]
 
     def test_tcp_spec_is_normalized_into_the_key(self, problem):
-        key = pool_key(problem, np.float64, 2, executor="tcp://h:9")
+        key = pool_key(problem, 2, executor="tcp://h:9")
         assert key[-1] == "tcp://h:9"
 
 
 class TestInlineBackend:
     def test_get_pool_dispatches_to_inline(self, problem):
-        pool = get_pool(problem, np.float64, 2, executor="inline")
+        pool = get_pool(problem, 2, executor="inline")
         assert isinstance(pool, InlineBackend)
         assert pool.kind == "inline"
         # Same spec: same instance. Different spec: different backend.
-        assert get_pool(problem, np.float64, 2, executor="inline") is pool
-        local = get_pool(problem, np.float64, 2)
+        assert get_pool(problem, 2, executor="inline") is pool
+        local = get_pool(problem, 2)
         assert isinstance(local, LocalProcessBackend)
         assert local is not pool
 
     def test_inline_futures_complete_synchronously(self, problem):
         from repro.core.parallel import evaluate_shard_task
 
-        pool = get_pool(problem, np.float64, 2, executor="inline")
+        pool = get_pool(problem, 2, executor="inline")
         rows = _rows(problem, 8, seed=1)
         future = pool.submit(evaluate_shard_task, rows)
         assert future.done()
@@ -169,19 +168,19 @@ class TestInlineBackend:
     def test_inline_task_error_does_not_break_the_backend(self, problem):
         from repro.core.parallel import evaluate_shard_task
 
-        pool = get_pool(problem, np.float64, 2, executor="inline")
+        pool = get_pool(problem, 2, executor="inline")
         future = pool.submit(evaluate_shard_task, "not an array")
         assert future.exception() is not None
         assert not pool.broken  # task-level failure, not executor-level
 
     def test_closed_inline_backend_is_replaced(self, problem):
-        pool = get_pool(problem, np.float64, 2, executor="inline")
+        pool = get_pool(problem, 2, executor="inline")
         pool.close()
         assert not pool.alive()
         with pytest.raises(RuntimeError):
             pool.submit(os.getpid)
         assert pool.broken  # submit-time failure marks it
-        rebuilt = get_pool(problem, np.float64, 2, executor="inline")
+        rebuilt = get_pool(problem, 2, executor="inline")
         assert rebuilt is not pool
 
     def test_evaluator_inline_matches_sequential(self, problem):
@@ -198,7 +197,7 @@ class TestInlineBackend:
 
 class TestExecutorStats:
     def test_stats_snapshot_live_backends(self, problem):
-        get_pool(problem, np.float64, 2, executor="inline")
+        get_pool(problem, 2, executor="inline")
         stats = executor_stats()
         kinds = [entry["kind"] for entry in stats["backends"]]
         assert "inline" in kinds
@@ -230,7 +229,7 @@ class TestExecutorStats:
         try:
             pools = []
             for served in (pip, problem):
-                pool = get_pool(served, np.float64, 2, executor=spec)
+                pool = get_pool(served, 2, executor=spec)
                 futures = [
                     pool.submit(evaluate_shard_task, _rows(served, 4, seed))
                     for seed in range(3)
@@ -385,7 +384,7 @@ class TestBrokenPoolRecovery:
         # futures fail with BrokenProcessPool and the pending batch must
         # transparently resubmit against the rebuilt pool.
         pool = get_pool(
-            problem, np.float64, 2,
+            problem, 2,
             model_cache_dir=evaluator.model_cache_dir,
         )
         _kill_one_pool_worker(pool)
@@ -396,7 +395,7 @@ class TestBrokenPoolRecovery:
         )
         assert pool.broken
         rebuilt = get_pool(
-            problem, np.float64, 2,
+            problem, 2,
             model_cache_dir=evaluator.model_cache_dir,
         )
         assert rebuilt is not pool
@@ -421,7 +420,7 @@ class TestBrokenPoolRecovery:
             problem, n_workers=2, executor="inline"
         ).compare(["rs", "ga"], budget=400, seed=13)
         pool = get_pool(
-            problem, np.float64, 2,
+            problem, 2,
             model_cache_dir=explorer.model_cache_dir,
         )
         _kill_one_pool_worker(pool)
@@ -438,7 +437,7 @@ class TestBrokenPoolRecovery:
             "sa", budget=600, seed=21
         )
         pool = get_pool(
-            problem, np.float64, 2,
+            problem, 2,
             model_cache_dir=explorer.model_cache_dir,
         )
         _kill_one_pool_worker(pool)

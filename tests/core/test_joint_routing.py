@@ -314,16 +314,16 @@ class TestJointStrategies:
 class TestRoutedPoolKey:
     def test_routes_fork_the_pool_key(self, torus4_network):
         cg = load_benchmark("pip")
-        plain = pool_key(MappingProblem(cg, torus4_network), np.float64, 1)
+        plain = pool_key(MappingProblem(cg, torus4_network), 1)
         routed = pool_key(
-            MappingProblem(cg, torus4_network, routes=3), np.float64, 1
+            MappingProblem(cg, torus4_network, routes=3), 1
         )
         assert plain != routed
 
     def test_k1_pool_key_is_legacy(self, torus4_network):
         cg = load_benchmark("pip")
         key = pool_key(
-            MappingProblem(cg, torus4_network, routes=1), np.float64, 1
+            MappingProblem(cg, torus4_network, routes=1), 1
         )
         assert not any("routes" in str(part) for part in key)
 
@@ -347,7 +347,7 @@ class TestRoutedPools:
         evaluator = MappingEvaluator(problem)
         try:
             for executor in ("local", "inline"):
-                pool = get_pool(problem, evaluator.dtype, 2, executor=executor)
+                pool = get_pool(problem, 2, executor=executor)
                 assert pool.submit(_worker_model_routes).result() == 3
             assert coupling_module.BUILD_COUNT - before == 1
         finally:

@@ -8,9 +8,8 @@ bit-identity, chunk / shard / coalesce invariance, dense-vs-sparse
 parity, delta parity (or a declared, enforced opt-out) and score-cap
 sanity. A new objective that violates the cross-layer determinism
 contract fails here before it can ship. The batch properties also run
-at float64 and float32 with ``score_only`` both ways: a batch that
-computes only the score's own table must return the full path's score
-byte for byte.
+with ``score_only`` both ways: a batch that computes only the score's
+own table must return the full path's score byte for byte.
 
 Randomized but reproducible: every test draws its rows from a fixed seed.
 """
@@ -40,9 +39,6 @@ OBJECTIVES = list(Objective)
 
 #: Small, fast variation plan shared by every robust-objective case.
 VARIATION = VariationSpec(n_samples=3, sigma=0.05, seed=11)
-
-#: Coupling-matrix precisions the batch properties loop over.
-DTYPES = ("float64", "float32")
 
 #: The tables whose kernels run the crosstalk-noise contraction.
 NOISE_TABLES = ("worst_snr", "mean_snr", "robust_snr")
@@ -117,54 +113,46 @@ class TestDeterminism:
     def test_batch_matches_single_row(self, objective, pip_cg, mesh3_network):
         """Row i of a batch == evaluate() of row i, bit for bit.
 
-        At both precisions; a ``score_only`` batch returns the full
-        batch's score bytes and leaves ``None`` in each metric field its
-        score does not read.
+        A ``score_only`` batch returns the full batch's score bytes and
+        leaves ``None`` in each metric field its score does not read.
         """
         table = spec_for(objective).table
-        for dtype in DTYPES:
-            evaluator = _evaluator(pip_cg, mesh3_network, objective, dtype=dtype)
-            rows = _rows(evaluator, 12)
-            batch = evaluator.evaluate_batch(rows)
-            for index in range(rows.shape[0]):
-                metrics = evaluator.evaluate(rows[index])
-                assert metrics.score == batch.score[index]
-                assert metrics.worst_snr_db == batch.worst_snr_db[index]
-                assert (
-                    metrics.worst_insertion_loss_db
-                    == batch.worst_insertion_loss_db[index]
-                )
-            scored = evaluator.evaluate_batch(rows, score_only=True)
-            assert scored.score.tobytes() == batch.score.tobytes(), dtype
-            for field, name in (
-                ("worst_insertion_loss_db", "worst_il"),
-                ("worst_snr_db", "worst_snr"),
-            ):
-                column = getattr(scored, field)
-                if name == table:
-                    assert column.tobytes() == getattr(batch, field).tobytes()
-                else:
-                    assert column is None, (dtype, field)
+        evaluator = _evaluator(pip_cg, mesh3_network, objective)
+        rows = _rows(evaluator, 12)
+        batch = evaluator.evaluate_batch(rows)
+        for index in range(rows.shape[0]):
+            metrics = evaluator.evaluate(rows[index])
+            assert metrics.score == batch.score[index]
+            assert metrics.worst_snr_db == batch.worst_snr_db[index]
+            assert (
+                metrics.worst_insertion_loss_db
+                == batch.worst_insertion_loss_db[index]
+            )
+        scored = evaluator.evaluate_batch(rows, score_only=True)
+        assert scored.score.tobytes() == batch.score.tobytes()
+        for field, name in (
+            ("worst_insertion_loss_db", "worst_il"),
+            ("worst_snr_db", "worst_snr"),
+        ):
+            column = getattr(scored, field)
+            if name == table:
+                assert column.tobytes() == getattr(batch, field).tobytes()
+            else:
+                assert column is None, field
 
     def test_chunk_size_invariance(
         self, objective, pip_cg, mesh3_network, monkeypatch
     ):
-        """Forcing 1-row chunks must not move a single bit, at either
-        precision, of a full or a ``score_only`` batch."""
-        expected = {}
-        for dtype in DTYPES:
-            evaluator = _evaluator(pip_cg, mesh3_network, objective, dtype=dtype)
-            expected[dtype] = evaluator.evaluate_batch(_rows(evaluator, 25)).score
+        """Forcing 1-row chunks must not move a single bit of a full or
+        a ``score_only`` batch."""
+        evaluator = _evaluator(pip_cg, mesh3_network, objective)
+        expected = evaluator.evaluate_batch(_rows(evaluator, 25)).score
         monkeypatch.setattr(evaluator_module, "_CHUNK_BYTES", 1)
-        for dtype in DTYPES:
-            chunked = _evaluator(pip_cg, mesh3_network, objective, dtype=dtype)
-            rows = _rows(chunked, 25)
-            for score_only in (False, True):
-                got = chunked.evaluate_batch(rows, score_only=score_only).score
-                assert got.tobytes() == expected[dtype].tobytes(), (
-                    dtype,
-                    score_only,
-                )
+        chunked = _evaluator(pip_cg, mesh3_network, objective)
+        rows = _rows(chunked, 25)
+        for score_only in (False, True):
+            got = chunked.evaluate_batch(rows, score_only=score_only).score
+            assert got.tobytes() == expected.tobytes(), score_only
 
     def test_shard_count_invariance(self, objective, pip_cg, mesh3_network):
         """Inline-executor sharding at any worker count is bit-identical."""
@@ -213,29 +201,19 @@ class TestBackendParity:
     def test_dense_and_sparse_agree(
         self, objective, pip_cg, mesh3_network, pin_kernel
     ):
-        """The kernels agree at either precision, and each one's
-        ``score_only`` score is its own full score byte for byte."""
-        for dtype in DTYPES:
-            scores = {}
-            for backend in ("dense", "sparse"):
-                pin_kernel(backend)
-                evaluator = _evaluator(
-                    pip_cg, mesh3_network, objective, dtype=dtype
-                )
-                rows = _rows(evaluator, 40)
-                scores[backend] = evaluator.evaluate_batch(rows).score
-                scored = evaluator.evaluate_batch(rows, score_only=True).score
-                assert scored.tobytes() == scores[backend].tobytes(), (
-                    dtype,
-                    backend,
-                )
-            np.testing.assert_allclose(
-                scores["sparse"],
-                scores["dense"],
-                rtol=1e-9,
-                atol=1e-9,
-                err_msg=dtype,
-            )
+        """The kernels agree, and each one's ``score_only`` score is its
+        own full score byte for byte."""
+        scores = {}
+        for backend in ("dense", "sparse"):
+            pin_kernel(backend)
+            evaluator = _evaluator(pip_cg, mesh3_network, objective)
+            rows = _rows(evaluator, 40)
+            scores[backend] = evaluator.evaluate_batch(rows).score
+            scored = evaluator.evaluate_batch(rows, score_only=True).score
+            assert scored.tobytes() == scores[backend].tobytes(), backend
+        np.testing.assert_allclose(
+            scores["sparse"], scores["dense"], rtol=1e-9, atol=1e-9
+        )
 
     def test_sparse_is_chunk_invariant_too(
         self, objective, pip_cg, mesh3_network, monkeypatch, pin_kernel

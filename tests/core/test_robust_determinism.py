@@ -100,3 +100,26 @@ def test_quantile_aggregation_is_chunk_invariant(
     monkeypatch.setattr(evaluator_module, "_CHUNK_BYTES", 1)
     chunked = MappingEvaluator(problem).evaluate_batch(rows).score
     np.testing.assert_array_equal(chunked, expected)
+
+
+def test_warm_construction_assembles_no_sample_netlist(
+    robust_problem, rows, monkeypatch
+):
+    """Every sample's netlist comes with its process-cached model, so a
+    second construction assembles nothing and scores like a cold one."""
+    from repro.models.coupling import clear_model_cache
+    from repro.noc.network import PhotonicNoC
+
+    clear_model_cache()
+    cold = MappingEvaluator(robust_problem).evaluate_batch(rows).score
+    assembled = []
+    original = PhotonicNoC._assemble
+
+    def counting(network):
+        assembled.append(network)
+        original(network)
+
+    monkeypatch.setattr(PhotonicNoC, "_assemble", counting)
+    warm = MappingEvaluator(robust_problem)
+    assert assembled == []
+    assert warm.evaluate_batch(rows).score.tobytes() == cold.tobytes()

@@ -4,8 +4,8 @@ The contract (module docstring of :mod:`repro.core.evaluator`): sharded
 ``evaluate_batch`` / ``submit_batch`` results are **bit-identical** to the
 sequential path for any ``n_workers`` — including the awkward boundaries
 (empty batch, batch smaller than the worker count, non-divisible shard
-sizes) and the float32 coupling dtype — and evaluation counts are charged
-exactly once per batch, in collection order.
+sizes) — and evaluation counts are charged exactly once per batch, in
+collection order.
 
 Pool lifecycle guarantees of :mod:`repro.core.pool` are covered here too:
 keyed reuse across calls and objectives, LRU bounding, and deterministic
@@ -90,16 +90,6 @@ class TestShardParity:
         sharded = evaluator.evaluate_batch(empty, n_workers=4, min_shard_rows=1)
         assert sequential.score.shape == (0,)
         assert_metrics_equal(sharded, sequential)
-
-    def test_float32_dtype(self, problem):
-        ev32 = MappingEvaluator(problem, dtype=np.float32)
-        try:
-            batch = batch_of(ev32, 33)
-            sequential = ev32.evaluate_batch(batch)
-            sharded = ev32.evaluate_batch(batch, n_workers=3, min_shard_rows=1)
-            assert_metrics_equal(sharded, sequential)
-        finally:
-            ev32.close()
 
     def test_default_floor_keeps_small_batches_inline(self, problem):
         # Below MIN_SHARD_ROWS per shard, the process round-trip costs
@@ -211,24 +201,24 @@ class TestPersistentPools:
     def test_pool_reused_across_calls(self, evaluator):
         batch = batch_of(evaluator, 16)
         evaluator.evaluate_batch(batch, n_workers=2, min_shard_rows=1)
-        pool_a = pool_registry.get_pool(evaluator.problem, evaluator.dtype, 2)
+        pool_a = pool_registry.get_pool(evaluator.problem, 2)
         evaluator.evaluate_batch(batch, n_workers=2, min_shard_rows=1)
-        pool_b = pool_registry.get_pool(evaluator.problem, evaluator.dtype, 2)
+        pool_b = pool_registry.get_pool(evaluator.problem, 2)
         assert pool_a is pool_b
 
     def test_pool_key_ignores_objective(self, pip_cg, mesh3_network):
         snr = MappingProblem(pip_cg, mesh3_network, "snr")
         loss = MappingProblem(pip_cg, mesh3_network, "loss")
-        key_snr = pool_registry.pool_key(snr, np.float64, 2)
-        key_loss = pool_registry.pool_key(loss, np.float64, 2)
+        key_snr = pool_registry.pool_key(snr, 2)
+        key_loss = pool_registry.pool_key(loss, 2)
         assert key_snr == key_loss
 
     def test_objective_flip_reuses_warm_pool(self, pip_cg, mesh3_network):
         snr = MappingProblem(pip_cg, mesh3_network, "snr")
         loss = MappingProblem(pip_cg, mesh3_network, "loss")
         try:
-            pool_a = pool_registry.get_pool(snr, np.float64, 2)
-            pool_b = pool_registry.get_pool(loss, np.float64, 2)
+            pool_a = pool_registry.get_pool(snr, 2)
+            pool_b = pool_registry.get_pool(loss, 2)
             assert pool_a is pool_b
             # And the shared pool scores the loss objective correctly:
             ev = MappingEvaluator(loss)
@@ -254,7 +244,7 @@ class TestPersistentPools:
         assert pool_registry.release_pools(problem) >= 1
         ev.evaluate_batch(batch_of(ev, 8), n_workers=2, min_shard_rows=1)
         ev.close()
-        key = pool_registry.pool_key(problem, np.float64, 2)
+        key = pool_registry.pool_key(problem, 2)
         assert key not in pool_registry._POOLS
         # evaluator stays usable: next sharded call builds a fresh pool
         metrics = ev.evaluate_batch(batch_of(ev, 8), n_workers=2, min_shard_rows=1)
@@ -265,10 +255,7 @@ class TestPersistentPools:
         with DesignSpaceExplorer(problem) as explorer:
             explorer.run("rs", budget=64, seed=1, n_workers=2)
         explorer.close()  # second close: no-op
-        assert (
-            pool_registry.pool_key(problem, np.float64, 2)
-            not in pool_registry._POOLS
-        )
+        assert pool_registry.pool_key(problem, 2) not in pool_registry._POOLS
 
     def test_shutdown_pools_clears_everything(self, evaluator):
         evaluator.evaluate_batch(batch_of(evaluator, 8), n_workers=2, min_shard_rows=1)
@@ -296,34 +283,37 @@ class TestReleaseFilters:
         yield
         pool_registry._POOLS.clear()
 
-    def _plant(self, problem, dtype=np.float64, n_workers=2):
-        key = pool_registry.pool_key(problem, dtype, n_workers)
+    def _plant(self, problem, n_workers=2):
+        key = pool_registry.pool_key(problem, n_workers)
         pool = _FakePool()
         pool_registry._POOLS[key] = pool
         return key, pool
 
-    def test_dtype_filter_keeps_other_dtypes_warm(self, problem):
-        key64, pool64 = self._plant(problem, dtype=np.float64)
-        key32, pool32 = self._plant(problem, dtype=np.float32)
-        assert pool_registry.release_pools(problem, dtype=np.float32) == 1
-        assert key32 not in pool_registry._POOLS
-        assert key64 in pool_registry._POOLS
-        assert pool32.closed_with is True  # reaped before shm unlink
-        assert pool64.closed_with is None
+    def test_problem_filter_keeps_other_problems_warm(
+        self, problem, pip_cg, torus3_network
+    ):
+        other = MappingProblem(pip_cg, torus3_network, "snr")
+        key, pool = self._plant(problem)
+        other_key, other_pool = self._plant(other)
+        assert pool_registry.release_pools(problem) == 1
+        assert key not in pool_registry._POOLS
+        assert other_key in pool_registry._POOLS
+        assert pool.closed_with is True  # reaped synchronously
+        assert other_pool.closed_with is None
 
     def test_unfiltered_release_clears_everything(self, problem):
-        self._plant(problem, dtype=np.float64)
-        self._plant(problem, dtype=np.float32)
+        self._plant(problem, n_workers=2)
+        self._plant(problem, n_workers=3)
         assert pool_registry.release_pools() == 2
         assert len(pool_registry._POOLS) == 0
 
     def test_broken_pool_replacement_reaps_with_wait(self, problem, evaluator):
         batch = batch_of(evaluator, 8)
         evaluator.evaluate_batch(batch, n_workers=2, min_shard_rows=1)
-        key = pool_registry.pool_key(problem, np.float64, 2)
+        key = pool_registry.pool_key(problem, 2)
         stale = pool_registry._POOLS[key]
         stale.broken = True
-        fresh = pool_registry.get_pool(problem, np.float64, 2)
+        fresh = pool_registry.get_pool(problem, 2)
         assert fresh is not stale
         assert pool_registry._POOLS[key] is fresh
         # the broken pool's workers were reaped synchronously
@@ -334,18 +324,18 @@ class TestReleaseFilters:
 
         errors = []
 
-        def churn(dtype):
+        def churn(n_workers):
             try:
                 for _ in range(50):
-                    key = pool_registry.pool_key(problem, dtype, 2)
+                    key = pool_registry.pool_key(problem, n_workers)
                     pool_registry._register_pool(key, _FakePool())
-                    pool_registry.release_pools(problem, dtype=dtype)
+                    pool_registry.release_pools(problem)
             except Exception as error:  # pragma: no cover - failure path
                 errors.append(error)
 
         threads = [
-            threading.Thread(target=churn, args=(dtype,))
-            for dtype in (np.float64, np.float32)
+            threading.Thread(target=churn, args=(n_workers,))
+            for n_workers in (2, 3)
         ]
         for thread in threads:
             thread.start()

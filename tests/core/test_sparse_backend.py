@@ -2,9 +2,8 @@
 
 The contract (module docstring of :mod:`repro.core.evaluator`):
 
-* sparse and dense kernels agree on every metric to tight tolerance on
-  randomized batches, across topologies and coupling dtypes — float64 to
-  1e-9, float32 to the float32 contraction's own rounding scale;
+* sparse and dense kernels agree on every metric to 1e-9 on randomized
+  batches, across topologies;
 * victims whose true masked noise is exactly zero hit the SNR cap under
   **both** kernels (the sparse kernel's cancellation guard);
 * each kernel is bit-identical to itself for any ``n_workers`` and any
@@ -39,7 +38,7 @@ from repro.distributed import worker as worker_module
 from repro.distributed.scheduler import get_hub
 from repro.models import coupling as coupling_module
 
-#: Absolute agreement demanded from float64 backends on dB metrics.
+#: Absolute agreement demanded from the two kernels on dB metrics.
 TOLERANCE = 1e-9
 
 CASES = [
@@ -49,18 +48,18 @@ CASES = [
 ]
 
 
-def _pair(pin_kernel, request, cg_name, topology, dtype=np.float64):
+def _pair(pin_kernel, request, cg_name, topology):
     network = request.getfixturevalue(topology)
     problem = MappingProblem(load_benchmark(cg_name), network, "snr")
-    return _kernel_pair(pin_kernel, problem, dtype=dtype)
+    return _kernel_pair(pin_kernel, problem)
 
 
-def _kernel_pair(pin_kernel, problem, dtype=np.float64):
+def _kernel_pair(pin_kernel, problem):
     """One inline evaluator per kernel for ``problem``."""
     pin_kernel("dense")
-    dense = MappingEvaluator(problem, dtype=dtype)
+    dense = MappingEvaluator(problem)
     pin_kernel("sparse")
-    sparse = MappingEvaluator(problem, dtype=dtype)
+    sparse = MappingEvaluator(problem)
     assert (dense.backend, sparse.backend) == ("dense", "sparse")
     return dense, sparse
 
@@ -110,26 +109,6 @@ class TestBackendParity:
         )
         np.testing.assert_allclose(
             ms.score, md.score, rtol=TOLERANCE, atol=TOLERANCE
-        )
-
-    def test_float32_metrics_agree_to_f32_rounding(
-        self, pin_kernel, request, cg_name, topology
-    ):
-        # The two backends accumulate the same float32 products in
-        # different orders (the sparse kernel even promotes to float64),
-        # so agreement is bounded by float32 rounding of the noise sum —
-        # ~1e-6 relative, i.e. ~1e-5 dB — not by 1e-9.
-        dense, sparse = _pair(
-            pin_kernel, request, cg_name, topology, dtype=np.float32
-        )
-        batch = _batch(dense, 80)
-        md = dense.evaluate_batch(batch)
-        ms = sparse.evaluate_batch(batch)
-        np.testing.assert_array_equal(
-            ms.worst_insertion_loss_db, md.worst_insertion_loss_db
-        )
-        np.testing.assert_allclose(
-            ms.worst_snr_db, md.worst_snr_db, rtol=0, atol=1e-3
         )
 
     def test_single_evaluation_matches_batch_paths(
@@ -289,7 +268,7 @@ class TestSparseDeterminism:
                 _batch(evaluator, 64), n_workers=2, min_shard_rows=1
             )
             explorer.compare(("sa", "tabu"), budget=200, seed=5, n_workers=2)
-            pool = pool_registry.get_pool(problem, evaluator.dtype, 2)
+            pool = pool_registry.get_pool(problem, 2)
             futures = [pool.submit(_worker_model_probe, backend) for _ in range(4)]
             probes = [future.result() for future in futures]
             parent = _derived_array(evaluator.model, backend)
@@ -341,7 +320,7 @@ class TestWorkersResolveTheParentsKernel:
         spec = tcp_spec if executor == "tcp" else executor
         evaluator = MappingEvaluator(problem, n_workers=2, executor=spec)
         assert evaluator.backend == kernel
-        pool = pool_registry.get_pool(problem, np.float64, 2, executor=spec)
+        pool = pool_registry.get_pool(problem, 2, executor=spec)
         if executor == "tcp":
             # Only registered task functions cross the wire: the
             # in-thread worker runs the probe under the shard name.

@@ -216,7 +216,6 @@ class TestCacheKeyedHydration:
         evaluator.submit_batch(rows, min_shard_rows=32).tables()
         pool = get_pool(
             problem,
-            np.float64,
             5,
             model_cache_dir=cluster["cache_dir"],
             executor=cluster["spec"],
@@ -230,7 +229,7 @@ class TestCacheKeyedHydration:
         # No kernel on the wire: a worker resolves it from the problem.
         for op, _, fields in hub_frames:
             if op == "init":
-                assert fields == {"op", "ctx_id", "problem", "dtype"}
+                assert fields == {"op", "ctx_id", "problem"}
         # The problem ships as its netlist, never its derived path cache
         # (the evaluator above has built every path of this network).
         assert max(init_sizes) < 64 * 1024
@@ -259,7 +258,7 @@ class TestCacheKeyedHydration:
             ).submit_batch(rows, min_shard_rows=32).tables()
             assert "model" not in [op for op, _, _ in hub_frames]
             # The worker saved the model it built into its own cache.
-            key = CouplingModel.disk_key(problem.network.signature, np.float64)
+            key = CouplingModel.disk_key(problem.network.signature)
             assert key in os.listdir(cold_cache)
             # And a worker-built model scores bit-identically.
             inline = MappingEvaluator(
@@ -326,7 +325,6 @@ class TestProtocolGuards:
     def test_unregistered_task_function_is_rejected(self, cluster):
         pool = get_pool(
             cluster["problem"],
-            np.float64,
             2,
             model_cache_dir=cluster["cache_dir"],
             executor=cluster["spec"],
@@ -338,7 +336,6 @@ class TestProtocolGuards:
         assert pool.broken
         rebuilt = get_pool(
             cluster["problem"],
-            np.float64,
             2,
             model_cache_dir=cluster["cache_dir"],
             executor=cluster["spec"],

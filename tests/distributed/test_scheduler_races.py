@@ -11,7 +11,9 @@ worker that actually computes. The contracts under test:
   survives to serve a later worker);
 * workers joining **while a retry is in flight** pick the retried task
   up: the deadline reaps the silent worker, survivors get the requeue,
-  and the result is bit-identical to inline execution.
+  and the result is bit-identical to inline execution;
+* a pong later than one heartbeat timeout but inside the miss budget
+  keeps its worker, and silence past the whole budget retires it.
 """
 
 from __future__ import annotations
@@ -107,9 +109,7 @@ def _rows(problem, n=8, seed=5):
 
 
 def _inline_reference(problem, cache_dir, rows):
-    backend = InlineBackend(
-        ("races-ref",), problem, "float64", 2, cache_dir
-    )
+    backend = InlineBackend(("races-ref",), problem, 2, cache_dir)
     try:
         return backend.submit(_parallel.evaluate_shard_task, rows).result()
     finally:
@@ -120,7 +120,6 @@ def _make_backend(rig, spec, key):
     return RemoteTcpBackend(
         (key,),
         rig["problem"],
-        "float64",
         2,
         model_cache_dir=rig["cache_dir"],
         executor=spec,
@@ -200,3 +199,37 @@ def test_workers_joining_while_retry_in_flight_complete_the_task(rig):
         hub.close()
         for thread in threads:
             thread.join(timeout=10)
+
+
+def test_late_pong_inside_the_miss_budget_keeps_the_worker():
+    hub = get_hub(
+        "tcp://127.0.0.1:0",
+        heartbeat_interval_s=0.2,
+        heartbeat_timeout_s=0.5,
+        heartbeat_misses=4,
+    )
+    fake = FakeWorker(hub.port)
+    try:
+        _wait_connected(hub, 1)
+        assert fake.read()["op"] == "ping"
+        # Answer one whole timeout late, well inside 4 x 0.5 s: a slow
+        # worker, not a lost one.
+        time.sleep(0.75)
+        wire.write_message(fake.wfile, {"op": "pong"})
+        assert fake.read()["op"] == "ping"  # still in the fleet
+        assert hub.workers_lost == 0
+        missed = hub.stats()["heartbeats_missed"]
+        assert 1 <= missed < 4
+
+        # Silence past the whole budget retires it, with every window
+        # of the budget counted as missed.
+        pinged = time.monotonic()
+        deadline = pinged + 30
+        while hub.workers_lost == 0:
+            assert time.monotonic() < deadline, "silent worker never retired"
+            time.sleep(0.01)
+        assert time.monotonic() - pinged > 0.5  # more than one timeout
+        assert hub.stats()["heartbeats_missed"] == missed + 4
+    finally:
+        fake.close()
+        hub.close()

@@ -100,12 +100,6 @@ class TestCaching:
         b = CouplingModel.for_network(mesh3_network)
         assert a is b
 
-    def test_cache_distinguishes_dtype(self, mesh3_network):
-        a = CouplingModel.for_network(mesh3_network)
-        b = CouplingModel.for_network(mesh3_network, dtype=np.float32)
-        assert a is not b
-        assert b.coupling_linear.dtype == np.float32
-
     def test_no_cache_builds_fresh(self, mesh3_network):
         a = CouplingModel.for_network(mesh3_network)
         b = CouplingModel.for_network(mesh3_network, use_cache=False)
@@ -117,10 +111,3 @@ class TestCaching:
         clear_model_cache()
         b = CouplingModel.for_network(network)
         assert a is not b
-
-    def test_float32_close_to_float64(self, mesh3_network):
-        a = CouplingModel.for_network(mesh3_network)
-        b = CouplingModel.for_network(mesh3_network, dtype=np.float32)
-        np.testing.assert_allclose(
-            b.coupling_linear, a.coupling_linear.astype(np.float32), rtol=1e-5
-        )

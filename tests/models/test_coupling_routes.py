@@ -113,20 +113,18 @@ class TestRoutedValidation:
 
 class TestRoutedCacheKeys:
     def test_process_cache_keys_do_not_alias(self, torus4_network):
-        plain = CouplingModel.cache_key(torus4_network, np.float64)
-        routed_key = CouplingModel.cache_key(
-            torus4_network, np.float64, routes=ROUTES
-        )
+        plain = CouplingModel.cache_key(torus4_network)
+        routed_key = CouplingModel.cache_key(torus4_network, routes=ROUTES)
         assert plain != routed_key
         assert "routes" not in plain  # k=1 keys are the historical bytes
-        assert CouplingModel.cache_key(torus4_network, np.float64, routes=1) == plain
+        assert CouplingModel.cache_key(torus4_network, routes=1) == plain
 
     def test_disk_keys_do_not_alias(self, torus4_network):
         signature = torus4_network.signature
-        plain = CouplingModel.disk_key(signature, np.float64)
-        routed_key = CouplingModel.disk_key(signature, np.float64, routes=ROUTES)
+        plain = CouplingModel.disk_key(signature)
+        routed_key = CouplingModel.disk_key(signature, routes=ROUTES)
         assert plain != routed_key
-        assert CouplingModel.disk_key(signature, np.float64, routes=1) == plain
+        assert CouplingModel.disk_key(signature, routes=1) == plain
 
     def test_for_network_caches_per_routes(self, torus4_network):
         plain = CouplingModel.for_network(torus4_network)
@@ -144,7 +142,7 @@ class TestRoutedDiskCache:
     def test_round_trip(self, torus4_network, routed, tmp_path):
         assert routed.save_cached(str(tmp_path)) is not None
         loaded = CouplingModel.load_cached(
-            torus4_network, np.float64, str(tmp_path), routes=ROUTES
+            torus4_network, str(tmp_path), routes=ROUTES
         )
         assert loaded is not None
         assert loaded.routes == ROUTES
@@ -158,13 +156,8 @@ class TestRoutedDiskCache:
         self, torus4_network, routed, tmp_path
     ):
         routed.save_cached(str(tmp_path))
+        assert CouplingModel.load_cached(torus4_network, str(tmp_path)) is None
         assert (
-            CouplingModel.load_cached(torus4_network, np.float64, str(tmp_path))
-            is None
-        )
-        assert (
-            CouplingModel.load_cached(
-                torus4_network, np.float64, str(tmp_path), routes=2
-            )
+            CouplingModel.load_cached(torus4_network, str(tmp_path), routes=2)
             is None
         )

@@ -2,9 +2,9 @@
 
 The vectorized ``CouplingModel._build`` must be **bit-identical** to the
 seed per-aggressor walk loop (kept as ``builder="legacy"``) on meshes and
-tori, at float64 and float32 — and the on-disk model cache must only ever
-be a fast path: hits are memory-mapped loads of identical arrays, misses
-(signature / dtype / version changes), corruption and unwritable
+tori — and the on-disk model cache must only ever be a fast path: hits
+are memory-mapped loads of identical arrays, misses (signature or version
+changes, arrays or metadata of another dtype), corruption and unwritable
 directories all fall back to a correct build.
 """
 
@@ -30,7 +30,7 @@ def _clean_registry():
 @pytest.fixture(
     scope="module",
     # torus3 keeps a wrap-around (cycle-shortcut) walk in the fast lane;
-    # the torus4 legacy oracle builds take ~10 s per dtype: slow lane.
+    # the torus4 legacy oracle build takes ~10 s: slow lane.
     params=[
         "mesh3",
         "mesh4",
@@ -43,12 +43,11 @@ def network_pair(request):
     return request.param, request.getfixturevalue(f"{request.param}_network")
 
 
-@pytest.fixture(scope="module", params=["float64", "float32"])
-def legacy_and_vectorized(request, network_pair):
+@pytest.fixture(scope="module")
+def legacy_and_vectorized(network_pair):
     name, network = network_pair
-    dtype = np.dtype(request.param)
-    legacy = CouplingModel(network, dtype=dtype, builder="legacy")
-    vectorized = CouplingModel(network, dtype=dtype)
+    legacy = CouplingModel(network, builder="legacy")
+    vectorized = CouplingModel(network)
     return name, legacy, vectorized
 
 
@@ -138,7 +137,7 @@ class TestDiskCache:
         built = CouplingModel.for_network(
             network, use_cache=False, cache_dir=str(tmp_path)
         )
-        key = CouplingModel.disk_key(network.signature, np.float64)
+        key = CouplingModel.disk_key(network.signature)
         assert (tmp_path / key / "meta.json").is_file()
 
         # A warm load must not build: poison the builder.
@@ -159,20 +158,38 @@ class TestDiskCache:
         )
         assert loaded._nnz == built.nnz  # seeded from the cache metadata
 
-    def test_miss_on_dtype_and_signature(self, params, tmp_path):
+    def test_miss_on_signature(self, params, tmp_path):
         network = self._network(params)
         CouplingModel.for_network(
             network, use_cache=False, cache_dir=str(tmp_path)
         )
-        assert (
-            CouplingModel.load_cached(network, np.float32, str(tmp_path))
-            is None
-        )
         other = PhotonicNoC(mesh(3, 3), params=params)
-        assert (
-            CouplingModel.load_cached(other, np.float64, str(tmp_path))
-            is None
+        assert CouplingModel.load_cached(other, str(tmp_path)) is None
+
+    def test_disk_key_text_is_pinned(self):
+        """The hashed text keeps its ``float64`` field, so entries written
+        while the cache key still named a dtype keep hitting."""
+        import hashlib
+
+        version = coupling_module.MODEL_VERSION
+        assert CouplingModel.disk_key("sig") == hashlib.sha1(
+            f"sig|float64|v{version}".encode()
+        ).hexdigest()
+        assert CouplingModel.disk_key("sig", routes=3) == hashlib.sha1(
+            f"sig|routes=3|float64|v{version}".encode()
+        ).hexdigest()
+
+    def test_meta_dtype_other_than_float64_misses(self, params, tmp_path):
+        network = self._network(params)
+        CouplingModel.for_network(
+            network, use_cache=False, cache_dir=str(tmp_path)
         )
+        meta_path = tmp_path / CouplingModel.disk_key(network.signature) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        assert meta["dtype"] == "float64"
+        meta["dtype"] = "float32"
+        meta_path.write_text(json.dumps(meta))
+        assert CouplingModel.load_cached(network, str(tmp_path)) is None
 
     def test_miss_on_model_version_bump(self, params, tmp_path, monkeypatch):
         network = self._network(params)
@@ -182,10 +199,7 @@ class TestDiskCache:
         monkeypatch.setattr(
             coupling_module, "MODEL_VERSION", coupling_module.MODEL_VERSION + 1
         )
-        assert (
-            CouplingModel.load_cached(network, np.float64, str(tmp_path))
-            is None
-        )
+        assert CouplingModel.load_cached(network, str(tmp_path)) is None
         # ... and for_network transparently rebuilds (and re-persists
         # under the new key).
         rebuilt = CouplingModel.for_network(
@@ -203,22 +217,19 @@ class TestDiskCache:
         CouplingModel.for_network(
             network, use_cache=False, cache_dir=str(tmp_path)
         )
-        key = CouplingModel.disk_key(network.signature, np.float64)
+        key = CouplingModel.disk_key(network.signature)
         meta_path = tmp_path / key / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta["signature"] = "somebody-else's-architecture"
         meta_path.write_text(json.dumps(meta))
-        assert (
-            CouplingModel.load_cached(network, np.float64, str(tmp_path))
-            is None
-        )
+        assert CouplingModel.load_cached(network, str(tmp_path)) is None
 
     def test_corrupted_entry_falls_back_to_rebuild(self, params, tmp_path):
         network = self._network(params)
         built = CouplingModel.for_network(
             network, use_cache=False, cache_dir=str(tmp_path)
         )
-        key = CouplingModel.disk_key(network.signature, np.float64)
+        key = CouplingModel.disk_key(network.signature)
         (tmp_path / key / "coupling_linear.npy").write_bytes(b"not numpy")
         recovered = CouplingModel.for_network(
             network, use_cache=False, cache_dir=str(tmp_path)
@@ -227,20 +238,20 @@ class TestDiskCache:
             np.asarray(recovered.coupling_linear), built.coupling_linear
         )
         # The rebuild repaired the entry in place.
-        repaired = CouplingModel.load_cached(
-            network, np.float64, str(tmp_path)
-        )
+        repaired = CouplingModel.load_cached(network, str(tmp_path))
         assert repaired is not None
         np.testing.assert_array_equal(
             np.asarray(repaired.coupling_linear), built.coupling_linear
         )
 
     @pytest.mark.parametrize("bad_dtype", ["float32", "float16", "int64"])
-    @pytest.mark.parametrize("name", ["signal_linear", "insertion_loss_db"])
+    @pytest.mark.parametrize(
+        "name", ["signal_linear", "insertion_loss_db", "coupling_linear"]
+    )
     def test_wrong_dtype_signal_or_loss_rebuilds(
         self, params, pip_cg, tmp_path, monkeypatch, name, bad_dtype
     ):
-        """Every build keeps signal and loss at float64: an entry holding
+        """Every build keeps all three arrays at float64: an entry holding
         another dtype would shift scores, so it misses and is repaired."""
         from repro.core import MappingEvaluator, MappingProblem
         from repro.core.mapping import random_assignment_batch
@@ -248,11 +259,11 @@ class TestDiskCache:
         monkeypatch.setattr(coupling_module, "_MODEL_CACHE_DIR", None)
         network = PhotonicNoC(mesh(3, 3), params=params)
         CouplingModel.for_network(network, use_cache=False, cache_dir=str(tmp_path))
-        key = CouplingModel.disk_key(network.signature, np.float64)
+        key = CouplingModel.disk_key(network.signature)
         planted = tmp_path / key / f"{name}.npy"
         with np.errstate(invalid="ignore"):  # int64 has no NaN
             np.save(planted, np.load(planted).astype(bad_dtype))
-        assert CouplingModel.load_cached(network, np.float64, str(tmp_path)) is None
+        assert CouplingModel.load_cached(network, str(tmp_path)) is None
 
         builds = coupling_module.BUILD_COUNT
         CouplingModel.for_network(network, cache_dir=str(tmp_path))
@@ -300,7 +311,7 @@ class TestDiskCache:
             set_model_cache_dir(str(tmp_path))
             network = self._network(params)
             CouplingModel.for_network(network, use_cache=False)
-            key = CouplingModel.disk_key(network.signature, np.float64)
+            key = CouplingModel.disk_key(network.signature)
             assert (tmp_path / key).is_dir()
         finally:
             set_model_cache_dir(previous)
@@ -316,7 +327,7 @@ class TestDiskCache:
         CouplingModel.for_network(
             network, use_cache=False, cache_dir=str(explicit_dir)
         )
-        key = CouplingModel.disk_key(network.signature, np.float64)
+        key = CouplingModel.disk_key(network.signature)
         assert (explicit_dir / key).is_dir()
         assert not default_dir.exists()
 
@@ -344,7 +355,7 @@ class TestDiskCache:
         with MappingEvaluator(
             problem, model_cache_dir=str(tmp_path)
         ) as evaluator:
-            key = CouplingModel.disk_key(network.signature, np.float64)
+            key = CouplingModel.disk_key(network.signature)
             assert (tmp_path / key / "meta.json").is_file()
             clear_model_cache()
             with MappingEvaluator(

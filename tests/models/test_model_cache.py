@@ -1,8 +1,8 @@
 """Coupling-model process cache and CSR view guarantees.
 
 The process cache is global state: a model built with
-``use_cache=False`` must stay out of the cache, and dtype keys must never
-alias. The CSR triplet must describe exactly the dense matrix's nonzeros.
+``use_cache=False`` must stay out of the cache. The CSR triplet must
+describe exactly the dense matrix's nonzeros.
 """
 
 import numpy as np
@@ -22,12 +22,12 @@ def _clean_registry():
 class TestProcessCache:
     def test_for_network_seeds_cache_by_default(self, mesh3_network):
         model = CouplingModel.for_network(mesh3_network)
-        key = CouplingModel.cache_key(mesh3_network, np.float64)
+        key = CouplingModel.cache_key(mesh3_network)
         assert coupling_module._CACHE[key] is model
         assert CouplingModel.for_network(mesh3_network) is model
 
     def test_use_cache_false_does_not_seed_cache(self, mesh3_network):
-        key = CouplingModel.cache_key(mesh3_network, np.float64)
+        key = CouplingModel.cache_key(mesh3_network)
         model = CouplingModel.for_network(mesh3_network, use_cache=False)
         assert key not in coupling_module._CACHE
         # ...and does not read a previously cached instance either.
@@ -37,12 +37,6 @@ class TestProcessCache:
             is not cached
         )
         assert model is not cached
-
-    def test_dtype_keys_do_not_alias(self, mesh3_network):
-        m64 = CouplingModel.for_network(mesh3_network)
-        m32 = CouplingModel.for_network(mesh3_network, dtype=np.float32)
-        assert m64 is not m32
-        assert m32.coupling_linear.dtype == np.float32
 
 
 class TestCouplingCSR:

@@ -42,6 +42,14 @@ def offline_problem(app, objective="snr"):
     return MappingProblem(cg, network, objective)
 
 
+#: A valid two-task inline CG, the base of the malformed variants.
+INLINE_CG = {
+    "name": "pair",
+    "tasks": ["a", "b"],
+    "edges": [{"src": "a", "dst": "b", "bandwidth": 1.0}],
+}
+
+
 @pytest.fixture
 def core():
     core = ServiceCore(n_workers=1)
@@ -135,19 +143,16 @@ class TestCoreDispatch:
             == offline.worst_insertion_loss_db.tolist()
         )
 
-    def test_explicit_mappings_and_float32_backend(self, core, pin_kernel):
+    def test_explicit_mappings_on_the_sparse_kernel(self, core, pin_kernel):
         # pip resolves the dense kernel: pin sparse to serve it too.
         pin_kernel("sparse")
         problem = offline_problem("pip")
         rows = [list(range(8)), list(range(8))[::-1]]
         body, status = core.handle(
-            {
-                "kind": "evaluate", "app": "pip", "mappings": rows,
-                "dtype": "float32",
-            }
+            {"kind": "evaluate", "app": "pip", "mappings": rows}
         )
         assert status == 200, body
-        evaluator = MappingEvaluator(problem, dtype=np.float32)
+        evaluator = MappingEvaluator(problem)
         assert evaluator.backend == "sparse"
         offline = evaluator.evaluate_batch(np.asarray(rows))
         evaluator.close()
@@ -228,6 +233,49 @@ class TestCoreDispatch:
         body, status = core.handle({"kind": "evaluate", "app": "pip"})
         assert status == 503
         assert body["error"]["kind"] == "shutting_down"
+
+    def test_dtype_field_is_validation_only(self, core):
+        payload = {"kind": "evaluate", "app": "pip", "n_random": 3, "seed": 4}
+        plain = core.handle(payload)
+        assert plain[1] == 200, plain
+        assert core.handle(dict(payload, dtype="float64")) == plain
+        # Every model is float64: another dtype is refused, never
+        # silently computed at float64.
+        for dtype in ("float32", "f16", [], {}):
+            body, status = core.handle(dict(payload, dtype=dtype))
+            assert status == 400 and body["error"]["kind"] == "bad_request"
+            assert "dtype" in body["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"app": "pip", "dtype": []},
+            {"app": "pip", "dtype": {"a": 1}},
+            {"cg": dict(INLINE_CG, edges=[["a", "b", 1]])},
+            {"cg": dict(INLINE_CG, edges=["ab"])},
+            {"cg": dict(INLINE_CG, edges=3)},
+            {
+                "cg": dict(
+                    INLINE_CG,
+                    edges=[{"src": "a", "dst": "b", "bandwidth": "fast"}],
+                )
+            },
+            {"cg": dict(INLINE_CG, tasks=[["a"], ["b"]])},
+        ],
+        ids=[
+            "dtype-list",
+            "dtype-object",
+            "edges-as-lists",
+            "edges-as-strings",
+            "edges-not-iterable",
+            "bandwidth-not-a-number",
+            "tasks-unhashable",
+        ],
+    )
+    def test_malformed_payload_is_structured_400(self, core, fields):
+        body, status = core.handle({"kind": "evaluate", **fields})
+        assert status == 400, body
+        assert body["error"]["kind"] == "bad_request"
 
     def test_malformed_json_is_structured_error(self, core):
         body, status = core.handle_json(b"{nope")

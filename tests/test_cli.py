@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 import repro.cli as cli
@@ -91,26 +90,24 @@ class TestEvaluate:
         save_cg_json(pipeline_cg(4), path)
         assert main(["evaluate", "--cg-json", str(path), "--seed", "2"]) == 0
 
-    def test_dtype_and_backend_flags_reach_the_evaluator(
-        self, capsys, monkeypatch
-    ):
-        # `evaluate` silently ignored --float32 before it was routed
-        # through the shared evaluator argument group.
-        from repro.core.problem import MappingProblem
-
-        seen = {}
-        original = MappingProblem.evaluator
-
-        def spy(self, **kwargs):
-            seen.update(kwargs)
-            return original(self, **kwargs)
-
-        monkeypatch.setattr(MappingProblem, "evaluator", spy)
-        assert main(
-            ["evaluate", "--app", "pip", "--seed", "1", "--float32"]
-        ) == 0
-        assert seen["dtype"] is np.float32
-        assert "worst-case SNR" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["evaluate", "--app", "pip"],
+            ["optimize", "--app", "pip"],
+            ["table2"],
+            ["fig3"],
+            ["sweep", "--app", "pip", "--param", "crossing_loss_db=-0.04"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_float32_flag_is_rejected(self, command, capsys):
+        # Every coupling model is float64: the flag is an unknown
+        # argument, never a silently ignored one.
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--float32"])
+        assert excinfo.value.code == 2
+        assert "--float32" in capsys.readouterr().err
 
 
 class TestOptimize:
@@ -205,6 +202,31 @@ class TestErrors:
             ["optimize", "--app", "vopd", "--side", "3", "--budget", "10"]
         ) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"edges": [["a", "b", 1]]},
+            {"edges": ["ab"]},
+            {"edges": 3},
+            {"edges": [{"src": "a", "dst": "b", "bandwidth": "wide"}]},
+            {"tasks": [["a"], ["b"]]},
+        ],
+        ids=["edge-lists", "edge-strings", "edges-scalar", "bandwidth-text",
+             "unhashable-tasks"],
+    )
+    def test_malformed_cg_json_is_a_domain_error(self, fields, capsys, tmp_path):
+        # A hand-written CG file is outside input: every malformed shape
+        # is reported as an error line, never a traceback.
+        path = tmp_path / "cg.json"
+        path.write_text(json.dumps({
+            "name": "pair",
+            "tasks": ["a", "b"],
+            "edges": [{"src": "a", "dst": "b", "bandwidth": 1.0}],
+            **fields,
+        }))
+        assert main(["evaluate", "--cg-json", str(path)]) == 2
+        assert "malformed" in capsys.readouterr().err
 
 
 def _registry_with(run, monkeypatch):
