@@ -17,9 +17,13 @@ and under pytest-benchmark like the other benches::
     pytest benchmarks/bench_delta_engine.py --benchmark-only
 
 The ``--sides 8`` row is the headline: a fully occupied 64-tile mesh,
-where delta scoring is expected to be >= 3x the full evaluator. The
-timed rows score the ``snr`` objective; ``--smoke`` races ``snr`` and
-``loss``, so CI also runs the noise-free loss-family engine end to end.
+where delta scoring is expected to be >= 3x the full evaluator. Every
+size runs an SNR engine (``snr``) and a loss-family one (``loss``), so
+CI also runs the noise-free engine end to end. Beside the scoring race
+each row reports the per-call cost of a ``commit`` along the walk and of
+a full ``reset``, and checks that every loss-family commit leaves the
+engine's state bit-identical to a fresh reset at the moved assignment
+(a loss-family commit *is* a rebuild); a mismatch fails the run.
 
 Paper artefact: none (engineering bench for the §II-D search engine).
 Expected runtime: ~1-2 minutes; seconds with ``--smoke`` (CI mode).
@@ -63,6 +67,11 @@ class DeltaBenchRow:
     full_ms: float
     delta_ms: float
     max_divergence: float
+    commit_us: float
+    reset_us: float
+    #: Loss-family rows: every commit's state equals a fresh reset's.
+    #: ``None`` for SNR rows, whose commits update in place.
+    commit_matches_reset: Optional[bool]
 
     @property
     def speedup(self) -> float:
@@ -147,6 +156,15 @@ def measure_side(
             engine.commit(sampled[0])
         return scores_out
 
+    def run_commits():
+        engine.reset(start, count=False)
+        spent = 0.0
+        for sampled in walks:
+            t0 = time.perf_counter()
+            engine.commit(sampled[0])
+            spent += time.perf_counter() - t0
+        return spent / len(walks)
+
     full_scores = run_full()
     delta_scores = run_delta()
     divergence = max(
@@ -155,6 +173,10 @@ def measure_side(
     )
     full_s = _time(run_full, min_seconds, min_rounds=3)
     delta_s = _time(run_delta, min_seconds, min_rounds=3)
+    commit_s = float(np.median([run_commits() for _ in range(max(3, iterations))]))
+    reset_s = _time(
+        lambda: engine.reset(start, count=False), min_seconds, min_rounds=3
+    )
     per_batch = 1e3 / iterations
     return DeltaBenchRow(
         side=side,
@@ -165,13 +187,37 @@ def measure_side(
         full_ms=full_s * per_batch,
         delta_ms=delta_s * per_batch,
         max_divergence=divergence,
+        commit_us=commit_s * 1e6,
+        reset_us=reset_s * 1e6,
+        commit_matches_reset=(
+            None
+            if evaluator.objective.is_snr_based
+            else _commits_match_resets(evaluator, start, walks)
+        ),
     )
+
+
+def _commits_match_resets(evaluator, start, walks) -> bool:
+    """Whether every commit along the walk leaves the state a fresh
+    reset at the moved assignment builds, bit for bit."""
+    engine = DeltaEvaluator(evaluator)
+    fresh = DeltaEvaluator(evaluator)
+    engine.reset(start, count=False)
+    current = start.copy()
+    for sampled in walks:
+        current = apply_move(current, sampled[0])
+        if engine.commit(sampled[0]) != fresh.reset(current, count=False):
+            return False
+        for name in ("_assignment", "_pairs", "_il"):
+            if getattr(engine, name).tobytes() != getattr(fresh, name).tobytes():
+                return False
+    return True
 
 
 def format_table(rows: Sequence[DeltaBenchRow]) -> str:
     lines = [
         "side  objective  tiles  tasks  edges  nbhd   full ms/batch"
-        "  delta ms/batch  speedup  max |Δscore|",
+        "  delta ms/batch  speedup  max |Δscore|  commit us  reset us",
     ]
     for row in rows:
         lines.append(
@@ -179,7 +225,8 @@ def format_table(rows: Sequence[DeltaBenchRow]) -> str:
             f"{row.n_tasks:5d}  "
             f"{row.n_edges:5d}  {row.neighbourhood:4d}   "
             f"{row.full_ms:13.3f}  {row.delta_ms:14.3f}  "
-            f"{row.speedup:6.2f}x  {row.max_divergence:.2e}"
+            f"{row.speedup:6.2f}x  {row.max_divergence:.2e}  "
+            f"{row.commit_us:9.1f}  {row.reset_us:8.1f}"
         )
     return "\n".join(lines)
 
@@ -209,10 +256,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     add_json_argument(parser)
     args = parser.parse_args(argv)
-    objectives = ["snr"]
+    objectives = ["snr", "loss"]
     if args.smoke:
         sides = [3]
-        objectives = ["snr", "loss"]
         args.neighbourhood = 16
         args.iterations = 2
         args.min_seconds = 0.05
@@ -238,7 +284,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
             )
             print(format_table(rows[-1:]).splitlines()[1])
-    bad = [row for row in rows if row.max_divergence > 1e-9]
+    bad = [
+        row
+        for row in rows
+        if row.max_divergence > 1e-9 or row.commit_matches_reset is False
+    ]
     record_bench(
         args,
         "delta_engine",
@@ -259,17 +309,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "delta_ms_per_batch": row.delta_ms,
                 "speedup": row.speedup,
                 "max_divergence": row.max_divergence,
+                "commit_us": row.commit_us,
+                "reset_us": row.reset_us,
+                "commit_matches_reset": row.commit_matches_reset,
             }
             for row in rows
         ],
         passed=not bad,
     )
     if bad:
-        print(f"FAIL: delta/full divergence above 1e-9 on "
+        print(f"FAIL: delta/full divergence above 1e-9, or a loss-family "
+              f"commit that differs from a fresh reset, on "
               f"{[(row.side, row.objective) for row in bad]}")
         return 1
     if args.smoke:
-        print("smoke ok: delta and full agree")
+        print("smoke ok: delta and full agree, and loss-family commits "
+              "equal fresh resets")
     return 0
 
 

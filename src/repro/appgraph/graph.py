@@ -9,6 +9,7 @@ extension objectives and exporters have the data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
@@ -33,7 +34,8 @@ class CommunicationGraph:
 
     Tasks are referenced by index in all performance-sensitive code; names
     exist for human-readable IO. Edges must reference valid tasks, carry
-    positive bandwidth, and contain neither self-loops nor duplicates.
+    finite positive bandwidth, and contain neither self-loops nor
+    duplicates.
     """
 
     def __init__(
@@ -75,10 +77,11 @@ class CommunicationGraph:
                     f"duplicate edge {self.tasks[edge.src]!r} -> "
                     f"{self.tasks[edge.dst]!r} in CG {name!r}"
                 )
-            if edge.bandwidth <= 0:
+            if not 0 < edge.bandwidth < math.inf:  # NaN fails too
                 raise ConfigurationError(
                     f"edge {self.tasks[edge.src]!r} -> {self.tasks[edge.dst]!r} "
-                    f"of CG {name!r} has non-positive bandwidth {edge.bandwidth}"
+                    f"of CG {name!r} has bandwidth {edge.bandwidth}; a "
+                    "bandwidth must be finite and positive"
                 )
             seen.add((edge.src, edge.dst))
             normalized.append(edge)

@@ -56,57 +56,65 @@ class SimulatedAnnealing(MappingStrategy):
         self.final_temperature_ratio = float(final_temperature_ratio)
         self.batch_size = int(batch_size)
 
-    def _propose_move(self, assignment: np.ndarray, n_tiles: int,
+    @staticmethod
+    def _holders(assignment: np.ndarray, n_tiles: int) -> list:
+        """Tile -> task table of an assignment (-1 marks an empty tile)."""
+        holder = np.full(n_tiles, -1, dtype=np.int64)
+        holder[assignment] = np.arange(len(assignment))
+        return holder.tolist()
+
+    def _propose_move(self, assignment: list, holder: list,
                       rng: np.random.Generator) -> Move:
-        """One random swap/relocation move (task, target tile, other)."""
-        task = int(rng.integers(0, len(assignment)))
-        tile = int(rng.integers(0, n_tiles))
+        """One random swap/relocation move (task, target tile, other).
+
+        ``assignment`` lists each task's tile and ``holder`` each tile's
+        task (:meth:`_holders`), so a proposal costs its two or three
+        draws and no array scan.
+        """
+        n_tasks = len(assignment)
+        task = int(rng.integers(0, n_tasks))
+        tile = int(rng.integers(0, len(holder)))
         if tile == assignment[task]:
             # Proposed its own tile: swap with another random task instead.
-            other = int(
-                (task + 1 + rng.integers(0, len(assignment) - 1))
-                % len(assignment)
-            )
-            return (task, int(assignment[other]), other)
-        holder = np.nonzero(assignment == tile)[0]
-        if len(holder):
-            return (task, tile, int(holder[0]))
-        return (task, tile, -1)
+            other = int((task + 1 + rng.integers(0, n_tasks - 1)) % n_tasks)
+            return (task, assignment[other], other)
+        return (task, tile, holder[tile])
 
     def _propose_joint_move(
         self,
-        vector: np.ndarray,
-        menus: np.ndarray,
+        vector: list,
+        menus: list,
+        rerouteable: list,
+        holder: list,
         n_tasks: int,
-        n_tiles: int,
         rng: np.random.Generator,
     ) -> Move:
         """One random move over the joint mapping x routing neighbourhood.
 
         A move site is drawn uniformly over the tasks plus the edges
-        whose current tile pair offers more than one route; a task site
-        delegates to the mapping proposer, an edge site redraws that
-        edge's route gene uniformly among the other menu entries. Only
-        reached when ``routes > 1``, so mapping-only runs consume the
-        RNG exactly as before.
+        whose current tile pair offers more than one route
+        (``rerouteable``); a task site delegates to the mapping proposer,
+        an edge site redraws that edge's route gene uniformly among the
+        other menu entries. Only reached when ``routes > 1``, so
+        mapping-only runs consume the RNG exactly as before.
         """
-        rerouteable = np.flatnonzero(menus > 1)
         site = int(rng.integers(0, n_tasks + len(rerouteable)))
         if site < n_tasks:
-            return self._propose_move(vector[:n_tasks], n_tiles, rng)
-        edge = int(rerouteable[site - n_tasks])
-        menu = int(menus[edge])
+            return self._propose_move(vector[:n_tasks], holder, rng)
+        edge = rerouteable[site - n_tasks]
+        menu = menus[edge]
         gene = int(rng.integers(0, menu - 1))
-        if gene >= int(vector[n_tasks + edge]) % menu:
+        if gene >= vector[n_tasks + edge] % menu:
             gene += 1
         return (n_tasks + edge, gene, REROUTE)
 
     def _propose(self, assignment: np.ndarray, n_tiles: int,
                  rng: np.random.Generator) -> np.ndarray:
         """One random swap/relocation neighbour."""
-        return apply_move(
-            assignment, self._propose_move(assignment, n_tiles, rng)
+        move = self._propose_move(
+            assignment.tolist(), self._holders(assignment, n_tiles), rng
         )
+        return apply_move(assignment, move)
 
     def _run(
         self,
@@ -136,37 +144,42 @@ class SimulatedAnnealing(MappingStrategy):
         total_steps = max(1, budget - samples)
         cooling = self.final_temperature_ratio ** (1.0 / total_steps)
         temperature = initial_temperature
+        floor = initial_temperature * self.final_temperature_ratio
+        n_tasks = evaluator.n_tasks
         while evaluator.evaluations < budget:
             count = min(self.batch_size, budget - evaluator.evaluations)
             base = current
+            vector = base.tolist()
+            holder = self._holders(base[:n_tasks], evaluator.n_tiles)
             if evaluator.routes > 1:
                 menus = evaluator.edge_menu_sizes(base)
+                rerouteable = np.flatnonzero(menus > 1).tolist()
+                menus = menus.tolist()
                 moves = [
                     self._propose_joint_move(
-                        base, menus, evaluator.n_tasks, evaluator.n_tiles, rng
+                        vector, menus, rerouteable, holder, n_tasks, rng
                     )
                     for _ in range(count)
                 ]
             else:
-                moves = [self._propose_move(base, evaluator.n_tiles, rng)
+                moves = [self._propose_move(vector, holder, rng)
                          for _ in range(count)]
-            scores = score_neighbourhood(engine, evaluator, base, moves)
+            scores = score_neighbourhood(engine, evaluator, base, moves).tolist()
             # Every proposal is a neighbour of the batch's base, so an
             # acceptance replaces the incumbent with base + that move;
             # only the last accepted move survives the batch and only it
             # needs committing to the delta engine.
             accepted = None
             for k in range(count):
-                gain = float(scores[k]) - current_score
+                gain = scores[k] - current_score
                 if gain >= 0 or rng.random() < math.exp(gain / temperature):
                     accepted = k
-                    current = apply_move(base, moves[k])
-                    current_score = float(scores[k])
-                    tracker.offer(current, current_score)
-                temperature = max(
-                    temperature * cooling,
-                    initial_temperature * self.final_temperature_ratio,
-                )
-            if engine is not None and accepted is not None:
-                engine.commit(moves[accepted])
+                    current_score = scores[k]
+                    if tracker.improves(current_score):
+                        tracker.offer(apply_move(base, moves[k]), current_score)
+                temperature = max(temperature * cooling, floor)
+            if accepted is not None:
+                current = apply_move(base, moves[accepted])
+                if engine is not None:
+                    engine.commit(moves[accepted])
         return tracker.result(self.name)

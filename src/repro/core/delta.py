@@ -18,11 +18,22 @@ State kept for the incumbent assignment (all shape ``(E,)`` unless noted):
   ``noise[v] = sum_a mask[v, a] * C[pairs[v], pairs[a]]``.
 
 Only SNR-family objectives (:attr:`~repro.core.objectives.Objective.is_snr_based`)
-keep the noise state: ``_noise`` plus the victim-column matrix and the
-coupling row sums the update rule below reads. A loss-family engine
-(``loss``, ``weighted_loss``, ``laser_power``) scores from the IL table
-alone, so it never gathers from the coupling matrix, never runs the
-noise update and never builds the dense transpose.
+keep the signal and noise state: ``_signal``, ``_noise``, the
+victim-column matrix and the coupling row sums the update rule below
+reads. A loss-family engine (``loss``, ``weighted_loss``,
+``laser_power``) scores from the IL table alone, so it never gathers
+from the coupling matrix, never runs the noise update and never builds
+the dense transpose.
+
+Which edges a move touches depends only on the moved task(s), never on
+the incumbent. The engine therefore builds, once, a table of
+*affected-edge rows*: row ``t * (n_tasks + 1) + p`` lists the CG edges
+incident to task ``t`` or to its swap partner ``p`` (``p == n_tasks`` for
+a relocation), an edge joining the two listed once, in descending edge
+order and -1 padded. A call looks its moves' rows up instead of
+assembling them; a reroute reads the all-padding row and patches its
+one edge in. At most ``(n_tasks + 1)^2`` rows of a few int64 entries:
+70 KB for the paper's largest CG.
 
 Update rule for a move (relocation or swap) with affected edge set ``A``
 (the edges incident to the moved task(s), deduplicated):
@@ -49,19 +60,22 @@ identical to the full einsum (the mask happens to be symmetric today, but
 the update rule would survive an asymmetric one).
 
 :meth:`DeltaEvaluator.score_moves` applies the rule to a whole sampled
-neighbourhood in one vectorized pass (padded per-task incident-edge
-tables, dummy-column scatters), and :meth:`DeltaEvaluator.commit` applies
-it to the incumbent state in place.
+neighbourhood in one vectorized pass (affected-row lookups, dummy-column
+scatters), and :meth:`DeltaEvaluator.commit` applies it to an SNR-family
+incumbent's state in place.
 
 Fallback to full evaluation happens in exactly three places:
 
 * :meth:`DeltaEvaluator.reset` — a new incumbent (or a restart) rebuilds
-  every table from the coupling matrices;
-* every ``refresh_interval`` commits the tables are rebuilt from scratch,
-  which bounds floating-point drift of the noise accumulators (the
-  unaffected-victim rule is a running ``+=``; with float64 the drift over
-  hundreds of commits is ~1e-13 dB, and the periodic rebuild makes it
-  impossible for it to ever matter);
+  every table from the coupling matrices; a loss-family
+  :meth:`DeltaEvaluator.commit` does the same after applying its move
+  (IL is gathered, never accumulated, so the rebuild gives the bits an
+  in-place update would, at a fraction of its cost);
+* every ``refresh_interval`` SNR-family commits the tables are rebuilt
+  from scratch, which bounds floating-point drift of the noise
+  accumulators (the unaffected-victim rule is a running ``+=``; with
+  float64 the drift over hundreds of commits is ~1e-13 dB, and the
+  periodic rebuild makes it impossible for it to ever matter);
 * strategies constructed with ``use_delta=False`` skip this module
   entirely and score candidates through ``evaluate_batch``.
 
@@ -89,11 +103,11 @@ budget comparisons between delta and full runs stay fair.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
 
-import repro.core.evaluator as _evaluator_module
 from repro.core.evaluator import MappingEvaluator, _snr_db
 from repro.core.moves import REROUTE, Move, apply_move
 from repro.core.objectives import spec_for
@@ -105,6 +119,13 @@ __all__ = [
     "incumbent_score",
     "score_neighbourhood",
 ]
+
+#: Target bytes per :meth:`DeltaEvaluator.score_moves` chunk. The moves of
+#: one chunk share its padded affected width, which is the length of the
+#: native sum behind each affected victim's cross term, so this budget
+#: fixes the last-ULP scores of neighbourhoods larger than one chunk.
+#: Kept apart from the batch kernel's budget for that reason.
+_SCORE_CHUNK_BYTES = 64 * 1024 * 1024
 
 
 def delta_engine(
@@ -142,8 +163,9 @@ def incumbent_score(engine, evaluator, assignment) -> float:
 def score_neighbourhood(engine, evaluator, current, moves) -> np.ndarray:
     """Score ``moves`` against ``current`` via the engine or the full path.
 
-    The engine must already hold ``current`` as its incumbent. Both
-    branches charge ``len(moves)`` evaluations.
+    ``moves`` is a sequence of move triples or an ``(M, 3)`` integer
+    array. The engine must already hold ``current`` as its incumbent.
+    Both branches charge ``len(moves)`` evaluations.
     """
     if engine is not None:
         return engine.score_moves(moves)
@@ -151,11 +173,25 @@ def score_neighbourhood(engine, evaluator, current, moves) -> np.ndarray:
     return evaluator.evaluate_batch(candidates, score_only=True).score
 
 
+def _move_array(moves) -> np.ndarray:
+    """Moves as an ``(M, 3)`` int64 array (arrays pass through)."""
+    if isinstance(moves, np.ndarray):
+        if moves.ndim != 2 or moves.shape[1] != 3:
+            raise MappingError(
+                f"a move array must have shape (M, 3), got {moves.shape}"
+            )
+        return moves.astype(np.int64, copy=False)
+    moves = list(moves)
+    # One flat pass: ~3x cheaper than np.asarray on a list of tuples.
+    flat = chain.from_iterable(moves)
+    return np.fromiter(flat, dtype=np.int64, count=3 * len(moves)).reshape(-1, 3)
+
+
 class DeltaEvaluator:
     """Incremental evaluator wrapping a :class:`MappingEvaluator`.
 
-    Maintains per-edge pair indices, signal/IL tables and (for
-    SNR-family objectives only) noise accumulators for one incumbent
+    Maintains per-edge pair indices, IL tables and (for SNR-family
+    objectives only) signal and noise tables for one incumbent
     assignment; see the module docstring for the state kept and the
     update rule.
     """
@@ -173,13 +209,13 @@ class DeltaEvaluator:
                 "back to full batch evaluation"
             )
         self._score_table = spec.table
-        # Only SNR-family scores read noise; loss-family engines keep no
-        # noise state and never touch the coupling matrix.
+        # Only SNR-family scores read signal and noise; loss-family
+        # engines keep neither and never touch the coupling matrix.
         self._tracks_noise = evaluator.objective.is_snr_based
         self._ev = evaluator
         self._model = evaluator.model
         self._routes = evaluator.routes
-        self._edges = evaluator._edges
+        self._edges = evaluator._edges  # (E, 2) int64 task pairs
         self._E = len(self._edges)
         # Sparse-kernel evaluators share their nominal CSR state: row sums
         # come from CSR row dots instead of dense-transpose walks, so the
@@ -189,19 +225,7 @@ class DeltaEvaluator:
         self._refresh_interval = refresh_interval
         self._commits = 0
         self._assignment: Optional[np.ndarray] = None
-
-        # Padded incident-edge table: row t lists the CG edges touching
-        # task t; the extra last row is all-padding and stands in for the
-        # missing partner of a relocation (other == -1).
-        n_tasks = evaluator.n_tasks
-        incident = [[] for _ in range(n_tasks)]
-        for e, (s, d) in enumerate(self._edges):
-            incident[int(s)].append(e)
-            incident[int(d)].append(e)
-        width = max((len(lst) for lst in incident), default=1) or 1
-        self._inc = np.full((n_tasks + 1, width), -1, dtype=np.int64)
-        for t, lst in enumerate(incident):
-            self._inc[t, : len(lst)] = lst
+        self._build_affected_rows(evaluator.n_tasks)
 
         if not self._tracks_noise:
             return
@@ -214,6 +238,33 @@ class DeltaEvaluator:
         # itself) — the only terms by which v's masked noise row differs
         # from the full row sum. Padding carries weight 0.
         self._conf_row, self._conf_w = evaluator._conflict_tables
+        # Flat view: the cross and conflict terms gather (M, L, L) and
+        # (M, L, K) blocks with one ``take`` each.
+        self._coupling_flat = np.asarray(self._model.coupling_linear).reshape(-1)
+
+    def _build_affected_rows(self, n_tasks: int) -> None:
+        """The per-(task, partner) affected-edge rows (module docstring)."""
+        incident = [[] for _ in range(n_tasks + 1)]
+        for e, (s, d) in enumerate(self._edges):
+            incident[int(s)].append(e)
+            incident[int(d)].append(e)
+        width = max(len(lst) for lst in incident) or 1
+        inc = np.full((n_tasks + 1, width), -1, dtype=np.int64)
+        for t, lst in enumerate(incident):
+            inc[t, : len(lst)] = lst
+        task, partner = np.divmod(np.arange((n_tasks + 1) ** 2), n_tasks + 1)
+        second = inc[partner]
+        # An edge joining the two moved tasks appears in both incident
+        # lists; drop the second copy so its delta isn't applied twice.
+        ends = self._edges[np.where(second >= 0, second, 0)]
+        duplicate = (ends == task[:, None, None]).any(axis=2)
+        second = np.where((second >= 0) & ~duplicate, second, -1)
+        rows = -np.sort(-np.concatenate([inc[task], second], axis=1), axis=1)
+        self._aff_count = (rows >= 0).sum(axis=1)
+        self._aff = rows[:, : max(1, int(self._aff_count.max()))].copy()
+        # A chunk's byte budget is charged at the rows' uncompacted width,
+        # which fixes how many moves share a chunk (_SCORE_CHUNK_BYTES).
+        self._move_bytes = 8 * max(1, self._E * 2 * width) * 6
 
     # -- incumbent state ---------------------------------------------------------
 
@@ -232,9 +283,12 @@ class DeltaEvaluator:
     def score(self) -> float:
         """The incumbent's score under the problem objective."""
         self._require_incumbent()
-        noise = None if self._noise is None else self._noise[None, :]
+        if not self._tracks_noise:
+            return float(self._scores_from(self._il[None, :], None, None)[0])
         return float(
-            self._scores_from(self._il[None, :], self._signal[None, :], noise)[0]
+            self._scores_from(
+                self._il[None, :], self._signal[None, :], self._noise[None, :]
+            )[0]
         )
 
     def _require_incumbent(self) -> None:
@@ -268,11 +322,11 @@ class DeltaEvaluator:
     def _rebuild_tables(self) -> None:
         """Full fallback: recompute every per-edge table exactly."""
         self._pairs = self._ev._pair_table(self._assignment)
-        self._il = self._model.insertion_loss_db[self._pairs].copy()
-        self._signal = self._model.signal_linear[self._pairs].copy()
+        self._il = self._model.insertion_loss_db[self._pairs]
         if not self._tracks_noise:
-            self._noise = None
+            self._signal = self._noise = None
             return
+        self._signal = self._model.signal_linear[self._pairs]
         grid = self._model.coupling_linear[
             self._pairs[:, None], self._pairs[None, :]
         ]
@@ -306,173 +360,174 @@ class DeltaEvaluator:
 
     # -- scoring ---------------------------------------------------------------
 
-    def score_moves(self, moves: Iterable[Move]) -> np.ndarray:
+    def score_moves(self, moves: "Iterable[Move] | np.ndarray") -> np.ndarray:
         """Score a batch of moves against the incumbent.
 
-        Returns one score per move (same objective and same numbers as
-        ``evaluate_batch`` on the moved assignments, up to float
-        associativity) and charges ``len(moves)`` evaluations.
+        ``moves`` is an iterable of move triples or an ``(M, 3)`` integer
+        array. Returns one score per move (same objective and same
+        numbers as ``evaluate_batch`` on the moved assignments, up to
+        float associativity) and charges ``len(moves)`` evaluations.
         """
         self._require_incumbent()
-        moves = list(moves)
+        moves = _move_array(moves)
         n_moves = len(moves)
         if n_moves == 0:
             return np.empty(0, dtype=np.float64)
-        tasks = np.fromiter((m[0] for m in moves), dtype=np.int64, count=n_moves)
-        tiles = np.fromiter((m[1] for m in moves), dtype=np.int64, count=n_moves)
-        others = np.fromiter((m[2] for m in moves), dtype=np.int64, count=n_moves)
-        n_edges = self._E
-        aff = self._affected_edges(tasks, others)
+        aff, counts = self._affected(moves)
         # Process moves in descending order of affected-set size: each
         # chunk is padded to its own maximum, so a few high-degree moves
         # don't widen the whole batch.
-        order = np.argsort(-(aff >= 0).sum(axis=1), kind="stable")
-        width = aff.shape[1]
-        per_move = 8 * max(1, n_edges * width) * 6
-        chunk = max(1, _evaluator_module._CHUNK_BYTES // per_move)
+        order = np.argsort(-counts, kind="stable")
+        chunk = max(1, _SCORE_CHUNK_BYTES // self._move_bytes)
         scores = np.empty(n_moves, dtype=np.float64)
         for start in range(0, n_moves, chunk):
             sel = order[start : start + chunk]
-            il, signal, noise, _, _, _ = self._move_tables(
-                tasks[sel], tiles[sel], others[sel], aff[sel]
+            width = max(1, int(counts[sel[0]]))
+            il, signal, noise, _ = self._move_tables(
+                moves[sel], aff[sel, :width]
             )
             scores[sel] = self._scores_from(il, signal, noise)
         self._ev.evaluations += n_moves
         return scores
 
     def commit(self, move: Move) -> float:
-        """Apply a move to the incumbent state in place; returns the new score.
+        """Apply a move to the incumbent state; returns the new score.
 
         Charges no evaluation: the move was already scored when its
-        neighbourhood was. Every ``refresh_interval`` commits the tables
-        are rebuilt from scratch to bound accumulator drift.
+        neighbourhood was. A loss-family engine rebuilds its tables
+        under the moved assignment; an SNR-family engine updates them
+        in place and rebuilds every ``refresh_interval`` commits to
+        bound accumulator drift.
         """
         self._require_incumbent()
         task, tile, other = int(move[0]), int(move[1]), int(move[2])
-        il, signal, noise, aff, new_pa, _ = self._move_tables(
-            np.array([task]), np.array([tile]), np.array([other])
-        )
-        n_edges = self._E
-        valid = aff[0] >= 0
-        idx = aff[0][valid]
-        old_pairs = self._pairs[idx]
-        self._pairs[idx] = new_pa[0][valid]
-        self._il = il[0, :n_edges].copy()
-        self._signal = signal[0, :n_edges].copy()
         if self._tracks_noise:
-            self._noise = noise[0, :n_edges].copy()
-            coupling = self._model.coupling_linear
-            # The moved edges changed their pair, so their victim columns
-            # and their contribution to the dense row sums must follow.
-            # Dense mode reads the changed columns as rows of the
-            # contiguous transpose; sparse mode (which never builds the
-            # transpose) uses a strided column gather of the dense matrix
-            # — a few columns per commit, so the stride cost is
-            # negligible.
-            self._cols_inc[:, idx] = coupling[self._pairs[idx], :].T
-            if self._sparse is not None:
-                self._rowsum += coupling[:, self._pairs[idx]].sum(
-                    axis=1, dtype=np.float64
-                )
-                self._rowsum -= coupling[:, old_pairs].sum(
-                    axis=1, dtype=np.float64
-                )
-            else:
-                coupling_T = self._model.coupling_linear_T
-                self._rowsum += coupling_T[self._pairs[idx]].sum(axis=0)
-                self._rowsum -= coupling_T[old_pairs].sum(axis=0)
+            self._commit_noise(np.array([[task, tile, other]], dtype=np.int64))
         if other >= 0:
             self._assignment[other] = self._assignment[task]
         self._assignment[task] = tile
         self._commits += 1
-        if (
+        if not self._tracks_noise or (
             self._refresh_interval is not None
             and self._commits % self._refresh_interval == 0
         ):
             self._rebuild_tables()
         return self.score
 
+    def _commit_noise(self, move: np.ndarray) -> None:
+        """Update the SNR-family tables in place for one ``(1, 3)`` move."""
+        aff, counts = self._affected(move)
+        il, signal, noise, new_pa = self._move_tables(
+            move, aff[:, : max(1, int(counts[0]))]
+        )
+        n_edges = self._E
+        idx = aff[0, : counts[0]]
+        old_pairs = self._pairs[idx]
+        self._pairs[idx] = new_pa[0, : counts[0]]
+        self._il = il[0, :n_edges].copy()
+        self._signal = signal[0, :n_edges].copy()
+        self._noise = noise[0, :n_edges].copy()
+        coupling = self._model.coupling_linear
+        # The moved edges changed their pair, so their victim columns
+        # and their contribution to the dense row sums must follow.
+        # Dense mode reads the changed columns as rows of the
+        # contiguous transpose; sparse mode (which never builds the
+        # transpose) uses a strided column gather of the dense matrix
+        # — a few columns per commit, so the stride cost is
+        # negligible.
+        self._cols_inc[:, idx] = coupling[self._pairs[idx], :].T
+        if self._sparse is not None:
+            self._rowsum += coupling[:, self._pairs[idx]].sum(
+                axis=1, dtype=np.float64
+            )
+            self._rowsum -= coupling[:, old_pairs].sum(
+                axis=1, dtype=np.float64
+            )
+        else:
+            coupling_T = self._model.coupling_linear_T
+            self._rowsum += coupling_T[self._pairs[idx]].sum(axis=0)
+            self._rowsum -= coupling_T[old_pairs].sum(axis=0)
+
     # -- internals -------------------------------------------------------------
 
-    def _affected_edges(self, tasks, others) -> np.ndarray:
-        """(M, L) table of CG edges whose slot a move changes, -1 padded,
-        valid entries first.
+    def _affected(self, moves: np.ndarray):
+        """``(M, W)`` affected-edge rows of ``moves`` and their valid counts.
 
-        A reroute move (``other == REROUTE``, ``task`` = gene slot
-        index) affects exactly the rerouted edge; its first element
-        indexes past the task range, so it reads the all-pad incident
-        row and the edge is patched in afterwards.
+        Looked up in the per-(task, partner) table; valid entries come
+        first. A reroute move (``other == REROUTE``, ``task`` = gene slot
+        index) affects exactly the rerouted edge: its first element
+        indexes past the task range, so it reads the all-pad row and the
+        edge is patched in.
         """
         n_tasks = self._ev.n_tasks
-        is_reroute = others == REROUTE
-        block1 = self._inc[np.where(is_reroute, n_tasks, tasks)]
-        block2 = self._inc[np.where(others >= 0, others, n_tasks)]
-        # An edge joining the two moved tasks appears in both incident
-        # lists; drop the second copy so its delta isn't applied twice.
-        safe2 = np.where(block2 >= 0, block2, 0)
-        duplicate = (self._edges[safe2, 0] == tasks[:, None]) | (
-            self._edges[safe2, 1] == tasks[:, None]
+        tasks, others = moves[:, 0], moves[:, 2]
+        key = np.minimum(tasks, n_tasks) * (n_tasks + 1) + np.where(
+            others >= 0, others, n_tasks
         )
-        block2 = np.where((block2 >= 0) & ~duplicate, block2, -1)
-        aff = np.concatenate([block1, block2], axis=1)
-        aff = -np.sort(-aff, axis=1)
-        if is_reroute.any():
-            aff[is_reroute, 0] = tasks[is_reroute] - n_tasks
-        return aff
+        aff = self._aff.take(key, axis=0)
+        counts = self._aff_count.take(key)
+        if self._routes > 1:
+            reroute = others == REROUTE
+            if reroute.any():
+                aff[reroute, 0] = tasks[reroute] - n_tasks
+                counts[reroute] = 1
+        return aff, counts
 
-    def _move_tables(self, tasks, tiles, others, aff=None):
-        """Per-move ``(M, E+1)`` IL/signal/noise tables (column E is a
-        dummy scatter target for padding entries; callers slice it off).
+    def _move_tables(self, moves: np.ndarray, aff: np.ndarray):
+        """Per-move ``(M, E+1)`` IL/signal/noise tables, plus new pairs.
 
-        The noise table is ``None`` for loss-family engines, which
-        return right after the IL/signal scatter.
+        ``aff`` holds the moves' affected-edge rows, cut to the chunk's
+        width. Column E is a dummy scatter target for padding entries;
+        callers slice it off. Signal and noise are ``None`` for
+        loss-family engines, which return right after the IL scatter.
         """
         a = self._assignment
         n_edges = self._E
-        n_moves = len(tasks)
+        n_moves = len(moves)
+        tasks, tiles, others = moves[:, 0], moves[:, 1], moves[:, 2]
 
-        if aff is None:
-            aff = self._affected_edges(tasks, others)
-        # Compact: trailing all-pad columns dropped.
-        width = max(1, int((aff >= 0).sum(axis=1).max()))
-        aff = aff[:, :width]
         pad = aff < 0
         aff0 = np.where(pad, 0, aff)
-
-        src = self._edges[aff0, 0]
-        dst = self._edges[aff0, 1]
-        t = tasks[:, None]
-        o = others[:, None]
-        target = tiles[:, None]
-        task_tile = a[tasks][:, None]
-        swap = o >= 0
-        src_tiles = np.where(
-            src == t, target, np.where(swap & (src == o), task_tile, a[src])
+        # (M, L, 2) endpoint tasks of every affected edge, and their tiles
+        # after the move: the moved task lands on the target tile, a swap
+        # partner on the moved task's old tile (a relocation's or a
+        # reroute's negative ``other`` matches no task).
+        ends = self._edges.take(aff0, axis=0)
+        task_tile = a.take(tasks)
+        end_tiles = np.where(
+            ends == tasks[:, None, None],
+            tiles[:, None, None],
+            np.where(
+                ends == others[:, None, None],
+                task_tile[:, None, None],
+                a.take(ends),
+            ),
         )
-        dst_tiles = np.where(
-            dst == t, target, np.where(swap & (dst == o), task_tile, a[dst])
-        )
-        old_pa = self._pairs[aff0]
-        new_pa = self._model.pair_indices(src_tiles, dst_tiles)
+        old_pa = self._pairs.take(aff0)
+        new_pa = self._model.pair_indices(end_tiles[..., 0], end_tiles[..., 1])
         if self._routes > 1:
             # Mapping moves carry the edge's gene to its new tile pair;
             # a reroute keeps the pair and overwrites the gene.
             genes = np.where(
-                (others == REROUTE)[:, None], target, a[self._ev.n_tasks + aff0]
+                (others == REROUTE)[:, None],
+                tiles[:, None],
+                a.take(self._ev.n_tasks + aff0),
             )
             new_pa = new_pa + genes
         new_pa = np.where(pad, old_pa, new_pa)
 
-        # Padding and duplicates scatter into the dummy column.
-        scatter = np.where(pad, n_edges, aff)
+        # Padding scatters into the dummy column; ``flat`` indexes the
+        # flattened (M, E+1) tables.
+        row_start = np.arange(n_moves)[:, None] * (n_edges + 1)
+        flat = np.where(pad, n_edges, aff) + row_start
         il = np.empty((n_moves, n_edges + 1), dtype=np.float64)
-        il[:, :n_edges] = self._il[None, :]
-        np.put_along_axis(il, scatter, self._model.insertion_loss_db[new_pa], axis=1)
-        signal = np.empty((n_moves, n_edges + 1), dtype=np.float64)
-        signal[:, :n_edges] = self._signal[None, :]
-        np.put_along_axis(signal, scatter, self._model.signal_linear[new_pa], axis=1)
+        il[:, :n_edges] = self._il
+        il.reshape(-1)[flat] = self._model.insertion_loss_db.take(new_pa)
         if not self._tracks_noise:
-            return il, signal, None, aff, new_pa, scatter
+            return il, None, None, new_pa
+        signal = np.empty((n_moves, n_edges + 1), dtype=np.float64)
+        signal[:, :n_edges] = self._signal
+        signal.reshape(-1)[flat] = self._model.signal_linear.take(new_pa)
 
         # Unaffected victims: aggressor terms of the affected edges change
         # under the victim's unchanged pair. Both coupling gathers are
@@ -480,8 +535,10 @@ class DeltaEvaluator:
         # (new aggressor pair row minus old aggressor pair row). Padding
         # entries contribute 0 because their new pair equals their old
         # one.
-        diff = self._cols_inc[new_pa] - self._cols_inc[old_pa]  # (M, L, E)
-        base = np.einsum("mle,mle->me", self._maskfT[aff0], diff)
+        diff = self._cols_inc.take(new_pa, axis=0) - self._cols_inc.take(
+            old_pa, axis=0
+        )  # (M, L, E)
+        base = np.einsum("mle,mle->me", self._maskfT.take(aff0, axis=0), diff)
         noise = np.empty((n_moves, n_edges + 1), dtype=np.float64)
         noise[:, :n_edges] = self._noise[None, :] + base
 
@@ -490,27 +547,27 @@ class DeltaEvaluator:
         # the columns the move itself displaced (cross terms among the
         # affected edges; zero for padding, whose new pair is its old
         # one), minus the victim's serialized/self columns at their moved
-        # pairs.
-        coupling = self._model.coupling_linear
-        pairs_moved = np.empty((n_moves, n_edges + 1), dtype=np.int64)
-        pairs_moved[:, :n_edges] = self._pairs[None, :]
-        np.put_along_axis(pairs_moved, scatter, new_pa, axis=1)
+        # pairs. Both coupling blocks are flat gathers of (M, L, L) and
+        # (M, L, K) index blocks.
+        coupling = self._coupling_flat
+        victim = new_pa[:, :, None] * self._model.n_pairs
         cross = (
-            coupling[new_pa[:, :, None], new_pa[:, None, :]]
-            - coupling[new_pa[:, :, None], old_pa[:, None, :]]
+            coupling.take(victim + new_pa[:, None, :])
+            - coupling.take(victim + old_pa[:, None, :])
         ).sum(axis=2)
-        conf = self._conf_row[aff0]  # (M, L, K) serialized columns
-        conf_pairs = pairs_moved[
-            np.arange(n_moves)[:, None, None], conf
-        ]
+        pairs_moved = np.empty((n_moves, n_edges + 1), dtype=np.int64)
+        pairs_moved[:, :n_edges] = self._pairs
+        pairs_moved.reshape(-1)[flat] = new_pa
+        conf = self._conf_row.take(aff0, axis=0)  # (M, L, K) serialized columns
+        conf_pairs = pairs_moved.reshape(-1).take(conf + row_start[:, :, None])
         conf_term = np.einsum(
             "mlk,mlk->ml",
-            coupling[new_pa[:, :, None], conf_pairs],
-            self._conf_w[aff0],
+            coupling.take(victim + conf_pairs),
+            self._conf_w.take(aff0, axis=0),
         )
-        dense = self._rowsum[new_pa]
+        dense = self._rowsum.take(new_pa)
         full = dense + cross - conf_term
-        np.put_along_axis(noise, scatter, full, axis=1)
+        noise.reshape(-1)[flat] = full
 
         # Cancellation guard: both the incremental update and the
         # dense-minus-sparse reconstruction subtract equal-magnitude
@@ -525,13 +582,13 @@ class DeltaEvaluator:
         suspect_m, suspect_v = np.nonzero(noise[:, :n_edges] <= tolerance)
         if len(suspect_m):
             victim_pairs = pairs_moved[suspect_m, suspect_v]
-            grid_rows = coupling[
+            grid_rows = self._model.coupling_linear[
                 victim_pairs[:, None], pairs_moved[suspect_m, :n_edges]
             ]
             noise[suspect_m, suspect_v] = np.einsum(
                 "ke,ke->k", grid_rows, self._maskf[suspect_v]
             )
-        return il, signal, noise, aff, new_pa, scatter
+        return il, signal, noise, new_pa
 
     def _scores_from(self, il, signal, noise) -> np.ndarray:
         """Objective scores from (M, >= E) per-edge tables.
@@ -540,8 +597,9 @@ class DeltaEvaluator:
         one) and reduces them through the evaluator's own SNR formula
         and metric table (the spec's ``table`` name, resolved at
         construction), so the scores are bit-identical to the full
-        pipeline's for the same per-edge values. ``noise`` is ``None``
-        for loss-family engines, which never compute SNR.
+        pipeline's for the same per-edge values. ``signal`` and
+        ``noise`` are ``None`` for loss-family engines, which never
+        compute SNR.
         """
         n_edges = self._E
         snr = None

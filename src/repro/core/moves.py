@@ -20,12 +20,13 @@ so :func:`apply_move` (and the tabu reversal key, which records
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["Move", "REROUTE", "swap_moves", "reroute_moves", "apply_move",
-           "normalize_move"]
+__all__ = ["Move", "REROUTE", "swap_moves", "swap_move_array", "reroute_moves",
+           "reroute_move_array", "apply_move", "normalize_move"]
 
 Move = Tuple[int, int, int]  # (task, new tile, other task or -1)
 
@@ -35,41 +36,51 @@ Move = Tuple[int, int, int]  # (task, new tile, other task or -1)
 REROUTE = -2
 
 
-def swap_moves(assignment: np.ndarray, n_tiles: int) -> List[Move]:
-    """All admitted moves from an assignment.
+def swap_move_array(assignment: np.ndarray, n_tiles: int) -> np.ndarray:
+    """All admitted moves from an assignment, as an ``(M, 3)`` int64 array.
 
-    Returns (task, target_tile, other_task) triples; ``other_task`` is -1
-    when the target tile is empty (a relocation) and the partner task index
-    otherwise (a swap). Vectorized, but the output order is pinned to the
-    historical double loop: relocations task-major over ascending empty
-    tiles, then swaps in upper-triangular (task_a, task_b) order.
+    Rows are (task, target_tile, other_task) triples; ``other_task`` is -1
+    when the target tile is empty (a relocation) and the partner task
+    index otherwise (a swap). The order is pinned to the historical double
+    loop: relocations task-major over ascending empty tiles, then swaps in
+    upper-triangular (task_a, task_b) order.
     """
     assignment = np.asarray(assignment)
     n_tasks = len(assignment)
     occupied_mask = np.zeros(n_tiles, dtype=bool)
     occupied_mask[assignment] = True
     empty_tiles = np.flatnonzero(~occupied_mask)
-    n_empty = len(empty_tiles)
-    reloc_task = np.repeat(np.arange(n_tasks), n_empty)
-    reloc_tile = np.tile(empty_tiles, n_tasks)
-    task_a, task_b = np.triu_indices(n_tasks, k=1)
-    moves: List[Move] = list(
-        zip(
-            reloc_task.tolist(),
-            reloc_tile.tolist(),
-            [-1] * (n_tasks * n_empty),
-        )
-    )
-    moves.extend(
-        zip(task_a.tolist(), assignment[task_b].tolist(), task_b.tolist())
-    )
+    n_reloc = n_tasks * len(empty_tiles)
+    task_a, task_b = _upper_pairs(n_tasks)
+    moves = np.empty((n_reloc + len(task_a), 3), dtype=np.int64)
+    relocations = moves[:n_reloc].reshape(n_tasks, len(empty_tiles), 3)
+    relocations[:, :, 0] = np.arange(n_tasks)[:, None]
+    relocations[:, :, 1] = empty_tiles
+    relocations[:, :, 2] = -1
+    moves[n_reloc:, 0] = task_a
+    moves[n_reloc:, 1] = assignment[task_b]
+    moves[n_reloc:, 2] = task_b
     return moves
 
 
-def reroute_moves(
+@lru_cache(maxsize=64)
+def _upper_pairs(n_tasks: int):
+    """``np.triu_indices(n_tasks, k=1)``, built once per task count."""
+    pairs = np.triu_indices(n_tasks, k=1)
+    for column in pairs:
+        column.setflags(write=False)
+    return pairs
+
+
+def swap_moves(assignment: np.ndarray, n_tiles: int) -> List[Move]:
+    """:func:`swap_move_array` as a list of (task, target_tile, other) tuples."""
+    return _as_list(swap_move_array(assignment, n_tiles))
+
+
+def reroute_move_array(
     vector: np.ndarray, n_tasks: int, route_counts: np.ndarray
-) -> List[Move]:
-    """All admitted reroute moves from a widened design vector.
+) -> np.ndarray:
+    """All admitted reroute moves from a widened design vector, ``(M, 3)``.
 
     ``route_counts[edge]`` is the menu size of the edge's current tile
     pair; one move per (edge, gene != current gene mod menu) in edge-major
@@ -77,18 +88,28 @@ def reroute_moves(
     nothing, so on architectures without route diversity (e.g. crux
     meshes) the joint neighbourhood degenerates to the mapping one.
     """
-    vector = np.asarray(vector)
-    genes = vector[n_tasks:]
-    moves: List[Move] = []
-    for edge, gene in enumerate(genes.tolist()):
-        menu = int(route_counts[edge])
-        if menu <= 1:
-            continue
-        current = gene % menu
-        for candidate in range(menu):
-            if candidate != current:
-                moves.append((n_tasks + edge, candidate, REROUTE))
+    genes = np.asarray(vector)[n_tasks:]
+    menus = np.asarray(route_counts, dtype=np.int64)
+    menus = np.where(menus > 1, menus, 0)
+    edge = np.repeat(np.arange(len(menus)), menus)
+    gene = np.arange(len(edge)) - np.repeat(np.cumsum(menus) - menus, menus)
+    keep = gene != genes[edge] % menus[edge]
+    moves = np.empty((int(keep.sum()), 3), dtype=np.int64)
+    moves[:, 0] = n_tasks + edge[keep]
+    moves[:, 1] = gene[keep]
+    moves[:, 2] = REROUTE
     return moves
+
+
+def reroute_moves(
+    vector: np.ndarray, n_tasks: int, route_counts: np.ndarray
+) -> List[Move]:
+    """:func:`reroute_move_array` as a list of move tuples."""
+    return _as_list(reroute_move_array(vector, n_tasks, route_counts))
+
+
+def _as_list(moves: np.ndarray) -> List[Move]:
+    return list(map(tuple, moves.tolist()))
 
 
 def normalize_move(move, n_tasks: int) -> Move:

@@ -28,7 +28,7 @@ Implementation notes:
   parallel DSE exploits to spread one run across worker processes;
 * with a routed evaluator (``routes > 1``) the admitted moves also
   include the reroute moves of every multi-route CG edge
-  (:meth:`~repro.core.evaluator.MappingEvaluator.moves_for`), so the
+  (:meth:`~repro.core.evaluator.MappingEvaluator.move_array_for`), so the
   descent jointly refines placement and route choice; at ``routes == 1``
   the move list, RNG draws and results are unchanged.
 """
@@ -70,7 +70,7 @@ class PriorityBasedListAlgorithm(MappingStrategy):
                 current_score = incumbent_score(engine, evaluator, current)
                 tracker.offer(current, current_score)
                 continue
-            moves = evaluator.moves_for(current)
+            moves = evaluator.move_array_for(current)
             remaining = budget - evaluator.evaluations
             if remaining <= 0:
                 break
@@ -78,7 +78,7 @@ class PriorityBasedListAlgorithm(MappingStrategy):
                 # Not enough budget for a full step: evaluate a random
                 # subset so the budget is honoured exactly.
                 picks = rng.choice(len(moves), size=remaining, replace=False)
-                moves = [moves[int(p)] for p in picks]
+                moves = moves[picks]
             scores = score_neighbourhood(engine, evaluator, current, moves)
             best_index = int(np.argmax(scores))
             if scores[best_index] > current_score:

@@ -31,9 +31,13 @@ class BestTracker:
         self.best_score = -np.inf
         self.history = []
 
+    def improves(self, score: float) -> bool:
+        """Whether a candidate scoring ``score`` would become the incumbent."""
+        return score > self.best_score
+
     def offer(self, assignment: np.ndarray, score: float) -> bool:
         """Submit a candidate; returns True when it becomes the incumbent."""
-        if score > self.best_score:
+        if self.improves(score):
             self.best_score = float(score)
             self.best_assignment = np.array(assignment, dtype=np.int64)
             self.history.append((self._evaluator.evaluations, self.best_score))

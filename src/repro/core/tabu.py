@@ -119,7 +119,7 @@ class TabuSearch(MappingStrategy):
             if sample_size < 1:
                 break
             picks = rng.choice(len(moves), size=sample_size, replace=False)
-            sampled = [moves[int(p)] for p in picks]
+            sampled = [moves[p] for p in picks.tolist()]
             scores = score_neighbourhood(engine, evaluator, current, sampled)
             order = np.argsort(scores)[::-1]
             chosen = None

@@ -26,6 +26,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass
+from math import isqrt
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -45,6 +46,11 @@ from repro.service.schema import (
 )
 
 __all__ = ["ServiceCore", "ServiceLimits"]
+
+#: Per-request coupling-model cap, in model slots ``(side^2)^2 x
+#: routes`` (the matrix holds the square of that many float64s): 4,096
+#: is mesh8 at routes 1, a 134 MB matrix.
+_MAX_MODEL_SLOTS = 4096
 
 
 @dataclass(frozen=True)
@@ -319,7 +325,18 @@ class ServiceCore:
             coalescer.wake()
 
     def _check_caps(self, request: ServiceRequest) -> None:
-        """Enforce the per-request budget, sample and random-row caps."""
+        """Enforce the per-request model-size, budget, sample and
+        random-row caps, before any network is built."""
+        side, routes = request.grid_side, request.routes
+        # side^4 * routes > cap, decided without raising an unbounded
+        # request value to the fourth power.
+        if side > isqrt(isqrt(_MAX_MODEL_SLOTS // routes)):
+            raise ServiceError(
+                f"side {side} at routes {routes} needs a coupling model "
+                f"over the per-request cap of {_MAX_MODEL_SLOTS} slots "
+                "((side^2)^2 x routes)",
+                kind="over_budget",
+            )
         if request.kind == "optimize" and request.budget > self.limits.max_budget:
             raise ServiceError(
                 f"budget {request.budget} exceeds the per-request cap "
@@ -528,6 +545,7 @@ class ServiceCore:
                 "max_budget": self.limits.max_budget,
                 "max_samples": self.limits.max_samples,
                 "max_mappings": self.limits.max_mappings,
+                "max_model_slots": _MAX_MODEL_SLOTS,
             },
             "coalescing": {"per_key": per_key, "totals": totals},
         }

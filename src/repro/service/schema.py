@@ -81,7 +81,7 @@ def _int_field(payload: dict, name: str, default, minimum: int = 1):
         return None
     try:
         value = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ServiceError(
             f"field {name!r} must be an integer, got {value!r}"
         ) from None
@@ -113,12 +113,16 @@ class ServiceRequest:
     assignments: Optional[np.ndarray] = None
     n_random: int = 1
 
+    @property
+    def grid_side(self) -> int:
+        """The topology side: the request's, else the smallest fitting grid."""
+        return self.side if self.side is not None else grid_side_for(self.cg)
+
     def network(self) -> PhotonicNoC:
         """Build (or rebuild) the request's target architecture."""
         from repro.analysis.experiments import build_case_study_network
 
-        side = self.side if self.side is not None else grid_side_for(self.cg)
-        return build_case_study_network(self.topology, side, self.router)
+        return build_case_study_network(self.topology, self.grid_side, self.router)
 
     def problem(self) -> MappingProblem:
         """The mapping problem this request describes."""

@@ -58,6 +58,11 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="bandwidth"):
             CommunicationGraph("bad", ["a", "b"], [(0, 1, 0.0)])
 
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ConfigurationError, match="'a' -> 'b'.*finite"):
+            CommunicationGraph("bad", ["a", "b"], [(0, 1, bandwidth)])
+
     def test_no_edges_rejected(self):
         with pytest.raises(ConfigurationError, match="no edges"):
             CommunicationGraph("bad", ["a", "b"], [])

@@ -1,5 +1,7 @@
 """Communication graph IO tests."""
 
+import json
+
 import pytest
 
 from repro.appgraph import (
@@ -42,6 +44,16 @@ class TestJsonRoundTrip:
                     "edges": [{"src": "a", "dst": "zz", "bandwidth": 1.0}],
                 }
             )
+
+    @pytest.mark.parametrize("bandwidth", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_bandwidth_rejected(self, bandwidth):
+        """Python's json accepts these literals; the CG must not."""
+        text = (
+            '{"name": "x", "tasks": ["a", "b"], '
+            f'"edges": [{{"src": "a", "dst": "b", "bandwidth": {bandwidth}}}]}}'
+        )
+        with pytest.raises(ConfigurationError, match="'a' -> 'b'.*finite"):
+            cg_from_dict(json.loads(text))
 
 
 class TestDot:

@@ -339,13 +339,13 @@ class TestApiGuards:
     ):
         """A tiny chunk budget forces move-by-move chunks through the
         width-sorted path; scores must not depend on chunking."""
-        import repro.core.evaluator as evaluator_module
+        import repro.core.delta as delta_module
 
         engine = DeltaEvaluator(pip_evaluator)
         assignment = random_assignment(8, 9, rng)
         engine.reset(assignment, count=False)
         moves = swap_moves(assignment, 9)
         expected = engine.score_moves(moves)
-        monkeypatch.setattr(evaluator_module, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(delta_module, "_SCORE_CHUNK_BYTES", 1)
         chunked = engine.score_moves(moves)
         np.testing.assert_allclose(chunked, expected, rtol=0, atol=1e-12)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.service import (
     ServiceLimits,
     ServiceServer,
 )
+from repro.service import core as service_core_module
 from repro.service.schema import parse_request
 
 
@@ -276,6 +278,48 @@ class TestCoreDispatch:
         body, status = core.handle({"kind": "evaluate", **fields})
         assert status == 400, body
         assert body["error"]["kind"] == "bad_request"
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_bandwidth_is_400_naming_the_edge(self, core, bandwidth):
+        edge = {"src": "a", "dst": "b", "bandwidth": bandwidth}
+        body, status = core.handle(
+            {"kind": "evaluate", "objective": "weighted_loss",
+             "cg": dict(INLINE_CG, edges=[edge])}
+        )
+        assert status == 400, body
+        assert body["error"]["kind"] == "bad_request"
+        assert "'a' -> 'b'" in body["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "side, kind",
+        [
+            (b"1e30", "over_budget"),
+            (b"1" + b"0" * 1999, "over_budget"),
+            (b"1e400", "bad_request"),  # JSON's inf, which is no integer
+        ],
+        ids=["1e30", "2000_digits", "infinite"],
+    )
+    def test_oversized_model_is_rejected_before_any_build(self, core, side, kind):
+        """A huge side must not start a network or model build, nor be
+        raised to the fourth power: the request answers 400 at once
+        instead of growing for minutes."""
+        began = time.perf_counter()
+        body, status = core.handle_json(
+            b'{"kind": "evaluate", "app": "pip", "side": ' + side + b"}"
+        )
+        assert time.perf_counter() - began < 1.0
+        assert status == 400 and body["error"]["kind"] == kind, body
+        assert "side" in body["error"]["message"]
+        assert core.stats()["limits"]["max_model_slots"] == 4096
+
+    def test_model_slot_cap_counts_routes(self, core, monkeypatch):
+        """pip's default 3x3 grid holds 81 slots per route."""
+        monkeypatch.setattr(service_core_module, "_MAX_MODEL_SLOTS", 81)
+        body, status = core.handle({"kind": "evaluate", "app": "pip"})
+        assert status == 200, body
+        body, status = core.handle({"kind": "evaluate", "app": "pip", "routes": 2})
+        assert status == 400 and body["error"]["kind"] == "over_budget"
+        assert "routes 2" in body["error"]["message"]
 
     def test_malformed_json_is_structured_error(self, core):
         body, status = core.handle_json(b"{nope")
