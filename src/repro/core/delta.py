@@ -26,8 +26,9 @@ from the coupling matrix, never runs the noise update and never builds
 the dense transpose.
 
 Which edges a move touches depends only on the moved task(s), never on
-the incumbent. The engine therefore builds, once, a table of
-*affected-edge rows*: row ``t * (n_tasks + 1) + p`` lists the CG edges
+the incumbent. The evaluator therefore builds, once, a table of
+*affected-edge rows* (``MappingEvaluator._affected_rows``) that every
+engine over it shares: row ``t * (n_tasks + 1) + p`` lists the CG edges
 incident to task ``t`` or to its swap partner ``p`` (``p == n_tasks`` for
 a relocation), an edge joining the two listed once, in descending edge
 order and -1 padded. A call looks its moves' rows up instead of
@@ -225,14 +226,18 @@ class DeltaEvaluator:
         self._refresh_interval = refresh_interval
         self._commits = 0
         self._assignment: Optional[np.ndarray] = None
-        self._build_affected_rows(evaluator.n_tasks)
+        # Built once per evaluator and shared by every engine over it.
+        self._aff, self._aff_count, width = evaluator._affected_rows
+        # A chunk's byte budget is charged at the rows' uncompacted width,
+        # which fixes how many moves share a chunk (_SCORE_CHUNK_BYTES).
+        self._move_bytes = 8 * max(1, self._E * 2 * width) * 6
 
         if not self._tracks_noise:
             return
         # The mask is gathered both by victim row and by aggressor column;
         # a contiguous transpose keeps the column walk row-local (and does
         # not assume the serialization mask is symmetric).
-        self._maskfT = np.ascontiguousarray(self._maskf.T)
+        self._maskfT = evaluator._mask_linear_T
         # The evaluator's padded conflict table: row v lists the aggressor
         # columns a with mask[v, a] == 0 (the serialized edges, plus v
         # itself) — the only terms by which v's masked noise row differs
@@ -241,30 +246,6 @@ class DeltaEvaluator:
         # Flat view: the cross and conflict terms gather (M, L, L) and
         # (M, L, K) blocks with one ``take`` each.
         self._coupling_flat = np.asarray(self._model.coupling_linear).reshape(-1)
-
-    def _build_affected_rows(self, n_tasks: int) -> None:
-        """The per-(task, partner) affected-edge rows (module docstring)."""
-        incident = [[] for _ in range(n_tasks + 1)]
-        for e, (s, d) in enumerate(self._edges):
-            incident[int(s)].append(e)
-            incident[int(d)].append(e)
-        width = max(len(lst) for lst in incident) or 1
-        inc = np.full((n_tasks + 1, width), -1, dtype=np.int64)
-        for t, lst in enumerate(incident):
-            inc[t, : len(lst)] = lst
-        task, partner = np.divmod(np.arange((n_tasks + 1) ** 2), n_tasks + 1)
-        second = inc[partner]
-        # An edge joining the two moved tasks appears in both incident
-        # lists; drop the second copy so its delta isn't applied twice.
-        ends = self._edges[np.where(second >= 0, second, 0)]
-        duplicate = (ends == task[:, None, None]).any(axis=2)
-        second = np.where((second >= 0) & ~duplicate, second, -1)
-        rows = -np.sort(-np.concatenate([inc[task], second], axis=1), axis=1)
-        self._aff_count = (rows >= 0).sum(axis=1)
-        self._aff = rows[:, : max(1, int(self._aff_count.max()))].copy()
-        # A chunk's byte budget is charged at the rows' uncompacted width,
-        # which fixes how many moves share a chunk (_SCORE_CHUNK_BYTES).
-        self._move_bytes = 8 * max(1, self._E * 2 * width) * 6
 
     # -- incumbent state ---------------------------------------------------------
 

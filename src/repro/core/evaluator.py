@@ -106,12 +106,14 @@ __all__ = [
     "noise_kernel",
 ]
 
-#: Target bytes per evaluation chunk. It bounds the dense kernel's
-#: (M, E, E) gather near cache size: on a 2-vCPU Xeon (2 MiB L2 per
-#: core) a 4,096-row dvopd batch cost ~37 us/row at 64 MiB and ~29 at
-#: 8 MiB. Rows reduce row-locally, so every table is bit-identical for
-#: any chunking.
-_CHUNK_BYTES = 8 * 1024 * 1024
+#: Target bytes per evaluation chunk, sized for a core's L2: the dense
+#: kernel's (M, E, E) int64 gather index and float64 grid (16 bytes per
+#: element) stay resident while the mask multiply and the row sum walk
+#: them. On a 2-vCPU Xeon (2 MiB L2 per core), 4,096-row batches of the
+#: eight paper apps took as long at 2 MiB as at 4, and 5-18% longer at
+#: 1 or 8 MiB. Rows reduce row-locally, so every table is bit-identical
+#: for any chunking.
+_CHUNK_BYTES = 2 * 1024 * 1024
 
 #: Minimum rows per worker shard: below this the process round-trip costs
 #: more than the numpy work it ships, so batch submission falls back to
@@ -479,6 +481,46 @@ class MappingEvaluator:
             conf_w[v, : len(c)] = 1.0
         return conf_idx, conf_w
 
+    @cached_property
+    def _mask_linear_T(self) -> np.ndarray:
+        """Contiguous transpose of the float mask, built on first use.
+
+        SNR-family delta engines gather it by aggressor column; every
+        engine over this evaluator reads this one copy.
+        """
+        return np.ascontiguousarray(self._mask_linear.T)
+
+    @cached_property
+    def _affected_rows(self):
+        """``(rows, counts, width)``: the delta engine's affected-edge table.
+
+        Row ``task * (n_tasks + 1) + partner`` lists the edges a move of
+        ``task`` with swap partner ``partner`` changes (``partner ==
+        n_tasks`` for a relocation), valid entries first and padded with
+        -1; ``counts`` holds the valid lengths and ``width`` the widest
+        incident list. It depends only on the CG, so every engine over
+        this evaluator shares one table (see :mod:`repro.core.delta`).
+        """
+        n_tasks = self.cg.n_tasks
+        incident = [[] for _ in range(n_tasks + 1)]
+        for e, (s, d) in enumerate(self._edges):
+            incident[int(s)].append(e)
+            incident[int(d)].append(e)
+        width = max(len(lst) for lst in incident) or 1
+        inc = np.full((n_tasks + 1, width), -1, dtype=np.int64)
+        for t, lst in enumerate(incident):
+            inc[t, : len(lst)] = lst
+        task, partner = np.divmod(np.arange((n_tasks + 1) ** 2), n_tasks + 1)
+        second = inc[partner]
+        # An edge joining the two moved tasks appears in both incident
+        # lists; drop the second copy so its delta isn't applied twice.
+        ends = self._edges[np.where(second >= 0, second, 0)]
+        duplicate = (ends == task[:, None, None]).any(axis=2)
+        second = np.where((second >= 0) & ~duplicate, second, -1)
+        rows = -np.sort(-np.concatenate([inc[task], second], axis=1), axis=1)
+        counts = (rows >= 0).sum(axis=1)
+        return rows[:, : max(1, int(counts.max()))].copy(), counts, width
+
     # -- batch evaluation ---------------------------------------------------------
 
     def _check_batch(self, assignments: np.ndarray) -> np.ndarray:
@@ -670,7 +712,8 @@ class MappingEvaluator:
     def _chunk_rows(self) -> int:
         """Mappings per chunk keeping per-chunk transients within budget.
 
-        Dense: the (M, E, E) gather of 8-byte couplings dominates.
+        Dense: the (M, E, E) gather dominates, 16 bytes per element
+        (its int64 index plus the float64 coupling it reads).
         Sparse: the per-mapping matvec reuses fixed scratch buffers, so
         only the (M, E, K) conflict gather scales with the chunk.
         """
@@ -678,7 +721,7 @@ class MappingEvaluator:
         if self.backend == "sparse":
             width = max(1, n_edges * self._conflict_tables[0].shape[1] * 3)
             return max(1, _CHUNK_BYTES // (8 * width))
-        return max(1, _CHUNK_BYTES // max(1, 8 * n_edges * n_edges))
+        return max(1, _CHUNK_BYTES // max(1, 16 * n_edges * n_edges))
 
     def _pair_table(self, vectors: np.ndarray) -> np.ndarray:
         """Flat model-slot indices: (M, E) for a batch, (E,) for one vector.
@@ -689,12 +732,19 @@ class MappingEvaluator:
         variation sample and the delta engine's incumbent. At
         ``routes == 1`` the gene offset vanishes and this is exactly the
         tile-pair table.
+
+        A batch's table is row-major: ``vectors[:, src]`` would come back
+        column-major, and the dense kernel's flat gather through an index
+        built from it runs several times slower.
         """
-        # Not vectors[..., idx]: on one short vector that costs ~1 us more.
         src, dst = self._edges[:, 0], self._edges[:, 1]
         if vectors.ndim == 2:
-            src, dst = (slice(None), src), (slice(None), dst)
-        pairs = self.model.pair_indices(vectors[src], vectors[dst])
+            pairs = self.model.pair_indices(
+                vectors.take(src, axis=1), vectors.take(dst, axis=1)
+            )
+        else:
+            # Not take(): on one short vector it costs ~0.5 us more a gather.
+            pairs = self.model.pair_indices(vectors[src], vectors[dst])
         if self.routes > 1:
             pairs = pairs + vectors[..., self.cg.n_tasks:]
         return pairs
@@ -718,6 +768,14 @@ class MappingEvaluator:
     def _dense_noise(self, pairs: np.ndarray, coupling: np.ndarray) -> np.ndarray:
         """Masked noise contraction over a dense coupling matrix.
 
+        The (M, E, E) grid ``coupling[pairs[m, v], pairs[m, a]]`` is one
+        ``take`` from the flattened matrix through a row-major int64
+        index: a flat gather costs about half what 2-D broadcast fancy
+        indexing does per element. The index is only as row-major as
+        ``pairs``, which :meth:`_pair_table` guarantees; a column-major
+        index makes the ``take`` several times slower. Chunks keep
+        index and grid inside a core's L2 (:data:`_CHUNK_BYTES`).
+
         NOT einsum, and NOT a native ``grid.sum(axis=2)``: both block
         their accumulation differently depending on the batch size M,
         which would break the bit-identical-for-any-shard-split
@@ -725,7 +783,8 @@ class MappingEvaluator:
         sequential :func:`_row_sum` reduces each (m, v) row in an order
         that depends only on E.
         """
-        grid = coupling[pairs[:, :, None], pairs[:, None, :]]
+        index = pairs[:, :, None] * coupling.shape[1] + pairs[:, None, :]
+        grid = coupling.reshape(-1).take(index)
         grid *= self._mask_linear
         return _row_sum(grid)
 

@@ -87,6 +87,25 @@ def test_affected_rows_equal_the_per_call_construction(app):
     np.testing.assert_array_equal(counts, (expected >= 0).sum(axis=1))
 
 
+@pytest.mark.parametrize("objective", ["snr", "loss"])
+def test_engines_over_one_evaluator_share_their_tables(objective):
+    """The affected-row table and the mask transpose depend only on the
+    CG: every engine over one evaluator reads one copy of each, and an
+    engine patching a reroute's row leaves that copy untouched."""
+    cg = load_benchmark("vopd")
+    network = build_case_study_network("mesh", grid_side_for(cg))
+    evaluator = MappingEvaluator(MappingProblem(cg, network, objective, routes=2))
+    first, second = DeltaEvaluator(evaluator), DeltaEvaluator(evaluator)
+    assert first._aff is second._aff
+    assert first._aff_count is second._aff_count
+    if objective == "snr":
+        assert first._maskfT is second._maskfT
+    rows, counts = first._aff.copy(), first._aff_count.copy()
+    first._affected(np.array([[evaluator.n_tasks, 1, REROUTE]], dtype=np.int64))
+    np.testing.assert_array_equal(second._aff, rows)
+    np.testing.assert_array_equal(second._aff_count, counts)
+
+
 @pytest.mark.parametrize("objective", ["snr", "loss", "mean_snr"])
 def test_move_array_scores_like_the_tuple_list(objective):
     engine = _engine("mpeg4", objective)

@@ -101,26 +101,21 @@ class TestBatchEvaluation:
 
     def test_chunked_equals_unchunked(self, pip_evaluator, rng, monkeypatch):
         """A one-byte chunk budget forces single-mapping chunks; results
-        must match the unchunked evaluation (the einsum may reduce in a
-        different order per chunk shape, hence the 1e-12 tolerance; the
-        odd batch size exercises an uneven final chunk either way)."""
+        must match the unchunked evaluation bit for bit (every reduction
+        is row-local; the odd batch size exercises an uneven final
+        chunk)."""
         import repro.core.evaluator as evaluator_module
 
         batch = random_assignment_batch(17, 8, 9, rng)
         expected = pip_evaluator.evaluate_batch(batch)
         monkeypatch.setattr(evaluator_module, "_CHUNK_BYTES", 1)
         chunked = pip_evaluator.evaluate_batch(batch)
-        np.testing.assert_allclose(
-            chunked.score, expected.score, rtol=0, atol=1e-12
+        np.testing.assert_array_equal(chunked.score, expected.score)
+        np.testing.assert_array_equal(
+            chunked.worst_insertion_loss_db, expected.worst_insertion_loss_db
         )
-        np.testing.assert_allclose(
-            chunked.worst_insertion_loss_db,
-            expected.worst_insertion_loss_db,
-            rtol=0,
-            atol=1e-12,
-        )
-        np.testing.assert_allclose(
-            chunked.worst_snr_db, expected.worst_snr_db, rtol=0, atol=1e-12
+        np.testing.assert_array_equal(
+            chunked.worst_snr_db, expected.worst_snr_db
         )
 
     def test_chunk_boundary_straddling(self, pip_evaluator, rng, monkeypatch):
@@ -132,12 +127,11 @@ class TestBatchEvaluation:
         # 3 mappings per chunk -> chunks of 3, 3, 3, 1.
         n_edges = len(pip_evaluator._edges)
         monkeypatch.setattr(
-            evaluator_module, "_CHUNK_BYTES", 3 * 8 * n_edges * n_edges
+            evaluator_module, "_CHUNK_BYTES", 3 * 16 * n_edges * n_edges
         )
+        assert pip_evaluator._chunk_rows() == 3
         chunked = pip_evaluator.evaluate_batch(batch)
-        np.testing.assert_allclose(
-            chunked.score, expected.score, rtol=0, atol=1e-12
-        )
+        np.testing.assert_array_equal(chunked.score, expected.score)
 
     def test_snr_capped_when_noiseless(self, params):
         """Two isolated communications on a big mesh: zero noise."""
@@ -159,7 +153,8 @@ class TestBatchEvaluation:
 
 
 class TestChunking:
-    """Chunk sizing must follow the coupling matrix's 8-byte elements."""
+    """Dense chunk sizing charges 16 bytes per grid element: the int64
+    gather index plus the float64 coupling it reads."""
 
     def test_chunk_rows_fill_the_byte_budget(
         self, pip_cg, mesh3_network, monkeypatch
@@ -169,9 +164,21 @@ class TestChunking:
         evaluator = MappingEvaluator(MappingProblem(pip_cg, mesh3_network))
         n_edges = len(evaluator._edges)
         monkeypatch.setattr(
-            evaluator_module, "_CHUNK_BYTES", 8 * n_edges * n_edges * 6
+            evaluator_module, "_CHUNK_BYTES", 16 * n_edges * n_edges * 6
         )
         assert evaluator._chunk_rows() == 6
+
+    @pytest.mark.parametrize("routes", [1, 3])
+    def test_pair_table_is_row_major(self, vopd_cg, mesh4_network, routes):
+        """The dense kernel's flat gather is only fast through a row-major
+        index, and no bit-identity test can see the layout."""
+        evaluator = MappingEvaluator(
+            MappingProblem(vopd_cg, mesh4_network, routes=routes)
+        )
+        batch = evaluator.random_vector_batch(33, np.random.default_rng(4))
+        pairs = evaluator._pair_table(batch)
+        assert pairs.shape == (33, evaluator.n_edges)
+        assert pairs.flags.c_contiguous
 
     def test_mask_cast_hoisted_to_float64(self, pip_cg, mesh3_network):
         problem = MappingProblem(pip_cg, mesh3_network)
