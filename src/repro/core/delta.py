@@ -14,7 +14,7 @@ State kept for the incumbent assignment (all shape ``(E,)`` unless noted):
 * ``_pairs``    — flat tile-pair index of every CG edge;
 * ``_il``       — per-edge insertion loss in dB (eq. 3 terms);
 * ``_signal``   — per-edge end-to-end linear transmission;
-* ``_noise``    — per-edge crosstalk-noise accumulator: the masked sum
+* ``_noise``    — per-edge crosstalk noise: the masked sum
   ``noise[v] = sum_a mask[v, a] * C[pairs[v], pairs[a]]``.
 
 Only SNR-family objectives (:attr:`~repro.core.objectives.Objective.is_snr_based`)
@@ -36,8 +36,8 @@ assembling them; a reroute reads the all-padding row and patches its
 one edge in. At most ``(n_tasks + 1)^2`` rows of a few int64 entries:
 70 KB for the paper's largest CG.
 
-Update rule for a move (relocation or swap) with affected edge set ``A``
-(the edges incident to the moved task(s), deduplicated):
+Update rule for scoring a move (relocation or swap) with affected edge
+set ``A`` (the edges incident to the moved task(s), deduplicated):
 
 * an *unaffected* victim ``v`` keeps its pair, so only the aggressor terms
   of edges in ``A`` change::
@@ -56,44 +56,39 @@ Update rule for a move (relocation or swap) with affected edge set ``A``
   victim's serialized/self columns (the zeros of its mask row).
 
 No symmetry of the serialization mask is assumed: both directions use the
-victim's own mask row, which is what keeps the delta path numerically
-identical to the full einsum (the mask happens to be symmetric today, but
-the update rule would survive an asymmetric one).
+victim's own mask row, so the update rule would survive an asymmetric
+mask (the mask happens to be symmetric today).
 
 :meth:`DeltaEvaluator.score_moves` applies the rule to a whole sampled
 neighbourhood in one vectorized pass (affected-row lookups, dummy-column
-scatters), and :meth:`DeltaEvaluator.commit` applies it to an SNR-family
-incumbent's state in place.
+scatters). Every sum over a chunk's padded affected width adds a move's
+affected edges in row order and the padding's exact zeros after them
+(the affected-victim cross term through the evaluator's strictly
+left-to-right ``_row_sum``), so a move scores the same bits in any chunk.
 
-Fallback to full evaluation happens in exactly three places:
+Fallback to full evaluation happens in exactly two places:
 
-* :meth:`DeltaEvaluator.reset` — a new incumbent (or a restart) rebuilds
-  every table from the coupling matrices; a loss-family
-  :meth:`DeltaEvaluator.commit` does the same after applying its move
-  (IL is gathered, never accumulated, so the rebuild gives the bits an
-  in-place update would, at a fraction of its cost);
-* every ``refresh_interval`` SNR-family commits the tables are rebuilt
-  from scratch, which bounds floating-point drift of the noise
-  accumulators (the unaffected-victim rule is a running ``+=``; with
-  float64 the drift over hundreds of commits is ~1e-13 dB, and the
-  periodic rebuild makes it impossible for it to ever matter);
+* :meth:`DeltaEvaluator.reset` and :meth:`DeltaEvaluator.commit` — a
+  new incumbent, a restart or a committed move rebuilds every table
+  through the evaluator's own ``_pair_table`` and ``_tables_from_pairs``
+  (the masked noise contraction on whichever kernel it resolved), so an
+  incumbent's tables and score are exactly what ``evaluate_batch``
+  gives the same assignment;
 * strategies constructed with ``use_delta=False`` skip this module
   entirely and score candidates through ``evaluate_batch``.
 
-The engine restates no scoring rule: resets slot through the evaluator's
-pair table, and scores reduce through its SNR formula and metric tables,
+The engine restates no scoring rule: incumbents are the evaluator's own
+tables, and scores reduce through its SNR formula and metric tables,
 bit-identical to full evaluation of the same per-edge values.
 
 Kernel awareness (PR 4): when the wrapped evaluator resolved to the
 sparse noise kernel, the dense row sums ``R[q] = sum_e C[q,
 pairs[e]]`` are produced by consuming the evaluator's nominal CSR state
 (:meth:`~repro.models.coupling.CouplingCSR.row_dots` against the
-incumbent's pair counts) instead of walking rows of the dense transpose,
-and the per-commit updates read the affected coupling columns with a
-strided gather of the dense matrix. The ``O(n_pairs^2)`` contiguous
-transpose is therefore never built in sparse mode — on a 64-tile mesh
-that is 134 MB per process (3.4 GB on a 144-tile mesh) the delta path no
-longer costs.
+incumbent's pair counts) instead of walking rows of the dense transpose.
+The ``O(n_pairs^2)`` contiguous transpose is therefore never built in
+sparse mode — on a 64-tile mesh that is 134 MB per process (3.4 GB on a
+144-tile mesh) the delta path no longer costs.
 
 Evaluation accounting is unchanged: scoring ``k`` moves charges ``k``
 evaluations to the wrapped evaluator, a reset charges one (it replaces the
@@ -109,7 +104,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.evaluator import MappingEvaluator, _snr_db
+from repro.core.evaluator import MappingEvaluator, _row_sum, _snr_db
 from repro.core.moves import REROUTE, Move, apply_move
 from repro.core.objectives import spec_for
 from repro.errors import MappingError
@@ -121,18 +116,16 @@ __all__ = [
     "score_neighbourhood",
 ]
 
-#: Target bytes per :meth:`DeltaEvaluator.score_moves` chunk. The moves of
-#: one chunk share its padded affected width, which is the length of the
-#: native sum behind each affected victim's cross term, so this budget
-#: fixes the last-ULP scores of neighbourhoods larger than one chunk.
-#: Kept apart from the batch kernel's budget for that reason.
+#: Target bytes per :meth:`DeltaEvaluator.score_moves` chunk: a pure speed
+#: budget, since a move scores the same bits in any chunk. Kept apart from
+#: the batch kernel's L2-sized one: on a 2-vCPU Xeon, 2 MiB chunks scored
+#: whole swap neighbourhoods of the 16 paper cells no faster for SNR
+#: objectives and ~20% slower for loss-family ones.
 _SCORE_CHUNK_BYTES = 64 * 1024 * 1024
 
 
 def delta_engine(
-    evaluator: MappingEvaluator,
-    use_delta: bool = True,
-    refresh_interval: Optional[int] = 64,
+    evaluator: MappingEvaluator, use_delta: bool = True
 ) -> "Optional[DeltaEvaluator]":
     """A :class:`DeltaEvaluator` when the objective supports one, else None.
 
@@ -145,7 +138,7 @@ def delta_engine(
     """
     if not use_delta or not spec_for(evaluator.objective).supports_delta:
         return None
-    return DeltaEvaluator(evaluator, refresh_interval=refresh_interval)
+    return DeltaEvaluator(evaluator)
 
 
 def incumbent_score(engine, evaluator, assignment) -> float:
@@ -197,11 +190,7 @@ class DeltaEvaluator:
     update rule.
     """
 
-    def __init__(
-        self, evaluator: MappingEvaluator, refresh_interval: Optional[int] = 64
-    ) -> None:
-        if refresh_interval is not None and refresh_interval < 1:
-            raise MappingError("refresh_interval must be >= 1 or None")
+    def __init__(self, evaluator: MappingEvaluator) -> None:
         spec = spec_for(evaluator.objective)
         if not spec.supports_delta:
             raise MappingError(
@@ -223,8 +212,6 @@ class DeltaEvaluator:
         # O(n_pairs^2) transpose is never materialized in sparse mode.
         self._sparse = evaluator._sparse
         self._maskf = evaluator._mask_linear  # read-only share, hoisted there
-        self._refresh_interval = refresh_interval
-        self._commits = 0
         self._assignment: Optional[np.ndarray] = None
         # Built once per evaluator and shared by every engine over it.
         self._aff, self._aff_count, width = evaluator._affected_rows
@@ -294,24 +281,27 @@ class DeltaEvaluator:
             )
         # A plain assignment on a routed engine gets base-route genes.
         self._assignment = self._ev._check_batch(array[None, :])[0].copy()
-        self._commits = 0
         self._rebuild_tables()
         if count:
             self._ev.evaluations += 1
         return self.score
 
     def _rebuild_tables(self) -> None:
-        """Full fallback: recompute every per-edge table exactly."""
+        """Full fallback: the incumbent's tables as full evaluation has them.
+
+        SNR-family tables come from the evaluator's ``_tables_from_pairs``
+        on the kernel it resolved, so the incumbent scores exactly what
+        ``evaluate_batch`` gives its assignment.
+        """
         self._pairs = self._ev._pair_table(self._assignment)
-        self._il = self._model.insertion_loss_db[self._pairs]
         if not self._tracks_noise:
+            self._il = self._model.insertion_loss_db[self._pairs]
             self._signal = self._noise = None
             return
-        self._signal = self._model.signal_linear[self._pairs]
-        grid = self._model.coupling_linear[
-            self._pairs[:, None], self._pairs[None, :]
-        ]
-        self._noise = np.einsum("ve,ve->v", grid, self._maskf)
+        il, _snr, noise, signal = self._ev._tables_from_pairs(
+            self._pairs[None, :], self._model, self._sparse
+        )
+        self._il, self._signal, self._noise = il[0], signal[0], noise[0]
         # Victim-column matrix: cols[q, v] = C[pairs[v], q] — the noise a
         # candidate aggressor pair q injects into each incumbent edge.
         # Row-contiguous, so the per-move gathers below are memcpy-like
@@ -347,7 +337,8 @@ class DeltaEvaluator:
         ``moves`` is an iterable of move triples or an ``(M, 3)`` integer
         array. Returns one score per move (same objective and same
         numbers as ``evaluate_batch`` on the moved assignments, up to
-        float associativity) and charges ``len(moves)`` evaluations.
+        float associativity; the same bits for any chunking) and charges
+        ``len(moves)`` evaluations.
         """
         self._require_incumbent()
         moves = _move_array(moves)
@@ -364,70 +355,26 @@ class DeltaEvaluator:
         for start in range(0, n_moves, chunk):
             sel = order[start : start + chunk]
             width = max(1, int(counts[sel[0]]))
-            il, signal, noise, _ = self._move_tables(
-                moves[sel], aff[sel, :width]
-            )
+            il, signal, noise = self._move_tables(moves[sel], aff[sel, :width])
             scores[sel] = self._scores_from(il, signal, noise)
         self._ev.evaluations += n_moves
         return scores
 
     def commit(self, move: Move) -> float:
-        """Apply a move to the incumbent state; returns the new score.
+        """Apply a move to the incumbent; returns the new score.
 
         Charges no evaluation: the move was already scored when its
-        neighbourhood was. A loss-family engine rebuilds its tables
-        under the moved assignment; an SNR-family engine updates them
-        in place and rebuilds every ``refresh_interval`` commits to
-        bound accumulator drift.
+        neighbourhood was. Every engine rebuilds its tables under the
+        moved assignment, as :meth:`reset` does, so the new score is the
+        moved assignment's full evaluation.
         """
         self._require_incumbent()
         task, tile, other = int(move[0]), int(move[1]), int(move[2])
-        if self._tracks_noise:
-            self._commit_noise(np.array([[task, tile, other]], dtype=np.int64))
         if other >= 0:
             self._assignment[other] = self._assignment[task]
         self._assignment[task] = tile
-        self._commits += 1
-        if not self._tracks_noise or (
-            self._refresh_interval is not None
-            and self._commits % self._refresh_interval == 0
-        ):
-            self._rebuild_tables()
+        self._rebuild_tables()
         return self.score
-
-    def _commit_noise(self, move: np.ndarray) -> None:
-        """Update the SNR-family tables in place for one ``(1, 3)`` move."""
-        aff, counts = self._affected(move)
-        il, signal, noise, new_pa = self._move_tables(
-            move, aff[:, : max(1, int(counts[0]))]
-        )
-        n_edges = self._E
-        idx = aff[0, : counts[0]]
-        old_pairs = self._pairs[idx]
-        self._pairs[idx] = new_pa[0, : counts[0]]
-        self._il = il[0, :n_edges].copy()
-        self._signal = signal[0, :n_edges].copy()
-        self._noise = noise[0, :n_edges].copy()
-        coupling = self._model.coupling_linear
-        # The moved edges changed their pair, so their victim columns
-        # and their contribution to the dense row sums must follow.
-        # Dense mode reads the changed columns as rows of the
-        # contiguous transpose; sparse mode (which never builds the
-        # transpose) uses a strided column gather of the dense matrix
-        # — a few columns per commit, so the stride cost is
-        # negligible.
-        self._cols_inc[:, idx] = coupling[self._pairs[idx], :].T
-        if self._sparse is not None:
-            self._rowsum += coupling[:, self._pairs[idx]].sum(
-                axis=1, dtype=np.float64
-            )
-            self._rowsum -= coupling[:, old_pairs].sum(
-                axis=1, dtype=np.float64
-            )
-        else:
-            coupling_T = self._model.coupling_linear_T
-            self._rowsum += coupling_T[self._pairs[idx]].sum(axis=0)
-            self._rowsum -= coupling_T[old_pairs].sum(axis=0)
 
     # -- internals -------------------------------------------------------------
 
@@ -455,7 +402,7 @@ class DeltaEvaluator:
         return aff, counts
 
     def _move_tables(self, moves: np.ndarray, aff: np.ndarray):
-        """Per-move ``(M, E+1)`` IL/signal/noise tables, plus new pairs.
+        """Per-move ``(M, E+1)`` IL/signal/noise tables.
 
         ``aff`` holds the moves' affected-edge rows, cut to the chunk's
         width. Column E is a dummy scatter target for padding entries;
@@ -505,7 +452,7 @@ class DeltaEvaluator:
         il[:, :n_edges] = self._il
         il.reshape(-1)[flat] = self._model.insertion_loss_db.take(new_pa)
         if not self._tracks_noise:
-            return il, None, None, new_pa
+            return il, None, None
         signal = np.empty((n_moves, n_edges + 1), dtype=np.float64)
         signal[:, :n_edges] = self._signal
         signal.reshape(-1)[flat] = self._model.signal_linear.take(new_pa)
@@ -529,13 +476,14 @@ class DeltaEvaluator:
         # affected edges; zero for padding, whose new pair is its old
         # one), minus the victim's serialized/self columns at their moved
         # pairs. Both coupling blocks are flat gathers of (M, L, L) and
-        # (M, L, K) index blocks.
+        # (M, L, K) index blocks. _row_sum keeps the cross term
+        # independent of the chunk's padded width L.
         coupling = self._coupling_flat
         victim = new_pa[:, :, None] * self._model.n_pairs
-        cross = (
+        cross = _row_sum(
             coupling.take(victim + new_pa[:, None, :])
             - coupling.take(victim + old_pa[:, None, :])
-        ).sum(axis=2)
+        )
         pairs_moved = np.empty((n_moves, n_edges + 1), dtype=np.int64)
         pairs_moved[:, :n_edges] = self._pairs
         pairs_moved.reshape(-1)[flat] = new_pa
@@ -566,10 +514,12 @@ class DeltaEvaluator:
             grid_rows = self._model.coupling_linear[
                 victim_pairs[:, None], pairs_moved[suspect_m, :n_edges]
             ]
-            noise[suspect_m, suspect_v] = np.einsum(
-                "ke,ke->k", grid_rows, self._maskf[suspect_v]
+            # _row_sum keeps the recomputed value independent of how
+            # many suspects share the chunk.
+            noise[suspect_m, suspect_v] = _row_sum(
+                grid_rows * self._maskf[suspect_v]
             )
-        return il, signal, noise, new_pa
+        return il, signal, noise
 
     def _scores_from(self, il, signal, noise) -> np.ndarray:
         """Objective scores from (M, >= E) per-edge tables.

@@ -25,8 +25,8 @@ exploring one-move neighbourhoods should prefer
 :class:`~repro.core.delta.DeltaEvaluator`, which wraps this class,
 maintains per-edge state for one incumbent, and scores a move in
 O(E * affected edges) — falling back to the full path here on resets,
-periodic refreshes, and ``use_delta=False``. Evaluation counts are
-charged to this evaluator either way.
+commits and ``use_delta=False``. Evaluation counts are charged to this
+evaluator either way.
 
 Each row-scoring rule has one home here, which the single, batch,
 coalesced, delta and inspection paths all call: the slot rule
@@ -752,10 +752,10 @@ class MappingEvaluator:
     def _tables_from_pairs(self, pairs, model, sparse_state):
         """(il, snr, noise, signal) tables of shape (M, E) for one model.
 
-        The nominal model and every variation sample (each with its own
-        CSR state, ``None`` on the dense kernel) go through the same
-        kernels, so every sample inherits the row-local-reduction
-        determinism guarantees.
+        The nominal model, every variation sample (each with its own
+        CSR state, ``None`` on the dense kernel) and the delta engine's
+        incumbent go through the same kernels, so each inherits the
+        row-local-reduction determinism guarantees.
         """
         il = model.insertion_loss_db[pairs]
         signal = model.signal_linear[pairs]

@@ -52,16 +52,16 @@ def test_search_runs_noise_kernels_only_for_the_final_evaluate(
 def test_loss_engine_scores_exactly_without_the_transpose(
     objective, pip_cg, mesh3_network, monkeypatch
 ):
-    """A random walk of swaps and relocations, refreshed twice: every
-    neighbourhood and every commit equals ``evaluate_batch`` exactly, and
-    a freshly built model's lazy transpose stays unbuilt."""
+    """A random walk of swaps and relocations: every neighbourhood and
+    every commit equals ``evaluate_batch`` exactly, and a freshly built
+    model's lazy transpose stays unbuilt."""
     monkeypatch.setattr(coupling_module, "_CACHE", {})  # fresh model build
     evaluator = MappingEvaluator(
         MappingProblem(pip_cg, mesh3_network, objective)
     )
     assert evaluator.backend == "dense"
     assert evaluator.model._coupling_T is None
-    engine = DeltaEvaluator(evaluator, refresh_interval=3)
+    engine = DeltaEvaluator(evaluator)
     rng = np.random.default_rng(41)
     current = evaluator.random_vector(rng)
     engine.reset(current)
