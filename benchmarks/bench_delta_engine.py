@@ -24,9 +24,10 @@ edge's last ULP reaches) and a loss-family one (``loss``), so CI also
 runs the noise-free engine end to end. Beside the scoring race each row
 reports the per-call cost of a ``commit`` along the walk and of a full
 ``reset``, and checks that every commit leaves the engine's state
-bit-identical to a fresh reset at the moved assignment and scores
-exactly what ``evaluate_batch`` gives it (a commit *is* a rebuild); a
-mismatch fails the run.
+(victim-column matrix and row sums included) bit-identical to a fresh
+reset at the moved assignment and scores exactly what
+``evaluate_batch`` gives it (a commit *is* a rebuild); a mismatch fails
+the run.
 
 Paper artefact: none (engineering bench for the §II-D search engine).
 Expected runtime: ~1-2 minutes; seconds with ``--smoke`` (CI mode).
@@ -205,7 +206,7 @@ def _commits_match_resets(evaluator, start, walks) -> bool:
     engine.reset(start, count=False)
     names = ["_assignment", "_pairs", "_il"]
     if evaluator.objective.is_snr_based:
-        names += ["_signal", "_noise"]
+        names += ["_signal", "_noise", "_cols_inc", "_rowsum"]
     current = start.copy()
     for sampled in walks:
         current = apply_move(current, sampled[0])

@@ -739,8 +739,13 @@ class MappingEvaluator:
         """
         src, dst = self._edges[:, 0], self._edges[:, 1]
         if vectors.ndim == 2:
+            # src and dst are the CG's validated task indices and
+            # _check_batch fixed the row width, so clip never engages:
+            # it only spares numpy's bounds check, which costs more
+            # than the gather.
             pairs = self.model.pair_indices(
-                vectors.take(src, axis=1), vectors.take(dst, axis=1)
+                vectors.take(src, axis=1, mode="clip"),
+                vectors.take(dst, axis=1, mode="clip"),
             )
         else:
             # Not take(): on one short vector it costs ~0.5 us more a gather.

@@ -296,9 +296,16 @@ _AUTH_TOKEN = "chaos-scenario-token"
 
 
 def _spawn_worker(port: int, cache_dir: str, extra_env: Optional[dict] = None):
-    """Start a ``phonocmap worker`` subprocess against a hub port."""
+    """Start a ``phonocmap worker`` subprocess against a hub port.
+
+    The worker's stderr goes to a file in ``cache_dir`` (the scenario's
+    temporary directory), named by the returned process's
+    ``stderr_path``, so :func:`_wait_for_workers` can say why a worker
+    never settled.
+    """
     import subprocess
     import sys
+    import tempfile
 
     import repro
 
@@ -308,30 +315,56 @@ def _spawn_worker(port: int, cache_dir: str, extra_env: Optional[dict] = None):
     env.pop("PHONOCMAP_CHAOS", None)  # clean workers stay clean
     if extra_env:
         env.update(extra_env)
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "worker",
-         "--connect", f"127.0.0.1:{port}", "--model-cache", cache_dir],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    with tempfile.NamedTemporaryFile(
+        dir=cache_dir, prefix="worker-", suffix=".stderr", delete=False
+    ) as stderr:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "worker",
+             "--connect", f"127.0.0.1:{port}", "--model-cache", cache_dir],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=stderr,
+        )
+    process.stderr_path = stderr.name
+    return process
 
 
-def _wait_for_workers(hub, count: int, timeout: float = 60.0) -> None:
-    """Wait until ``count`` spawned workers have *settled* with the hub.
+def _stderr_tail(worker, lines: int = 3) -> str:
+    """The last ``lines`` lines a spawned worker wrote to stderr."""
+    try:
+        with open(worker.stderr_path, errors="replace") as handle:
+            tail = handle.read().strip().splitlines()[-lines:]
+    except OSError as error:
+        return f"<unreadable: {error}>"
+    return " | ".join(tail) or "<empty>"
 
-    Settled means connected, rejected at auth, or connected-then-lost —
-    the sum covers every fate a spawned worker can meet, so the wait
-    cannot deadlock when a chaotic worker is heartbeat-reaped while the
-    rest of the fleet is still dialing in.
+
+def _wait_for_workers(hub, workers: List, timeout: float = 60.0) -> None:
+    """Wait until every worker spawned against ``hub`` has *settled*.
+
+    ``workers`` are all the processes :func:`_spawn_worker` started
+    against this hub. Settled means connected, rejected at auth, or
+    connected-then-lost — the sum covers every fate a spawned worker can
+    meet, so the wait cannot deadlock when a chaotic worker is
+    heartbeat-reaped while the rest of the fleet is still dialing in.
+    On timeout the error names each worker's exit status (``None``:
+    still running) and the last lines of its stderr.
     """
+    count = len(workers)
     deadline = time.monotonic() + timeout
     while (
         hub.workers_connected + hub.workers_lost + hub.workers_rejected_auth
     ) < count:
         if time.monotonic() > deadline:
+            fates = "".join(
+                f"; worker pid {worker.pid} exit {worker.poll()}, "
+                f"stderr: {_stderr_tail(worker)}"
+                for worker in workers
+            )
             raise TimeoutError(
-                f"only {hub.workers_connected}/{count} workers connected"
+                f"only {hub.workers_connected}/{count} workers connected "
+                f"({hub.workers_lost} lost, {hub.workers_rejected_auth} "
+                f"rejected at auth){fates}"
             )
         time.sleep(0.05)
 
@@ -470,13 +503,13 @@ def run_scenario(
                                 {"PHONOCMAP_CHAOS": fault_spec},
                             )
                         )
-                        _wait_for_workers(hub, 1)
+                        _wait_for_workers(hub, workers)
                         clean_workers = max(1, n_workers - 1)
                 for _ in range(clean_workers):
                     workers.append(
                         _spawn_worker(hub.port, cache_dir, fleet_env)
                     )
-                _wait_for_workers(hub, len(workers))
+                _wait_for_workers(hub, workers)
                 if name == "silent":
                     # The hung worker must be reaped by heartbeats while
                     # *idle* — before any task exists that a deadline

@@ -7,15 +7,40 @@ One message per line: a JSON object, UTF-8 encoded, terminated by
 transport (:mod:`repro.service.server`) speak the same protocol with the
 same code.
 
+Codec
+-----
+This module is the one place that imports ``orjson``: every frame
+:func:`write_message` / :func:`encode_message` writes and every frame
+:func:`read_message` / :func:`decode_message` reads goes through it.
+Service responses are mostly float arrays (a ``distribution`` response
+carries 2 x 2,048 of them), and stdlib ``json`` formats each through
+``float.__repr__``. orjson writes the shortest representation that
+round-trips, so every finite float (``-0.0`` and subnormals included)
+decodes to the same bits through ``json.loads`` and ``orjson.loads``
+alike, at a small fraction of the cost.
+
+The codec is for bytes this package wrote. Bytes a *caller* wrote keep
+stdlib ``json``: the daemon decodes requests with it
+(:meth:`repro.service.core.ServiceCore.handle_json`) and the client
+encodes them with it, because orjson reads an integer beyond 64 bits as
+a float (a ``seed`` of ``2**64 + 1`` would silently change), refuses
+``NaN``, ``Infinity`` and ``1e400`` (which must reach the request
+schema's typed 400s), and cannot encode integers beyond 64 bits.
+orjson's own limits on what it encodes (``str`` keys only, no lone
+surrogates, no integers beyond 64 bits, no numpy scalars, and ``null``
+for a non-finite float) therefore bind every message body: response
+builders convert numpy values with ``float()`` / ``int()`` /
+``tolist()``, and the service's tests decode each response kind with
+stdlib ``json`` against the body the core returned.
+
 Binary values (pickled problems, task arguments, results and errors)
 ride inside the JSON envelope as zlib-compressed, base64-encoded pickle
 payloads — :func:`encode_payload` / :func:`decode_payload`.
 JSON-with-base64 is deliberate over a binary framing: it keeps the
-protocol debuggable with ``nc`` and needs nothing beyond the standard
-library (msgpack is not a dependency). No coupling model crosses the
-link — workers resolve models by cache key themselves — so the largest
-payloads are a problem (tens of KB) and the rows and metric tables of a
-big shard.
+protocol debuggable with ``nc`` (msgpack is not a dependency). No
+coupling model crosses the link — workers resolve models by cache key
+themselves — so the largest payloads are a problem (tens of KB) and the
+rows and metric tables of a big shard.
 
 Robustness limits
 -----------------
@@ -48,16 +73,19 @@ the same reason.
 from __future__ import annotations
 
 import base64
-import json
 import os
 import pickle
 import zlib
 from typing import Any, Optional
 
+import orjson
+
 from repro.errors import ProtocolError
 
 __all__ = [
+    "decode_message",
     "decode_payload",
+    "encode_message",
     "encode_payload",
     "max_frame_bytes",
     "max_payload_bytes",
@@ -158,10 +186,28 @@ def read_message(rfile, max_bytes: Optional[int] = None) -> Optional[dict]:
     if frame is None:
         return None
     try:
-        message = json.loads(frame)
+        message = decode_message(frame)
     except ValueError:
         return None
     return message if isinstance(message, dict) else None
+
+
+def decode_message(data) -> Any:
+    """Decode one JSON document this package's codec wrote.
+
+    Raises :class:`ValueError` (``orjson.JSONDecodeError``) on bytes
+    that are not JSON.
+    """
+    return orjson.loads(data)
+
+
+def encode_message(message: dict) -> bytes:
+    """One message as compact JSON bytes, newline-terminated.
+
+    Raises :class:`TypeError` (``orjson.JSONEncodeError``) on a value
+    the codec cannot write; see the module docstring.
+    """
+    return orjson.dumps(message, option=orjson.OPT_APPEND_NEWLINE)
 
 
 def write_message(wfile, message: dict) -> None:
@@ -169,8 +215,10 @@ def write_message(wfile, message: dict) -> None:
 
     Raises the underlying :class:`OSError` on a dead peer — callers
     own the decision between requeue (scheduler) and hang-up (server).
+    An unencodable message raises :class:`TypeError` before any byte
+    is written.
     """
-    wfile.write(json.dumps(message, separators=(",", ":")).encode() + b"\n")
+    wfile.write(encode_message(message))
     wfile.flush()
 
 

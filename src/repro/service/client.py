@@ -2,7 +2,10 @@
 
 Speaks both transports — newline-delimited JSON over a unix socket, or
 HTTP POST against the localhost port — and is what the tests, the load
-bench and the README quickstart use. One call, one response dict::
+bench and the README quickstart use. Requests are encoded with stdlib
+``json`` (a caller's values, big integers included, reach the daemon as
+written); responses are decoded with the :mod:`repro.distributed.wire`
+codec that wrote them. One call, one response dict::
 
     from repro.service import ServiceClient
 
@@ -22,6 +25,7 @@ import socket
 import time
 from typing import Optional
 
+from repro.distributed import wire
 from repro.errors import ServiceError
 
 __all__ = ["ServiceClient"]
@@ -167,7 +171,7 @@ class ServiceClient:
                 raise ServiceError(
                     "daemon closed the connection", status=503, kind="unreachable"
                 )
-            return json.loads(line)
+            return wire.decode_message(line)
 
     def _request_http(self, payload: dict) -> dict:
         connection = http.client.HTTPConnection(
@@ -184,7 +188,7 @@ class ServiceClient:
                 headers={"Content-Type": "application/json"},
             )
             response = connection.getresponse()
-            return json.loads(response.read())
+            return wire.decode_message(response.read())
         except OSError as error:
             raise ServiceError(
                 f"cannot reach daemon at 127.0.0.1:{self.port}: {error}",

@@ -161,7 +161,12 @@ class ServiceCore:
     # -- entry points --------------------------------------------------------
 
     def handle_json(self, data) -> Tuple[dict, int]:
-        """Decode one JSON payload and dispatch it (transport helper)."""
+        """Decode one JSON payload and dispatch it (transport helper).
+
+        Stdlib ``json``, not the response codec: it keeps integers beyond
+        64 bits exact and hands ``NaN`` / ``Infinity`` to the schema's
+        typed 400s (see :mod:`repro.distributed.wire`).
+        """
         try:
             payload = json.loads(data)
         except ValueError as error:

@@ -11,6 +11,9 @@ Both transports are thin shells over :class:`~repro.service.core.ServiceCore`:
   transport writes, and the HTTP status mirrors the structured error
   status (200 / 400 / 429 / 500 / 503).
 
+Both decode requests with stdlib ``json`` (:meth:`ServiceCore.handle_json`)
+and encode responses with the :mod:`repro.distributed.wire` codec.
+
 Connections are handled on daemon threads (the core's admission control
 bounds actual concurrency); :meth:`ServiceServer.stop` performs the
 graceful-shutdown path shared with the CLI's signal handling — stop
@@ -20,7 +23,6 @@ persistent pools down, unlink the socket.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import socketserver
@@ -110,7 +112,7 @@ class _HTTPHandler(BaseHTTPRequestHandler):
         body, status = self.server.core.handle_json(
             self.rfile.read(length) if length else b""
         )
-        payload = json.dumps(body, separators=(",", ":")).encode()
+        payload = wire.encode_message(body)
         try:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -122,7 +124,7 @@ class _HTTPHandler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: D102 — convenience: GET == stats
         body, status = self.server.core.handle({"kind": "stats"})
-        payload = json.dumps(body, separators=(",", ":")).encode()
+        payload = wire.encode_message(body)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))

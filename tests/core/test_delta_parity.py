@@ -194,9 +194,10 @@ class TestIncumbentIsFullEvaluation:
     A seeded walk of swaps, relocations (mpeg4 leaves tiles free) and,
     at routes 2 on the torus, reroutes (a Crux mesh routes XY only, so
     it offers none): ``reset`` and every ``commit`` must return
-    ``evaluate_batch``'s score of the same vector exactly, and the
+    ``evaluate_batch``'s score of the same vector exactly, the
     engine's IL, signal and noise tables must be byte-equal to
-    ``_tables_from_pairs`` of it.
+    ``_tables_from_pairs`` of it, and its victim-column matrix and
+    coupling row sums byte-equal to a fresh reset's.
     """
 
     def test_every_reset_and_commit_is_a_full_evaluation(
@@ -206,6 +207,7 @@ class TestIncumbentIsFullEvaluation:
         evaluator = _evaluator(request, cg_name, topology, objective, routes)
         assert evaluator.backend == kernel
         engine = DeltaEvaluator(evaluator)
+        fresh = DeltaEvaluator(evaluator)
         rng = np.random.default_rng(sum(map(ord, cg_name + objective)))
         vector = evaluator.random_vector(rng)
 
@@ -220,6 +222,9 @@ class TestIncumbentIsFullEvaluation:
             if evaluator.objective.is_snr_based:
                 assert engine._signal.tobytes() == signal[0].tobytes()
                 assert engine._noise.tobytes() == noise[0].tobytes()
+                fresh.reset(vector, count=False)
+                assert engine._cols_inc.tobytes() == fresh._cols_inc.tobytes()
+                assert engine._rowsum.tobytes() == fresh._rowsum.tobytes()
             else:
                 assert engine._signal is None and engine._noise is None
 

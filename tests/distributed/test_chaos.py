@@ -137,3 +137,29 @@ def test_scenario_holds_contract(name):
 def test_unknown_scenario_rejected():
     with pytest.raises(ConfigurationError, match="unknown chaos scenario"):
         run_scenario("entropy")
+
+
+@pytest.mark.chaos
+@pytest.mark.slow
+def test_unsettled_worker_timeout_names_exit_status_and_stderr(tmp_path):
+    """A worker that dies before dialing in is named in the wait's error.
+
+    An unparseable ``PHONOCMAP_CHAOS`` makes the worker exit at once
+    with status 2 and a usage line on stderr; the settle wait must
+    report both instead of a bare connected count.
+    """
+    from repro.distributed.chaos import _spawn_worker, _wait_for_workers
+    from repro.distributed.scheduler import WorkerHub
+
+    hub = WorkerHub("127.0.0.1", 0)
+    worker = _spawn_worker(hub.port, str(tmp_path), {"PHONOCMAP_CHAOS": "bogus"})
+    try:
+        assert worker.wait(timeout=30) == 2
+        with pytest.raises(TimeoutError) as raised:
+            _wait_for_workers(hub, [worker], timeout=0.2)
+    finally:
+        hub.close()
+    message = str(raised.value)
+    assert "only 0/1 workers connected" in message
+    assert f"worker pid {worker.pid} exit 2" in message
+    assert "error: chaos term must be" in message

@@ -3,14 +3,50 @@
 from __future__ import annotations
 
 import io
+import json
 import socket
+import sys
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.executor import parse_executor_spec, split_tcp_address
 from repro.distributed import wire
 from repro.errors import ExecutorError, ProtocolError
+
+#: Finite doubles at the edges of the format, mixed into the drawn ones.
+EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,  # smallest subnormal
+    -5e-324,
+    2.225073858507201e-308,  # largest subnormal
+    sys.float_info.min,  # smallest normal
+    sys.float_info.max,
+    -sys.float_info.max,
+    1e16,
+    1e-5,
+]
+
+#: Finite floats nested in dicts and lists, as response bodies hold them.
+NESTED_FLOATS = st.recursive(
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=24,
+)
+
+
+def _hexed(value):
+    """``value`` with every float replaced by its exact ``float.hex``."""
+    if isinstance(value, dict):
+        return {key: _hexed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_hexed(item) for item in value]
+    return value.hex()  # raises on anything that did not decode as a float
 
 
 class TestFraming:
@@ -42,6 +78,37 @@ class TestFraming:
                 raise ConnectionResetError
 
         assert wire.read_frame(Dead()) is None
+
+
+class TestCodec:
+    """The codec writes every finite float so it decodes to the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=NESTED_FLOATS)
+    def test_finite_floats_survive_bit_for_bit(self, value):
+        buffer = io.BytesIO()
+        wire.write_message(buffer, {"value": value})
+        frame = buffer.getvalue()
+        assert frame.endswith(b"\n") and frame.count(b"\n") == 1
+        expected = _hexed(value)
+        assert _hexed(json.loads(frame)["value"]) == expected
+        assert _hexed(orjson.loads(frame)["value"]) == expected
+        buffer.seek(0)
+        assert _hexed(wire.read_message(buffer)["value"]) == expected
+        assert wire.read_message(buffer) is None
+
+    def test_edge_floats_keep_their_sign_and_subnormal_bits(self):
+        buffer = io.BytesIO()
+        wire.write_message(buffer, {"value": EDGE_FLOATS})
+        decoded = json.loads(buffer.getvalue())["value"]
+        assert [x.hex() for x in decoded] == [x.hex() for x in EDGE_FLOATS]
+
+    def test_encode_message_is_the_written_frame(self):
+        message = {"op": "result", "rows": [1.5, -0.0, 7], "ok": True}
+        buffer = io.BytesIO()
+        wire.write_message(buffer, message)
+        assert buffer.getvalue() == wire.encode_message(message)
+        assert wire.decode_message(wire.encode_message(message)) == message
 
 
 class TestPayloads:

@@ -10,6 +10,7 @@ different one.
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 import time
@@ -24,6 +25,8 @@ from repro.core import pool as pool_registry
 from repro.core.dse import DesignSpaceExplorer
 from repro.core.evaluator import MappingEvaluator
 from repro.core.problem import MappingProblem
+from repro.core.registry import available_strategies
+from repro.distributed import wire
 from repro.errors import ServiceError
 from repro.models.coupling import clear_model_cache
 from repro.service import (
@@ -555,3 +558,79 @@ class TestTransports:
         client = ServiceClient(socket_path=str(tmp_path / "nobody.sock"))
         with pytest.raises(ServiceError, match="cannot reach"):
             client.request({"kind": "stats"})
+
+
+def _exact(value):
+    """``value`` with every float as its hex and every other scalar typed.
+
+    Tuples compare as the lists JSON turns them into; a NaN (which the
+    codec writes as ``null``) or an int that came back as a float does
+    not compare equal.
+    """
+    if isinstance(value, float):
+        return ("float", value.hex())
+    if isinstance(value, dict):
+        return {key: _exact(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_exact(item) for item in value]
+    return (type(value).__name__, value)
+
+
+#: One request of each response kind the serve mix sees, plus every
+#: strategy and a routed robust_snr pair for the optional result fields.
+RESPONSE_KINDS = [
+    {"kind": "distribution", "app": "pip", "samples": 2048, "seed": 1001},
+    {"kind": "evaluate", "app": "pip", "n_random": 64, "seed": 1003},
+    *(
+        {"kind": "optimize", "app": "pip", "strategy": name, "budget": 96,
+         "seed": 1002}
+        for name in available_strategies()
+    ),
+    {"kind": "optimize", "app": "pip", "strategy": "sa", "budget": 96,
+     "seed": 7, "routes": 2, "objective": "robust_snr"},
+    {"kind": "evaluate", "app": "pip", "n_random": 8, "seed": 7, "routes": 2,
+     "objective": "robust_snr"},
+    {"kind": "stats"},
+    {"kind": "evaluate", "app": "doom"},
+]
+
+
+class TestWireCodec:
+    """Responses leave through the wire codec; requests keep stdlib json."""
+
+    def test_every_response_kind_decodes_to_the_handled_body(self, core):
+        for request in RESPONSE_KINDS:
+            body, status = core.handle(request)
+            assert status == (400 if request.get("app") == "doom" else 200), body
+            buffer = io.BytesIO()
+            wire.write_message(buffer, body)
+            decoded = json.loads(buffer.getvalue())
+            assert _exact(decoded) == _exact(body), request
+
+    def test_request_integers_beyond_64_bits_stay_exact(self, tmp_path):
+        """orjson would read this seed as 1.8446744073709552e19, i.e.
+        seed 2**64: the daemon and the client keep stdlib json for it."""
+        from repro.core.mapping import random_assignment_batch
+
+        seed = 18446744073709551617
+        path = str(tmp_path / "daemon.sock")
+        with ServiceServer(ServiceCore(), socket_path=path):
+            with ServiceClient(socket_path=path) as client:
+                response = client.request(
+                    {"kind": "evaluate", "app": "pip", "n_random": 16,
+                     "seed": seed}
+                )
+        assert response["ok"], response
+        evaluator = MappingEvaluator(offline_problem("pip"))
+
+        def offline(rng_seed):
+            rows = random_assignment_batch(
+                16, evaluator.n_tasks, evaluator.n_tiles,
+                np.random.default_rng(rng_seed),
+            )
+            return [x.hex() for x in evaluator.evaluate_batch(rows).score]
+
+        expected = offline(seed)
+        assert expected != offline(2**64)  # the test tells the two apart
+        evaluator.close()
+        assert [x.hex() for x in response["result"]["score"]] == expected
