@@ -60,7 +60,7 @@ def edge_noise_breakdown(
     victim_pair = pairs[victim_edge]
     signal = model.signal_linear[victim_pair]
     couplings = model.coupling_linear[victim_pair, pairs].astype(np.float64)
-    couplings[~evaluator._mask[victim_edge]] = 0.0
+    couplings[evaluator._mask_linear[victim_edge] == 0.0] = 0.0
     total = couplings.sum()
     order = np.argsort(couplings)[::-1]
     contributions = []

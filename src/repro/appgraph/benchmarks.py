@@ -313,19 +313,32 @@ BENCHMARK_NAMES: Tuple[str, ...] = (
 )
 
 
+#: name -> the one graph :func:`load_benchmark` hands out for it.
+_LOADED: Dict[str, CommunicationGraph] = {}
+
+
 def load_benchmark(name: str) -> CommunicationGraph:
-    """Load one of the paper's eight applications by name."""
-    try:
-        return _LOADERS[name]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown benchmark {name!r}; available: {sorted(_LOADERS)}"
-        ) from None
+    """Load one of the paper's eight applications by name.
+
+    Every call for one name returns the same instance, so the tables
+    derived from it (see :class:`CommunicationGraph`) are built once per
+    process, however many evaluators and requests read them. Graphs are
+    never mutated, which makes the sharing safe.
+    """
+    graph = _LOADED.get(name)
+    if graph is None:
+        if name not in _LOADERS:
+            raise ConfigurationError(
+                f"unknown benchmark {name!r}; available: {sorted(_LOADERS)}"
+            )
+        # A race builds two equal graphs; setdefault keeps the first.
+        graph = _LOADED.setdefault(name, _LOADERS[name]())
+    return graph
 
 
 def all_benchmarks() -> Dict[str, CommunicationGraph]:
     """All eight applications, keyed by name, in Table II order."""
-    return {name: _LOADERS[name]() for name in BENCHMARK_NAMES}
+    return {name: load_benchmark(name) for name in BENCHMARK_NAMES}
 
 
 def grid_side_for(cg: CommunicationGraph) -> int:

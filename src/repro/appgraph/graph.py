@@ -9,8 +9,10 @@ extension objectives and exporters have the data.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -18,6 +20,11 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = ["CommunicationEdge", "CommunicationGraph"]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,120 @@ class CommunicationGraph:
         same_dst = dst[:, None] == dst[None, :]
         mask = ~(same_src | same_dst)
         return mask
+
+    # -- derived tables ----------------------------------------------------------------
+    #
+    # Pure functions of the graph that every evaluator, delta engine and
+    # pool key over it reads: cached properties, built on first use,
+    # read-only, and left out of the pickle. load_benchmark hands out
+    # one instance per application, so a process builds each once per
+    # application.
+
+    def __getstate__(self) -> dict:
+        """Pickle the graph without its derived tables.
+
+        They rebuild on demand, so a shipped graph (a TCP worker's
+        ``init`` frame) is the same bytes whether or not they were built.
+        """
+        derived = {
+            name for name, value in vars(CommunicationGraph).items()
+            if isinstance(value, cached_property)
+        }
+        return {k: v for k, v in self.__dict__.items() if k not in derived}
+
+    @cached_property
+    def edge_table(self) -> np.ndarray:
+        """Read-only :meth:`edge_array`."""
+        return _read_only(self.edge_array())
+
+    @cached_property
+    def bandwidth_weights(self) -> np.ndarray:
+        """Edge bandwidths normalized to sum 1 (read-only)."""
+        bandwidths = self.bandwidth_array()
+        return _read_only(bandwidths / bandwidths.sum())
+
+    @cached_property
+    def mask_linear(self) -> np.ndarray:
+        """:meth:`serialization_mask` as float64 0/1 weights (read-only)."""
+        return _read_only(self.serialization_mask().astype(np.float64))
+
+    @cached_property
+    def mask_linear_T(self) -> np.ndarray:
+        """Contiguous transpose of :attr:`mask_linear` (read-only).
+
+        SNR-family delta engines gather it by aggressor column.
+        """
+        return _read_only(np.ascontiguousarray(self.mask_linear.T))
+
+    @cached_property
+    def conflict_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Padded per-victim tables of serialized aggressor edges.
+
+        Row ``v`` lists the aggressor edge indices ``a`` with
+        ``mask[v, a] == 0`` (the serialized edges plus ``v`` itself) —
+        the only columns by which a victim's masked noise differs from
+        the plain sum over a mapping's pairs. Padding entries point at
+        edge 0 and carry weight 0, so vectorized gathers stay
+        rectangular. The sparse noise kernel and every SNR-family delta
+        engine read it.
+        """
+        mask = self.mask_linear
+        conflicts = [np.nonzero(mask[v] == 0.0)[0] for v in range(self.n_edges)]
+        width = max(1, max((len(c) for c in conflicts), default=1))
+        conf_idx = np.zeros((len(conflicts), width), dtype=np.int64)
+        conf_w = np.zeros((len(conflicts), width), dtype=np.float64)
+        for v, c in enumerate(conflicts):
+            conf_idx[v, : len(c)] = c
+            conf_w[v, : len(c)] = 1.0
+        return _read_only(conf_idx), _read_only(conf_w)
+
+    @cached_property
+    def affected_rows(self) -> Tuple[np.ndarray, np.ndarray, int]:
+        """``(rows, counts, width)``: the delta engine's affected-edge table.
+
+        Row ``task * (n_tasks + 1) + partner`` lists the edges a move of
+        ``task`` with swap partner ``partner`` changes (``partner ==
+        n_tasks`` for a relocation), valid entries first and padded with
+        -1; ``counts`` holds the valid lengths and ``width`` the widest
+        incident list (see :mod:`repro.core.delta`).
+        """
+        edges = self.edge_table
+        n_tasks = self.n_tasks
+        incident = [[] for _ in range(n_tasks + 1)]
+        for e, (s, d) in enumerate(edges):
+            incident[int(s)].append(e)
+            incident[int(d)].append(e)
+        width = max(len(lst) for lst in incident) or 1
+        inc = np.full((n_tasks + 1, width), -1, dtype=np.int64)
+        for t, lst in enumerate(incident):
+            inc[t, : len(lst)] = lst
+        task, partner = np.divmod(np.arange((n_tasks + 1) ** 2), n_tasks + 1)
+        second = inc[partner]
+        # An edge joining the two moved tasks appears in both incident
+        # lists; drop the second copy so its delta isn't applied twice.
+        ends = edges[np.where(second >= 0, second, 0)]
+        duplicate = (ends == task[:, None, None]).any(axis=2)
+        second = np.where((second >= 0) & ~duplicate, second, -1)
+        rows = -np.sort(-np.concatenate([inc[task], second], axis=1), axis=1)
+        counts = (rows >= 0).sum(axis=1)
+        rows = rows[:, : max(1, int(counts.max()))].copy()
+        return _read_only(rows), _read_only(counts), width
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-1 of the name, tasks, edges and bandwidths.
+
+        Two graphs with the same content are interchangeable for worker
+        pools and coalesced flights even when they are distinct objects,
+        so :func:`repro.core.pool.flight_key` keys on this, not on
+        identity.
+        """
+        digest = hashlib.sha1()
+        digest.update(self.name.encode())
+        digest.update("\x00".join(self.tasks).encode())
+        digest.update(self.edge_table.tobytes())
+        digest.update(self.bandwidth_array().tobytes())
+        return digest.hexdigest()
 
     # -- structure ---------------------------------------------------------------------
 

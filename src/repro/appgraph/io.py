@@ -51,6 +51,17 @@ def cg_from_dict(data: dict) -> CommunicationGraph:
         index = {task: i for i, task in enumerate(tasks)}
     except (KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed CG description: {exc}") from None
+    for label in (name, *tasks):
+        if not isinstance(label, str):
+            raise ConfigurationError(
+                f"CG and task names must be strings, got {label!r}"
+            )
+        try:
+            label.encode()
+        except UnicodeEncodeError:
+            raise ConfigurationError(
+                f"CG or task name {label!r} is not valid UTF-8 text"
+            ) from None
     edges = []
     try:
         for raw in raw_edges:

@@ -15,6 +15,7 @@ chain (calibration included), so a budget splits into independent chains
 from __future__ import annotations
 
 import math
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +27,51 @@ from repro.core.strategy import BestTracker, MappingStrategy
 from repro.errors import OptimizationError
 
 __all__ = ["SimulatedAnnealing"]
+
+_WORD = 1 << 32
+
+
+class _Words:
+    """A generator's 32-bit words, fetched in blocks but never ahead of use.
+
+    numpy's ``Generator.integers(0, n)`` for ``1 < n <= 2**32`` takes one
+    32-bit word ``w`` and returns ``(w * n) >> 32``, drawing again while
+    the low half of ``w * n`` is below ``(2**32 - n) % n`` (Lemire's
+    rule); ``n == 1`` takes no word. :meth:`below` applies that rule to
+    words fetched with ``integers(0, 2**32, dtype=uint32)``, which hands
+    out exactly the words those scalar calls would read. Callers
+    :meth:`reserve` only words certain to be used, so once they are
+    done every fetched word has been used, and the generator is in the
+    state the scalar calls leave.
+    """
+
+    __slots__ = ("_rng", "_words", "_next")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._words: list = []
+        self._next = 0
+
+    def reserve(self, count: int) -> None:
+        """Hold at least ``count`` unused words; fetch only the shortfall."""
+        short = count - len(self._words) + self._next
+        if short > 0:
+            fetched = self._rng.integers(0, _WORD, size=short, dtype=np.uint32)
+            self._words = self._words[self._next:] + fetched.tolist()
+            self._next = 0
+
+    def below(self, n: int) -> int:
+        """``int(rng.integers(0, n))`` for ``1 <= n <= 2**32``."""
+        if n == 1:
+            return 0
+        threshold = (_WORD - n) % n
+        while True:
+            if self._next == len(self._words):
+                self.reserve(1)  # a rejected word's redraw
+            product = self._words[self._next] * n
+            self._next += 1
+            if product & 0xFFFFFFFF >= threshold:
+                return product >> 32
 
 
 class SimulatedAnnealing(MappingStrategy):
@@ -63,56 +109,71 @@ class SimulatedAnnealing(MappingStrategy):
         holder[assignment] = np.arange(len(assignment))
         return holder.tolist()
 
-    def _propose_move(self, assignment: list, holder: list,
-                      rng: np.random.Generator) -> Move:
-        """One random swap/relocation move (task, target tile, other).
-
-        ``assignment`` lists each task's tile and ``holder`` each tile's
-        task (:meth:`_holders`), so a proposal costs its two or three
-        draws and no array scan.
-        """
-        n_tasks = len(assignment)
-        task = int(rng.integers(0, n_tasks))
-        tile = int(rng.integers(0, len(holder)))
-        if tile == assignment[task]:
-            # Proposed its own tile: swap with another random task instead.
-            other = int((task + 1 + rng.integers(0, n_tasks - 1)) % n_tasks)
-            return (task, assignment[other], other)
-        return (task, tile, holder[tile])
-
-    def _propose_joint_move(
-        self,
+    @staticmethod
+    def _propose_moves(
+        count: int,
         vector: list,
-        menus: list,
-        rerouteable: list,
         holder: list,
         n_tasks: int,
         rng: np.random.Generator,
-    ) -> Move:
-        """One random move over the joint mapping x routing neighbourhood.
+        menus: Optional[list] = None,
+        rerouteable: Sequence[int] = (),
+    ) -> List[Move]:
+        """``count`` random moves (task, target tile, other) from ``vector``.
 
-        A move site is drawn uniformly over the tasks plus the edges
-        whose current tile pair offers more than one route
-        (``rerouteable``); a task site delegates to the mapping proposer,
-        an edge site redraws that edge's route gene uniformly among the
-        other menu entries. Only reached when ``routes > 1``, so
-        mapping-only runs consume the RNG exactly as before.
+        A mapping move draws a task and a tile; a tile the task already
+        holds becomes a swap with another random task, any other tile a
+        swap with its holder (``holder`` lists each tile's task, -1 when
+        empty, so a relocation). With ``menus`` (a routed evaluator's
+        per-edge menu sizes) each move first draws a site over the tasks
+        plus the ``rerouteable`` edges: a task site makes a mapping
+        move, an edge site redraws that edge's route gene uniformly
+        among the other menu entries. Mapping-only runs pass no
+        ``menus`` and draw no site.
+
+        Every draw is the ``rng.integers(0, n)`` a one-move-at-a-time
+        proposer would make, in the same order, taken from blocks of the
+        generator's words (:class:`_Words`): the moves and the
+        generator's final state are the scalar calls' exactly. A CG has
+        at least two tasks, so a mapping move takes at least two words
+        and a site one.
         """
-        site = int(rng.integers(0, n_tasks + len(rerouteable)))
-        if site < n_tasks:
-            return self._propose_move(vector[:n_tasks], holder, rng)
-        edge = rerouteable[site - n_tasks]
-        menu = menus[edge]
-        gene = int(rng.integers(0, menu - 1))
-        if gene >= vector[n_tasks + edge] % menu:
-            gene += 1
-        return (n_tasks + edge, gene, REROUTE)
+        words = _Words(rng)
+        n_tiles = len(holder)
+        n_sites = n_tasks + len(rerouteable)
+        moves = []
+        for k in range(count):
+            left = count - k
+            if menus is not None:
+                words.reserve(left)
+                site = words.below(n_sites)
+                if site >= n_tasks:
+                    edge = rerouteable[site - n_tasks]
+                    menu = menus[edge]
+                    gene = words.below(menu - 1)
+                    if gene >= vector[n_tasks + edge] % menu:
+                        gene += 1
+                    moves.append((n_tasks + edge, gene, REROUTE))
+                    continue
+                words.reserve(left + 1)
+            else:
+                words.reserve(2 * left)
+            task = words.below(n_tasks)
+            tile = words.below(n_tiles)
+            if tile == vector[task]:
+                # Proposed its own tile: swap with another random task.
+                other = (task + 1 + words.below(n_tasks - 1)) % n_tasks
+                moves.append((task, vector[other], other))
+            else:
+                moves.append((task, tile, holder[tile]))
+        return moves
 
     def _propose(self, assignment: np.ndarray, n_tiles: int,
                  rng: np.random.Generator) -> np.ndarray:
         """One random swap/relocation neighbour."""
-        move = self._propose_move(
-            assignment.tolist(), self._holders(assignment, n_tiles), rng
+        (move,) = self._propose_moves(
+            1, assignment.tolist(), self._holders(assignment, n_tiles),
+            len(assignment), rng,
         )
         return apply_move(assignment, move)
 
@@ -153,17 +214,12 @@ class SimulatedAnnealing(MappingStrategy):
             holder = self._holders(base[:n_tasks], evaluator.n_tiles)
             if evaluator.routes > 1:
                 menus = evaluator.edge_menu_sizes(base)
-                rerouteable = np.flatnonzero(menus > 1).tolist()
-                menus = menus.tolist()
-                moves = [
-                    self._propose_joint_move(
-                        vector, menus, rerouteable, holder, n_tasks, rng
-                    )
-                    for _ in range(count)
-                ]
+                moves = self._propose_moves(
+                    count, vector, holder, n_tasks, rng,
+                    menus.tolist(), np.flatnonzero(menus > 1).tolist(),
+                )
             else:
-                moves = [self._propose_move(vector, holder, rng)
-                         for _ in range(count)]
+                moves = self._propose_moves(count, vector, holder, n_tasks, rng)
             scores = score_neighbourhood(engine, evaluator, base, moves).tolist()
             # Every proposal is a neighbour of the batch's base, so an
             # acceptance replaces the incumbent with base + that move;

@@ -27,7 +27,7 @@ the dense transpose.
 
 Which edges a move touches depends only on the moved task(s), never on
 the incumbent. The evaluator therefore builds, once, a table of
-*affected-edge rows* (``MappingEvaluator._affected_rows``) that every
+*affected-edge rows* (``CommunicationGraph.affected_rows``) that every
 engine over it shares: row ``t * (n_tasks + 1) + p`` lists the CG edges
 incident to task ``t`` or to its swap partner ``p`` (``p == n_tasks`` for
 a relocation), an edge joining the two listed once, in descending edge
@@ -211,10 +211,9 @@ class DeltaEvaluator:
         # come from CSR row dots instead of dense-transpose walks, so the
         # O(n_pairs^2) transpose is never materialized in sparse mode.
         self._sparse = evaluator._sparse
-        self._maskf = evaluator._mask_linear  # read-only share, hoisted there
         self._assignment: Optional[np.ndarray] = None
-        # Built once per evaluator and shared by every engine over it.
-        self._aff, self._aff_count, width = evaluator._affected_rows
+        # Built once per CG and shared by every engine over it.
+        self._aff, self._aff_count, width = evaluator.cg.affected_rows
         # A chunk's byte budget is charged at the rows' uncompacted width,
         # which fixes how many moves share a chunk (_SCORE_CHUNK_BYTES).
         self._move_bytes = 8 * max(1, self._E * 2 * width) * 6
@@ -224,12 +223,12 @@ class DeltaEvaluator:
         # The mask is gathered both by victim row and by aggressor column;
         # a contiguous transpose keeps the column walk row-local (and does
         # not assume the serialization mask is symmetric).
-        self._maskfT = evaluator._mask_linear_T
+        self._maskfT = evaluator.cg.mask_linear_T
         # The evaluator's padded conflict table: row v lists the aggressor
         # columns a with mask[v, a] == 0 (the serialized edges, plus v
         # itself) — the only terms by which v's masked noise row differs
         # from the full row sum. Padding carries weight 0.
-        self._conf_row, self._conf_w = evaluator._conflict_tables
+        self._conf_row, self._conf_w = evaluator.cg.conflict_tables
         # Flat view: the cross and conflict terms gather (M, L, L) and
         # (M, L, K) blocks with one ``take`` each.
         self._coupling_flat = np.asarray(self._model.coupling_linear).reshape(-1)
@@ -510,14 +509,9 @@ class DeltaEvaluator:
         tolerance = 1e-12 * self._noise_scale
         suspect_m, suspect_v = np.nonzero(noise[:, :n_edges] <= tolerance)
         if len(suspect_m):
-            victim_pairs = pairs_moved[suspect_m, suspect_v]
-            grid_rows = self._model.coupling_linear[
-                victim_pairs[:, None], pairs_moved[suspect_m, :n_edges]
-            ]
-            # _row_sum keeps the recomputed value independent of how
-            # many suspects share the chunk.
-            noise[suspect_m, suspect_v] = _row_sum(
-                grid_rows * self._maskf[suspect_v]
+            noise[suspect_m, suspect_v] = self._ev._masked_noise(
+                self._model.coupling_linear, pairs_moved[suspect_m, :n_edges],
+                suspect_v,
             )
         return il, signal, noise
 

@@ -79,7 +79,6 @@ the sequential counter exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -120,6 +119,14 @@ _CHUNK_BYTES = 2 * 1024 * 1024
 #: the inline path (results are bit-identical either way).
 MIN_SHARD_ROWS = 64
 
+#: A table of at most this many rows (the product of its leading axes)
+#: reduces with one ``np.add.accumulate`` call, a wider one with one add
+#: per column: numpy's per-call overhead dominates a narrow table, and
+#: accumulate's per-row inner loop a wide one (crossover measured at
+#: 128-256 rows for widths 8-40). Both add strictly left to right.
+_ACCUMULATE_ROWS = 128
+
+
 def _row_sum(table: np.ndarray) -> np.ndarray:
     """Sum over the last axis with a batch-size-independent order.
 
@@ -129,12 +136,20 @@ def _row_sum(table: np.ndarray) -> np.ndarray:
     64-row chunk can disagree in the last ULP — which would break the
     bit-identical-for-any-chunk/shard contract for every sum-based
     metric (mean SNR, the bandwidth-weighted loss, the laser-power
-    budget, the robust aggregate). One vectorized add per reduced column
-    accumulates strictly left to right: the order depends only on the
-    reduced width, never on how many rows ride along.
+    budget, the robust aggregate). Both forms below accumulate strictly
+    left to right, ``((0.0 + t[0]) + t[1]) + ...``: the order depends
+    only on the reduced width, never on how many rows ride along, and
+    which form runs follows the table's shape alone
+    (:data:`_ACCUMULATE_ROWS`).
     """
+    width = table.shape[-1]
+    if width and table.size <= _ACCUMULATE_ROWS * width:
+        # accumulate starts from t[0], not 0.0 + t[0]: the two differ
+        # only while every term so far is -0.0, and the trailing + 0.0
+        # turns that all -0.0 row into the loop's +0.0.
+        return np.add.accumulate(table, axis=-1)[..., -1] + 0.0
     out = np.zeros(table.shape[:-1], dtype=np.float64)
-    for k in range(table.shape[-1]):
+    for k in range(width):
         out += table[..., k]
     return out
 
@@ -395,12 +410,11 @@ class MappingEvaluator:
             cache_dir=self.model_cache_dir,
             routes=self.routes,
         )
-        self._edges = self.cg.edge_array()
+        # Read-only tables derived once per CG (see CommunicationGraph).
+        self._edges = self.cg.edge_table
         self._route_counts: Optional[np.ndarray] = None  # lazy, routes > 1
-        self._mask = self.cg.serialization_mask()
-        self._mask_linear = self._mask.astype(np.float64)
-        self._bandwidths = self.cg.bandwidth_array()
-        self._bandwidth_weights = self._bandwidths / self._bandwidths.sum()
+        self._mask_linear = self.cg.mask_linear
+        self._bandwidth_weights = self.cg.bandwidth_weights
         self.n_workers = self._check_workers(n_workers)
         self._backend = noise_kernel(self.model, len(self._edges))
         self._sparse: Optional[_SparseModelState] = None  # sparse kernel only
@@ -459,67 +473,6 @@ class MappingEvaluator:
     def backend(self) -> str:
         """The noise kernel :func:`noise_kernel` picked for this problem."""
         return self._backend
-
-    @cached_property
-    def _conflict_tables(self):
-        """Padded per-victim tables of serialized aggressor edges.
-
-        Row ``v`` lists the aggressor edge indices ``a`` with
-        ``mask[v, a] == 0`` (the serialized edges plus ``v`` itself) —
-        the only columns by which a victim's masked noise differs from
-        the plain sum over the mapping's pairs. Padding entries point at
-        edge 0 and carry weight 0, so vectorized gathers stay rectangular.
-        Built on first use: the sparse kernel and every SNR-family delta
-        engine read it.
-        """
-        conflicts = [np.nonzero(~self._mask[v])[0] for v in range(len(self._edges))]
-        width = max(1, max((len(c) for c in conflicts), default=1))
-        conf_idx = np.zeros((len(conflicts), width), dtype=np.int64)
-        conf_w = np.zeros((len(conflicts), width), dtype=np.float64)
-        for v, c in enumerate(conflicts):
-            conf_idx[v, : len(c)] = c
-            conf_w[v, : len(c)] = 1.0
-        return conf_idx, conf_w
-
-    @cached_property
-    def _mask_linear_T(self) -> np.ndarray:
-        """Contiguous transpose of the float mask, built on first use.
-
-        SNR-family delta engines gather it by aggressor column; every
-        engine over this evaluator reads this one copy.
-        """
-        return np.ascontiguousarray(self._mask_linear.T)
-
-    @cached_property
-    def _affected_rows(self):
-        """``(rows, counts, width)``: the delta engine's affected-edge table.
-
-        Row ``task * (n_tasks + 1) + partner`` lists the edges a move of
-        ``task`` with swap partner ``partner`` changes (``partner ==
-        n_tasks`` for a relocation), valid entries first and padded with
-        -1; ``counts`` holds the valid lengths and ``width`` the widest
-        incident list. It depends only on the CG, so every engine over
-        this evaluator shares one table (see :mod:`repro.core.delta`).
-        """
-        n_tasks = self.cg.n_tasks
-        incident = [[] for _ in range(n_tasks + 1)]
-        for e, (s, d) in enumerate(self._edges):
-            incident[int(s)].append(e)
-            incident[int(d)].append(e)
-        width = max(len(lst) for lst in incident) or 1
-        inc = np.full((n_tasks + 1, width), -1, dtype=np.int64)
-        for t, lst in enumerate(incident):
-            inc[t, : len(lst)] = lst
-        task, partner = np.divmod(np.arange((n_tasks + 1) ** 2), n_tasks + 1)
-        second = inc[partner]
-        # An edge joining the two moved tasks appears in both incident
-        # lists; drop the second copy so its delta isn't applied twice.
-        ends = self._edges[np.where(second >= 0, second, 0)]
-        duplicate = (ends == task[:, None, None]).any(axis=2)
-        second = np.where((second >= 0) & ~duplicate, second, -1)
-        rows = -np.sort(-np.concatenate([inc[task], second], axis=1), axis=1)
-        counts = (rows >= 0).sum(axis=1)
-        return rows[:, : max(1, int(counts.max()))].copy(), counts, width
 
     # -- batch evaluation ---------------------------------------------------------
 
@@ -647,6 +600,23 @@ class MappingEvaluator:
             :class:`BatchMetrics`, bit-identical to the sequential path,
             and charges :attr:`evaluations` on first collection.
         """
+        names = (self.table_names[self._score_index],) if score_only else None
+        return self._submit(assignments, names, n_workers, min_shard_rows)
+
+    def _submit(
+        self,
+        assignments: np.ndarray,
+        names=None,
+        n_workers: Optional[int] = None,
+        min_shard_rows: Optional[int] = None,
+    ) -> PendingBatch:
+        """:meth:`submit_batch` computing only the tables in ``names``.
+
+        ``names`` (default: every table) restricts what an inline batch
+        computes, as :meth:`_evaluate_rows` does; the others come back
+        ``None``. Sharded batches compute every table. The service's
+        coalesced flights call this with their riders' tables.
+        """
         assignments = self._check_batch(assignments)
         n_mappings = assignments.shape[0]
         workers = (
@@ -657,9 +627,6 @@ class MappingEvaluator:
         )
         n_shards = min(workers, n_mappings // floor)
         if n_shards < 2:
-            names = (
-                (self.table_names[self._score_index],) if score_only else None
-            )
             return PendingBatch(
                 self, n_mappings, tables=self._evaluate_rows(assignments, names)
             )
@@ -719,7 +686,7 @@ class MappingEvaluator:
         """
         n_edges = len(self._edges)
         if self.backend == "sparse":
-            width = max(1, n_edges * self._conflict_tables[0].shape[1] * 3)
+            width = max(1, n_edges * self.cg.conflict_tables[0].shape[1] * 3)
             return max(1, _CHUNK_BYTES // (8 * width))
         return max(1, _CHUNK_BYTES // max(1, 16 * n_edges * n_edges))
 
@@ -834,20 +801,35 @@ class MappingEvaluator:
         # bit-identical-for-any-n_workers contract. K sequential
         # elementwise adds are shape-independent by construction.
         conflict = np.zeros_like(unmasked)
-        conf_idx, conf_w = self._conflict_tables
+        conf_idx, conf_w = self.cg.conflict_tables
         for k in range(conf_idx.shape[1]):
             conflict_pairs = pairs[:, conf_idx[:, k]]
             conflict += coupling[pairs, conflict_pairs] * conf_w[:, k]
         noise = unmasked - conflict
         suspect_m, suspect_v = np.nonzero(noise <= 1e-12 * unmasked)
         if len(suspect_m):
-            grid_rows = np.ascontiguousarray(
-                coupling[pairs[suspect_m, suspect_v][:, None], pairs[suspect_m]]
-            ) * self._mask_linear[suspect_v]
-            # _row_sum keeps the recomputed value independent of how
-            # many suspects share the chunk.
-            noise[suspect_m, suspect_v] = _row_sum(grid_rows)
+            noise[suspect_m, suspect_v] = self._masked_noise(
+                coupling, pairs[suspect_m], suspect_v
+            )
         return noise
+
+    def _masked_noise(
+        self, coupling: np.ndarray, pair_rows: np.ndarray, victims: np.ndarray
+    ) -> np.ndarray:
+        """Masked noise of chosen victims, summed from scratch.
+
+        Entry ``i`` is ``sum_a mask[v, a] * coupling[p[v], p[a]]`` for
+        ``v = victims[i]`` and ``p = pair_rows[i]`` (one mapping's
+        ``(E,)`` pair row). Both cancellation guards — the sparse
+        kernel's and the delta engine's — recompute their suspects
+        here: couplings are non-negative, so the sum is exactly 0.0
+        when the true noise is, and :func:`_row_sum` keeps each value
+        independent of how many suspects share the call.
+        """
+        victim_pairs = pair_rows[np.arange(len(victims)), victims]
+        return _row_sum(
+            coupling[victim_pairs[:, None], pair_rows] * self._mask_linear[victims]
+        )
 
     def _table(
         self, name: str, il: np.ndarray, snr: Optional[np.ndarray]

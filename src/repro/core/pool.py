@@ -43,12 +43,9 @@ executor backend; the pool only decides *where* the arithmetic runs.
 from __future__ import annotations
 
 import atexit
-import hashlib
 import threading
 from collections import OrderedDict
 from typing import Optional, Tuple
-
-import numpy as np
 
 from repro.core.executor import (
     ExecutorBackend,
@@ -86,23 +83,6 @@ _LOCK = threading.RLock()
 _ATEXIT_REGISTERED = False
 
 
-def _cg_fingerprint(problem: MappingProblem) -> str:
-    """Content hash of the communication graph a pool's workers serve.
-
-    Two :class:`~repro.appgraph.graph.CommunicationGraph` instances with
-    the same tasks, edges and bandwidths are interchangeable for pool
-    purposes even when they are distinct objects (e.g. re-loaded
-    benchmarks), so the key hashes content, not identity.
-    """
-    cg = problem.cg
-    digest = hashlib.sha1()
-    digest.update(cg.name.encode())
-    digest.update("\x00".join(cg.tasks).encode())
-    digest.update(np.ascontiguousarray(cg.edge_array()).tobytes())
-    digest.update(np.ascontiguousarray(cg.bandwidth_array()).tobytes())
-    return digest.hexdigest()
-
-
 def _network_key(problem: MappingProblem) -> str:
     """The network component of a pool key.
 
@@ -127,7 +107,7 @@ def flight_key(problem: MappingProblem) -> Tuple:
     tables workers produce, so plans never mix.
     """
     return (
-        _cg_fingerprint(problem),
+        problem.cg.fingerprint,
         _network_key(problem),
         problem.variation_fingerprint,
     )
@@ -276,7 +256,7 @@ def release_pools(problem: Optional[MappingProblem] = None) -> int:
     """
     fingerprint = signature = None
     if problem is not None:
-        fingerprint = _cg_fingerprint(problem)
+        fingerprint = problem.cg.fingerprint
         signature = _network_key(problem)
     with _LOCK:
         victims = []

@@ -21,6 +21,7 @@ they visit the same physical element instance.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -103,11 +104,12 @@ class PhotonicNoC:
     * the netlist (elements, wiring, router spec, parameters) is never
       mutated after assembly;
     * every lazy cache (``_paths``, ``_routed_paths``, ``_route_sets``,
-      ``_turn_keys``, ``_templates``, ``_segments``) holds a pure
-      function of the netlist and is published by one assignment or
-      one dict insert, so a race costs duplicate work, never a torn
-      read. :meth:`all_paths` returns pairs in ``(src, dst)`` order
-      whatever order other threads elaborated them in.
+      ``_turn_keys``, ``_templates``, ``_segments``, :attr:`signature`)
+      holds a pure function of the netlist and is published by one
+      assignment or one dict insert, so a race costs duplicate work,
+      never a torn read. :meth:`all_paths` returns pairs in
+      ``(src, dst)`` order whatever order other threads elaborated
+      them in.
     """
 
     def __init__(
@@ -421,12 +423,15 @@ class PhotonicNoC:
     def __getstate__(self) -> dict:
         """Pickle the netlist without its lazily derived caches.
 
-        Paths, route menus, the turn table and the elaboration templates
-        are pure functions of the netlist and rebuild on demand, so a
-        shipped network (a TCP worker's ``init`` frame) stays
-        netlist-sized however many paths the sender has elaborated.
+        Paths, route menus, the turn table, the elaboration templates and
+        the signature are pure functions of the netlist and rebuild on
+        demand, so a shipped network (a TCP worker's ``init`` frame)
+        stays netlist-sized however many paths the sender has
+        elaborated, and the same bytes whether or not its signature was
+        computed.
         """
         state = dict(self.__dict__)
+        state.pop("signature", None)
         state.update(
             _paths={}, _routed_paths={}, _route_sets={}, _turn_keys=None,
             _templates=None, _segments={},
@@ -435,7 +440,7 @@ class PhotonicNoC:
 
     # -- identity -------------------------------------------------------------------
 
-    @property
+    @cached_property
     def signature(self) -> str:
         """Stable identity of the architecture, for model caching.
 
@@ -443,7 +448,8 @@ class PhotonicNoC:
         :attr:`~repro.photonics.parameters.PhysicalParameters.content_hash`
         — an injective encoding, so two networks differing in any
         coefficient can never share a signature, and therefore never a
-        model-cache entry or a worker pool.
+        model-cache entry or a worker pool. Hashed once per netlist:
+        every request's model lookup, pool key and flight key reads it.
         """
         return self.signature_of(
             self.topology, self.router_spec.name, self.params, self.routing,

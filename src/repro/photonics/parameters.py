@@ -30,6 +30,7 @@ order.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterator, Optional, Tuple
 
@@ -221,8 +222,10 @@ def perturbed(
     ``sigma=0`` reproduces ``params`` **bit-exactly**: the scale factor
     is exactly ``1.0`` and ``value * 1.0`` round-trips every float.
     """
-    if sigma < 0.0:
-        raise ConfigurationError(f"variation sigma {sigma} must be >= 0")
+    if not 0.0 <= sigma < math.inf:  # NaN fails too
+        raise ConfigurationError(
+            f"variation sigma {sigma} must be finite and >= 0"
+        )
     draws = rng.standard_normal(len(fields(params)))
     values = {}
     for f, g in zip(fields(params), draws):
@@ -277,9 +280,9 @@ class VariationSpec:
             raise ConfigurationError(
                 f"variation n_samples {self.n_samples} must be >= 1"
             )
-        if self.sigma < 0.0:
+        if not 0.0 <= self.sigma < math.inf:  # NaN fails too
             raise ConfigurationError(
-                f"variation sigma {self.sigma} must be >= 0"
+                f"variation sigma {self.sigma} must be finite and >= 0"
             )
         if self.quantile is not None and not 0.0 <= self.quantile <= 1.0:
             raise ConfigurationError(

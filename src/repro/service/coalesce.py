@@ -22,6 +22,16 @@ its own evaluation counter. Candidate *generation* stays per-request,
 driven by the request's own seeded RNG, so every response is
 bit-identical to the same request run offline.
 
+A flight computes only the tables its riders read. Each submission
+declares them: a ``score_only`` batch (random search, the GA, SA's
+calibration) reads its objective's score table; any other reads the
+worst-case IL, the worst-case SNR and its score, the three
+:class:`~repro.core.evaluator.BatchMetrics` fields. An inline flight
+computes the union, so a flight of loss-objective searches never runs
+the noise contraction; a sharded flight computes every table, as pool
+workers always do. Each rider gets exactly the tables it declared, the
+ones its own evaluator would have computed offline.
+
 Mechanics
 ---------
 One :class:`BatchCoalescer` per pool key owns a shared evaluator and a
@@ -38,12 +48,14 @@ scored in batches :meth:`~BatchCoalescer.join` the coalescer of their
 key for their whole run; a joined request with no block pending is a
 co-traveller, and so is any request the
 :attr:`~BatchCoalescer.linger_hint` reports (the service core: admitted
-requests that have not yet bound to a key). Joining, leaving,
-submitting and :meth:`~BatchCoalescer.wake` all notify the flusher,
-which re-checks on every wakeup and launches as soon as no co-traveller
-is left — or when the window runs out, whichever comes first. A lone
-request therefore pays no added latency, and neither does a request
-whose only company is on another key or never submits a batch.
+requests that have not yet bound to a key). Submitting always notifies
+the flusher; joining, leaving and :meth:`~BatchCoalescer.wake` notify it
+only while a flight lingers, so an idle key's flusher sleeps through
+other keys' traffic. A lingering flusher re-checks on every wakeup and
+launches as soon as no co-traveller is left — or when the window runs
+out, whichever comes first. A lone request therefore pays no added
+latency, and neither does a request whose only company is on another
+key or never submits a batch.
 
 :class:`CoalescingEvaluator` is the drop-in seam: a
 :class:`~repro.core.evaluator.MappingEvaluator` whose ``submit_batch``
@@ -113,13 +125,19 @@ class CoalesceStats:
 
 
 class _Ticket:
-    """One submission's slot in a (future) flight."""
+    """One submission's slot in a (future) flight.
 
-    __slots__ = ("n_rows", "owner", "_event", "_tables", "_error")
+    ``names`` lists the tables the submission reads (``None``: all).
+    """
 
-    def __init__(self, n_rows: int, owner: object = None) -> None:
+    __slots__ = ("n_rows", "owner", "names", "_event", "_tables", "_error")
+
+    def __init__(
+        self, n_rows: int, owner: object = None, names: Optional[tuple] = None
+    ) -> None:
         self.n_rows = n_rows
         self.owner = owner
+        self.names = names
         self._event = threading.Event()
         self._tables: Optional[Tuple[np.ndarray, ...]] = None
         self._error: Optional[BaseException] = None
@@ -188,6 +206,7 @@ class BatchCoalescer:
         self._wakeup = threading.Condition(self._lock)
         self._pending: List[Tuple[_Ticket, np.ndarray]] = []
         self._members: set = set()
+        self._lingering = False  # the flusher waits for co-travellers
         self._closed = False
         self._thread = threading.Thread(
             target=self._flush_loop,
@@ -196,16 +215,23 @@ class BatchCoalescer:
         )
         self._thread.start()
 
-    def submit(self, assignments: np.ndarray, owner: object = None) -> _Ticket:
+    def submit(
+        self,
+        assignments: np.ndarray,
+        owner: object = None,
+        tables: Optional[tuple] = None,
+    ) -> _Ticket:
         """Queue validated assignment rows for the next flight.
 
         The rows are snapshotted (the caller may reuse its buffer, the
         ``submit_batch`` contract) and the ticket's
         :meth:`_Ticket.tables` blocks until the flight lands. ``owner``
         names the joined request submitting them (see :meth:`join`).
+        ``tables`` names the tables the ticket reads, in any order;
+        the others come back ``None`` (default: every table).
         """
         block = np.ascontiguousarray(assignments, dtype=np.int64).copy()
-        ticket = _Ticket(block.shape[0], owner)
+        ticket = _Ticket(block.shape[0], owner, tables)
         with self._wakeup:
             if self._closed:
                 raise ServiceError(
@@ -223,17 +249,26 @@ class BatchCoalescer:
         """
         with self._wakeup:
             self._members.add(member)
-            self._wakeup.notify_all()
+            self._notify_lingering()
 
     def leave(self, member: object) -> None:
         """Stop waiting for ``member`` (no-op if it never joined)."""
         with self._wakeup:
             self._members.discard(member)
-            self._wakeup.notify_all()
+            self._notify_lingering()
 
     def wake(self) -> None:
         """Make a lingering flight re-check :attr:`linger_hint` now."""
         with self._wakeup:
+            self._notify_lingering()
+
+    def _notify_lingering(self) -> None:
+        """Wake the flusher if it lingers (call under the lock).
+
+        Only a lingering flight re-checks its co-travellers; an idle
+        flusher waits for a submission and needs no wakeup.
+        """
+        if self._lingering:
             self._wakeup.notify_all()
 
     def close(self, timeout: float = 30.0) -> None:
@@ -283,8 +318,9 @@ class BatchCoalescer:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
-                lingered = True
+                lingered = self._lingering = True
                 self._wakeup.wait(remaining)
+            self._lingering = False
             if lingered:
                 self.stats.record_linger(time.monotonic() - start)
             take, rows = 0, 0
@@ -300,8 +336,13 @@ class BatchCoalescer:
         tickets = [ticket for ticket, _ in entries]
         blocks = [block for _, block in entries]
         merged = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        names = self.evaluator.table_names
+        wanted = None
+        if all(ticket.names is not None for ticket in tickets):
+            read = set().union(*(ticket.names for ticket in tickets))
+            wanted = tuple(name for name in names if name in read)
         try:
-            tables = self.evaluator.submit_batch(merged).tables()
+            tables = self.evaluator._submit(merged, wanted).tables()
         except BaseException as error:  # noqa: BLE001 — forwarded to callers
             for ticket in tickets:
                 ticket.fail(error)
@@ -313,7 +354,12 @@ class BatchCoalescer:
             stop = offset + ticket.n_rows
             # Copies, so the merged flight tables are freed as soon as
             # every ticket has been consumed.
-            ticket.fulfil(tuple(column[offset:stop].copy() for column in tables))
+            ticket.fulfil(tuple(
+                column[offset:stop].copy()
+                if ticket.names is None or name in ticket.names
+                else None
+                for name, column in zip(names, tables)
+            ))
             offset = stop
 
 
@@ -367,14 +413,23 @@ class CoalescingEvaluator(MappingEvaluator):
     ):
         """Submit a batch; rows join the pool key's next shared flight.
 
-        ``score_only`` is ignored for coalesced batches: a flight serves
-        requests of any objective, so it always returns every table.
-        Without a coalescer this is the plain
-        :meth:`MappingEvaluator.submit_batch`, flag included.
+        The rows' ticket declares what :meth:`CoalescedBatch.result`
+        reads: the score table alone for a ``score_only`` batch, else
+        the worst-case IL, the worst-case SNR and the score. The flight
+        computes the union of its riders' tables (every table when
+        sharded) and hands this batch only its own, so the
+        :class:`~repro.core.evaluator.BatchMetrics` equal the inline
+        offline ones, ``None`` fields included. ``n_workers`` and
+        ``min_shard_rows`` are the flight's to decide and are ignored
+        here. Without a coalescer this is the plain
+        :meth:`MappingEvaluator.submit_batch`.
         """
         if self.coalescer is None:
             return super().submit_batch(
                 assignments, n_workers, min_shard_rows, score_only
             )
         assignments = self._check_batch(assignments)
-        return CoalescedBatch(self, self.coalescer.submit(assignments, owner=self))
+        score = self.table_names[self._score_index]
+        names = (score,) if score_only else ("worst_il", "worst_snr", score)
+        ticket = self.coalescer.submit(assignments, owner=self, tables=names)
+        return CoalescedBatch(self, ticket)

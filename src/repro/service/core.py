@@ -322,7 +322,11 @@ class ServiceCore:
         return self._unbound > 0
 
     def _release_unbound(self) -> None:
-        """A request bound to a key or ended unbound: re-check every linger."""
+        """A request bound to a key or ended unbound: re-check every linger.
+
+        :meth:`BatchCoalescer.wake` notifies only a flusher whose flight
+        lingers, so idle keys' flushers sleep on.
+        """
         with self._lock:
             self._unbound -= 1
             coalescers = list(self._coalescers.values())

@@ -50,9 +50,10 @@ class TestPerturbed:
             for f in fields(sample):
                 assert getattr(sample, f.name) <= 0.0
 
-    def test_negative_sigma_rejected(self, params):
-        with pytest.raises(ConfigurationError):
-            perturbed(params, -0.1, np.random.default_rng(0))
+    @pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+    def test_negative_or_non_finite_sigma_rejected(self, params, sigma):
+        with pytest.raises(ConfigurationError, match="finite and >= 0"):
+            perturbed(params, sigma, np.random.default_rng(0))
 
 
 class TestVariationSpecSamples:
@@ -84,6 +85,13 @@ class TestVariationSpecSamples:
             VariationSpec(sigma=-0.01)
         with pytest.raises(ConfigurationError):
             VariationSpec(quantile=1.5)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        """A NaN sigma used to pass ``sigma < 0`` and perturb every
+        sample into nonsense."""
+        with pytest.raises(ConfigurationError, match="sigma .* finite"):
+            VariationSpec(sigma=sigma)
 
     def test_fingerprint_is_exact(self):
         spec = VariationSpec(n_samples=3, sigma=0.02, seed=7)

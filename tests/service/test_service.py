@@ -266,6 +266,21 @@ class TestCoreDispatch:
                 )
             },
             {"cg": dict(INLINE_CG, tasks=[["a"], ["b"]])},
+            {
+                "cg": dict(
+                    INLINE_CG,
+                    tasks=[0, 1, 2],
+                    edges=[{"src": 0, "dst": 1}],
+                )
+            },
+            {"cg": dict(INLINE_CG, name=5)},
+            {
+                "cg": dict(
+                    INLINE_CG,
+                    tasks=["a", "\ud800"],
+                    edges=[{"src": "a", "dst": "\ud800"}],
+                )
+            },
         ],
         ids=[
             "dtype-list",
@@ -275,12 +290,26 @@ class TestCoreDispatch:
             "edges-not-iterable",
             "bandwidth-not-a-number",
             "tasks-unhashable",
+            "tasks-not-strings",
+            "name-not-a-string",
+            "task-name-lone-surrogate",
         ],
     )
     def test_malformed_payload_is_structured_400(self, core, fields):
         body, status = core.handle({"kind": "evaluate", **fields})
         assert status == 400, body
         assert body["error"]["kind"] == "bad_request"
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", float("nan")])
+    def test_non_finite_variation_sigma_is_400_naming_it(self, core, sigma):
+        """A NaN sigma used to answer 200 with nonsense robust scores."""
+        body, status = core.handle(
+            {"kind": "evaluate", "app": "pip", "objective": "robust_snr",
+             "variation_sigma": sigma, "n_random": 3, "seed": 1}
+        )
+        assert status == 400, body
+        assert body["error"]["kind"] == "bad_request"
+        assert "variation sigma" in body["error"]["message"]
 
     @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_bandwidth_is_400_naming_the_edge(self, core, bandwidth):
@@ -432,6 +461,208 @@ class TestCoalescing:
                     np.concatenate([column_a, column_b]), column
                 )
             assert coalescer.stats.batches == 2
+        finally:
+            coalescer.close()
+            shared.close()
+
+    def test_score_only_loss_flight_never_runs_the_noise_contraction(
+        self, monkeypatch
+    ):
+        """Loss riders declare only the worst-IL table, so their flight
+        gathers IL and never touches the coupling matrix."""
+        from repro.core.mapping import random_assignment_batch
+
+        shared = MappingEvaluator(offline_problem("pip"))
+        contractions = []
+        monkeypatch.setattr(
+            shared, "_tables_from_pairs",
+            lambda *args: contractions.append(args) or 1 / 0,
+        )
+        coalescer = BatchCoalescer(shared, window_s=0.2)
+        riders = [CoalescingEvaluator(offline_problem("pip", "loss"),
+                                      coalescer=coalescer) for _ in range(2)]
+        offline = MappingEvaluator(offline_problem("pip", "loss"))
+        try:
+            rng = np.random.default_rng(3)
+            rows = [random_assignment_batch(n, 8, 9, rng) for n in (7, 5)]
+            pending = [rider.submit_batch(block, score_only=True)
+                       for rider, block in zip(riders, rows)]
+            for batch, block in zip(pending, rows):
+                got = batch.result()
+                want = offline.evaluate_batch(block, score_only=True)
+                np.testing.assert_array_equal(got.score, want.score)
+                np.testing.assert_array_equal(
+                    got.worst_insertion_loss_db, want.worst_insertion_loss_db
+                )
+                assert got.worst_snr_db is want.worst_snr_db is None
+            assert coalescer.stats.flights == 1
+            assert contractions == []
+        finally:
+            coalescer.close()
+            shared.close()
+
+    def test_mixed_flight_hands_each_rider_its_offline_tables(self):
+        """One flight of a score-only loss search, a full SNR batch, a
+        score-only mean-SNR search and a bare ticket: each gets exactly
+        what its own evaluator computes offline, ``None`` fields
+        included, and the bare ticket every table."""
+        from repro.core.mapping import random_assignment_batch
+
+        shared = MappingEvaluator(offline_problem("pip"))
+        coalescer = BatchCoalescer(shared, window_s=0.2)
+        riders = [("loss", True), ("snr", False), ("mean_snr", True)]
+        rng = np.random.default_rng(4)
+        rows = [random_assignment_batch(6, 8, 9, rng) for _ in range(4)]
+        try:
+            pending = [
+                CoalescingEvaluator(
+                    offline_problem("pip", objective), coalescer=coalescer
+                ).submit_batch(block, score_only=score_only)
+                for (objective, score_only), block in zip(riders, rows)
+            ]
+            bare = coalescer.submit(rows[3])
+            for (objective, score_only), block, batch in zip(riders, rows, pending):
+                got = batch.result()
+                want = MappingEvaluator(
+                    offline_problem("pip", objective)
+                ).evaluate_batch(block, score_only=score_only)
+                for field in ("worst_insertion_loss_db", "worst_snr_db", "score"):
+                    got_field, want_field = getattr(got, field), getattr(want, field)
+                    if want_field is None:
+                        assert got_field is None, (objective, field)
+                    else:
+                        np.testing.assert_array_equal(got_field, want_field)
+            for got, want in zip(bare.tables(), shared.submit_batch(rows[3]).tables()):
+                np.testing.assert_array_equal(got, want)
+            assert coalescer.stats.flights == 1
+            assert coalescer.stats.batches == 4
+        finally:
+            coalescer.close()
+            shared.close()
+
+    def test_mixed_kinds_and_objectives_match_offline_runs(self):
+        """Concurrent requests of every kind over several objectives
+        share flights of one key; each response equals its offline run."""
+        core = ServiceCore(n_workers=1, coalesce_window_s=0.05)
+        payloads = [
+            {"kind": "distribution", "app": "pip", "samples": 256, "seed": 21},
+            {"kind": "evaluate", "app": "pip", "n_random": 40, "seed": 22,
+             "objective": "loss"},
+            {"kind": "evaluate", "app": "pip", "n_random": 40, "seed": 23,
+             "objective": "laser_power"},
+        ] + [
+            {"kind": "optimize", "app": "pip", "strategy": strategy,
+             "objective": objective, "budget": 256, "seed": 24}
+            for strategy in ("rs", "ga", "sa")
+            for objective in ("snr", "loss", "weighted_loss")
+        ]
+        responses = [None] * len(payloads)
+
+        def call(index):
+            responses[index] = core.handle(payloads[index])
+
+        try:
+            threads = [threading.Thread(target=call, args=(index,))
+                       for index in range(len(payloads))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            totals = core.stats()["coalescing"]["totals"]
+        finally:
+            core.close(timeout=30)
+        assert totals["coalesced_batches"] > 0, totals
+        cg = load_benchmark("pip")
+        network = build_case_study_network("mesh", grid_side_for(cg), "crux")
+        for payload, (body, status) in zip(payloads, responses):
+            assert status == 200, body
+            got = body["result"]
+            problem = MappingProblem(cg, network, payload.get("objective", "snr"))
+            if payload["kind"] == "distribution":
+                offline = random_mapping_distribution(
+                    cg, network, n_samples=256, seed=payload["seed"]
+                )
+                assert got["worst_snr_db"] == offline.worst_snr_db.tolist()
+                assert got["worst_loss_db"] == offline.worst_loss_db.tolist()
+            elif payload["kind"] == "evaluate":
+                evaluator = MappingEvaluator(problem)
+                rows = evaluator.random_vector_batch(
+                    40, np.random.default_rng(payload["seed"])
+                )
+                metrics = evaluator.evaluate_batch(rows)
+                assert got["score"] == metrics.score.tolist()
+                assert got["worst_snr_db"] == metrics.worst_snr_db.tolist()
+                assert (got["worst_insertion_loss_db"]
+                        == metrics.worst_insertion_loss_db.tolist())
+            else:
+                result = DesignSpaceExplorer(problem).run(
+                    payload["strategy"], budget=256, seed=payload["seed"]
+                )
+                assert got["best_score"] == float(result.best_score), payload
+                assert got["assignment"] == result.best_mapping.assignment.tolist()
+                assert got["history"] == [
+                    [int(n), float(score)] for n, score in result.history
+                ]
+
+    def test_requests_for_one_app_share_its_graph_and_tables(
+        self, core, monkeypatch
+    ):
+        """Per-architecture state is derived once: both requests read
+        one CG, so both delta engines read one affected-row table."""
+        from repro.core.delta import DeltaEvaluator
+
+        seen = []
+        original = ServiceCore._evaluator_for
+
+        def evaluator_for(self, request, problem):
+            seen.append(original(self, request, problem))
+            return seen[-1]
+
+        monkeypatch.setattr(ServiceCore, "_evaluator_for", evaluator_for)
+        for seed in (1, 2):
+            body, status = core.handle(
+                {"kind": "optimize", "app": "pip", "strategy": "sa",
+                 "budget": 128, "seed": seed}
+            )
+            assert status == 200, body
+        first, second = seen
+        assert first.cg is second.cg is load_benchmark("pip")
+        assert DeltaEvaluator(first)._aff is DeltaEvaluator(second)._aff
+
+    @pytest.mark.parametrize("release", ["wake", "leave"])
+    def test_wake_and_leave_end_a_linger(self, release):
+        """A lingering flight launches as soon as its last co-traveller
+        is gone: the core's ``wake`` after a request binds elsewhere, or
+        a joined request's ``leave``. Either must notify the flusher, or
+        the flight waits out its 30 s window."""
+        from repro.core.mapping import random_assignment_batch
+
+        shared = MappingEvaluator(offline_problem("pip"))
+        hint = [release == "wake"]
+        coalescer = BatchCoalescer(shared, window_s=30.0, linger_hint=lambda: hint[0])
+        member = object()
+        try:
+            if release == "leave":
+                coalescer.join(member)
+            ticket = coalescer.submit(
+                random_assignment_batch(4, 8, 9, np.random.default_rng(0))
+            )
+            deadline = time.monotonic() + 10.0
+            while not coalescer._lingering:
+                assert time.monotonic() < deadline, "the flight never lingered"
+                time.sleep(0.001)
+            began = time.monotonic()
+            if release == "wake":
+                hint[0] = False
+                coalescer.wake()
+            else:
+                coalescer.leave(member)
+            landed = threading.Thread(target=ticket.tables, daemon=True)
+            landed.start()
+            landed.join(timeout=10.0)
+            assert not landed.is_alive()
+            assert time.monotonic() - began < 10.0
+            assert coalescer.stats.lingered_flights == 1
         finally:
             coalescer.close()
             shared.close()
