@@ -152,7 +152,7 @@ def run_bench(argv: Optional[List[str]] = None) -> int:
                 run_results[backend] = explorer.run(
                     "sa", budget=args.budget, seed=args.seed + 1,
                 )
-                batch_tables[backend] = evaluator.submit_batch(
+                batch_tables[backend] = evaluator._submit(
                     rows, min_shard_rows=32
                 ).tables()
                 timings[backend] = time.perf_counter() - started

@@ -13,11 +13,15 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_sharded_eval.py --app mpeg4 --workers 8
     PYTHONPATH=src python benchmarks/bench_sharded_eval.py --quick       # CI wiring check
 
-Two things are always enforced, whatever the machine:
+Three things are always enforced, whatever the machine:
 
 * the sharded distribution (and the raw sharded batch) is **bit-identical**
   to the sequential one — shard boundaries never change a value;
-* evaluation counts match exactly.
+* evaluation counts match exactly;
+* a sharded batch computes exactly the tables its caller reads: asked
+  for every table (``_submit`` with no names), all five equal the
+  sequential ones; a default ``submit_batch`` leaves the three tables
+  ``BatchMetrics`` does not read ``None``.
 
 The ``--min-speedup`` floor (default 1.5) is only enforced when the
 machine exposes at least ``--workers`` CPUs to this process; on a 1-core
@@ -118,6 +122,32 @@ def bench_single_batch(app: str, samples: int, seed: int, workers: int) -> dict:
     }
 
 
+def check_batch_tables(app: str, samples: int, seed: int, workers: int) -> List[str]:
+    """Failures of the batch-table rule on one sharded batch (none: ok)."""
+    cg = load_benchmark(app)
+    network = build_case_study_network("mesh", grid_side_for(cg), "crux")
+    evaluator = MappingEvaluator(MappingProblem(cg, network, "snr"))
+    batch = random_assignment_batch(
+        samples, evaluator.n_tasks, evaluator.n_tiles,
+        np.random.default_rng(seed),
+    )
+    failures = []
+    sequential = evaluator._submit(batch).tables()
+    every = evaluator._submit(batch, n_workers=workers)
+    trimmed = evaluator.submit_batch(batch, n_workers=workers)
+    if every._pool is None or trimmed._pool is None:
+        failures.append("the table checks' batches were not sharded")
+    for name, want, got in zip(evaluator.table_names, sequential, every.tables()):
+        if got is None or not np.array_equal(got, want):
+            failures.append(f"sharded {name} differs from the sequential table")
+    read = ("worst_il", "worst_snr")  # what BatchMetrics reads for "snr"
+    for name, got in zip(evaluator.table_names, trimmed.tables()):
+        if (got is None) != (name not in read):
+            state = "missing" if got is None else "computed, but never read"
+            failures.append(f"default sharded batch: {name} {state}")
+    return failures
+
+
 def report(row: dict, workers: int) -> float:
     speedup = row["t_seq"] / row["t_par"] if row["t_par"] > 0 else float("inf")
     print(
@@ -166,7 +196,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         bench_distribution(args.app, args.samples, args.seed, args.workers),
         bench_single_batch(args.app, args.samples, args.seed, args.workers),
     ]
-    failed = False
+    table_failures = check_batch_tables(
+        args.app, args.samples, args.seed, args.workers
+    )
+    print(
+        "sharded batches compute exactly the tables they read: "
+        f"{not table_failures}"
+    )
+    for failure in table_failures:
+        print(f"FAIL: {failure}")
+    failed = bool(table_failures)
     for row in rows:
         speedup = report(row, args.workers)
         if not row["identical"]:
@@ -208,12 +247,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             }
             for row in rows
         ],
+        table_failures=table_failures,
         passed=not failed,
     )
     if failed:
         return 1
     if args.quick:
-        print("quick ok: sharded evaluation bit-identical")
+        print("quick ok: sharded evaluation bit-identical, unread tables skipped")
     return 0
 
 

@@ -250,13 +250,7 @@ class DeltaEvaluator:
     def score(self) -> float:
         """The incumbent's score under the problem objective."""
         self._require_incumbent()
-        if not self._tracks_noise:
-            return float(self._scores_from(self._il[None, :], None, None)[0])
-        return float(
-            self._scores_from(
-                self._il[None, :], self._signal[None, :], self._noise[None, :]
-            )[0]
-        )
+        return self._score
 
     def _require_incumbent(self) -> None:
         if self._assignment is None:
@@ -283,24 +277,27 @@ class DeltaEvaluator:
         self._rebuild_tables()
         if count:
             self._ev.evaluations += 1
-        return self.score
+        return self._score
 
     def _rebuild_tables(self) -> None:
         """Full fallback: the incumbent's tables as full evaluation has them.
 
         SNR-family tables come from the evaluator's ``_tables_from_pairs``
         on the kernel it resolved, so the incumbent scores exactly what
-        ``evaluate_batch`` gives its assignment.
+        ``evaluate_batch`` gives its assignment. The score is reduced
+        here, once per rebuild (one SNR row for SNR-family engines).
         """
         self._pairs = self._ev._pair_table(self._assignment)
         if not self._tracks_noise:
             self._il = self._model.insertion_loss_db[self._pairs]
             self._signal = self._noise = None
+            self._score = float(self._scores_from(self._il[None, :], None, None)[0])
             return
-        il, _snr, noise, signal = self._ev._tables_from_pairs(
+        il, noise, signal = self._ev._tables_from_pairs(
             self._pairs[None, :], self._model, self._sparse
         )
         self._il, self._signal, self._noise = il[0], signal[0], noise[0]
+        self._score = float(self._scores_from(il, signal, noise)[0])
         # Victim-column matrix: cols[q, v] = C[pairs[v], q] — the noise a
         # candidate aggressor pair q injects into each incumbent edge.
         # Row-contiguous, so the per-move gathers below are memcpy-like
@@ -373,7 +370,7 @@ class DeltaEvaluator:
             self._assignment[other] = self._assignment[task]
         self._assignment[task] = tile
         self._rebuild_tables()
-        return self.score
+        return self._score
 
     # -- internals -------------------------------------------------------------
 

@@ -17,10 +17,13 @@ reproduction's effort currency (DESIGN.md §4).
 
 This is the *full* evaluator: every candidate whose tables read SNR pays
 the O(E^2) masked noise contraction regardless of how similar it is to
-the previous one. Loss-family scores (``loss``, ``weighted_loss``,
-``laser_power``) read only the insertion-loss table, so a ``score_only``
-batch for them never runs the contraction (see
-:meth:`MappingEvaluator.submit_batch`). Local-search strategies
+the previous one. A batch computes only the tables its caller reads, on
+every path (inline, sharded over any executor, coalesced): the three
+:class:`BatchMetrics` fields, or the score alone for a ``score_only``
+batch (see :meth:`MappingEvaluator.submit_batch`). Loss-family scores
+(``loss``, ``weighted_loss``, ``laser_power``) read only the
+insertion-loss table, so a ``score_only`` batch for them never runs the
+contraction. Local-search strategies
 exploring one-move neighbourhoods should prefer
 :class:`~repro.core.delta.DeltaEvaluator`, which wraps this class,
 maintains per-edge state for one incumbent, and scores a move in
@@ -281,9 +284,9 @@ class PendingBatch:
         -------
         tuple of numpy.ndarray
             Per-row metric vectors, one per name in the evaluator's
-            :attr:`MappingEvaluator.table_names` (the objective-free
-            tables the pool workers return; a ``score_only`` batch
-            scored inline leaves all but the score's ``None``). Unlike
+            :attr:`MappingEvaluator.table_names`: the objective-free
+            tables the batch asked for, ``None`` for every other (on
+            the inline path and from pool workers alike). Unlike
             :meth:`result` this charges **nothing** to the evaluator's
             evaluation counter: it is the seam the service layer's
             cross-request batch coalescer uses to score one merged
@@ -296,7 +299,7 @@ class PendingBatch:
                     "batch tables were already consumed by result()"
                 )
             self._tables = tuple(
-                np.concatenate(columns)
+                None if columns[0] is None else np.concatenate(columns)
                 for columns in zip(*self._fanout.results())
             )
         return self._tables
@@ -585,13 +588,12 @@ class MappingEvaluator:
         score_only : bool, optional
             Compute only the objective's score table (default False) —
             for callers that read nothing but ``.score``, like the
-            search strategies. Scored inline, the batch then skips every
-            table the score does not read: a loss-family objective
-            never runs the noise contraction, and the
-            :class:`BatchMetrics` fields not computed are ``None``.
-            Sharded batches ignore the flag (pool workers always return
-            the objective-free tables). The score is bit-identical
-            either way.
+            search strategies: a loss-family objective then never runs
+            the noise contraction, and the :class:`BatchMetrics` fields
+            not computed are ``None``. Without it the batch computes
+            the three :class:`BatchMetrics` fields and nothing else.
+            Inline and sharded batches compute the same tables, and
+            every value is bit-identical either way.
 
         Returns
         -------
@@ -600,8 +602,19 @@ class MappingEvaluator:
             :class:`BatchMetrics`, bit-identical to the sequential path,
             and charges :attr:`evaluations` on first collection.
         """
-        names = (self.table_names[self._score_index],) if score_only else None
-        return self._submit(assignments, names, n_workers, min_shard_rows)
+        return self._submit(
+            assignments, self._batch_tables(score_only), n_workers, min_shard_rows
+        )
+
+    def _batch_tables(self, score_only: bool) -> tuple:
+        """The tables a batch's :class:`BatchMetrics` read, in table order.
+
+        The score table alone for a ``score_only`` batch; otherwise the
+        worst IL, the worst SNR and the score, each once.
+        """
+        score = self.table_names[self._score_index]
+        read = (score,) if score_only else ("worst_il", "worst_snr", score)
+        return tuple(name for name in self.table_names if name in read)
 
     def _submit(
         self,
@@ -612,10 +625,11 @@ class MappingEvaluator:
     ) -> PendingBatch:
         """:meth:`submit_batch` computing only the tables in ``names``.
 
-        ``names`` (default: every table) restricts what an inline batch
+        ``names`` (default: every table) restricts what the batch
         computes, as :meth:`_evaluate_rows` does; the others come back
-        ``None``. Sharded batches compute every table. The service's
-        coalesced flights call this with their riders' tables.
+        ``None``. Every shard of a sharded batch carries the same names
+        to its worker. The service's coalesced flights call this with
+        their riders' tables.
         """
         assignments = self._check_batch(assignments)
         n_mappings = assignments.shape[0]
@@ -649,7 +663,9 @@ class MappingEvaluator:
                 model_cache_dir=self.model_cache_dir,
                 executor=self.executor,
             ),
-            lambda pool: pool.map_shards(_parallel.evaluate_shard_task, shards),
+            lambda pool: pool.map_shards(
+                _parallel.evaluate_shard_task, shards, names
+            ),
             len(shards),
         )
         return PendingBatch(self, n_mappings, fanout=fanout)
@@ -722,12 +738,13 @@ class MappingEvaluator:
         return pairs
 
     def _tables_from_pairs(self, pairs, model, sparse_state):
-        """(il, snr, noise, signal) tables of shape (M, E) for one model.
+        """(il, noise, signal) tables of shape (M, E) for one model.
 
         The nominal model, every variation sample (each with its own
         CSR state, ``None`` on the dense kernel) and the delta engine's
         incumbent go through the same kernels, so each inherits the
-        row-local-reduction determinism guarantees.
+        row-local-reduction determinism guarantees. Callers that read
+        SNR apply :func:`_snr_db` to the last two.
         """
         il = model.insertion_loss_db[pairs]
         signal = model.signal_linear[pairs]
@@ -735,7 +752,7 @@ class MappingEvaluator:
             noise = self._sparse_noise(pairs, sparse_state)
         else:
             noise = self._dense_noise(pairs, model.coupling_linear)
-        return il, _snr_db(signal, noise), noise, signal
+        return il, noise, signal
 
     def _dense_noise(self, pairs: np.ndarray, coupling: np.ndarray) -> np.ndarray:
         """Masked noise contraction over a dense coupling matrix.
@@ -873,8 +890,8 @@ class MappingEvaluator:
         worst = np.empty((n_rows, n_samples), dtype=np.float64)
         samples = zip(self._sample_models, self._sample_sparse)
         for j, (model, state) in enumerate(samples):
-            il, snr, _noise, _signal = self._tables_from_pairs(pairs, model, state)
-            worst[:, j] = self._table("worst_snr", il, snr)
+            il, noise, signal = self._tables_from_pairs(pairs, model, state)
+            worst[:, j] = self._table("worst_snr", il, _snr_db(signal, noise))
         if self.variation.quantile is None:
             return _row_sum(worst) / n_samples
         return np.quantile(worst, self.variation.quantile, axis=1)
@@ -892,15 +909,19 @@ class MappingEvaluator:
         """
         pairs = self._pair_table(assignments)
         if "worst_snr" in out or "mean_snr" in out:
-            tables = self._tables_from_pairs(pairs, self.model, self._sparse)
+            il, noise, signal = self._tables_from_pairs(
+                pairs, self.model, self._sparse
+            )
+            snr = _snr_db(signal, noise)
         else:
-            tables = (self.model.insertion_loss_db[pairs], None, None, None)
+            il = self.model.insertion_loss_db[pairs]
+            snr = noise = signal = None
         for name, column in out.items():
             if name == "robust_snr":
                 column[:] = self._robust_table(pairs)
             else:
-                column[:] = self._table(name, tables[0], tables[1])
-        return tables
+                column[:] = self._table(name, il, snr)
+        return il, snr, noise, signal
 
     def _charge(self, tables, n_rows: int) -> BatchMetrics:
         """Charge ``n_rows`` collected rows; their :class:`BatchMetrics`.

@@ -214,9 +214,9 @@ class ExecutorBackend:
         future.add_done_callback(self._watch_done)
         return future
 
-    def map_shards(self, fn, shards: Sequence) -> List[Future]:
-        """Submit ``fn(shard)`` for every shard, in order."""
-        return [self.submit(fn, shard) for shard in shards]
+    def map_shards(self, fn, shards: Sequence, *args) -> List[Future]:
+        """Submit ``fn(shard, *args)`` for every shard, in order."""
+        return [self.submit(fn, shard, *args) for shard in shards]
 
     def alive(self) -> bool:
         """Whether this backend can still accept work."""

@@ -302,7 +302,7 @@ def run_strategy_task(
     return strategy.optimize(evaluator, budget, rng, use_delta=use_delta)
 
 
-def evaluate_shard_task(assignments: np.ndarray):
+def evaluate_shard_task(assignments: np.ndarray, names=None):
     """One worker task: score one shard of an ``evaluate_batch`` call.
 
     Parameters
@@ -310,6 +310,9 @@ def evaluate_shard_task(assignments: np.ndarray):
     assignments : numpy.ndarray
         ``(m, n_tasks)`` slice of the parent's batch (rows are trusted
         valid, exactly like ``evaluate_batch``).
+    names : tuple of str, optional
+        The tables the parent's batch reads (default: every table);
+        the shard computes only those.
 
     Returns
     -------
@@ -318,9 +321,9 @@ def evaluate_shard_task(assignments: np.ndarray):
         ``table_names`` (the base tables, plus the robust column when
         the pool's problem carries a variation plan — identical to the
         parent's set because the variation fingerprint is part of the
-        pool key). The objective-dependent score is applied by the
-        parent, which keeps this task — and therefore the pool —
-        objective-free.
+        pool key), ``None`` for each table not in ``names``. The
+        objective-dependent score is applied by the parent, which keeps
+        this task — and therefore the pool — objective-free.
 
     Notes
     -----
@@ -329,4 +332,4 @@ def evaluate_shard_task(assignments: np.ndarray):
     is bit-identical to evaluating the whole batch sequentially.
     """
     evaluator = worker_evaluator()
-    return evaluator._evaluate_rows(np.asarray(assignments, dtype=np.int64))
+    return evaluator._evaluate_rows(np.asarray(assignments, dtype=np.int64), names)

@@ -347,25 +347,37 @@ def _wait_for_workers(hub, workers: List, timeout: float = 60.0) -> None:
     connected-then-lost — the sum covers every fate a spawned worker can
     meet, so the wait cannot deadlock when a chaotic worker is
     heartbeat-reaped while the rest of the fleet is still dialing in.
-    On timeout the error names each worker's exit status (``None``:
-    still running) and the last lines of its stderr.
+    A connection the hub's handshake dropped is no such fate: the
+    scenario would run with fewer workers than it claims to test, so
+    the wait raises :class:`ConnectionError` at once, naming the
+    :data:`~repro.distributed.scheduler.HANDSHAKE_DROPS` path. On
+    timeout, or a drop, the error names each worker's exit status
+    (``None``: still running) and the last lines of its stderr.
     """
     count = len(workers)
     deadline = time.monotonic() + timeout
     while (
         hub.workers_connected + hub.workers_lost + hub.workers_rejected_auth
     ) < count:
-        if time.monotonic() > deadline:
+        dropped = {path: n for path, n in hub.workers_dropped.items() if n}
+        timed_out = time.monotonic() > deadline
+        if dropped or timed_out:
             fates = "".join(
                 f"; worker pid {worker.pid} exit {worker.poll()}, "
                 f"stderr: {_stderr_tail(worker)}"
                 for worker in workers
             )
-            raise TimeoutError(
-                f"only {hub.workers_connected}/{count} workers connected "
+            summary = (
+                f"{hub.workers_connected}/{count} workers connected "
                 f"({hub.workers_lost} lost, {hub.workers_rejected_auth} "
-                f"rejected at auth){fates}"
+                f"rejected at auth)"
             )
+            if dropped:
+                raise ConnectionError(
+                    f"the hub dropped worker connections at the handshake "
+                    f"{dropped}; {summary}{fates}"
+                )
+            raise TimeoutError(f"only {summary}{fates}")
         time.sleep(0.05)
 
 

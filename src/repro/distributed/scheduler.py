@@ -122,6 +122,12 @@ HELLO_MAX_BYTES = 64 * 1024
 #: How long a connecting peer gets to produce its hello frame.
 HELLO_TIMEOUT_S = 30.0
 
+#: The ways a handshake drops a connection before authentication, each
+#: counted in :meth:`WorkerHub.stats` (``workers_dropped``): no hello
+#: within :data:`HELLO_TIMEOUT_S`, a hello over :data:`HELLO_MAX_BYTES`,
+#: EOF before any frame, or a first frame that is not a hello.
+HANDSHAKE_DROPS = ("timeout", "protocol", "eof", "not_hello")
+
 
 def _env_float(name: str, default: float) -> float:
     raw = os.environ.get(name)
@@ -254,6 +260,7 @@ class WorkerHub:
         self.workers_connected = 0
         self.workers_lost = 0
         self.workers_rejected_auth = 0
+        self.workers_dropped = dict.fromkeys(HANDSHAKE_DROPS, 0)
         self.tasks_dispatched = 0
         self.tasks_retried = 0
         self.tasks_timed_out = 0
@@ -313,6 +320,7 @@ class WorkerHub:
             "workers_connected": self.workers_connected,
             "workers_lost": self.workers_lost,
             "workers_rejected_auth": self.workers_rejected_auth,
+            "workers_dropped": dict(self.workers_dropped),
             "tasks_queued": self._tasks.qsize(),
             "tasks_dispatched": self.tasks_dispatched,
             "tasks_retried": self.tasks_retried,
@@ -352,15 +360,25 @@ class WorkerHub:
         Runs entirely *before* the worker joins the fleet: a rejected
         peer never touches ``workers_connected``, the worker event, or
         the task queue — in-flight tasks on other workers are
-        undisturbed by an authentication failure.
+        undisturbed by an authentication failure. Every connection it
+        refuses is counted: in ``workers_rejected_auth``, or under its
+        :data:`HANDSHAKE_DROPS` path in ``workers_dropped``.
         """
         conn.settimeout(HELLO_TIMEOUT_S)
         try:
-            hello = wire.read_message(rfile, max_bytes=HELLO_MAX_BYTES)
-        except (TimeoutError, ProtocolError):
-            return False
-        if hello is None or hello.get("op") != "hello":
-            return False
+            frame = wire.read_frame(rfile, max_bytes=HELLO_MAX_BYTES)
+        except TimeoutError:
+            return self._drop("timeout")
+        except ProtocolError:
+            return self._drop("protocol")
+        if frame is None:
+            return self._drop("eof")
+        try:
+            hello = wire.decode_message(frame)
+        except ValueError:
+            hello = None
+        if not isinstance(hello, dict) or hello.get("op") != "hello":
+            return self._drop("not_hello")
         if self.auth_token is not None:
             supplied = str(hello.get("token") or "")
             if not hmac.compare_digest(
@@ -376,6 +394,12 @@ class WorkerHub:
                     pass
                 return False
         return True
+
+    def _drop(self, path: str) -> bool:
+        """Count a connection the handshake drops on ``path``; False."""
+        with self._lock:
+            self.workers_dropped[path] += 1
+        return False
 
     def _serve_worker(self, conn: socket.socket) -> None:
         """Own one worker connection: init contexts, dispatch, retry."""

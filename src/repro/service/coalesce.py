@@ -26,11 +26,11 @@ A flight computes only the tables its riders read. Each submission
 declares them: a ``score_only`` batch (random search, the GA, SA's
 calibration) reads its objective's score table; any other reads the
 worst-case IL, the worst-case SNR and its score, the three
-:class:`~repro.core.evaluator.BatchMetrics` fields. An inline flight
-computes the union, so a flight of loss-objective searches never runs
-the noise contraction; a sharded flight computes every table, as pool
-workers always do. Each rider gets exactly the tables it declared, the
-ones its own evaluator would have computed offline.
+:class:`~repro.core.evaluator.BatchMetrics` fields. A flight computes
+the union, inline or sharded alike (pool workers compute the tables
+their shard names), so a flight of loss-objective searches never runs
+the noise contraction. Each rider gets exactly the tables it declared,
+the ones its own evaluator would have computed offline.
 
 Mechanics
 ---------
@@ -416,8 +416,8 @@ class CoalescingEvaluator(MappingEvaluator):
         The rows' ticket declares what :meth:`CoalescedBatch.result`
         reads: the score table alone for a ``score_only`` batch, else
         the worst-case IL, the worst-case SNR and the score. The flight
-        computes the union of its riders' tables (every table when
-        sharded) and hands this batch only its own, so the
+        computes the union of its riders' tables and hands this batch
+        only its own, so the
         :class:`~repro.core.evaluator.BatchMetrics` equal the inline
         offline ones, ``None`` fields included. ``n_workers`` and
         ``min_shard_rows`` are the flight's to decide and are ignored
@@ -429,7 +429,7 @@ class CoalescingEvaluator(MappingEvaluator):
                 assignments, n_workers, min_shard_rows, score_only
             )
         assignments = self._check_batch(assignments)
-        score = self.table_names[self._score_index]
-        names = (score,) if score_only else ("worst_il", "worst_snr", score)
-        ticket = self.coalescer.submit(assignments, owner=self, tables=names)
+        ticket = self.coalescer.submit(
+            assignments, owner=self, tables=self._batch_tables(score_only)
+        )
         return CoalescedBatch(self, ticket)

@@ -215,7 +215,7 @@ class TestIncumbentIsFullEvaluation:
             full = evaluator.evaluate_batch(vector[None, :]).score[0]
             assert score.hex() == full.hex()
             pairs = evaluator._pair_table(vector[None, :])
-            il, _snr, noise, signal = evaluator._tables_from_pairs(
+            il, noise, signal = evaluator._tables_from_pairs(
                 pairs, evaluator.model, evaluator._sparse
             )
             assert engine._il.tobytes() == il[0].tobytes()
@@ -249,6 +249,36 @@ class TestIncumbentIsFullEvaluation:
         if routes > 1 and topology == "torus4_network":
             expected.add(2)
         assert taken == expected
+
+
+@pytest.mark.parametrize("objective", ["snr", "mean_snr"])
+def test_an_snr_commit_reduces_one_snr_row(request, monkeypatch, objective):
+    """A rebuild applies the SNR formula once and keeps the score it
+    reduces: ``commit`` and a later ``score`` read compute no second
+    SNR row."""
+    from repro.core import delta as delta_module
+    from repro.core import evaluator as evaluator_module
+
+    evaluator = _evaluator(request, "vopd", "mesh4_network", objective)
+    engine = DeltaEvaluator(evaluator)
+    vector = evaluator.random_vector(np.random.default_rng(5))
+    engine.reset(vector)
+    move = tuple(int(x) for x in evaluator.move_array_for(vector)[0])
+    snr_db = evaluator_module._snr_db
+    calls = []
+
+    def counting(signal, noise):
+        calls.append(signal.shape)
+        return snr_db(signal, noise)
+
+    monkeypatch.setattr(delta_module, "_snr_db", counting)
+    monkeypatch.setattr(evaluator_module, "_snr_db", counting)
+    score = engine.commit(move)
+    assert engine.score == score
+    assert calls == [(1, evaluator.n_edges)]
+    monkeypatch.undo()
+    full = evaluator.evaluate_batch(apply_move(vector, move)[None, :]).score[0]
+    assert score.hex() == full.hex()
 
 
 class TestAccumulatorDrift:

@@ -285,7 +285,7 @@ class TestScoreSanity:
         """The wire table named by the spec IS the score column."""
         evaluator = _evaluator(pip_cg, mesh3_network, objective)
         rows = _rows(evaluator, 15)
-        tables = evaluator.submit_batch(rows).tables()
+        tables = evaluator._submit(rows).tables()
         index = evaluator.table_names.index(spec_for(objective).table)
         np.testing.assert_array_equal(
             evaluator.evaluate_batch(rows).score, tables[index]

@@ -22,6 +22,7 @@ from repro.core import (
     MappingProblem,
     random_assignment_batch,
 )
+from repro.core import evaluator as evaluator_module
 from repro.core import pool as pool_registry
 from repro.errors import MappingError
 
@@ -169,6 +170,75 @@ class TestAsyncSubmission:
         np.testing.assert_array_equal(
             sharded.worst_loss_db, sequential.worst_loss_db
         )
+
+
+class TestShardsComputeWhatTheBatchReads:
+    """Sharded batches compute only the tables their caller reads."""
+
+    def test_sharded_fig3_sweep_computes_only_worst_il_and_worst_snr(
+        self, pip_cg, mesh3_network, monkeypatch
+    ):
+        reference = random_mapping_distribution(
+            pip_cg, mesh3_network, n_samples=60, seed=11, batch_size=16
+        )
+        monkeypatch.setattr(evaluator_module, "MIN_SHARD_ROWS", 1)
+        caller = MappingEvaluator(
+            MappingProblem(pip_cg, mesh3_network, "snr"),
+            n_workers=2,
+            executor="inline",
+        )
+        computed = []
+        table = MappingEvaluator._table
+
+        def spy(self, name, il, snr):
+            computed.append((self, name))
+            return table(self, name, il, snr)
+
+        monkeypatch.setattr(MappingEvaluator, "_table", spy)
+        try:
+            sharded = random_mapping_distribution(
+                pip_cg, mesh3_network, n_samples=60, seed=11, batch_size=16,
+                evaluator=caller,
+            )
+        finally:
+            caller.close()
+        assert {name for _, name in computed} == {"worst_il", "worst_snr"}
+        # Every table came from the inline backend's worker context.
+        assert all(owner is not caller for owner, _ in computed)
+        np.testing.assert_array_equal(sharded.worst_snr_db, reference.worst_snr_db)
+        np.testing.assert_array_equal(
+            sharded.worst_loss_db, reference.worst_loss_db
+        )
+
+    def test_sharded_score_only_loss_batch_never_runs_the_noise_contraction(
+        self, pip_cg, mesh3_network, monkeypatch
+    ):
+        evaluator = MappingEvaluator(
+            MappingProblem(pip_cg, mesh3_network, "loss"),
+            n_workers=2,
+            executor="inline",
+        )
+        batch = batch_of(evaluator, 40)
+        want = evaluator.evaluate_batch(batch, score_only=True)
+        contractions = []
+        monkeypatch.setattr(
+            MappingEvaluator, "_tables_from_pairs",
+            lambda *args: contractions.append(args) or 1 / 0,
+        )
+        try:
+            pending = evaluator.submit_batch(
+                batch, min_shard_rows=1, score_only=True
+            )
+            assert pending._pool is not None  # really sharded
+            got = pending.result()
+        finally:
+            evaluator.close()
+        assert contractions == []
+        np.testing.assert_array_equal(got.score, want.score)
+        np.testing.assert_array_equal(
+            got.worst_insertion_loss_db, want.worst_insertion_loss_db
+        )
+        assert got.worst_snr_db is want.worst_snr_db is None
 
 
 class TestBatchShardableStrategies:

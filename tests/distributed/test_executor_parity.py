@@ -171,11 +171,45 @@ class TestShardParity:
                 executor=spec,
                 model_cache_dir=cluster["cache_dir"],
             )
-            pending = evaluator.submit_batch(rows, min_shard_rows=32)
+            pending = evaluator._submit(rows, min_shard_rows=32)
             tables[name] = pending.tables()
         for name in ("local", "tcp"):
             for reference, column in zip(tables["inline"], tables[name]):
                 np.testing.assert_array_equal(reference, column)
+
+    @pytest.mark.parametrize(
+        "objective, score_only", [("snr", False), ("loss", True)]
+    )
+    def test_trimmed_sharded_batches_compute_only_what_they_read(
+        self, cluster, objective, score_only
+    ):
+        """Every backend's shards return the batch's tables, bit for
+        bit alike, and ``None`` for every table the batch does not read."""
+        problem = cluster["problem"].with_objective(objective)
+        rows = random_assignment_batch(
+            384, problem.cg.n_tasks, problem.n_tiles, np.random.default_rng(31)
+        )
+        tables = {}
+        for name in BACKENDS:
+            spec = cluster["spec"] if name == "tcp" else name
+            evaluator = MappingEvaluator(
+                problem,
+                n_workers=4,
+                executor=spec,
+                model_cache_dir=cluster["cache_dir"],
+            )
+            pending = evaluator.submit_batch(
+                rows, min_shard_rows=32, score_only=score_only
+            )
+            assert pending._pool is not None  # really sharded
+            tables[name] = dict(zip(evaluator.table_names, pending.tables()))
+        read = ("worst_il",) if score_only else ("worst_il", "worst_snr")
+        for name in BACKENDS:
+            for table, column in tables[name].items():
+                if table in read:
+                    np.testing.assert_array_equal(column, tables["inline"][table])
+                else:
+                    assert column is None, (name, table)
 
 
 @pytest.fixture
@@ -255,7 +289,7 @@ class TestCacheKeyedHydration:
                 n_workers=2,
                 executor=spec,
                 model_cache_dir=cluster["cache_dir"],
-            ).submit_batch(rows, min_shard_rows=32).tables()
+            )._submit(rows, min_shard_rows=32).tables()
             assert "model" not in [op for op, _, _ in hub_frames]
             # The worker saved the model it built into its own cache.
             key = CouplingModel.disk_key(problem.network.signature)
@@ -266,7 +300,7 @@ class TestCacheKeyedHydration:
                 n_workers=2,
                 executor="inline",
                 model_cache_dir=cluster["cache_dir"],
-            ).submit_batch(rows, min_shard_rows=32).tables()
+            )._submit(rows, min_shard_rows=32).tables()
             for reference, column in zip(inline, remote):
                 np.testing.assert_array_equal(reference, column)
         finally:

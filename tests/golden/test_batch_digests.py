@@ -14,6 +14,7 @@ the delta engine; these rows pin what scores through
 
 Recorded once, under numpy 2.4.6. A change that moves these results on
 purpose must rewrite the affected rows and say which moved and why.
+Under another numpy every test fails first, naming both versions.
 """
 
 import hashlib
@@ -29,7 +30,11 @@ from repro.appgraph.benchmarks import all_benchmarks, grid_side_for
 from repro.core import DesignSpaceExplorer, MappingEvaluator, MappingProblem
 from repro.photonics import VariationSpec
 from tests.golden.test_local_search_digests import GOLDEN as LOCAL_SEARCH
-from tests.golden.test_local_search_digests import OBJECTIVES, result_digest
+from tests.golden.test_local_search_digests import (
+    OBJECTIVES,
+    check_recorded_numpy,
+    result_digest,
+)
 
 GOLDEN = json.loads(Path(__file__).with_name("batch_digests.json").read_text())
 STRATEGIES = ("rs", "ga")
@@ -37,6 +42,11 @@ BATCH_ROWS = 512
 BATCH_SEED = 7
 SPARSE_APPS = ("pip", "mpeg4")
 VARIATION = VariationSpec(n_samples=4, sigma=0.04, seed=13)
+
+
+@pytest.fixture(autouse=True)
+def recorded_numpy():
+    check_recorded_numpy(GOLDEN, "batch_digests.json")
 
 
 def strategy_digests(app, topology):

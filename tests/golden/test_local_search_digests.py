@@ -10,12 +10,16 @@ return on a fixed grid — 4 apps × {mesh, torus} × 5 objectives × routes
 
 A change that alters a strategy's draws or its last-ULP arithmetic on
 purpose must rewrite the affected rows and say which moved and why.
+Under a numpy other than the recorded one every test fails first with a
+message naming both versions, since the digests pin numpy's reduction
+order as much as the code's.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.analysis.experiments import build_case_study_network
@@ -28,6 +32,28 @@ GOLDEN = json.loads(
 )
 OBJECTIVES = ("snr", "loss", "weighted_loss", "laser_power", "mean_snr")
 STRATEGIES = ("sa", "tabu", "r-pbla")
+
+
+def check_recorded_numpy(golden: dict, filename: str) -> None:
+    """Fail, naming both versions, unless numpy is ``golden``'s own.
+
+    Every digest depends on numpy's reduction order, so under another
+    numpy a moved digest is a version drift, not a finding about the
+    code.
+    """
+    recorded = golden["numpy"]
+    if np.__version__ != recorded:
+        pytest.fail(
+            f"{filename} was recorded under numpy {recorded}, but this run "
+            f"imports numpy {np.__version__}: the digests pin numpy's "
+            f"reduction order, so compare them under numpy {recorded}",
+            pytrace=False,
+        )
+
+
+@pytest.fixture(autouse=True)
+def recorded_numpy():
+    check_recorded_numpy(GOLDEN, "local_search_digests.json")
 
 
 def result_digest(result) -> str:
@@ -60,3 +86,12 @@ def test_local_search_results_match_recorded_digests(app, topology):
                 if result_digest(result) != GOLDEN["digests"][cell]:
                     moved.append(cell)
     assert not moved, f"results moved in {len(moved)} cells: {moved}"
+
+
+def test_a_numpy_drift_fails_naming_both_versions(monkeypatch):
+    monkeypatch.setattr(np, "__version__", "9.9.9")
+    with pytest.raises(pytest.fail.Exception) as raised:
+        check_recorded_numpy({"numpy": "2.4.6"}, "digests.json")
+    message = str(raised.value)
+    assert "digests.json was recorded under numpy 2.4.6" in message
+    assert "this run imports numpy 9.9.9" in message

@@ -281,7 +281,7 @@ class TestDiskCache:
         fresh = MappingEvaluator(problem)
         assert not isinstance(fresh.model.coupling_linear, np.memmap)
         for got, want in zip(
-            cached.submit_batch(rows).tables(), fresh.submit_batch(rows).tables()
+            cached._submit(rows).tables(), fresh._submit(rows).tables()
         ):
             np.testing.assert_array_equal(got, want)
 

@@ -455,7 +455,7 @@ class TestCoalescing:
             ticket_b = coalescer.submit(b)
             tables_a = ticket_a.tables()
             tables_b = ticket_b.tables()
-            reference = shared.submit_batch(np.concatenate([a, b])).tables()
+            reference = shared._submit(np.concatenate([a, b])).tables()
             for column_a, column_b, column in zip(tables_a, tables_b, reference):
                 np.testing.assert_array_equal(
                     np.concatenate([column_a, column_b]), column
@@ -532,7 +532,7 @@ class TestCoalescing:
                         assert got_field is None, (objective, field)
                     else:
                         np.testing.assert_array_equal(got_field, want_field)
-            for got, want in zip(bare.tables(), shared.submit_batch(rows[3]).tables()):
+            for got, want in zip(bare.tables(), shared._submit(rows[3]).tables()):
                 np.testing.assert_array_equal(got, want)
             assert coalescer.stats.flights == 1
             assert coalescer.stats.batches == 4
