@@ -115,9 +115,7 @@ def run_bench(argv: Optional[List[str]] = None) -> int:
     with tempfile.TemporaryDirectory() as cache_dir:
         # Pre-seed the on-disk model cache the workers share, so no
         # worker spends its first task building the model.
-        CouplingModel.for_network(network, cache_dir=cache_dir).save_cached(
-            cache_dir
-        )
+        CouplingModel.for_network(network).save_cached(cache_dir)
         hub = get_hub("tcp://127.0.0.1:0")
         spec = f"tcp://127.0.0.1:{hub.port}"
         workers = [_spawn_worker(hub.port, cache_dir) for _ in range(args.workers)]
@@ -133,7 +131,6 @@ def run_bench(argv: Optional[List[str]] = None) -> int:
                     problem,
                     n_workers=args.workers,
                     executor=executor,
-                    model_cache_dir=cache_dir,
                 )
                 rows = random_assignment_batch(
                     args.rows, problem.cg.n_tasks, problem.n_tiles,
@@ -143,7 +140,6 @@ def run_bench(argv: Optional[List[str]] = None) -> int:
                     problem,
                     n_workers=args.workers,
                     executor=executor,
-                    model_cache_dir=cache_dir,
                 )
                 started = time.perf_counter()
                 compare_results[backend] = explorer.compare(

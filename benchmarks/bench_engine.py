@@ -26,7 +26,7 @@ from repro.noc import PhotonicNoC, mesh, torus
 def test_coupling_model_build_4x4(benchmark, topology_name, build):
     def construct():
         network = PhotonicNoC(build(4, 4))
-        return CouplingModel.for_network(network, use_cache=False)
+        return CouplingModel(network)
 
     model = benchmark.pedantic(construct, rounds=3, iterations=1, warmup_rounds=0)
     assert model.coupling_linear.shape == (256, 256)

@@ -7,8 +7,9 @@ into existence (:mod:`repro.models.coupling`):
   kept as ``builder="legacy"`` — the parity oracle);
 * the **vectorized** walk-once builder (emission channels resolved once,
   joins gathered, contributions scatter-accumulated);
-* a **warm on-disk cache** load (``for_network(cache_dir=...)``:
-  memory-mapped arrays keyed by signature/MODEL_VERSION).
+* a **warm on-disk cache** load (``for_network`` with the process's
+  model cache set by ``set_model_cache_dir``: memory-mapped arrays keyed
+  by signature/MODEL_VERSION).
 
 Each builder is timed on its own freshly assembled network, so every
 time is a whole cold build — path elaboration included, as a user's first
@@ -39,7 +40,12 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.models.coupling import CouplingModel, clear_model_cache
+from repro.models.coupling import (
+    CouplingModel,
+    clear_model_cache,
+    get_model_cache_dir,
+    set_model_cache_dir,
+)
 from repro.noc import PhotonicNoC, mesh
 
 try:  # script mode (python benchmarks/bench_model_build.py)
@@ -48,12 +54,13 @@ except ImportError:  # package mode (pytest from the repo root)
     from benchmarks.common import add_json_argument, record_bench
 
 
-def bench_side(side: int, with_legacy: bool, cache_dir: str) -> dict:
+def bench_side(side: int, with_legacy: bool) -> dict:
     """Race every builder on one side x side crux mesh (float64).
 
     Each builder gets its own freshly assembled network (assembly stays
     outside the timers), so each time includes the path elaboration the
-    network does on its first ``all_paths()``.
+    network does on its first ``all_paths()``. The disk-cache race reads
+    and fills the process's model cache directory.
     """
     network = PhotonicNoC(mesh(side, side))
     t0 = time.perf_counter()
@@ -87,15 +94,17 @@ def bench_side(side: int, with_legacy: bool, cache_dir: str) -> dict:
         )
         del legacy
 
-    # Disk cache: cold = build + persist, warm = memory-mapped load.
+    # Disk cache: cold = build + persist, warm = memory-mapped load; the
+    # process cache is dropped before each resolve.
     clear_model_cache()
     fresh = PhotonicNoC(mesh(side, side))
     t0 = time.perf_counter()
-    cold = CouplingModel.for_network(fresh, use_cache=False, cache_dir=cache_dir)
+    cold = CouplingModel.for_network(fresh)
     row["t_cache_cold"] = time.perf_counter() - t0
+    clear_model_cache()
     fresh = PhotonicNoC(mesh(side, side))
     t0 = time.perf_counter()
-    warm = CouplingModel.for_network(fresh, use_cache=False, cache_dir=cache_dir)
+    warm = CouplingModel.for_network(fresh)
     row["t_cache_warm"] = time.perf_counter() - t0
     row["cache_speedup"] = row["t_cache_cold"] / max(row["t_cache_warm"], 1e-9)
     row["parity"] = row["parity"] and bool(
@@ -161,15 +170,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.min_cache_speedup = 5.0
 
     rows = []
+    previous_cache = get_model_cache_dir()
     with tempfile.TemporaryDirectory(prefix="phonocmap-model-cache-") as cache:
-        for side in sorted(args.sides):
-            row = bench_side(
-                side,
-                with_legacy=side <= args.skip_legacy_above,
-                cache_dir=cache,
-            )
-            report_row(row)
-            rows.append(row)
+        set_model_cache_dir(cache)
+        try:
+            for side in sorted(args.sides):
+                row = bench_side(
+                    side, with_legacy=side <= args.skip_legacy_above
+                )
+                report_row(row)
+                rows.append(row)
+        finally:
+            set_model_cache_dir(previous_cache)
     clear_model_cache()
 
     failed = False

@@ -32,7 +32,7 @@ from repro import (
 )
 from repro.core import MappingStrategy
 from repro.core.mapping import random_assignment
-from repro.core.pbla import apply_move, swap_moves
+from repro.core.moves import apply_move, swap_moves
 from repro.core.strategy import BestTracker
 from repro.photonics import default_library
 from repro.router import compile_layout

@@ -18,7 +18,7 @@ Expected runtime: ~5 minutes at the default sides and budget.
 import argparse
 
 from repro.analysis import format_scalability, scalability_study
-from repro.models import PowerBudget, max_tolerable_loss_db
+from repro.models import PowerBudget, max_tolerable_loss_db, set_model_cache_dir
 
 
 def main() -> None:
@@ -32,6 +32,8 @@ def main() -> None:
              "matrices in milliseconds instead of rebuilding",
     )
     args = parser.parse_args()
+    if args.model_cache:
+        set_model_cache_dir(args.model_cache)
 
     budget_model = PowerBudget()
     rows = scalability_study(
@@ -39,7 +41,6 @@ def main() -> None:
         budget=args.budget,
         seed=args.seed,
         budget_model=budget_model,
-        model_cache_dir=args.model_cache,
     )
     print(format_scalability(rows))
     print()

@@ -55,7 +55,6 @@ def scalability_study(
     router: str = "crux",
     budget_model: Optional[PowerBudget] = None,
     n_workers: int = 1,
-    model_cache_dir: Optional[str] = None,
 ) -> Tuple[ScalabilityRow, ...]:
     """Worst-case metrics vs mesh size, random vs optimized mapping.
 
@@ -70,9 +69,9 @@ def scalability_study(
     one warm pool. Explorers are closed per mesh size, so pools never
     outlive the mesh they served.
 
-    ``model_cache_dir`` points the per-size coupling-model builds at an
-    on-disk cache (see :mod:`repro.models.coupling`): re-running the
-    study — or growing ``sides`` — then pays each architecture's
+    With an on-disk model cache set for the process
+    (:func:`~repro.models.coupling.set_model_cache_dir`), re-running the
+    study — or growing ``sides`` — pays each architecture's
     O(n_pairs^2) precomputation once per machine instead of once per
     invocation, which is what makes 10x10+ meshes routine.
     """
@@ -88,21 +87,13 @@ def scalability_study(
         with contextlib.ExitStack() as stack:
             loss_problem = MappingProblem(cg, network, Objective.INSERTION_LOSS)
             loss_explorer = stack.enter_context(
-                DesignSpaceExplorer(
-                    loss_problem,
-                    n_workers=n_workers,
-                    model_cache_dir=model_cache_dir,
-                )
+                DesignSpaceExplorer(loss_problem, n_workers=n_workers)
             )
             optimized_loss = loss_explorer.run(strategy, budget=budget, seed=seed)
 
             snr_problem = MappingProblem(cg, network, Objective.SNR)
             snr_explorer = stack.enter_context(
-                DesignSpaceExplorer(
-                    snr_problem,
-                    n_workers=n_workers,
-                    model_cache_dir=model_cache_dir,
-                )
+                DesignSpaceExplorer(snr_problem, n_workers=n_workers)
             )
             optimized_snr = snr_explorer.run(strategy, budget=budget, seed=seed)
 

@@ -166,7 +166,6 @@ def sweep_device_points(
     seed: Optional[int] = 0,
     use_delta: bool = True,
     n_workers: int = 1,
-    model_cache_dir: Optional[str] = None,
 ) -> SweepResult:
     """Optimize the mapping at every device point of a coefficient grid.
 
@@ -192,10 +191,7 @@ def sweep_device_points(
         )
         problem = MappingProblem(cg, network, objective, variation=variation)
         with DesignSpaceExplorer(
-            problem,
-            use_delta=use_delta,
-            n_workers=n_workers,
-            model_cache_dir=model_cache_dir,
+            problem, use_delta=use_delta, n_workers=n_workers
         ) as explorer:
             result = explorer.run(strategy, budget=budget, seed=seed)
         key = (

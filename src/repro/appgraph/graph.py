@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.derived import DerivedState
 from repro.errors import ConfigurationError
 
 __all__ = ["CommunicationEdge", "CommunicationGraph"]
@@ -36,7 +37,7 @@ class CommunicationEdge:
     bandwidth: float = 1.0
 
 
-class CommunicationGraph:
+class CommunicationGraph(DerivedState):
     """CG = G(C, E) with task names, indices, and edge bandwidths.
 
     Tasks are referenced by index in all performance-sensitive code; names
@@ -151,21 +152,9 @@ class CommunicationGraph:
     #
     # Pure functions of the graph that every evaluator, delta engine and
     # pool key over it reads: cached properties, built on first use,
-    # read-only, and left out of the pickle. load_benchmark hands out
-    # one instance per application, so a process builds each once per
-    # application.
-
-    def __getstate__(self) -> dict:
-        """Pickle the graph without its derived tables.
-
-        They rebuild on demand, so a shipped graph (a TCP worker's
-        ``init`` frame) is the same bytes whether or not they were built.
-        """
-        derived = {
-            name for name, value in vars(CommunicationGraph).items()
-            if isinstance(value, cached_property)
-        }
-        return {k: v for k, v in self.__dict__.items() if k not in derived}
+    # read-only, and left out of the pickle (see DerivedState).
+    # load_benchmark hands out one instance per application, so a
+    # process builds each once per application.
 
     @cached_property
     def edge_table(self) -> np.ndarray:

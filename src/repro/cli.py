@@ -533,8 +533,7 @@ def _cmd_optimize(args) -> int:
     )
     explorer = DesignSpaceExplorer(
         problem, use_delta=not args.no_delta,
-        n_workers=args.workers, model_cache_dir=args.model_cache,
-        executor=args.executor,
+        n_workers=args.workers, executor=args.executor,
     )
     result = explorer.run(args.strategy, budget=args.budget, seed=args.seed)
     objective_line = f"objective: {problem.objective.value}"
@@ -593,7 +592,7 @@ def _cmd_fig3(args) -> int:
 def _cmd_scalability(args) -> int:
     rows = scalability_study(
         sides=tuple(args.sides), budget=args.budget, seed=args.seed,
-        n_workers=args.workers, model_cache_dir=args.model_cache,
+        n_workers=args.workers,
     )
     print(format_scalability(rows))
     return 0
@@ -617,7 +616,6 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
         use_delta=not args.no_delta,
         n_workers=args.workers,
-        model_cache_dir=args.model_cache,
     )
     print(result.format())
     best = result.best()
@@ -650,7 +648,6 @@ def _cmd_worker(args) -> int:
 
     return run_worker(
         args.connect,
-        model_cache_dir=args.model_cache,
         auth_token=args.auth_token,
         reconnect_attempts=args.reconnect,
     )
@@ -709,7 +706,6 @@ def _cmd_serve(args) -> int:
 
     core = ServiceCore(
         n_workers=args.workers,
-        model_cache_dir=args.model_cache,
         limits=ServiceLimits(
             max_inflight=args.max_inflight,
             queue_size=args.queue_size,
@@ -811,25 +807,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Parse arguments, dispatch, and translate failures to exit codes."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    from repro.core.executor import set_worker_loss_policy
     from repro.models.coupling import get_model_cache_dir, set_model_cache_dir
 
-    # Process-wide default for the duration of the command: experiment
-    # harnesses that build models internally (table2, fig3) resolve
-    # against the same cache as the explicitly threaded paths (optimize,
-    # scalability). Restored afterwards so programmatic callers invoking
-    # main() repeatedly don't leak the directory across invocations.
+    # --model-cache and --on-worker-loss are process settings for the
+    # duration of the command: every model resolve and every backend of
+    # every subcommand reads them. Restored afterwards so programmatic
+    # callers invoking main() repeatedly don't leak them.
     previous_cache_dir = get_model_cache_dir()
-    if getattr(args, "model_cache", None):
-        set_model_cache_dir(args.model_cache)
-    from repro.core.executor import set_worker_loss_policy
-
-    # Same save/restore contract as the cache dir: --on-worker-loss is a
-    # process-wide policy for this one command.
-    previous_policy = None
-    policy_set = False
-    if getattr(args, "on_worker_loss", None):
-        previous_policy = set_worker_loss_policy(args.on_worker_loss)
-        policy_set = True
+    previous_policy = set_worker_loss_policy(None)
+    set_model_cache_dir(getattr(args, "model_cache", None) or previous_cache_dir)
+    set_worker_loss_policy(getattr(args, "on_worker_loss", None) or previous_policy)
     try:
         return args.run(args)
     except ReproError as error:
@@ -850,8 +838,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 130  # 128 + SIGINT, the shell convention
     finally:
         set_model_cache_dir(previous_cache_dir)
-        if policy_set:
-            set_worker_loss_policy(previous_policy)
+        set_worker_loss_policy(previous_policy)
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from repro.core.genetic import (
     pmx_crossover_batch,
 )
 from repro.core.mapping import Mapping, random_assignment, random_assignment_batch
+from repro.core.moves import apply_move, swap_moves
 from repro.core.objectives import (
     SNR_CAP_DB,
     Objective,
@@ -31,7 +32,7 @@ from repro.core.objectives import (
     spec_for,
 )
 from repro.core.parallel import merge_chain_results, split_budget, spawn_seeds
-from repro.core.pbla import PriorityBasedListAlgorithm, apply_move, swap_moves
+from repro.core.pbla import PriorityBasedListAlgorithm
 from repro.core.pool import get_pool, release_pools, shutdown_pools
 from repro.core.problem import MappingProblem
 from repro.core.random_search import RandomSearch

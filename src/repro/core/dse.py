@@ -90,12 +90,6 @@ class DesignSpaceExplorer:
     process pool — per-strategy runs in :meth:`compare`, independent
     chains of decomposable strategies in :meth:`run`; see the module
     docstring for the determinism contract.
-
-    ``model_cache_dir`` names an on-disk coupling-model cache: the
-    explorer's evaluator loads the precomputed matrices as memory maps
-    when the architecture was built before (and persists fresh builds),
-    and the worker pools it creates inherit the directory. Purely a
-    speed knob — cached and rebuilt models are bit-identical.
     """
 
     def __init__(
@@ -103,19 +97,10 @@ class DesignSpaceExplorer:
         problem: MappingProblem,
         use_delta: bool = True,
         n_workers: int = 1,
-        model_cache_dir: Optional[str] = None,
         executor: str = "local",
     ) -> None:
         self.problem = problem
-        self.evaluator = MappingEvaluator(
-            problem,
-            model_cache_dir=model_cache_dir,
-            executor=executor,
-        )
-        # The evaluator resolves the process-wide default; mirror it so
-        # the pools this explorer creates get the same directory. Same
-        # for the normalized executor spec.
-        self.model_cache_dir = self.evaluator.model_cache_dir
+        self.evaluator = MappingEvaluator(problem, executor=executor)
         self.executor = self.evaluator.executor
         self.use_delta = bool(use_delta)
         self.n_workers = self._check_workers(n_workers)
@@ -244,12 +229,7 @@ class DesignSpaceExplorer:
         task's RNG stream depends only on its seed.
         """
         return FanOut(
-            lambda: _pool.get_pool(
-                self.problem,
-                n_workers,
-                model_cache_dir=self.model_cache_dir,
-                executor=self.executor,
-            ),
+            lambda: _pool.get_pool(self.problem, n_workers, executor=self.executor),
             lambda pool: [
                 pool.submit(_parallel.run_strategy_task, *task_args)
                 for task_args in tasks

@@ -366,12 +366,6 @@ class MappingEvaluator:
         :meth:`submit_batch` (default 1, fully sequential). Any value
         yields bit-identical metrics; larger values only pay off for
         large batches (thousands of rows).
-    model_cache_dir : str, optional
-        On-disk coupling-model cache directory (default: the process
-        default of :func:`repro.models.coupling.get_model_cache_dir`).
-        A warm cache turns the O(n_pairs^2) model build into a
-        memory-mapped load; worker pools created by this evaluator
-        inherit the directory.
     executor : str, optional
         Execution backend spec for sharded batches — ``"local"``
         (persistent process pool, the default), ``"inline"`` (serial,
@@ -390,7 +384,6 @@ class MappingEvaluator:
         self,
         problem: MappingProblem,
         n_workers: int = 1,
-        model_cache_dir: Optional[str] = None,
         executor: str = "local",
     ) -> None:
         self.problem = problem
@@ -399,20 +392,7 @@ class MappingEvaluator:
         self.network = problem.network
         self.objective = problem.objective
         self.routes = problem.routes
-        # Resolve the process-wide default eagerly so worker pools are
-        # initialized with the same cache directory this evaluator used.
-        from repro.models.coupling import get_model_cache_dir
-
-        self.model_cache_dir = (
-            model_cache_dir
-            if model_cache_dir is not None
-            else get_model_cache_dir()
-        )
-        self.model = CouplingModel.for_network(
-            problem.network,
-            cache_dir=self.model_cache_dir,
-            routes=self.routes,
-        )
+        self.model = CouplingModel.for_network(problem.network, routes=self.routes)
         # Read-only tables derived once per CG (see CommunicationGraph).
         self._edges = self.cg.edge_table
         self._route_counts: Optional[np.ndarray] = None  # lazy, routes > 1
@@ -439,9 +419,7 @@ class MappingEvaluator:
             sample_params = self.variation.samples(problem.network.params)
             self._sample_models = tuple(
                 CouplingModel.for_network(
-                    _sample_network(problem.network, params),
-                    cache_dir=self.model_cache_dir,
-                    routes=self.routes,
+                    _sample_network(problem.network, params), routes=self.routes
                 )
                 for params in sample_params
             )
@@ -657,12 +635,7 @@ class MappingEvaluator:
         ]
 
         fanout = FanOut(
-            lambda: _pool.get_pool(
-                self.problem,
-                workers,
-                model_cache_dir=self.model_cache_dir,
-                executor=self.executor,
-            ),
+            lambda: _pool.get_pool(self.problem, workers, executor=self.executor),
             lambda pool: pool.map_shards(
                 _parallel.evaluate_shard_task, shards, names
             ),

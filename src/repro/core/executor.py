@@ -92,43 +92,38 @@ WORKER_LOSS_POLICIES = ("raise", "degrade")
 _worker_loss_policy: Optional[str] = None
 
 
-def set_worker_loss_policy(policy: Optional[str]) -> Optional[str]:
-    """Set the process-wide worker-loss policy; returns the previous one.
-
-    ``None`` clears the process setting, falling back to the
-    ``PHONOCMAP_ON_WORKER_LOSS`` environment variable and finally to
-    ``"raise"``. The CLI's ``--on-worker-loss`` flag and
-    :class:`~repro.service.core.ServiceCore` route through here so the
-    policy reaches every backend the pool registry builds without
-    threading a parameter through each constructor.
-    """
-    global _worker_loss_policy
+def _checked_policy(policy: Optional[str]) -> Optional[str]:
     if policy is not None and policy not in WORKER_LOSS_POLICIES:
         raise ExecutorError(
             f"on_worker_loss must be one of {WORKER_LOSS_POLICIES}, "
             f"got {policy!r}"
         )
-    previous, _worker_loss_policy = _worker_loss_policy, policy
+    return policy
+
+
+def set_worker_loss_policy(policy: Optional[str]) -> Optional[str]:
+    """Set the process-wide worker-loss policy; returns the previous one.
+
+    ``None`` clears the process setting, falling back to the
+    ``PHONOCMAP_ON_WORKER_LOSS`` environment variable and finally to
+    ``"raise"``. The CLI's ``--on-worker-loss`` flag routes through
+    here, so the policy reaches every backend the pool registry builds
+    without threading a parameter through each constructor.
+    """
+    global _worker_loss_policy
+    previous, _worker_loss_policy = _worker_loss_policy, _checked_policy(policy)
     return previous
 
 
-def worker_loss_policy(explicit: Optional[str] = None) -> str:
-    """Resolve the effective worker-loss policy.
-
-    Precedence: an explicit per-backend value, then the process setting
+def worker_loss_policy() -> str:
+    """The effective worker-loss policy: the process setting
     (:func:`set_worker_loss_policy`), then ``PHONOCMAP_ON_WORKER_LOSS``,
-    then ``"raise"``.
-    """
-    for candidate in (explicit, _worker_loss_policy,
-                      os.environ.get("PHONOCMAP_ON_WORKER_LOSS")):
-        if candidate:
-            if candidate not in WORKER_LOSS_POLICIES:
-                raise ExecutorError(
-                    f"on_worker_loss must be one of {WORKER_LOSS_POLICIES}, "
-                    f"got {candidate!r}"
-                )
-            return candidate
-    return "raise"
+    then ``"raise"``."""
+    return _checked_policy(
+        _worker_loss_policy
+        or os.environ.get("PHONOCMAP_ON_WORKER_LOSS")
+        or "raise"
+    )
 
 
 def parse_executor_spec(spec: Optional[str]) -> str:
@@ -323,8 +318,8 @@ class FanOut:
 class LocalProcessBackend(ExecutorBackend):
     """One reusable :class:`ProcessPoolExecutor` plus its wiring.
 
-    Workers are initialized once with the problem and the on-disk model
-    cache directory; afterwards every submitted
+    Workers are initialized once with the problem and the process's
+    on-disk model cache directory; afterwards every submitted
     task — whole strategy runs, independent chains, or batch shards —
     finds its evaluator warm in the worker process. The constructor
     resolves the problem's coupling model and builds the arrays its
@@ -339,25 +334,14 @@ class LocalProcessBackend(ExecutorBackend):
     kind = "local"
     _executor: Optional[ProcessPoolExecutor] = None
 
-    def __init__(
-        self,
-        key: Tuple,
-        problem,
-        n_workers: int,
-        model_cache_dir: Optional[str] = None,
-    ):
+    def __init__(self, key: Tuple, problem, n_workers: int):
         from repro.core import evaluator as _evaluator
         from repro.core import parallel as _parallel
-        from repro.models.coupling import CouplingModel
+        from repro.models.coupling import CouplingModel, get_model_cache_dir
 
         super().__init__(key, n_workers)
         self.problem = problem
-        self.model_cache_dir = model_cache_dir
-        model = CouplingModel.for_network(
-            problem.network,
-            cache_dir=model_cache_dir,
-            routes=problem.routes,
-        )
+        model = CouplingModel.for_network(problem.network, routes=problem.routes)
         # The first submit forks the workers: build what their evaluators
         # read now, so they all share the parent's copy.
         if _evaluator.noise_kernel(model, problem.cg.n_edges) == "sparse":
@@ -367,7 +351,7 @@ class LocalProcessBackend(ExecutorBackend):
         self._executor = ProcessPoolExecutor(
             max_workers=self.n_workers,
             initializer=_parallel._init_worker,
-            initargs=(problem, model_cache_dir),
+            initargs=(problem, get_model_cache_dir()),
         )
 
     @property
@@ -412,13 +396,7 @@ class InlineBackend(ExecutorBackend):
 
     kind = "inline"
 
-    def __init__(
-        self,
-        key: Tuple,
-        problem,
-        n_workers: int = 1,
-        model_cache_dir: Optional[str] = None,
-    ):
+    def __init__(self, key: Tuple, problem, n_workers: int = 1):
         from repro.core import parallel as _parallel
         from repro.models.coupling import CouplingModel
 
@@ -426,12 +404,8 @@ class InlineBackend(ExecutorBackend):
         self.problem = problem
         # Resolve the model eagerly (cache hit when the caller's
         # evaluator exists already) so context evaluators build fast.
-        CouplingModel.for_network(
-            problem.network,
-            cache_dir=model_cache_dir,
-            routes=problem.routes,
-        )
-        self._context = _parallel.WorkerContext(problem, model_cache_dir)
+        CouplingModel.for_network(problem.network, routes=problem.routes)
+        self._context = _parallel.WorkerContext(problem)
         self._closed = False
 
     def _submit(self, fn, /, *args, **kwargs) -> Future:

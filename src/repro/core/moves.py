@@ -3,10 +3,9 @@ strategies.
 
 A move is a ``(task, target_tile, other_task)`` triple: ``other_task`` is
 -1 when the target tile is empty (a relocation) and the partner task
-index otherwise (a swap). Historically these lived in
-:mod:`repro.core.pbla` (which still re-exports them); they sit in their
-own module so the delta-evaluation engine and the strategies can share
-them without an import cycle.
+index otherwise (a swap). They sit in their own module so the
+delta-evaluation engine and the strategies can share them without an
+import cycle.
 
 Joint mapping x routing search adds a third move class: a *reroute*
 flips one CG edge's route gene. Its canonical numeric form is

@@ -20,8 +20,8 @@ model (plus the transpose or CSR arrays its noise kernel reads) before
 its workers fork, so each worker finds it in the inherited process cache,
 copy-on-write, and never pickles or rebuilds the O(n_pairs^2) coupling
 matrix. A worker that did not fork from the parent, such as a
-``phonocmap worker``, loads the model from its context's on-disk cache
-or, at worst, builds it and saves it there.
+``phonocmap worker``, loads the model from its process's on-disk model
+cache or, at worst, builds it and saves it there.
 
 Since PR 3 the executors themselves are owned by :mod:`repro.core.pool`
 and persist across calls: workers are initialized with a *problem* (not
@@ -51,6 +51,7 @@ from repro.core.registry import create_strategy
 from repro.core.result import OptimizationResult
 from repro.core.strategy import MappingStrategy
 from repro.errors import OptimizationError
+from repro.models.coupling import set_model_cache_dir
 
 __all__ = [
     "WorkerContext",
@@ -137,12 +138,12 @@ class WorkerContext:
     """The state one executor worker holds to evaluate a problem.
 
     A context is everything :func:`run_strategy_task` and
-    :func:`evaluate_shard_task` need to run: the problem, the on-disk
-    model cache directory its evaluators resolve models against
-    (``None``: the process default), and a per-objective
-    evaluator cache (evaluators are built lazily — one warm context
-    serves e.g. both the SNR and the power-loss pass of a Table II cell,
-    because executors are keyed objective-free).
+    :func:`evaluate_shard_task` need to run: the problem and a
+    per-objective evaluator cache (evaluators are built lazily — one
+    warm context serves e.g. both the SNR and the power-loss pass of a
+    Table II cell, because executors are keyed objective-free). Its
+    evaluators resolve models through the process's caches, so a
+    context carries no cache directory.
 
     Where a context lives depends on the backend: a pool worker process
     holds exactly one (installed by :func:`_init_worker`); the inline
@@ -151,13 +152,8 @@ class WorkerContext:
     holds one per scheduler-initialized pool key.
     """
 
-    def __init__(
-        self,
-        problem: MappingProblem,
-        model_cache_dir: Optional[str] = None,
-    ):
+    def __init__(self, problem: MappingProblem):
         self.problem = problem
-        self.model_cache_dir = model_cache_dir
         self.evaluators: Dict[object, MappingEvaluator] = {}
 
     def evaluator(self, objective=None) -> MappingEvaluator:
@@ -177,9 +173,7 @@ class WorkerContext:
                 # key includes it, so every evaluator of this context
                 # must produce the same metric-table set.
                 target = problem.with_objective(objective)
-            evaluator = MappingEvaluator(
-                target, model_cache_dir=self.model_cache_dir
-            )
+            evaluator = MappingEvaluator(target)
             self.evaluators[objective] = evaluator
         return evaluator
 
@@ -227,18 +221,21 @@ def current_context() -> WorkerContext:
     return context
 
 
-def _init_worker(problem: MappingProblem, model_cache_dir=None) -> None:
-    """Pool initializer: install the process context.
+def _init_worker(problem: MappingProblem, cache_dir: Optional[str]) -> None:
+    """Pool initializer: apply the parent's model cache directory and
+    install the process context.
 
     The context's evaluators resolve the coupling model lazily through
     :meth:`~repro.models.coupling.CouplingModel.for_network`: a forked
-    worker finds it in the process cache it inherited, any other worker
-    loads it from ``model_cache_dir`` or rebuilds it. Each resolves the
-    noise kernel from the same CG and model as the parent, so shard
-    results are bit-identical to the inline path.
+    worker finds it in the process cache it inherited (and the cache
+    directory with it), any other worker loads it from ``cache_dir`` or
+    rebuilds it. Each resolves the noise kernel from the same CG and
+    model as the parent, so shard results are bit-identical to the
+    inline path.
     """
     global _PROCESS_CONTEXT
-    _PROCESS_CONTEXT = WorkerContext(problem, model_cache_dir)
+    set_model_cache_dir(cache_dir)
+    _PROCESS_CONTEXT = WorkerContext(problem)
 
 
 def worker_evaluator(objective=None) -> MappingEvaluator:

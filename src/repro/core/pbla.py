@@ -39,11 +39,11 @@ import numpy as np
 
 from repro.core.delta import delta_engine, incumbent_score, score_neighbourhood
 from repro.core.evaluator import MappingEvaluator
-from repro.core.moves import Move, apply_move, swap_moves
+from repro.core.moves import apply_move
 from repro.core.result import OptimizationResult
 from repro.core.strategy import BestTracker, MappingStrategy
 
-__all__ = ["PriorityBasedListAlgorithm", "Move", "swap_moves", "apply_move"]
+__all__ = ["PriorityBasedListAlgorithm"]
 
 
 class PriorityBasedListAlgorithm(MappingStrategy):

@@ -54,6 +54,7 @@ from repro.core.executor import (
     parse_executor_spec,
 )
 from repro.core.problem import MappingProblem
+from repro.models.coupling import CouplingModel
 
 __all__ = [
     "MAX_POOLS",
@@ -83,32 +84,22 @@ _LOCK = threading.RLock()
 _ATEXIT_REGISTERED = False
 
 
-def _network_key(problem: MappingProblem) -> str:
-    """The network component of a pool key.
-
-    Joint mapping x routing problems (``routes > 1``) append the route
-    count: their workers hold the widened routed coupling model, so a
-    routed pool must never serve (or be served by) a mapping-only one.
-    Single-route keys are byte-identical to the historical layout.
-    """
-    signature = problem.network.signature
-    if problem.routes > 1:
-        signature += f"|routes={problem.routes}"
-    return signature
-
-
 def flight_key(problem: MappingProblem) -> Tuple:
     """The objective-free prefix of every pool key.
 
-    ``(CG fingerprint, network signature, variation fingerprint)``. The
-    objective is excluded, so objective flips reuse the warm pool and
-    the service coalesces requests of any objective into one flight;
-    the variation fingerprint (empty without a plan) decides which
-    tables workers produce, so plans never mix.
+    ``(CG fingerprint, coupling-model cache key, variation
+    fingerprint)``. The model key is the network signature plus, for
+    ``routes > 1``, the route count (see
+    :meth:`~repro.models.coupling.CouplingModel.cache_key`), so a routed
+    pool never serves a mapping-only one. The objective is excluded, so
+    objective flips reuse the warm pool and the service coalesces
+    requests of any objective into one flight; the variation
+    fingerprint (empty without a plan) decides which tables workers
+    produce, so plans never mix.
     """
     return (
         problem.cg.fingerprint,
-        _network_key(problem),
+        CouplingModel.cache_key(problem.network, routes=problem.routes),
         problem.variation_fingerprint,
     )
 
@@ -165,23 +156,21 @@ def _build_backend(
     key: Tuple,
     problem: MappingProblem,
     n_workers: int,
-    model_cache_dir: Optional[str],
     executor: str,
 ) -> ExecutorBackend:
     """Instantiate the backend class an executor spec names."""
     if executor == "inline":
-        return InlineBackend(key, problem, n_workers, model_cache_dir)
+        return InlineBackend(key, problem, n_workers)
     if executor.startswith("tcp://"):
         from repro.distributed.scheduler import RemoteTcpBackend
 
-        return RemoteTcpBackend(key, problem, n_workers, model_cache_dir, executor)
-    return LocalProcessBackend(key, problem, n_workers, model_cache_dir)
+        return RemoteTcpBackend(key, problem, n_workers, executor)
+    return LocalProcessBackend(key, problem, n_workers)
 
 
 def get_pool(
     problem: MappingProblem,
     n_workers: int,
-    model_cache_dir: Optional[str] = None,
     executor: str = "local",
 ) -> ExecutorBackend:
     """Fetch (or lazily create) the persistent executor for a problem.
@@ -197,11 +186,6 @@ def get_pool(
         shard/chain decomposition knob (the determinism contract's
         ``n_workers``) while the number of *connected* workers only
         affects placement.
-    model_cache_dir : str, optional
-        On-disk model cache directory handed to the worker initializer
-        (so a worker that did not fork from the parent loads the
-        coupling model from disk instead of rebuilding it). Not part of
-        the pool key — it cannot change any result.
     executor : str, optional
         Executor spec selecting the backend implementation (default
         ``"local"``; see :func:`repro.core.executor.parse_executor_spec`).
@@ -220,7 +204,9 @@ def get_pool(
     and closed with ``wait=True`` before its replacement is built: its
     dying workers are reaped before the replacement forks its own, so a
     straggler never outlives its registry entry and repeated crashes
-    never stack generations of live worker processes.
+    never stack generations of live worker processes. A local backend's
+    workers get the process's model cache directory from their
+    initializer; it is not part of the key, since it changes no result.
     """
     executor = parse_executor_spec(executor)
     key = pool_key(problem, n_workers, executor)
@@ -232,7 +218,7 @@ def get_pool(
                 return pool
             _POOLS.pop(key, None)
             pool.close(wait=True)
-        pool = _build_backend(key, problem, n_workers, model_cache_dir, executor)
+        pool = _build_backend(key, problem, n_workers, executor)
         _register_pool(key, pool)
         return pool
 
@@ -254,18 +240,10 @@ def release_pools(problem: Optional[MappingProblem] = None) -> int:
     int
         Number of pools shut down.
     """
-    fingerprint = signature = None
-    if problem is not None:
-        fingerprint = problem.cg.fingerprint
-        signature = _network_key(problem)
+    # (CG fingerprint, model key): the pool key's first two fields.
+    prefix = None if problem is None else flight_key(problem)[:2]
     with _LOCK:
-        victims = []
-        for key in _POOLS:
-            if fingerprint is not None and (
-                key[0] != fingerprint or key[1] != signature
-            ):
-                continue
-            victims.append(key)
+        victims = [k for k in _POOLS if prefix is None or k[:2] == prefix]
         pools = [_POOLS.pop(key) for key in victims]
     for pool in pools:
         pool.close(wait=True)

@@ -450,12 +450,10 @@ def run_scenario(
     }
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        CouplingModel.for_network(network, cache_dir=cache_dir).save_cached(
-            cache_dir
-        )
+        # The subprocess workers load the model from here.
+        CouplingModel.for_network(network).save_cached(cache_dir)
         oracle = DesignSpaceExplorer(
-            problem, n_workers=n_workers, executor="inline",
-            model_cache_dir=cache_dir,
+            problem, n_workers=n_workers, executor="inline"
         )
         started = time.perf_counter()
         reference = oracle.compare(
@@ -536,8 +534,7 @@ def run_scenario(
                         time.sleep(0.05)
 
             explorer = DesignSpaceExplorer(
-                problem, n_workers=n_workers, executor=spec,
-                model_cache_dir=cache_dir,
+                problem, n_workers=n_workers, executor=spec
             )
             started = time.perf_counter()
             outcome = "identical"

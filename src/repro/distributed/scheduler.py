@@ -332,12 +332,21 @@ class WorkerHub:
         }
 
     def close(self) -> None:
-        """Stop accepting, hang up on every worker (tests / teardown)."""
+        """Stop accepting, hang up on every worker (tests / teardown).
+
+        Shutting the listener down wakes the accept thread blocked in
+        ``accept()``; it is joined before the listener closes, so a
+        closed hub's port refuses connections instead of admitting one
+        more worker that nothing serves or counts.
+        """
         self._stop.set()
         try:
-            self._listener.close()
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
+            pass  # never listened, or closed already
+        if self._accept_thread is not threading.current_thread():
+            self._accept_thread.join()
+        self._listener.close()
 
     # -- listener / dispatch machinery ---------------------------------------
 
@@ -346,7 +355,10 @@ class WorkerHub:
             try:
                 conn, _addr = self._listener.accept()
             except OSError:
-                return  # listener closed
+                return  # listener shut down
+            if self._stop.is_set():
+                conn.close()  # raced close(): never serve it
+                return
             threading.Thread(
                 target=self._serve_worker,
                 args=(conn,),
@@ -708,12 +720,10 @@ class RemoteTcpBackend(ExecutorBackend):
         key: Tuple,
         problem,
         n_workers: int,
-        model_cache_dir: Optional[str] = None,
         executor: str = "tcp://127.0.0.1:0",
     ):
         super().__init__(key, n_workers)
         self.problem = problem
-        self.model_cache_dir = model_cache_dir
         self.spec = parse_executor_spec(executor)
         self.hub = get_hub(self.spec)
         self.on_worker_loss = worker_loss_policy()
@@ -795,19 +805,13 @@ class RemoteTcpBackend(ExecutorBackend):
             if self.degrade_to == "local":
                 try:
                     self._fallback_backend = LocalProcessBackend(
-                        self.key,
-                        self.problem,
-                        self.n_workers,
-                        self.model_cache_dir,
+                        self.key, self.problem, self.n_workers
                     )
                 except Exception:
                     pass  # no process pool here: drop to the inline rung
             if self._fallback_backend is None:
                 self._fallback_backend = InlineBackend(
-                    self.key,
-                    self.problem,
-                    self.n_workers,
-                    self.model_cache_dir,
+                    self.key, self.problem, self.n_workers
                 )
             return self._fallback_backend
 

@@ -12,10 +12,10 @@ newline-JSON wire protocol (:mod:`repro.distributed.wire`):
     ``ready``. The context's evaluator gets the coupling model (and from
     it the noise kernel) on the first task the way every evaluator does,
     through :meth:`~repro.models.coupling.CouplingModel.for_network` by
-    cache key: the process cache, then this worker's ``--model-cache``,
-    then a build saved there. So a cold worker spends its first task on the
-    build (seconds on an 8x8 mesh), and a soft ``task_deadline_s`` must
-    exceed that unless the cache is warm.
+    cache key: the process cache, then the process's ``--model-cache``
+    directory, then a build saved there. So a cold worker spends its first
+    task on the build (seconds on an 8x8 mesh), and a soft
+    ``task_deadline_s`` must exceed that unless the cache is warm.
 
 ``task``
     Names a registered task function (``"strategy"`` →
@@ -114,22 +114,21 @@ def reconnect_backoff_s(address: str, attempt: int, pid: Optional[int] = None) -
 
 def run_worker(
     address: str,
-    model_cache_dir: Optional[str] = None,
     auth_token: Optional[str] = None,
     reconnect_attempts: Optional[int] = None,
 ) -> int:
     """Serve tasks from the scheduler at ``address`` until it hangs up.
+
+    Models load from, and builds save into, the process's model cache
+    directory (``phonocmap worker --model-cache``), which this function
+    never sets: a worker hosted on a thread cannot change it for its
+    whole process. A pre-seeded cache spares a cold worker the build.
 
     Parameters
     ----------
     address : str
         ``HOST:PORT`` (a ``tcp://`` prefix is tolerated) of the
         scheduler's :class:`~repro.distributed.scheduler.WorkerHub`.
-    model_cache_dir : str, optional
-        On-disk model cache this worker's evaluators load from, and
-        save the models they build into (default: the process default,
-        ``PHONOCMAP_MODEL_CACHE``). A pre-seeded cache spares a cold
-        worker the build on its first task.
     auth_token : str, optional
         Shared secret presented in the hello frame; defaults to
         ``PHONOCMAP_AUTH_TOKEN``. Required when the hub enforces
@@ -159,9 +158,7 @@ def run_worker(
     attempt = 0
     while True:
         try:
-            code, retryable = _serve_connection(
-                address, model_cache_dir, auth_token
-            )
+            code, retryable = _serve_connection(address, auth_token)
             attempt = 0  # served: a later loss starts a fresh budget
         except (ConnectionError, TimeoutError, OSError, ProtocolError, EOFError):
             code, retryable = 1, True
@@ -172,9 +169,7 @@ def run_worker(
 
 
 def _serve_connection(
-    address: str,
-    model_cache_dir: Optional[str],
-    auth_token: Optional[str],
+    address: str, auth_token: Optional[str]
 ) -> Tuple[int, bool]:
     """Dial and serve one connection; returns ``(exit_code, retryable)``."""
     host, port = split_tcp_address(address)
@@ -205,7 +200,7 @@ def _serve_connection(
                 chaos.trip("worker.init")
                 ctx_id = message["ctx_id"]
                 contexts[ctx_id] = _parallel.WorkerContext(
-                    wire.decode_payload(message["problem"]), model_cache_dir
+                    wire.decode_payload(message["problem"])
                 )
                 wire.write_message(wfile, {"op": "ready", "ctx_id": ctx_id})
             elif op == "task":

@@ -53,10 +53,10 @@ finds every traversal's emission with one table lookup, and resolves
 first encounters for bounded blocks of channels with one minimum scatter
 each. Only the per-channel walks run in Python.
 
-On top of the fast build sits an on-disk model cache
-(:meth:`CouplingModel.for_network` with ``cache_dir=``, or the
-process-wide :func:`set_model_cache_dir` default / the
-``PHONOCMAP_MODEL_CACHE`` environment variable): finished models are
+On top of the fast build sits an on-disk model cache, one directory
+per process (:func:`set_model_cache_dir`, seeded from the
+``PHONOCMAP_MODEL_CACHE`` environment variable), which
+:meth:`CouplingModel.for_network` reads and fills: finished models are
 persisted as ``.npy`` files keyed by ``(network.signature,
 MODEL_VERSION)`` and loaded back as read-only memory maps, so an
 architecture sweep pays each build exactly once per machine. Corrupted or
@@ -119,26 +119,26 @@ _KIND_CODES = {kind: code for code, kind in enumerate(_KINDS)}
 #: assertions: a warm device-parameter sweep must leave it unchanged.
 BUILD_COUNT = 0
 
-#: Process-wide default directory of the on-disk model cache (``None``
-#: disables it). Seeded from ``PHONOCMAP_MODEL_CACHE``; the CLI's
-#: ``--model-cache`` overrides it for the duration of one command.
+#: The process's on-disk model cache directory (``None`` disables it).
+#: Seeded from ``PHONOCMAP_MODEL_CACHE``; the CLI's ``--model-cache``
+#: overrides it for the duration of one command.
 _MODEL_CACHE_DIR: Optional[str] = os.environ.get("PHONOCMAP_MODEL_CACHE") or None
 
 
 def set_model_cache_dir(path: Optional[str]) -> None:
-    """Set the process-wide default on-disk model cache directory.
+    """Set the process's on-disk model cache directory (``None``: none).
 
-    ``None`` disables the default (explicit ``cache_dir=`` arguments
-    still work). Worker code does not call this: each worker context
-    hands its cache directory to the evaluators it builds, so a worker
-    hosted on a thread cannot change the default for its whole process.
+    The one mechanism behind the cache: every model resolve in the
+    process reads it. Only process entry points set it — the CLI's
+    ``main`` for each command and a local pool's worker initializer —
+    never code that may run on a thread of a shared process.
     """
     global _MODEL_CACHE_DIR
     _MODEL_CACHE_DIR = str(path) if path else None
 
 
 def get_model_cache_dir() -> Optional[str]:
-    """The process-wide default on-disk model cache directory (or None)."""
+    """The process's on-disk model cache directory (or None)."""
     return _MODEL_CACHE_DIR
 
 
@@ -1034,27 +1034,20 @@ class CouplingModel:
             return None
 
     @classmethod
-    def for_network(
-        cls,
-        network: PhotonicNoC,
-        use_cache: bool = True,
-        cache_dir: Optional[str] = None,
-        routes: int = 1,
-    ) -> "CouplingModel":
-        """Build (or fetch from a cache) the model for a network.
+    def for_network(cls, network: PhotonicNoC, routes: int = 1) -> "CouplingModel":
+        """Fetch (or build) the model for a network.
 
-        Resolution order: the process cache (when ``use_cache``), then
-        the on-disk cache (``cache_dir``, defaulting to
-        :func:`get_model_cache_dir`; loaded models are read-only memory
+        Resolution order: the process cache, then the on-disk cache of
+        :func:`get_model_cache_dir` (loaded models are read-only memory
         maps), then a fresh build, which is persisted back to the disk
-        cache best-effort. Every path yields bit-identical matrices.
+        cache best-effort. Every path yields bit-identical matrices. A
+        plain build that bypasses both caches is ``CouplingModel(network)``.
         """
         key = cls.cache_key(network, routes=routes)
-        if use_cache:
-            cached = _CACHE.get(key)
-            if cached is not None:
-                return cached
-        directory = cache_dir if cache_dir is not None else get_model_cache_dir()
+        cached = _CACHE.get(key)
+        if cached is not None:
+            return cached
+        directory = get_model_cache_dir()
         model = None
         if directory:
             model = cls.load_cached(network, directory, routes=routes)
@@ -1062,9 +1055,8 @@ class CouplingModel:
             model = cls(network, routes=routes)
             if directory:
                 model.save_cached(directory)
-        if use_cache:
-            _CACHE[key] = model
-            _NETWORKS.setdefault(network.signature, network)
+        _CACHE[key] = model
+        _NETWORKS.setdefault(network.signature, network)
         return model
 
 

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.derived import DerivedState
 from repro.errors import ConfigurationError
 from repro.noc.floorplan import Floorplan
 from repro.noc.paths import STATE_CODES, NetworkPath
@@ -75,7 +76,7 @@ class NetworkElement:
         return f"NetworkElement({self.gid}, {self.kind.value}, {self.label!r})"
 
 
-class PhotonicNoC:
+class PhotonicNoC(DerivedState):
     """A fully assembled photonic network-on-chip.
 
     Parameters
@@ -103,13 +104,18 @@ class PhotonicNoC:
 
     * the netlist (elements, wiring, router spec, parameters) is never
       mutated after assembly;
-    * every lazy cache (``_paths``, ``_routed_paths``, ``_route_sets``,
-      ``_turn_keys``, ``_templates``, ``_segments``, :attr:`signature`)
-      holds a pure function of the netlist and is published by one
-      assignment or one dict insert, so a race costs duplicate work,
-      never a torn read. :meth:`all_paths` returns pairs in
-      ``(src, dst)`` order whatever order other threads elaborated
-      them in.
+    * every lazily derived member is a cached property (the memo dicts
+      ``_paths``, ``_routed_paths``, ``_route_sets`` and ``_segments``,
+      and ``_turn_keys``, ``_templates`` and :attr:`signature`) holding
+      a pure function of the netlist, published by one assignment or
+      one dict insert, so a race costs duplicate work, never a torn
+      read. :meth:`all_paths` returns pairs in ``(src, dst)`` order
+      whatever order other threads elaborated them in.
+
+    Pickling leaves every cached property out (:class:`DerivedState`),
+    so a shipped network (a TCP worker's ``init`` frame) stays
+    netlist-sized however many paths the sender has elaborated, and the
+    same bytes whether or not its signature was computed.
     """
 
     def __init__(
@@ -132,12 +138,6 @@ class PhotonicNoC:
         self.elements: List[NetworkElement] = []
         self.wiring: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self._link_gid: Dict[Tuple[int, str], int] = {}
-        self._paths: Dict[Tuple[int, int], NetworkPath] = {}
-        self._routed_paths: Dict[Tuple[int, int, Tuple[str, ...]], NetworkPath] = {}
-        self._route_sets: Dict[int, Dict[Tuple[int, int], RouteSet]] = {}
-        self._turn_keys: Optional[set] = None
-        self._templates: Optional[dict] = None
-        self._segments: Dict[Tuple[int, str, str, bool], tuple] = {}
         self._assemble()
 
     # -- assembly --------------------------------------------------------------
@@ -216,6 +216,33 @@ class PhotonicNoC:
             return None
         return gid // self._local_count
 
+    # -- lazily derived members -----------------------------------------------------
+
+    @cached_property
+    def _paths(self) -> Dict[Tuple[int, int], NetworkPath]:
+        """Base paths by ``(src, dst)``, filled by :meth:`path`."""
+        return {}
+
+    @cached_property
+    def _routed_paths(self) -> Dict[Tuple[int, int, Tuple[str, ...]], NetworkPath]:
+        """Non-base routed paths by ``(src, dst, plan)``."""
+        return {}
+
+    @cached_property
+    def _route_sets(self) -> Dict[int, Dict[Tuple[int, int], RouteSet]]:
+        """Route menus by ``k``, then by ``(src, dst)``."""
+        return {}
+
+    @cached_property
+    def _segments(self) -> Dict[Tuple[int, str, str, bool], tuple]:
+        """Hop step rows and losses, by :meth:`_segment`'s arguments."""
+        return {}
+
+    @cached_property
+    def _turn_keys(self) -> set:
+        """The router's ``(in port, out port)`` connections."""
+        return set(self.router_spec.connections().keys())
+
     # -- paths --------------------------------------------------------------------
 
     def path(self, src: int, dst: int) -> NetworkPath:
@@ -246,8 +273,6 @@ class PhotonicNoC:
 
     def _turn_legal(self, in_dir: str, out_dir: str) -> bool:
         """Whether this network's router provides the ``in -> out`` turn."""
-        if self._turn_keys is None:
-            self._turn_keys = set(self.router_spec.connections().keys())
         return _port_names(in_dir, out_dir) in self._turn_keys
 
     def route_set(self, src: int, dst: int, k: int) -> RouteSet:
@@ -338,8 +363,6 @@ class PhotonicNoC:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Step rows and losses of one hop: the router connection through
         ``tile``, then (``to_link``) the link waveguide it feeds."""
-        if self._templates is None:
-            self._templates = self._build_templates()
         connections, links = self._templates
         ports = _port_names(in_dir, out_dir)
         template = connections.get(ports)
@@ -354,7 +377,8 @@ class PhotonicNoC:
             losses = np.concatenate([losses, link_loss])
         return steps, losses
 
-    def _build_templates(self) -> tuple:
+    @cached_property
+    def _templates(self) -> tuple:
         """Per-connection router templates and per-link steps.
 
         A template is the ``(n, 4)`` step rows of one port-to-port
@@ -417,26 +441,6 @@ class PhotonicNoC:
             params=params,
             floorplan=self.floorplan,
         )
-
-    # -- pickling -------------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle the netlist without its lazily derived caches.
-
-        Paths, route menus, the turn table, the elaboration templates and
-        the signature are pure functions of the netlist and rebuild on
-        demand, so a shipped network (a TCP worker's ``init`` frame)
-        stays netlist-sized however many paths the sender has
-        elaborated, and the same bytes whether or not its signature was
-        computed.
-        """
-        state = dict(self.__dict__)
-        state.pop("signature", None)
-        state.update(
-            _paths={}, _routed_paths={}, _route_sets={}, _turn_keys=None,
-            _templates=None, _segments={},
-        )
-        return state
 
     # -- identity -------------------------------------------------------------------
 

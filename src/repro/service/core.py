@@ -32,12 +32,13 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.evaluator import MappingEvaluator
+from repro.core.executor import parse_executor_spec, worker_loss_policy
 from repro.core.objectives import spec_for
 from repro.core.pool import flight_key
 from repro.core.registry import create_strategy
 from repro.core.result import OptimizationResult
 from repro.errors import ExecutorError, ReproError, ServiceError
-from repro.models.coupling import CouplingModel
+from repro.models.coupling import CouplingModel, get_model_cache_dir
 from repro.service.coalesce import BatchCoalescer, CoalescingEvaluator
 from repro.service.schema import (
     ServiceRequest,
@@ -72,6 +73,10 @@ class ServiceLimits:
 class ServiceCore:
     """Dispatches validated requests against the resident state.
 
+    The model cache directory and the worker-loss policy are process
+    settings (``--model-cache``, ``--on-worker-loss``); :meth:`stats`
+    reports their live values.
+
     Parameters
     ----------
     n_workers : int, optional
@@ -79,9 +84,6 @@ class ServiceCore:
         shard merged flights across (default 1: flights run inline in
         the coalescer thread — correct everywhere, parallel where it
         pays).
-    model_cache_dir : str, optional
-        On-disk coupling-model cache kept warm across requests *and
-        daemon restarts*; ``None`` uses the process default.
     limits : ServiceLimits, optional
         Admission-control caps.
     coalesce_window_s : float, optional
@@ -95,15 +97,6 @@ class ServiceCore:
         flights — ``"local"`` (default), ``"inline"``, or
         ``"tcp://HOST:PORT"`` to dispatch coalesced flights to
         ``phonocmap worker`` processes. Bit-identical either way.
-    on_worker_loss : str, optional
-        Worker-loss policy for remote executors — ``"raise"`` (requests
-        that exhaust remote retries fail with a structured 503
-        ``executor_unavailable``) or ``"degrade"`` (they finish on a
-        local fallback backend, bit-identically, and ``stats`` reports
-        the degraded state). ``None`` keeps the process default (see
-        :func:`repro.core.executor.worker_loss_policy`). Set for the
-        whole process while this core is open, restored on
-        :meth:`close`.
     default_routes : int, optional
         Route-menu size applied to requests that carry no ``routes``
         field (default 1: mapping-only, bit-identical to the pre-routing
@@ -113,30 +106,14 @@ class ServiceCore:
     def __init__(
         self,
         n_workers: int = 1,
-        model_cache_dir: Optional[str] = None,
         limits: Optional[ServiceLimits] = None,
         coalesce_window_s: float = 0.004,
         executor: str = "local",
-        on_worker_loss: Optional[str] = None,
         default_routes: int = 1,
     ) -> None:
-        from repro.core.executor import (
-            parse_executor_spec,
-            set_worker_loss_policy,
-            worker_loss_policy,
-        )
-
         self.executor = parse_executor_spec(executor)
-        self._saved_policy = (
-            set_worker_loss_policy(on_worker_loss)
-            if on_worker_loss is not None
-            else None
-        )
-        self._policy_set = on_worker_loss is not None
-        self.on_worker_loss = worker_loss_policy(on_worker_loss)
         self.n_workers = max(1, int(n_workers))
         self.default_routes = max(1, int(default_routes))
-        self.model_cache_dir = model_cache_dir
         self.limits = limits if limits is not None else ServiceLimits()
         self.coalesce_window_s = float(coalesce_window_s)
         self._started = time.monotonic()
@@ -278,11 +255,6 @@ class ServiceCore:
                 self._idle.wait(remaining)
         for coalescer in self._coalescers.values():
             coalescer.close()
-        if self._policy_set:
-            from repro.core.executor import set_worker_loss_policy
-
-            set_worker_loss_policy(self._saved_policy)
-            self._policy_set = False
 
     # -- dispatch ------------------------------------------------------------
 
@@ -384,11 +356,7 @@ class ServiceCore:
         with self._lock:
             model_lock = self._model_locks.setdefault(model_key, threading.Lock())
         with model_lock:
-            evaluator = CoalescingEvaluator(
-                problem,
-                model_cache_dir=self.model_cache_dir,
-                executor=self.executor,
-            )
+            evaluator = CoalescingEvaluator(problem, executor=self.executor)
             # Requests agreeing on the objective-free pool key — including
             # the variation fingerprint, which decides the wire table set —
             # can share flights whatever their objective.
@@ -396,10 +364,7 @@ class ServiceCore:
             coalescer = self._coalescers.get(key)
             if coalescer is None:
                 shared = MappingEvaluator(
-                    problem,
-                    n_workers=self.n_workers,
-                    model_cache_dir=self.model_cache_dir,
-                    executor=self.executor,
+                    problem, n_workers=self.n_workers, executor=self.executor
                 )
                 coalescer = BatchCoalescer(
                     shared,
@@ -543,11 +508,11 @@ class ServiceCore:
             "rejected_queue_full": rejected,
             "executor": self.executor,
             "executors": executors,
-            "on_worker_loss": self.on_worker_loss,
+            "on_worker_loss": worker_loss_policy(),
             "degraded": executors["totals"]["degraded"],
             "n_workers": self.n_workers,
             "default_routes": self.default_routes,
-            "model_cache_dir": self.model_cache_dir,
+            "model_cache_dir": get_model_cache_dir(),
             "limits": {
                 "max_inflight": self.limits.max_inflight,
                 "queue_size": self.limits.queue_size,

@@ -27,14 +27,13 @@ GRID = (
 )
 
 
-def _sweep(pip_cg, cache_dir, **kwargs):
+def _sweep(pip_cg, **kwargs):
     options = dict(
         topology="mesh",
         side=3,
         strategy="rs",
         budget=120,
         seed=5,
-        model_cache_dir=cache_dir,
     )
     options.update(kwargs)
     return sweep_device_points(pip_cg, GRID, **options)
@@ -86,33 +85,30 @@ class TestSweep:
         clear_model_cache()
         yield
 
-    def test_sweep_is_deterministic_per_seed(self, pip_cg, tmp_path):
-        cache = str(tmp_path / "cache")
-        first = _sweep(pip_cg, cache)
+    def test_sweep_is_deterministic_per_seed(self, pip_cg, model_cache):
+        first = _sweep(pip_cg)
         clear_model_cache()
-        second = _sweep(pip_cg, cache)
+        second = _sweep(pip_cg)
         assert [p.key for p in first.points] == [p.key for p in second.points]
         assert [p.score for p in first.points] == [
             p.score for p in second.points
         ]
         assert first.best().key == second.best().key
 
-    def test_second_sweep_builds_zero_models(self, pip_cg, tmp_path):
+    def test_second_sweep_builds_zero_models(self, pip_cg, model_cache):
         """The acceptance criterion: a warm re-sweep never builds a model.
 
         The process cache is dropped between the sweeps, so every model
         resolution must go through the on-disk cache — and hit.
         """
-        cache = str(tmp_path / "cache")
-        _sweep(pip_cg, cache)
+        _sweep(pip_cg)
         clear_model_cache()
         before = coupling_mod.BUILD_COUNT
-        _sweep(pip_cg, cache)
+        _sweep(pip_cg)
         assert coupling_mod.BUILD_COUNT == before
 
-    def test_robust_objective_sweeps_sample_models_warm(self, pip_cg, tmp_path):
+    def test_robust_objective_sweeps_sample_models_warm(self, pip_cg, model_cache):
         """Variation sample models ride the same content-hash cache chain."""
-        cache = str(tmp_path / "cache")
         variation = VariationSpec(n_samples=2, sigma=0.03, seed=7)
         grid = (("crossing_loss_db", (-0.04, -0.06)),)
         sweep_device_points(
@@ -125,7 +121,6 @@ class TestSweep:
             strategy="rs",
             budget=80,
             seed=3,
-            model_cache_dir=cache,
         )
         clear_model_cache()
         before = coupling_mod.BUILD_COUNT
@@ -139,21 +134,20 @@ class TestSweep:
             strategy="rs",
             budget=80,
             seed=3,
-            model_cache_dir=cache,
         )
         assert coupling_mod.BUILD_COUNT == before
         assert len(result.points) == 2
 
-    def test_format_mentions_every_point(self, pip_cg, tmp_path):
-        result = _sweep(pip_cg, str(tmp_path / "cache"))
+    def test_format_mentions_every_point(self, pip_cg):
+        result = _sweep(pip_cg)
         text = result.format()
         for point in result.points:
             assert point.key in text
         assert "Device sweep" in text
 
-    def test_points_serialize_to_json(self, pip_cg, tmp_path):
+    def test_points_serialize_to_json(self, pip_cg):
         """SweepPoint fields survive a JSON round trip (the CLI's --json-out)."""
-        result = _sweep(pip_cg, str(tmp_path / "cache"))
+        result = _sweep(pip_cg)
         document = json.dumps(
             [
                 {

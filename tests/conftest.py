@@ -6,6 +6,8 @@ is read-only from the tests' point of view, so session scope is safe.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ import repro.core.evaluator as evaluator_module
 from repro.appgraph import load_benchmark, pipeline_cg
 from repro.core import MappingEvaluator, MappingProblem, Objective
 from repro.core.pool import shutdown_pools
+from repro.models.coupling import get_model_cache_dir, set_model_cache_dir
 from repro.noc import Floorplan, PhotonicNoC, line, mesh, torus
 from repro.photonics import PhysicalParameters
 
@@ -104,3 +107,25 @@ def pin_kernel(monkeypatch):
 
     yield pin
     shutdown_pools()
+
+
+@contextlib.contextmanager
+def model_cache_at(directory):
+    """Make ``directory`` the process's on-disk model cache for the
+    block, restoring the previous setting after it: the context-manager
+    form of :func:`model_cache`, for module-scoped fixtures."""
+    previous = get_model_cache_dir()
+    set_model_cache_dir(str(directory))
+    try:
+        yield directory
+    finally:
+        set_model_cache_dir(previous)
+
+
+@pytest.fixture()
+def model_cache(tmp_path):
+    """A fresh directory (a :class:`pathlib.Path`), made the process's
+    on-disk model cache for the test; the previous setting is restored
+    afterwards."""
+    with model_cache_at(tmp_path / "model-cache") as directory:
+        yield directory

@@ -383,10 +383,7 @@ class TestBrokenPoolRecovery:
         # Warm the pool, then kill one of its workers: the in-flight
         # futures fail with BrokenProcessPool and the pending batch must
         # transparently resubmit against the rebuilt pool.
-        pool = get_pool(
-            problem, 2,
-            model_cache_dir=evaluator.model_cache_dir,
-        )
+        pool = get_pool(problem, 2)
         _kill_one_pool_worker(pool)
         metrics = evaluator.submit_batch(rows, min_shard_rows=32).result()
         np.testing.assert_array_equal(reference.score, metrics.score)
@@ -394,10 +391,7 @@ class TestBrokenPoolRecovery:
             reference.worst_snr_db, metrics.worst_snr_db
         )
         assert pool.broken
-        rebuilt = get_pool(
-            problem, 2,
-            model_cache_dir=evaluator.model_cache_dir,
-        )
+        rebuilt = get_pool(problem, 2)
         assert rebuilt is not pool
         assert not rebuilt.broken
 
@@ -419,10 +413,7 @@ class TestBrokenPoolRecovery:
         reference = DesignSpaceExplorer(
             problem, n_workers=2, executor="inline"
         ).compare(["rs", "ga"], budget=400, seed=13)
-        pool = get_pool(
-            problem, 2,
-            model_cache_dir=explorer.model_cache_dir,
-        )
+        pool = get_pool(problem, 2)
         _kill_one_pool_worker(pool)
         results = explorer.compare(["rs", "ga"], budget=400, seed=13)
         for name in reference:
@@ -436,10 +427,7 @@ class TestBrokenPoolRecovery:
         reference = DesignSpaceExplorer(problem, n_workers=2).run(
             "sa", budget=600, seed=21
         )
-        pool = get_pool(
-            problem, 2,
-            model_cache_dir=explorer.model_cache_dir,
-        )
+        pool = get_pool(problem, 2)
         _kill_one_pool_worker(pool)
         result = explorer.run("sa", budget=600, seed=21)
         assert result.best_score == reference.best_score

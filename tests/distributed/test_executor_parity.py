@@ -35,6 +35,7 @@ from repro.distributed import wire
 from repro.distributed.scheduler import get_hub
 from repro.errors import ExecutorError
 from repro.models.coupling import CouplingModel
+from tests.conftest import model_cache_at
 
 pytestmark = [
     pytest.mark.slow,
@@ -88,18 +89,19 @@ def cluster(tmp_path_factory):
     problem = MappingProblem(cg, network, "snr")
     # Seed the disk cache explicitly: for_network alone would return a
     # process-cached model (warm from earlier tests) without persisting.
-    CouplingModel.for_network(network, cache_dir=cache_dir).save_cached(cache_dir)
+    CouplingModel.for_network(network).save_cached(cache_dir)
     hub = get_hub("tcp://127.0.0.1:0")
     spec = f"tcp://127.0.0.1:{hub.port}"
     workers = [_spawn_worker(hub.port, cache_dir) for _ in range(2)]
     try:
         _wait_for_workers(hub, 2)
-        yield {
-            "hub": hub,
-            "spec": spec,
-            "problem": problem,
-            "cache_dir": cache_dir,
-        }
+        with model_cache_at(cache_dir):
+            yield {
+                "hub": hub,
+                "spec": spec,
+                "problem": problem,
+                "cache_dir": cache_dir,
+            }
     finally:
         shutdown_pools()
         hub.close()
@@ -117,7 +119,6 @@ def _explorer(cluster, executor_name: str, n_workers: int) -> DesignSpaceExplore
         cluster["problem"],
         n_workers=n_workers,
         executor=spec,
-        model_cache_dir=cluster["cache_dir"],
     )
 
 
@@ -169,7 +170,6 @@ class TestShardParity:
                 problem,
                 n_workers=4,
                 executor=spec,
-                model_cache_dir=cluster["cache_dir"],
             )
             pending = evaluator._submit(rows, min_shard_rows=32)
             tables[name] = pending.tables()
@@ -196,7 +196,6 @@ class TestShardParity:
                 problem,
                 n_workers=4,
                 executor=spec,
-                model_cache_dir=cluster["cache_dir"],
             )
             pending = evaluator.submit_batch(
                 rows, min_shard_rows=32, score_only=score_only
@@ -242,7 +241,6 @@ class TestCacheKeyedHydration:
             problem,
             n_workers=5,
             executor=cluster["spec"],
-            model_cache_dir=cluster["cache_dir"],
         )
         rows = random_assignment_batch(
             384, problem.cg.n_tasks, problem.n_tiles, np.random.default_rng(7)
@@ -251,7 +249,6 @@ class TestCacheKeyedHydration:
         pool = get_pool(
             problem,
             5,
-            model_cache_dir=cluster["cache_dir"],
             executor=cluster["spec"],
         )
         assert pool.tasks_dispatched >= 5  # shards really went remote
@@ -288,7 +285,6 @@ class TestCacheKeyedHydration:
                 problem,
                 n_workers=2,
                 executor=spec,
-                model_cache_dir=cluster["cache_dir"],
             )._submit(rows, min_shard_rows=32).tables()
             assert "model" not in [op for op, _, _ in hub_frames]
             # The worker saved the model it built into its own cache.
@@ -299,7 +295,6 @@ class TestCacheKeyedHydration:
                 problem,
                 n_workers=2,
                 executor="inline",
-                model_cache_dir=cluster["cache_dir"],
             )._submit(rows, min_shard_rows=32).tables()
             for reference, column in zip(inline, remote):
                 np.testing.assert_array_equal(reference, column)
@@ -360,7 +355,6 @@ class TestProtocolGuards:
         pool = get_pool(
             cluster["problem"],
             2,
-            model_cache_dir=cluster["cache_dir"],
             executor=cluster["spec"],
         )
         with pytest.raises(ExecutorError):
@@ -371,7 +365,6 @@ class TestProtocolGuards:
         rebuilt = get_pool(
             cluster["problem"],
             2,
-            model_cache_dir=cluster["cache_dir"],
             executor=cluster["spec"],
         )
         assert rebuilt is not pool

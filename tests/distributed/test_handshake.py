@@ -87,6 +87,17 @@ def test_a_hello_is_admitted_and_not_dropped(hub):
         assert hub.stats()["workers_dropped"] == dict.fromkeys(HANDSHAKE_DROPS, 0)
 
 
+def test_a_closed_hub_refuses_connections(hub):
+    """Closing stops the listener for good: no connection reaches a hub
+    that would serve and count nothing (the fixture closes it again)."""
+    hub.close()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", hub.port), timeout=5.0)
+    stats = hub.stats()
+    assert stats["workers_connected"] == 0
+    assert stats["workers_dropped"] == dict.fromkeys(HANDSHAKE_DROPS, 0)
+
+
 class _Unspawned:
     """Stands in for a spawned worker process in the settle wait's error."""
 

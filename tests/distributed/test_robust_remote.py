@@ -27,6 +27,7 @@ from repro.distributed.scheduler import get_hub
 from repro.models.coupling import CouplingModel
 from repro.photonics import VariationSpec
 
+from tests.conftest import model_cache_at
 from tests.distributed.test_executor_parity import (
     _spawn_worker,
     _wait_for_workers,
@@ -52,21 +53,22 @@ def robust_cluster(tmp_path_factory):
     cg = load_benchmark("mwd")
     network = build_case_study_network("mesh", grid_side_for(cg), "crux")
     problem = MappingProblem(cg, network, "robust_snr", variation=VARIATION)
-    CouplingModel.for_network(network, cache_dir=cache_dir).save_cached(cache_dir)
+    CouplingModel.for_network(network).save_cached(cache_dir)
     for params in VARIATION.samples(network.params):
-        CouplingModel.for_network(
-            network.with_params(params), cache_dir=cache_dir
-        ).save_cached(cache_dir)
+        CouplingModel.for_network(network.with_params(params)).save_cached(
+            cache_dir
+        )
     hub = get_hub("tcp://127.0.0.1:0")
     workers = [_spawn_worker(hub.port, cache_dir) for _ in range(2)]
     try:
         _wait_for_workers(hub, 2)
-        yield {
-            "hub": hub,
-            "spec": f"tcp://127.0.0.1:{hub.port}",
-            "problem": problem,
-            "cache_dir": cache_dir,
-        }
+        with model_cache_at(cache_dir):
+            yield {
+                "hub": hub,
+                "spec": f"tcp://127.0.0.1:{hub.port}",
+                "problem": problem,
+                "cache_dir": cache_dir,
+            }
     finally:
         shutdown_pools()
         hub.close()
@@ -84,14 +86,11 @@ def _rows(problem, n, seed):
 def test_remote_robust_shards_match_inline(robust_cluster):
     problem = robust_cluster["problem"]
     rows = _rows(problem, 256, seed=41)
-    inline = MappingEvaluator(
-        problem, model_cache_dir=robust_cluster["cache_dir"]
-    ).evaluate_batch(rows).score
+    inline = MappingEvaluator(problem).evaluate_batch(rows).score
     remote = MappingEvaluator(
         problem,
         n_workers=4,
         executor=robust_cluster["spec"],
-        model_cache_dir=robust_cluster["cache_dir"],
     ).evaluate_batch(rows, min_shard_rows=32).score
     np.testing.assert_array_equal(remote, inline)
 
@@ -102,9 +101,7 @@ def test_sigkilled_worker_mid_batch_changes_nothing(robust_cluster):
     problem = robust_cluster["problem"]
     expendable = _spawn_worker(hub.port, robust_cluster["cache_dir"])
     rows = _rows(problem, 512, seed=43)
-    inline = MappingEvaluator(
-        problem, model_cache_dir=robust_cluster["cache_dir"]
-    ).evaluate_batch(rows).score
+    inline = MappingEvaluator(problem).evaluate_batch(rows).score
     try:
         _wait_for_workers(hub, 3)
         lost_before = hub.workers_lost
@@ -112,7 +109,6 @@ def test_sigkilled_worker_mid_batch_changes_nothing(robust_cluster):
             problem,
             n_workers=6,
             executor=robust_cluster["spec"],
-            model_cache_dir=robust_cluster["cache_dir"],
         )
         dispatched_before = hub.tasks_dispatched
         scores = {}

@@ -35,6 +35,7 @@ from repro.distributed import wire
 from repro.distributed.scheduler import RemoteTcpBackend, get_hub
 from repro.distributed.worker import run_worker
 from repro.models.coupling import CouplingModel
+from tests.conftest import model_cache_at
 
 pytestmark = [
     pytest.mark.chaos,
@@ -44,13 +45,16 @@ pytestmark = [
 
 @pytest.fixture(scope="module")
 def rig(tmp_path_factory):
-    """One small problem with a pre-seeded model cache, shared per module."""
+    """One small problem with a pre-seeded model cache, shared per module:
+    the cache is the process's while the module runs, so the in-thread
+    workers load the model from it."""
     cache_dir = str(tmp_path_factory.mktemp("races-model-cache"))
     cg = load_benchmark("mwd")
     network = build_case_study_network("mesh", grid_side_for(cg), "crux")
     problem = MappingProblem(cg, network, "snr")
-    CouplingModel.for_network(network, cache_dir=cache_dir).save_cached(cache_dir)
-    return {"problem": problem, "cache_dir": cache_dir}
+    CouplingModel.for_network(network).save_cached(cache_dir)
+    with model_cache_at(cache_dir):
+        yield {"problem": problem}
 
 
 class FakeWorker:
@@ -91,11 +95,10 @@ def _wait_connected(hub, count: int, timeout: float = 30.0) -> None:
         time.sleep(0.01)
 
 
-def _start_thread_worker(port: int, cache_dir: str) -> threading.Thread:
+def _start_thread_worker(port: int) -> threading.Thread:
     thread = threading.Thread(
         target=run_worker,
         args=(f"127.0.0.1:{port}",),
-        kwargs={"model_cache_dir": cache_dir},
         daemon=True,
     )
     thread.start()
@@ -108,8 +111,8 @@ def _rows(problem, n=8, seed=5):
     )
 
 
-def _inline_reference(problem, cache_dir, rows):
-    backend = InlineBackend(("races-ref",), problem, 2, cache_dir)
+def _inline_reference(problem, rows):
+    backend = InlineBackend(("races-ref",), problem, 2)
     try:
         return backend.submit(_parallel.evaluate_shard_task, rows).result()
     finally:
@@ -117,13 +120,7 @@ def _inline_reference(problem, cache_dir, rows):
 
 
 def _make_backend(rig, spec, key):
-    return RemoteTcpBackend(
-        (key,),
-        rig["problem"],
-        2,
-        model_cache_dir=rig["cache_dir"],
-        executor=spec,
-    )
+    return RemoteTcpBackend((key,), rig["problem"], 2, executor=spec)
 
 
 def test_disconnect_during_init_fails_typed_then_hub_recovers(rig):
@@ -147,13 +144,13 @@ def test_disconnect_during_init_fails_typed_then_hub_recovers(rig):
 
         # The hub itself must survive the race: a real worker joining
         # afterwards serves a fresh backend bit-identically.
-        threads.append(_start_thread_worker(hub.port, rig["cache_dir"]))
+        threads.append(_start_thread_worker(hub.port))
         _wait_connected(hub, 1)
         recovered = _make_backend(rig, spec, "races-init-2")
         result = recovered.submit(
             _parallel.evaluate_shard_task, rows
         ).result(timeout=60)
-        reference = _inline_reference(rig["problem"], rig["cache_dir"], rows)
+        reference = _inline_reference(rig["problem"], rows)
         for got, want in zip(result, reference):
             np.testing.assert_array_equal(got, want)
         backend.close()
@@ -181,12 +178,12 @@ def test_workers_joining_while_retry_in_flight_complete_the_task(rig):
         # Two real workers join while the fake sits on the task in
         # silence; the init deadline reaps it and the survivors get the
         # requeue.
-        threads.append(_start_thread_worker(hub.port, rig["cache_dir"]))
-        threads.append(_start_thread_worker(hub.port, rig["cache_dir"]))
+        threads.append(_start_thread_worker(hub.port))
+        threads.append(_start_thread_worker(hub.port))
         _wait_connected(hub, 3)
 
         result = future.result(timeout=60)
-        reference = _inline_reference(rig["problem"], rig["cache_dir"], rows)
+        reference = _inline_reference(rig["problem"], rows)
         for got, want in zip(result, reference):
             np.testing.assert_array_equal(got, want)
         assert hub.tasks_timed_out >= 1

@@ -52,7 +52,7 @@ class TestAgainstReference:
 
     def test_crossbar_network_pairs(self, params, rng):
         network = PhotonicNoC(mesh(2, 2), router="crossbar", params=params)
-        model = CouplingModel.for_network(network, use_cache=False)
+        model = CouplingModel(network)
         keys = sorted(network.all_paths())
         sample = [(v, a) for v in keys for a in keys]
         self._check(network, model, sample)
@@ -99,11 +99,6 @@ class TestCaching:
         a = CouplingModel.for_network(mesh3_network)
         b = CouplingModel.for_network(mesh3_network)
         assert a is b
-
-    def test_no_cache_builds_fresh(self, mesh3_network):
-        a = CouplingModel.for_network(mesh3_network)
-        b = CouplingModel.for_network(mesh3_network, use_cache=False)
-        assert a is not b
 
     def test_clear_cache(self, params):
         network = PhotonicNoC(mesh(2, 2), params=params)

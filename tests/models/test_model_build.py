@@ -18,6 +18,7 @@ from repro.models import coupling as coupling_module
 from repro.models import pairwise_coupling_linear
 from repro.models.coupling import CouplingModel, clear_model_cache
 from repro.noc import PhotonicNoC, mesh
+from tests.conftest import model_cache_at
 
 
 @pytest.fixture(autouse=True)
@@ -131,23 +132,20 @@ class TestDiskCache:
         return PhotonicNoC(mesh(2, 2), params=params)
 
     def test_cold_build_persists_then_warm_load_memory_maps(
-        self, params, tmp_path, monkeypatch
+        self, params, model_cache, monkeypatch
     ):
         network = self._network(params)
-        built = CouplingModel.for_network(
-            network, use_cache=False, cache_dir=str(tmp_path)
-        )
+        built = CouplingModel.for_network(network)
         key = CouplingModel.disk_key(network.signature)
-        assert (tmp_path / key / "meta.json").is_file()
+        assert (model_cache / key / "meta.json").is_file()
 
         # A warm load must not build: poison the builder.
         def no_build(self):
             raise AssertionError("cache hit must not rebuild")
 
         monkeypatch.setattr(CouplingModel, "_build", no_build)
-        loaded = CouplingModel.for_network(
-            network, use_cache=False, cache_dir=str(tmp_path)
-        )
+        clear_model_cache()
+        loaded = CouplingModel.for_network(network)
         assert isinstance(loaded.coupling_linear, np.memmap)
         assert not loaded.coupling_linear.flags.writeable
         np.testing.assert_array_equal(
@@ -158,13 +156,11 @@ class TestDiskCache:
         )
         assert loaded._nnz == built.nnz  # seeded from the cache metadata
 
-    def test_miss_on_signature(self, params, tmp_path):
+    def test_miss_on_signature(self, params, model_cache):
         network = self._network(params)
-        CouplingModel.for_network(
-            network, use_cache=False, cache_dir=str(tmp_path)
-        )
+        CouplingModel.for_network(network)
         other = PhotonicNoC(mesh(3, 3), params=params)
-        assert CouplingModel.load_cached(other, str(tmp_path)) is None
+        assert CouplingModel.load_cached(other, str(model_cache)) is None
 
     def test_disk_key_text_is_pinned(self):
         """The hashed text keeps its ``float64`` field, so entries written
@@ -179,66 +175,56 @@ class TestDiskCache:
             f"sig|routes=3|float64|v{version}".encode()
         ).hexdigest()
 
-    def test_meta_dtype_other_than_float64_misses(self, params, tmp_path):
+    def test_meta_dtype_other_than_float64_misses(self, params, model_cache):
         network = self._network(params)
-        CouplingModel.for_network(
-            network, use_cache=False, cache_dir=str(tmp_path)
-        )
-        meta_path = tmp_path / CouplingModel.disk_key(network.signature) / "meta.json"
+        CouplingModel.for_network(network)
+        meta_path = model_cache / CouplingModel.disk_key(network.signature) / "meta.json"
         meta = json.loads(meta_path.read_text())
         assert meta["dtype"] == "float64"
         meta["dtype"] = "float32"
         meta_path.write_text(json.dumps(meta))
-        assert CouplingModel.load_cached(network, str(tmp_path)) is None
+        assert CouplingModel.load_cached(network, str(model_cache)) is None
 
-    def test_miss_on_model_version_bump(self, params, tmp_path, monkeypatch):
+    def test_miss_on_model_version_bump(self, params, model_cache, monkeypatch):
         network = self._network(params)
-        built = CouplingModel.for_network(
-            network, use_cache=False, cache_dir=str(tmp_path)
-        )
+        built = CouplingModel.for_network(network)
         monkeypatch.setattr(
             coupling_module, "MODEL_VERSION", coupling_module.MODEL_VERSION + 1
         )
-        assert CouplingModel.load_cached(network, str(tmp_path)) is None
+        assert CouplingModel.load_cached(network, str(model_cache)) is None
         # ... and for_network transparently rebuilds (and re-persists
         # under the new key).
-        rebuilt = CouplingModel.for_network(
-            network, use_cache=False, cache_dir=str(tmp_path)
-        )
+        clear_model_cache()
+        rebuilt = CouplingModel.for_network(network)
         np.testing.assert_array_equal(
             rebuilt.coupling_linear, built.coupling_linear
         )
-        assert len(list(tmp_path.iterdir())) == 2  # one entry per version
+        assert len(list(model_cache.iterdir())) == 2  # one entry per version
 
-    def test_stale_metadata_signature_misses(self, params, tmp_path):
+    def test_stale_metadata_signature_misses(self, params, model_cache):
         """A key collision (or hand-edited entry) is caught by the
         metadata check, not trusted on file name alone."""
         network = self._network(params)
-        CouplingModel.for_network(
-            network, use_cache=False, cache_dir=str(tmp_path)
-        )
+        CouplingModel.for_network(network)
         key = CouplingModel.disk_key(network.signature)
-        meta_path = tmp_path / key / "meta.json"
+        meta_path = model_cache / key / "meta.json"
         meta = json.loads(meta_path.read_text())
         meta["signature"] = "somebody-else's-architecture"
         meta_path.write_text(json.dumps(meta))
-        assert CouplingModel.load_cached(network, str(tmp_path)) is None
+        assert CouplingModel.load_cached(network, str(model_cache)) is None
 
-    def test_corrupted_entry_falls_back_to_rebuild(self, params, tmp_path):
+    def test_corrupted_entry_falls_back_to_rebuild(self, params, model_cache):
         network = self._network(params)
-        built = CouplingModel.for_network(
-            network, use_cache=False, cache_dir=str(tmp_path)
-        )
+        built = CouplingModel.for_network(network)
         key = CouplingModel.disk_key(network.signature)
-        (tmp_path / key / "coupling_linear.npy").write_bytes(b"not numpy")
-        recovered = CouplingModel.for_network(
-            network, use_cache=False, cache_dir=str(tmp_path)
-        )
+        (model_cache / key / "coupling_linear.npy").write_bytes(b"not numpy")
+        clear_model_cache()
+        recovered = CouplingModel.for_network(network)
         np.testing.assert_array_equal(
             np.asarray(recovered.coupling_linear), built.coupling_linear
         )
         # The rebuild repaired the entry in place.
-        repaired = CouplingModel.load_cached(network, str(tmp_path))
+        repaired = CouplingModel.load_cached(network, str(model_cache))
         assert repaired is not None
         np.testing.assert_array_equal(
             np.asarray(repaired.coupling_linear), built.coupling_linear
@@ -249,24 +235,25 @@ class TestDiskCache:
         "name", ["signal_linear", "insertion_loss_db", "coupling_linear"]
     )
     def test_wrong_dtype_signal_or_loss_rebuilds(
-        self, params, pip_cg, tmp_path, monkeypatch, name, bad_dtype
+        self, params, pip_cg, model_cache, name, bad_dtype
     ):
         """Every build keeps all three arrays at float64: an entry holding
         another dtype would shift scores, so it misses and is repaired."""
         from repro.core import MappingEvaluator, MappingProblem
         from repro.core.mapping import random_assignment_batch
+        from repro.models.coupling import set_model_cache_dir
 
-        monkeypatch.setattr(coupling_module, "_MODEL_CACHE_DIR", None)
         network = PhotonicNoC(mesh(3, 3), params=params)
-        CouplingModel.for_network(network, use_cache=False, cache_dir=str(tmp_path))
+        CouplingModel.for_network(network)
         key = CouplingModel.disk_key(network.signature)
-        planted = tmp_path / key / f"{name}.npy"
+        planted = model_cache / key / f"{name}.npy"
         with np.errstate(invalid="ignore"):  # int64 has no NaN
             np.save(planted, np.load(planted).astype(bad_dtype))
-        assert CouplingModel.load_cached(network, str(tmp_path)) is None
+        assert CouplingModel.load_cached(network, str(model_cache)) is None
 
         builds = coupling_module.BUILD_COUNT
-        CouplingModel.for_network(network, cache_dir=str(tmp_path))
+        clear_model_cache()  # the rebuild must not hide behind the process cache
+        CouplingModel.for_network(network)
         assert coupling_module.BUILD_COUNT == builds + 1
         assert np.load(planted).dtype == np.float64  # the entry is repaired
 
@@ -275,9 +262,10 @@ class TestDiskCache:
         )
         problem = MappingProblem(pip_cg, network, "snr")
         clear_model_cache()
-        cached = MappingEvaluator(problem, model_cache_dir=str(tmp_path))
+        cached = MappingEvaluator(problem)
         assert isinstance(cached.model.coupling_linear, np.memmap)
         clear_model_cache()
+        set_model_cache_dir(None)  # the model_cache fixture restores it
         fresh = MappingEvaluator(problem)
         assert not isinstance(fresh.model.coupling_linear, np.memmap)
         for got, want in zip(
@@ -286,14 +274,13 @@ class TestDiskCache:
             np.testing.assert_array_equal(got, want)
 
     def test_unwritable_cache_dir_falls_back_to_memory(self, params, tmp_path):
-        """A cache_dir that cannot be written (here: obstructed by a
-        plain file) must degrade to an ordinary in-memory build."""
+        """A cache directory that cannot be written (here: obstructed by
+        a plain file) must degrade to an ordinary in-memory build."""
         obstruction = tmp_path / "not-a-directory"
         obstruction.write_text("in the way")
         network = self._network(params)
-        model = CouplingModel.for_network(
-            network, use_cache=False, cache_dir=str(obstruction)
-        )
+        with model_cache_at(obstruction):
+            model = CouplingModel.for_network(network)
         reference = CouplingModel(network)
         np.testing.assert_array_equal(
             model.coupling_linear, reference.coupling_linear
@@ -310,57 +297,42 @@ class TestDiskCache:
         try:
             set_model_cache_dir(str(tmp_path))
             network = self._network(params)
-            CouplingModel.for_network(network, use_cache=False)
+            CouplingModel.for_network(network)
             key = CouplingModel.disk_key(network.signature)
             assert (tmp_path / key).is_dir()
         finally:
             set_model_cache_dir(previous)
 
-    def test_explicit_cache_dir_overrides_default(self, params, tmp_path, monkeypatch):
-        from repro.models.coupling import set_model_cache_dir
-
-        default_dir = tmp_path / "default"
-        explicit_dir = tmp_path / "explicit"
-        monkeypatch.setattr(coupling_module, "_MODEL_CACHE_DIR", None)
-        set_model_cache_dir(str(default_dir))
-        network = self._network(params)
-        CouplingModel.for_network(
-            network, use_cache=False, cache_dir=str(explicit_dir)
-        )
-        key = CouplingModel.disk_key(network.signature)
-        assert (explicit_dir / key).is_dir()
-        assert not default_dir.exists()
-
-    def test_evaluator_resolves_default_dir_for_pools(
-        self, params, pip_cg, tmp_path, monkeypatch
+    def test_local_pool_workers_get_the_parents_cache_dir(
+        self, params, pip_cg, model_cache
     ):
-        """The process-wide default must land on the evaluator (and thus
-        on the pools it creates), not stay an unresolved None."""
-        from repro.core import MappingEvaluator, MappingProblem
-        from repro.models.coupling import set_model_cache_dir
+        """Each local pool worker process reports the parent's model
+        cache directory: the pool initializer hands it over."""
+        from repro.core import MappingProblem
+        from repro.core.pool import get_pool, release_pools
+        from repro.models.coupling import get_model_cache_dir
 
-        monkeypatch.setattr(coupling_module, "_MODEL_CACHE_DIR", None)
-        set_model_cache_dir(str(tmp_path))
         network = PhotonicNoC(mesh(3, 3), params=params)
         problem = MappingProblem(pip_cg, network, "snr")
-        evaluator = MappingEvaluator(problem)
-        assert evaluator.model_cache_dir == str(tmp_path)
+        pool = get_pool(problem, 2)
+        try:
+            futures = [pool.submit(get_model_cache_dir) for _ in range(4)]
+            seen = {future.result() for future in futures}
+        finally:
+            release_pools(problem)
+        assert seen == {str(model_cache)}
 
-    def test_evaluator_threads_cache_dir(self, params, pip_cg, tmp_path):
+    def test_evaluator_threads_cache_dir(self, params, pip_cg, model_cache):
         from repro.core import MappingEvaluator, MappingProblem
 
         network = PhotonicNoC(mesh(3, 3), params=params)
         problem = MappingProblem(pip_cg, network, "snr")
         clear_model_cache()
-        with MappingEvaluator(
-            problem, model_cache_dir=str(tmp_path)
-        ) as evaluator:
+        with MappingEvaluator(problem) as evaluator:
             key = CouplingModel.disk_key(network.signature)
-            assert (tmp_path / key / "meta.json").is_file()
+            assert (model_cache / key / "meta.json").is_file()
             clear_model_cache()
-            with MappingEvaluator(
-                problem, model_cache_dir=str(tmp_path)
-            ) as warm:
+            with MappingEvaluator(problem) as warm:
                 assert isinstance(warm.model.coupling_linear, np.memmap)
                 metrics = warm.evaluate(
                     np.arange(pip_cg.n_tasks, dtype=np.int64)

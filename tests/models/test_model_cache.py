@@ -1,7 +1,7 @@
 """Coupling-model process cache and CSR view guarantees.
 
-The process cache is global state: a model built with
-``use_cache=False`` must stay out of the cache. The CSR triplet must
+The process cache is global state: a resolved model is the one every
+later resolve of the same network returns. The CSR triplet must
 describe exactly the dense matrix's nonzeros.
 """
 
@@ -25,18 +25,6 @@ class TestProcessCache:
         key = CouplingModel.cache_key(mesh3_network)
         assert coupling_module._CACHE[key] is model
         assert CouplingModel.for_network(mesh3_network) is model
-
-    def test_use_cache_false_does_not_seed_cache(self, mesh3_network):
-        key = CouplingModel.cache_key(mesh3_network)
-        model = CouplingModel.for_network(mesh3_network, use_cache=False)
-        assert key not in coupling_module._CACHE
-        # ...and does not read a previously cached instance either.
-        cached = CouplingModel.for_network(mesh3_network)
-        assert (
-            CouplingModel.for_network(mesh3_network, use_cache=False)
-            is not cached
-        )
-        assert model is not cached
 
 
 class TestCouplingCSR:

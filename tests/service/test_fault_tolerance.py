@@ -70,11 +70,8 @@ class TestPolicyDegrade:
     def test_degraded_request_is_bit_identical_and_reported(self, monkeypatch):
         monkeypatch.setenv("PHONOCMAP_WORKER_WAIT_TIMEOUT_S", "0.5")
         monkeypatch.setenv("PHONOCMAP_DEGRADE_TO", "inline")
-        core = ServiceCore(
-            n_workers=2,
-            executor="tcp://127.0.0.1:0",
-            on_worker_loss="degrade",
-        )
+        monkeypatch.setenv("PHONOCMAP_ON_WORKER_LOSS", "degrade")
+        core = ServiceCore(n_workers=2, executor="tcp://127.0.0.1:0")
         try:
             body, status = core.handle(
                 {"kind": "evaluate", "app": "pip", "seed": 3, "n_random": ROWS}

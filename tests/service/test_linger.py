@@ -209,11 +209,11 @@ class TestLingerStats:
 
 class TestModelResolveLock:
     def test_cold_build_blocks_only_its_own_architecture(
-        self, monkeypatch, tmp_path
+        self, monkeypatch, model_cache
     ):
         """A held cold build stalls its own key, not a warm one."""
         clear_model_cache()
-        core = ServiceCore(n_workers=1, model_cache_dir=str(tmp_path))
+        core = ServiceCore(n_workers=1)
         warm = {"kind": "evaluate", "app": "pip", "n_random": 4, "seed": 1}
         cold = {"kind": "evaluate", "app": "pip", "topology": "torus",
                 "n_random": 4, "seed": 2}

@@ -12,12 +12,16 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.distribution import random_mapping_distribution
 from repro.analysis.experiments import build_case_study_network
 from repro.appgraph.benchmarks import grid_side_for, load_benchmark
@@ -695,20 +699,19 @@ class TestCoalescing:
 
 
 class TestWarmRestart:
-    def test_restart_with_model_cache_loads_memmaps(self, tmp_path):
+    def test_restart_with_model_cache_loads_memmaps(self, model_cache):
         """A restarted daemon must warm-load models, not rebuild them."""
-        cache = str(tmp_path / "models")
         request = {"kind": "evaluate", "app": "pip", "seed": 2, "n_random": 4}
 
         clear_model_cache()  # cold daemon: force a real build + disk save
-        first = ServiceCore(model_cache_dir=cache)
+        first = ServiceCore()
         body_cold, status = first.handle(request)
         assert status == 200, body_cold
         first.close(timeout=30)
         pool_registry.shutdown_pools()
         clear_model_cache()  # drop the in-process registry: fresh daemon
 
-        second = ServiceCore(model_cache_dir=cache)
+        second = ServiceCore()
         try:
             body_warm, status = second.handle(request)
             assert status == 200, body_warm
@@ -728,6 +731,35 @@ class TestWarmRestart:
             second.close(timeout=30)
             pool_registry.shutdown_pools()
             clear_model_cache()
+
+
+class TestStatsSettings:
+    def test_stats_reports_the_model_cache_set_by_the_environment(self, tmp_path):
+        """A daemon given ``PHONOCMAP_MODEL_CACHE`` and no directory
+        argument reports the directory its evaluators read and write."""
+        code = (
+            "import json\n"
+            "from repro.service import ServiceCore\n"
+            "print(json.dumps(ServiceCore().stats()['model_cache_dir']))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, PHONOCMAP_MODEL_CACHE=str(tmp_path))
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert json.loads(completed.stdout) == str(tmp_path)
+
+    def test_stats_reads_the_live_process_settings(self, model_cache, monkeypatch):
+        monkeypatch.setenv("PHONOCMAP_ON_WORKER_LOSS", "degrade")
+        core = ServiceCore()
+        try:
+            stats = core.stats()
+            assert stats["model_cache_dir"] == str(model_cache)
+            assert stats["on_worker_loss"] == "degrade"
+        finally:
+            core.close(timeout=30)
 
 
 class TestTransports:
