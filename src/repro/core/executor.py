@@ -7,6 +7,8 @@ one small protocol, :class:`ExecutorBackend`:
 
 * :meth:`ExecutorBackend.submit` / :meth:`ExecutorBackend.map_shards`
   queue task functions and return :class:`concurrent.futures.Future`\\ s;
+  the backend passes each task function the
+  :class:`~repro.core.parallel.WorkerContext` of the worker it runs on;
 * :meth:`ExecutorBackend.alive` / :attr:`ExecutorBackend.broken` are the
   health surface the pool registry (:mod:`repro.core.pool`) uses to
   decide when a backend must be rebuilt;
@@ -21,10 +23,9 @@ Three implementations exist:
   coupling model by cache key, from the process cache they inherit
   through fork (else the on-disk model cache, else a build);
 * :class:`InlineBackend` — runs every task synchronously in the calling
-  thread under an activated
-  :class:`~repro.core.parallel.WorkerContext`. Zero processes: the
-  debugging / 1-CPU-CI backend, and the reference the parity suite
-  holds the others to;
+  thread against its own :class:`~repro.core.parallel.WorkerContext`.
+  Zero processes: the debugging / 1-CPU-CI backend, and the reference
+  the parity suite holds the others to;
 * :class:`~repro.distributed.scheduler.RemoteTcpBackend` — dispatches
   tasks over TCP to ``phonocmap worker`` processes (possibly on other
   hosts), which resolve the coupling model by cache key like a local
@@ -46,8 +47,8 @@ backend broken. Both fan-out callers use it
 Determinism: a backend only ever decides *where* a task function runs.
 Both task functions (:func:`repro.core.parallel.run_strategy_task`,
 :func:`repro.core.parallel.evaluate_shard_task`) are pure functions of
-their arguments, so placement, retry and reassignment cannot change any
-result — the cross-backend parity suite
+their context's problem and their arguments, so placement, retry and
+reassignment cannot change any result — the cross-backend parity suite
 (``tests/distributed/test_executor_parity.py``) enforces bit-identity
 per ``(seed, n_workers)`` across all three backends.
 """
@@ -190,8 +191,10 @@ class ExecutorBackend:
 
     # -- the protocol --------------------------------------------------------
 
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        """Submit a task, with backend-owned failure bookkeeping.
+    def submit(self, fn, /, *args) -> Future:
+        """Submit ``fn(context, *args)``, with backend-owned failure
+        bookkeeping; ``context`` is the worker's
+        :class:`~repro.core.parallel.WorkerContext`.
 
         A submit-time failure (the executor cannot accept work at all)
         marks the backend broken and re-raises; the next ``get_pool``
@@ -201,7 +204,7 @@ class ExecutorBackend:
         pool worker, exhausted remote retries — break the backend.
         """
         try:
-            future = self._submit(fn, *args, **kwargs)
+            future = self._submit(fn, *args)
         except Exception:
             self.broken = True
             raise
@@ -210,7 +213,7 @@ class ExecutorBackend:
         return future
 
     def map_shards(self, fn, shards: Sequence, *args) -> List[Future]:
-        """Submit ``fn(shard, *args)`` for every shard, in order."""
+        """Submit ``fn(context, shard, *args)`` for every shard, in order."""
         return [self.submit(fn, shard, *args) for shard in shards]
 
     def alive(self) -> bool:
@@ -233,7 +236,7 @@ class ExecutorBackend:
 
     # -- shared plumbing -----------------------------------------------------
 
-    def _submit(self, fn, /, *args, **kwargs) -> Future:
+    def _submit(self, fn, /, *args) -> Future:
         raise NotImplementedError
 
     def note_retry(self, n_tasks: int = 1) -> None:
@@ -273,7 +276,7 @@ class FanOut:
     * a task-level exception is deterministic — it would fail the same
       way on a fresh backend — so it is never resubmitted.
 
-    Task functions are pure functions of their arguments and nothing
+    Task functions are pure functions of their inputs and nothing
     has been collected before a resubmission, so a retried fan-out is
     bit-identical to an unretried one.
     """
@@ -361,8 +364,10 @@ class LocalProcessBackend(ExecutorBackend):
             raise RuntimeError("pool has been shut down")
         return self._executor
 
-    def _submit(self, fn, /, *args, **kwargs) -> Future:
-        return self.executor.submit(fn, *args, **kwargs)
+    def _submit(self, fn, /, *args) -> Future:
+        from repro.core import parallel as _parallel
+
+        return self.executor.submit(_parallel._run_in_worker, fn, *args)
 
     def alive(self) -> bool:
         """Whether the pool can still accept submissions."""
@@ -382,16 +387,14 @@ class LocalProcessBackend(ExecutorBackend):
 class InlineBackend(ExecutorBackend):
     """Serial in-process backend: every task runs in the calling thread.
 
-    The task functions resolve their evaluators through this backend's
-    own :class:`~repro.core.parallel.WorkerContext`, activated
-    thread-locally around each call — exactly the state a pool worker
-    process would hold, minus the process. ``n_workers`` stays the
-    *logical* decomposition knob (how many shards/chains the caller
-    splits work into), which is what keeps inline results bit-identical
-    to every other backend for the same ``(seed, n_workers)``.
-
-    Thread-safe: concurrent submitters (e.g. the service daemon's
-    coalescer threads) each activate the context on their own thread.
+    Every task function gets this backend's own
+    :class:`~repro.core.parallel.WorkerContext` — exactly the state a
+    pool worker process would hold, minus the process. ``n_workers``
+    stays the *logical* decomposition knob (how many shards/chains the
+    caller splits work into), which is what keeps inline results
+    bit-identical to every other backend for the same
+    ``(seed, n_workers)``. Concurrent submitters (e.g. the service
+    daemon's coalescer threads) share the context.
     """
 
     kind = "inline"
@@ -408,16 +411,13 @@ class InlineBackend(ExecutorBackend):
         self._context = _parallel.WorkerContext(problem)
         self._closed = False
 
-    def _submit(self, fn, /, *args, **kwargs) -> Future:
-        from repro.core import parallel as _parallel
-
+    def _submit(self, fn, /, *args) -> Future:
         if self._closed:
             raise RuntimeError("pool has been shut down")
         future: Future = Future()
         future.set_running_or_notify_cancel()
         try:
-            with _parallel.activate_context(self._context):
-                result = fn(*args, **kwargs)
+            result = fn(self._context, *args)
         except BaseException as error:  # noqa: BLE001 — forwarded via future
             future.set_exception(error)
         else:

@@ -24,11 +24,14 @@ matrix. A worker that did not fork from the parent, such as a
 cache or, at worst, builds it and saves it there.
 
 Since PR 3 the executors themselves are owned by :mod:`repro.core.pool`
-and persist across calls: workers are initialized with a *problem* (not
-an evaluator) and build evaluators lazily per objective via
-:func:`worker_evaluator`, and :func:`evaluate_shard_task` lets the same
+and persist across calls: each worker holds a :class:`WorkerContext`
+built from a *problem* (not an evaluator), which builds evaluators
+lazily per objective, and :func:`evaluate_shard_task` lets the same
 pool score row shards of one giant ``evaluate_batch`` call (see
-:meth:`repro.core.evaluator.MappingEvaluator.evaluate_batch`).
+:meth:`repro.core.evaluator.MappingEvaluator.evaluate_batch`). A task
+function takes the context of the worker that runs it as its first
+argument, which every backend supplies; :data:`TASKS` names the task
+functions on the TCP wire.
 
 Budget accounting: every worker task returns an
 :class:`~repro.core.result.OptimizationResult` whose ``evaluations`` field
@@ -39,8 +42,6 @@ comparisons against sequential runs stay fair.
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -54,13 +55,11 @@ from repro.errors import OptimizationError
 from repro.models.coupling import set_model_cache_dir
 
 __all__ = [
+    "TASKS",
     "WorkerContext",
-    "activate_context",
-    "current_context",
     "split_budget",
     "spawn_seeds",
     "merge_chain_results",
-    "worker_evaluator",
     "run_strategy_task",
     "evaluate_shard_task",
 ]
@@ -147,9 +146,9 @@ class WorkerContext:
 
     Where a context lives depends on the backend: a pool worker process
     holds exactly one (installed by :func:`_init_worker`); the inline
-    backend holds one per backend instance and activates it
-    thread-locally around each task; a ``phonocmap worker`` process
-    holds one per scheduler-initialized pool key.
+    backend holds one per backend instance; a ``phonocmap worker``
+    process holds one per scheduler-initialized pool key. Each backend
+    passes its context to every task function it runs.
     """
 
     def __init__(self, problem: MappingProblem):
@@ -178,47 +177,8 @@ class WorkerContext:
         return evaluator
 
 
-#: The process-wide default context (a pool worker's, set by
-#: :func:`_init_worker`); thread-locally overridden via
-#: :func:`activate_context` by backends running tasks in-process.
+#: A pool worker process's context, installed by :func:`_init_worker`.
 _PROCESS_CONTEXT: Optional[WorkerContext] = None
-
-_THREAD_CONTEXT = threading.local()
-
-
-@contextlib.contextmanager
-def activate_context(context: WorkerContext):
-    """Make ``context`` the current one on this thread for the block.
-
-    Thread-local, so concurrent inline submitters (the service daemon's
-    coalescer threads) never see each other's contexts; nesting restores
-    the previous context on exit.
-    """
-    previous = getattr(_THREAD_CONTEXT, "context", None)
-    _THREAD_CONTEXT.context = context
-    try:
-        yield context
-    finally:
-        _THREAD_CONTEXT.context = previous
-
-
-def current_context() -> WorkerContext:
-    """The context task functions resolve against on this thread.
-
-    Resolution order: the thread-locally activated context (inline and
-    remote-worker execution), then the process-wide one (pool worker
-    processes). Raises when neither exists — a task function was called
-    outside any executor.
-    """
-    context = getattr(_THREAD_CONTEXT, "context", None)
-    if context is None:
-        context = _PROCESS_CONTEXT
-    if context is None:
-        raise RuntimeError(
-            "no active worker context: task functions run inside an "
-            "executor backend (or under parallel.activate_context)"
-        )
-    return context
 
 
 def _init_worker(problem: MappingProblem, cache_dir: Optional[str]) -> None:
@@ -238,27 +198,13 @@ def _init_worker(problem: MappingProblem, cache_dir: Optional[str]) -> None:
     _PROCESS_CONTEXT = WorkerContext(problem)
 
 
-def worker_evaluator(objective=None) -> MappingEvaluator:
-    """The current context's evaluator for ``objective``.
-
-    Parameters
-    ----------
-    objective : Objective or str, optional
-        Objective of the evaluator; defaults to the objective of the
-        problem the context was initialized with. Building an evaluator
-        for a second objective is cheap — the coupling model is shared
-        through the process cache.
-
-    Returns
-    -------
-    MappingEvaluator
-        The cached per-objective evaluator of the current
-        :class:`WorkerContext` (see :func:`current_context`).
-    """
-    return current_context().evaluator(objective)
+def _run_in_worker(fn, *args):
+    """Pool-worker trampoline: ``fn`` against this process's context."""
+    return fn(_PROCESS_CONTEXT, *args)
 
 
 def run_strategy_task(
+    context: WorkerContext,
     strategy: Union[str, MappingStrategy],
     budget: int,
     seed,
@@ -269,6 +215,8 @@ def run_strategy_task(
 
     Parameters
     ----------
+    context : WorkerContext
+        The running worker's state; supplies the evaluator.
     strategy : str or MappingStrategy
         A registry name (instantiated here, so hyperparameter defaults
         apply) or a pickled strategy instance — either way this worker
@@ -292,18 +240,22 @@ def run_strategy_task(
     OptimizationResult
         The completed run, with its actual evaluation spend.
     """
-    evaluator = worker_evaluator(objective)
+    evaluator = context.evaluator(objective)
     if isinstance(strategy, str):
         strategy = create_strategy(strategy)
     rng = np.random.default_rng(seed)
     return strategy.optimize(evaluator, budget, rng, use_delta=use_delta)
 
 
-def evaluate_shard_task(assignments: np.ndarray, names=None):
+def evaluate_shard_task(
+    context: WorkerContext, assignments: np.ndarray, names=None
+):
     """One worker task: score one shard of an ``evaluate_batch`` call.
 
     Parameters
     ----------
+    context : WorkerContext
+        The running worker's state; supplies the evaluator.
     assignments : numpy.ndarray
         ``(m, n_tasks)`` slice of the parent's batch (rows are trusted
         valid, exactly like ``evaluate_batch``).
@@ -314,7 +266,7 @@ def evaluate_shard_task(assignments: np.ndarray, names=None):
     Returns
     -------
     tuple of numpy.ndarray
-        Per-row metric vectors, one per name in the worker evaluator's
+        Per-row metric vectors, one per name in the context evaluator's
         ``table_names`` (the base tables, plus the robust column when
         the pool's problem carries a variation plan — identical to the
         parent's set because the variation fingerprint is part of the
@@ -328,5 +280,10 @@ def evaluate_shard_task(assignments: np.ndarray, names=None):
     (every reduction runs within a row), so the parent's concatenation
     is bit-identical to evaluating the whole batch sequentially.
     """
-    evaluator = worker_evaluator()
+    evaluator = context.evaluator()
     return evaluator._evaluate_rows(np.asarray(assignments, dtype=np.int64), names)
+
+
+#: Task functions by wire name: what a TCP scheduler sends and a
+#: ``phonocmap worker`` runs. The one registry both sides read.
+TASKS = {"strategy": run_strategy_task, "shard": evaluate_shard_task}

@@ -16,7 +16,7 @@ This module owns the executors instead:
   n_workers, executor spec)`` — everything the worker-side
   evaluator depends on *except* the objective (the noise kernel follows
   from the CG and the model). Workers cache one evaluator per
-  objective (see :func:`repro.core.parallel.worker_evaluator`), so the
+  objective (see :class:`repro.core.parallel.WorkerContext`), so the
   two objective passes of a Table II cell reuse one warm pool. The
   executor spec (``"local"`` / ``"inline"`` / ``"tcp://HOST:PORT"``)
   selects the implementation; ``"local"`` keeps the historical
@@ -68,8 +68,10 @@ __all__ = [
 
 #: Maximum number of live pools; the least recently used one is shut down
 #: when the cap is hit. Each pool holds ``n_workers`` idle processes, so
-#: the cap bounds resident worker count during many-problem sweeps.
-MAX_POOLS = 3
+#: the cap bounds resident worker count during many-problem sweeps. It
+#: fits the 8 Fig. 3 applications, so a process that sweeps them more
+#: than once finds every pool of the previous pass still warm.
+MAX_POOLS = 8
 
 #: key -> pool, in least-recently-used-first order.
 _POOLS: "OrderedDict[Tuple, ExecutorBackend]" = OrderedDict()
@@ -270,9 +272,8 @@ def executor_stats() -> dict:
 
     One :meth:`~repro.core.executor.ExecutorBackend.info` dict per
     registered backend plus cross-backend totals — the executor section
-    of the service ``stats`` endpoint. Registry stand-ins without an
-    ``info`` method (tests plant fakes) are skipped. Task counts sum
-    each backend's own; TCP backends sharing a hub share its fleet, so
+    of the service ``stats`` endpoint. Task counts sum each backend's
+    own; TCP backends sharing a hub share its fleet, so
     each hub address's connected workers count once.
     """
     with _LOCK:
@@ -287,10 +288,7 @@ def executor_stats() -> dict:
     }
     hub_workers = {}
     for pool in pools:
-        info_method = getattr(pool, "info", None)
-        if info_method is None:
-            continue
-        info = info_method()
+        info = pool.info()
         backends.append(info)
         totals["tasks_dispatched"] += info.get("tasks_dispatched", 0)
         totals["tasks_retried"] += info.get("tasks_retried", 0)

@@ -305,9 +305,9 @@ class WorkerHub:
             self._drain_pending(error)
             raise error
 
-    def submit(self, ctx_id: str, fn_name: str, args, kwargs, backend) -> Future:
+    def submit(self, ctx_id: str, fn_name: str, args: tuple, backend) -> Future:
         """Queue one task for any worker; returns its future."""
-        task = _Task(ctx_id, fn_name, wire.encode_payload((args, kwargs)), backend)
+        task = _Task(ctx_id, fn_name, wire.encode_payload(args), backend)
         with self._lock:
             self.tasks_dispatched += 1
         self._tasks.put(task)
@@ -621,8 +621,7 @@ class WorkerHub:
         if task.attempts < MAX_TASK_ATTEMPTS and survivors > 0:
             with self._lock:
                 self.tasks_retried += 1
-            if task.backend is not None:
-                task.backend.note_retry()
+            task.backend.note_retry()
             self._tasks.put(task)
             return
         reason = (
@@ -636,14 +635,11 @@ class WorkerHub:
 
     def _fail_or_degrade(self, task: _Task, error: BaseException) -> None:
         """Fail a task's future, unless its backend rescues it first."""
-        backend = task.backend
-        rescue = getattr(backend, "degrade_task", None)
-        if rescue is not None:
-            try:
-                if rescue(task):
-                    return
-            except Exception:
-                pass  # a broken fallback must not mask the real error
+        try:
+            if task.backend.degrade_task(task):
+                return
+        except Exception:
+            pass  # a broken fallback must not mask the real error
         _fail_future(task.future, error)
 
     def _drain_pending(self, error: BaseException) -> int:
@@ -741,22 +737,13 @@ class RemoteTcpBackend(ExecutorBackend):
         self._ctx_id = hashlib.sha1(repr(key).encode()).hexdigest()[:16]
         self.hub.register_context(self._ctx_id, problem)
 
-    @staticmethod
-    def _task_function(fn_name: str):
-        return (
-            _parallel.run_strategy_task
-            if fn_name == "strategy"
-            else _parallel.evaluate_shard_task
-        )
-
-    def _submit(self, fn, /, *args, **kwargs) -> Future:
+    def _submit(self, fn, /, *args) -> Future:
         if self._closed:
             raise RuntimeError("pool has been shut down")
-        if fn is _parallel.run_strategy_task:
-            fn_name = "strategy"
-        elif fn is _parallel.evaluate_shard_task:
-            fn_name = "shard"
-        else:
+        fn_name = next(
+            (name for name, known in _parallel.TASKS.items() if known is fn), None
+        )
+        if fn_name is None:
             raise ExecutorError(
                 f"{fn!r} is not a registered distributed task function"
             )
@@ -765,7 +752,7 @@ class RemoteTcpBackend(ExecutorBackend):
                 self.degraded = False  # fleet recovered: back to remote
             else:
                 self.tasks_degraded += 1
-                return self._fallback().submit(fn, *args, **kwargs)
+                return self._fallback().submit(fn, *args)
         try:
             self.hub.ensure_worker()
         except WorkerLostError:
@@ -773,8 +760,8 @@ class RemoteTcpBackend(ExecutorBackend):
                 raise
             self.degraded = True
             self.tasks_degraded += 1
-            return self._fallback().submit(fn, *args, **kwargs)
-        return self.hub.submit(self._ctx_id, fn_name, args, kwargs, self)
+            return self._fallback().submit(fn, *args)
+        return self.hub.submit(self._ctx_id, fn_name, args, self)
 
     # -- degradation ---------------------------------------------------------
 
@@ -787,10 +774,8 @@ class RemoteTcpBackend(ExecutorBackend):
         """
         if self._closed or self.on_worker_loss != "degrade":
             return False
-        fallback = self._fallback()
-        fn = self._task_function(task.fn_name)
-        args, kwargs = wire.decode_payload(task.payload)
-        inner = fallback.submit(fn, *args, **kwargs)
+        fn = _parallel.TASKS[task.fn_name]
+        inner = self._fallback().submit(fn, *wire.decode_payload(task.payload))
         self.degraded = True
         self.tasks_degraded += 1
         _chain_future(inner, task.future)

@@ -18,14 +18,16 @@ newline-JSON wire protocol (:mod:`repro.distributed.wire`):
     ``task_deadline_s`` must exceed that unless the cache is warm.
 
 ``task``
-    Names a registered task function (``"strategy"`` →
-    :func:`repro.core.parallel.run_strategy_task`, ``"shard"`` →
-    :func:`repro.core.parallel.evaluate_shard_task`) plus pickled
-    arguments. The task runs under the context built by ``init`` —
-    exactly the state a local pool worker holds — so results are
-    bit-identical to any other backend. Task-level exceptions are
-    pickled back whole (the scheduler re-raises the original exception,
-    matching local-pool semantics) and do **not** kill the worker.
+    Names a task function by its key in
+    :data:`repro.core.parallel.TASKS` (``"strategy"`` →
+    :func:`~repro.core.parallel.run_strategy_task`, ``"shard"`` →
+    :func:`~repro.core.parallel.evaluate_shard_task`) plus its pickled
+    positional arguments. The worker passes the function the context
+    built by ``init`` — exactly the state a local pool worker holds — so
+    results are bit-identical to any other backend. Task-level
+    exceptions are pickled back whole (the scheduler re-raises the
+    original exception, matching local-pool semantics) and do **not**
+    kill the worker.
 
 ``ping`` / ``shutdown``
     Liveness probe (the hub's heartbeat) / graceful exit.
@@ -69,12 +71,6 @@ from repro.distributed import chaos, wire
 from repro.errors import ProtocolError
 
 __all__ = ["run_worker"]
-
-#: Registered task functions a scheduler may dispatch, by wire name.
-TASK_FUNCTIONS = {
-    "strategy": _parallel.run_strategy_task,
-    "shard": _parallel.evaluate_shard_task,
-}
 
 #: Per-message socket timeout: a scheduler silent for this long means
 #: the link is gone (the hub heartbeats idle workers far more often).
@@ -222,10 +218,8 @@ def _run_task(contexts: dict, message: dict) -> dict:
     task_id = message.get("task_id")
     try:
         context = contexts[message["ctx_id"]]
-        fn = TASK_FUNCTIONS[message["fn"]]
-        args, kwargs = wire.decode_payload(message["payload"])
-        with _parallel.activate_context(context):
-            result = fn(*args, **kwargs)
+        fn = _parallel.TASKS[message["fn"]]
+        result = fn(context, *wire.decode_payload(message["payload"]))
         return {
             "op": "result",
             "task_id": task_id,

@@ -39,6 +39,7 @@ from repro.core.registry import create_strategy
 from repro.core.result import OptimizationResult
 from repro.errors import ExecutorError, ReproError, ServiceError
 from repro.models.coupling import CouplingModel, get_model_cache_dir
+from repro.photonics.parameters import VariationSpec
 from repro.service.coalesce import BatchCoalescer, CoalescingEvaluator
 from repro.service.schema import (
     ServiceRequest,
@@ -166,6 +167,8 @@ class ServiceCore:
             request = parse_request(payload, default_routes=self.default_routes)
         except ServiceError as error:
             return error_response(error)
+        except Exception as error:  # noqa: BLE001 — daemon must survive
+            return error_response(_internal(error))
         if request.kind == "stats":
             # Always answered, even when the queue is full or the daemon
             # is draining — it is the observability endpoint.
@@ -226,11 +229,7 @@ class ServiceCore:
                 ServiceError(str(error), status=400, kind="repro_error")
             )
         except Exception as error:  # noqa: BLE001 — daemon must survive
-            return error_response(
-                ServiceError(
-                    f"internal error: {error!r}", status=500, kind="internal"
-                )
-            )
+            return error_response(_internal(error))
         finally:
             self._queue_slots.release()
             with self._idle:
@@ -307,7 +306,12 @@ class ServiceCore:
 
     def _check_caps(self, request: ServiceRequest) -> None:
         """Enforce the per-request model-size, budget, sample and
-        random-row caps, before any network is built."""
+        random-row caps, before any network is built.
+
+        Each variation sample builds one more model of the request's
+        size, so a request may build at most the slots the default plan
+        takes at the per-model cap.
+        """
         side, routes = request.grid_side, request.routes
         # side^4 * routes > cap, decided without raising an unbounded
         # request value to the fourth power.
@@ -316,6 +320,19 @@ class ServiceCore:
                 f"side {side} at routes {routes} needs a coupling model "
                 f"over the per-request cap of {_MAX_MODEL_SLOTS} slots "
                 "((side^2)^2 x routes)",
+                kind="over_budget",
+            )
+        plan = request.variation
+        if plan is None and spec_for(request.objective).requires_variation:
+            plan = VariationSpec()  # the plan MappingProblem attaches
+        samples = 0 if plan is None else plan.n_samples
+        cap = _MAX_MODEL_SLOTS * (1 + VariationSpec.n_samples)
+        if (1 + samples) * side**4 * routes > cap:
+            raise ServiceError(
+                f"{samples} variation samples at side {side} and routes "
+                f"{routes} need {1 + samples} coupling models, over the "
+                f"per-request cap of {cap} slots "
+                "((1 + samples) x (side^2)^2 x routes)",
                 kind="over_budget",
             )
         if request.kind == "optimize" and request.budget > self.limits.max_budget:
@@ -523,6 +540,11 @@ class ServiceCore:
             },
             "coalescing": {"per_key": per_key, "totals": totals},
         }
+
+
+def _internal(error: Exception) -> ServiceError:
+    """The structured 500 of an unexpected failure."""
+    return ServiceError(f"internal error: {error!r}", status=500, kind="internal")
 
 
 def _scored_in_batches(request: ServiceRequest) -> bool:

@@ -76,9 +76,9 @@ def _require(condition: bool, message: str, kind: str = "bad_request") -> None:
 
 
 def _int_field(payload: dict, name: str, default, minimum: int = 1):
-    value = payload.get(name, default)
-    if value is None:
-        return None
+    value = payload.get(name)
+    if value is None:  # absent, or an explicit null
+        return default
     try:
         value = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -246,9 +246,10 @@ def parse_request(
 def _parse_variation(payload: dict) -> Optional[VariationSpec]:
     """Build the request's process-variation plan, if any field is set.
 
-    Absent fields mean "no explicit plan": the problem layer attaches the
-    default plan when the objective requires one, so a plain
-    ``robust_snr`` request and the offline default agree bit-for-bit.
+    Absent (or null) fields mean "no explicit plan": the problem layer
+    attaches the default plan when the objective requires one, so a
+    plain ``robust_snr`` request and the offline default agree
+    bit-for-bit.
     """
     names = (
         "variation_samples",
@@ -256,16 +257,17 @@ def _parse_variation(payload: dict) -> Optional[VariationSpec]:
         "variation_seed",
         "variation_quantile",
     )
-    if not any(name in payload for name in names):
+    if all(payload.get(name) is None for name in names):
         return None
     n_samples = _int_field(payload, "variation_samples", 8, minimum=1)
     seed = _int_field(payload, "variation_seed", 0, minimum=0)
+    sigma = payload.get("variation_sigma")
+    quantile = payload.get("variation_quantile")
     try:
-        sigma = float(payload.get("variation_sigma", 0.02))
-        quantile = payload.get("variation_quantile")
+        sigma = 0.02 if sigma is None else float(sigma)
         if quantile is not None:
             quantile = float(quantile)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ServiceError(
             "variation_sigma / variation_quantile must be numbers"
         ) from None
@@ -289,7 +291,7 @@ def _parse_assignments(
     """
     try:
         assignments = np.asarray(mappings, dtype=np.int64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ServiceError(
             "field 'mappings' must be a list of integer assignment rows"
         ) from None

@@ -22,7 +22,6 @@ import pytest
 
 from repro.analysis.experiments import build_case_study_network
 from repro.appgraph.benchmarks import grid_side_for, load_benchmark
-from repro.core import pool as pool_registry
 from repro.core.dse import DesignSpaceExplorer
 from repro.core.evaluator import MappingEvaluator
 from repro.core.executor import (
@@ -249,20 +248,6 @@ class TestExecutorStats:
             hub.close()
             worker.join(timeout=30)
         assert not worker.is_alive()
-
-    def test_stats_skips_registry_stand_ins(self, problem):
-        class Fake:
-            broken = False
-
-            def close(self, wait=True):
-                pass
-
-        key = ("fake", "fake")
-        pool_registry._register_pool(key, Fake())
-        try:
-            executor_stats()  # must not raise on info-less stand-ins
-        finally:
-            pool_registry._POOLS.pop(key, None)
 
 
 class TestFanOut:

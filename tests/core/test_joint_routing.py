@@ -328,11 +328,9 @@ class TestRoutedPoolKey:
         assert not any("routes" in str(part) for part in key)
 
 
-def _worker_model_routes():
+def _worker_model_routes(context):
     """Pool task: the route count of the worker evaluator's model."""
-    from repro.core.parallel import worker_evaluator
-
-    return worker_evaluator().model.routes
+    return context.evaluator().model.routes
 
 
 class TestRoutedPools:

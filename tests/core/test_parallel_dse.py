@@ -14,8 +14,16 @@ The contract (module docstring of :mod:`repro.core.dse`):
 import numpy as np
 import pytest
 
-from repro.core import DesignSpaceExplorer, MappingProblem
-from repro.core.parallel import merge_chain_results, spawn_seeds, split_budget
+from repro.core import DesignSpaceExplorer, MappingEvaluator, MappingProblem
+from repro.core.mapping import random_assignment_batch
+from repro.core.parallel import (
+    WorkerContext,
+    evaluate_shard_task,
+    merge_chain_results,
+    run_strategy_task,
+    spawn_seeds,
+    split_budget,
+)
 from repro.errors import OptimizationError
 
 STRATEGIES = ("rs", "r-pbla", "tabu")
@@ -199,6 +207,30 @@ class TestChainMerge:
     def test_merge_rejects_empty(self):
         with pytest.raises(OptimizationError):
             merge_chain_results([])
+
+
+class TestTaskFunctions:
+    """A task function needs its context and arguments, no backend."""
+
+    def test_shard_task_scores_like_the_evaluator(self, problem):
+        rows = random_assignment_batch(
+            16, problem.cg.n_tasks, problem.n_tiles, np.random.default_rng(4)
+        )
+        tables = evaluate_shard_task(WorkerContext(problem), rows)
+        reference = MappingEvaluator(problem)._evaluate_rows(rows)
+        assert len(tables) == len(reference)
+        for got, want in zip(tables, reference):
+            np.testing.assert_array_equal(got, want)
+
+    def test_strategy_task_runs_like_the_explorer(self, problem):
+        result = run_strategy_task(WorkerContext(problem), "sa", 300, 5, True)
+        inline = DesignSpaceExplorer(problem).run("sa", budget=300, seed=5)
+        assert result.best_score == inline.best_score
+        np.testing.assert_array_equal(
+            result.best_mapping.assignment, inline.best_mapping.assignment
+        )
+        assert result.evaluations == inline.evaluations
+        assert result.history == inline.history
 
 
 class TestWorkerModelHydration:

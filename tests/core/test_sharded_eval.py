@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.distribution import random_mapping_distribution
+from repro.analysis.experiments import reproduce_fig3
+from repro.appgraph.benchmarks import BENCHMARK_NAMES
 from repro.core import (
     DesignSpaceExplorer,
     MappingEvaluator,
@@ -302,11 +304,40 @@ class TestPersistentPools:
         finally:
             pool_registry.release_pools(snr)
 
-    def test_lru_bounds_live_pools(self, evaluator):
+    def test_lru_bounds_live_pools(self, evaluator, monkeypatch):
+        monkeypatch.setattr(pool_registry, "MAX_POOLS", 3)
         batch = batch_of(evaluator, 8)
-        for workers in (2, 3, 4, 5):
+        evaluator.evaluate_batch(batch, n_workers=2, min_shard_rows=1)
+        oldest = pool_registry._POOLS[pool_registry.pool_key(evaluator.problem, 2)]
+        for workers in (3, 4, 5):
             evaluator.evaluate_batch(batch, n_workers=workers, min_shard_rows=1)
-        assert len(pool_registry._POOLS) <= pool_registry.MAX_POOLS
+        assert len(pool_registry._POOLS) <= 3
+        assert oldest not in pool_registry._POOLS.values()
+        assert not oldest.alive()  # evicted pools are shut down
+
+    def test_fig3_passes_reuse_every_pool(self, monkeypatch):
+        """A second Fig. 3 pass over the 8 applications finds every pool
+        of the first still warm: the LRU fits the whole set."""
+        pool_registry.shutdown_pools()
+        built = []
+        build = pool_registry._build_backend
+
+        def counted(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(pool_registry, "_build_backend", counted)
+        try:
+            reproduce_fig3(n_samples=256, n_workers=2)
+            assert len(built) == len(BENCHMARK_NAMES)
+            first = list(built)
+            reproduce_fig3(n_samples=256, n_workers=2)
+            assert built == first  # nothing rebuilt
+            assert all(pool.alive() for pool in first)
+            live = list(pool_registry._POOLS.values())
+            assert all(pool in live for pool in first)
+        finally:
+            pool_registry.shutdown_pools()
 
     def test_close_shuts_down_this_problems_pools(self, problem):
         ev = MappingEvaluator(problem)

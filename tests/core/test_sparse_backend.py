@@ -30,10 +30,10 @@ from repro.core import (
     MappingProblem,
     SNR_CAP_DB,
 )
+from repro.core import parallel
 from repro.core import pool as pool_registry
 from repro.core.evaluator import SPARSE_AUTO_FACTOR
 from repro.core.mapping import random_assignment_batch
-from repro.core.parallel import evaluate_shard_task
 from repro.distributed import worker as worker_module
 from repro.distributed.scheduler import get_hub
 from repro.models import coupling as coupling_module
@@ -76,19 +76,15 @@ def _derived_array(model, backend):
     return model.csr().values if backend == "sparse" else model.coupling_linear_T
 
 
-def _worker_model_probe(backend):
+def _worker_model_probe(context, backend):
     """Pool task: the worker's build count and its derived array's address."""
-    from repro.core.parallel import worker_evaluator
-
-    model = worker_evaluator().model
+    model = context.evaluator().model
     return coupling_module.BUILD_COUNT, _derived_array(model, backend).ctypes.data
 
 
-def _kernel_probe(*_):
+def _kernel_probe(context):
     """Pool task: the noise kernel of the worker's evaluator."""
-    from repro.core.parallel import worker_evaluator
-
-    return worker_evaluator().backend
+    return context.evaluator().backend
 
 
 @pytest.mark.parametrize("cg_name,topology", CASES)
@@ -322,17 +318,11 @@ class TestWorkersResolveTheParentsKernel:
         assert evaluator.backend == kernel
         pool = pool_registry.get_pool(problem, 2, executor=spec)
         if executor == "tcp":
-            # Only registered task functions cross the wire: the
-            # in-thread worker runs the probe under the shard name.
-            with monkeypatch.context() as patch:
-                patch.setitem(
-                    worker_module.TASK_FUNCTIONS, "shard", _kernel_probe
-                )
-                probes = [pool.submit(evaluate_shard_task) for _ in range(2)]
-                kernels = {future.result(timeout=60) for future in probes}
-        else:
-            probes = [pool.submit(_kernel_probe) for _ in range(4)]
-            kernels = {future.result(timeout=60) for future in probes}
+            # Only registered task functions cross the wire; the
+            # in-thread worker reads this process's registry.
+            monkeypatch.setitem(parallel.TASKS, "probe", _kernel_probe)
+        probes = [pool.submit(_kernel_probe) for _ in range(4)]
+        kernels = {future.result(timeout=60) for future in probes}
         assert kernels == {kernel}
         batch = _batch(evaluator, 64, seed=6)
         sequential = evaluator.evaluate_batch(batch)

@@ -198,6 +198,42 @@ def test_workers_joining_while_retry_in_flight_complete_the_task(rig):
             thread.join(timeout=10)
 
 
+def test_shard_frame_names_the_task_and_carries_its_arguments(rig):
+    """The wire contract: a task frame names its function by its
+    ``parallel.TASKS`` key, and its payload is the pickled tuple of the
+    submitted positional arguments."""
+    hub = get_hub("tcp://127.0.0.1:0", heartbeat_interval_s=60.0)
+    spec = f"tcp://127.0.0.1:{hub.port}"
+    rows = _rows(rig["problem"])
+    names = ("worst_il", "worst_snr")
+    fake = FakeWorker(hub.port)
+    try:
+        _wait_connected(hub, 1)
+        backend = _make_backend(rig, spec, "races-wire")
+        (future,) = backend.map_shards(
+            _parallel.evaluate_shard_task, [rows], names
+        )
+        init = fake.read()
+        assert init["op"] == "init"
+        wire.write_message(fake.wfile, {"op": "ready", "ctx_id": init["ctx_id"]})
+        task = fake.read()
+        assert task["op"] == "task" and task["fn"] == "shard"
+        args = wire.decode_payload(task["payload"])
+        assert type(args) is tuple and len(args) == 2
+        np.testing.assert_array_equal(args[0], rows)
+        assert args[1] == names
+        wire.write_message(
+            fake.wfile,
+            {"op": "result", "task_id": task["task_id"],
+             "payload": wire.encode_payload("scored")},
+        )
+        assert future.result(timeout=30) == "scored"
+        backend.close()
+    finally:
+        fake.close()
+        hub.close()
+
+
 def test_late_pong_inside_the_miss_budget_keeps_the_worker():
     hub = get_hub(
         "tcp://127.0.0.1:0",

@@ -21,6 +21,11 @@ from repro.noc import PhotonicNoC, mesh
 from tests.conftest import model_cache_at
 
 
+def _cache_dir_probe(context):
+    """Pool task: the worker process's model cache directory."""
+    return coupling_module.get_model_cache_dir()
+
+
 @pytest.fixture(autouse=True)
 def _clean_registry():
     clear_model_cache()
@@ -310,13 +315,12 @@ class TestDiskCache:
         cache directory: the pool initializer hands it over."""
         from repro.core import MappingProblem
         from repro.core.pool import get_pool, release_pools
-        from repro.models.coupling import get_model_cache_dir
 
         network = PhotonicNoC(mesh(3, 3), params=params)
         problem = MappingProblem(pip_cg, network, "snr")
         pool = get_pool(problem, 2)
         try:
-            futures = [pool.submit(get_model_cache_dir) for _ in range(4)]
+            futures = [pool.submit(_cache_dir_probe) for _ in range(4)]
             seen = {future.result() for future in futures}
         finally:
             release_pools(problem)

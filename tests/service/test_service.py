@@ -357,6 +357,97 @@ class TestCoreDispatch:
         assert status == 400 and body["error"]["kind"] == "over_budget"
         assert "routes 2" in body["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"kind": "evaluate", "app": "pip"}, "routes"),
+            ({"kind": "evaluate", "app": "pip"}, "n_random"),
+            ({"kind": "optimize", "app": "pip", "strategy": "rs"}, "budget"),
+            ({"kind": "distribution", "app": "pip", "batch_size": 512}, "samples"),
+            ({"kind": "distribution", "app": "pip", "samples": 64}, "batch_size"),
+            (
+                {"kind": "evaluate", "app": "pip", "objective": "robust_snr",
+                 "variation_samples": 2},
+                "variation_seed",
+            ),
+            ({"kind": "evaluate", "app": "pip"}, "variation_samples"),
+            (
+                {"kind": "evaluate", "app": "pip", "objective": "robust_snr"},
+                "variation_samples",
+            ),
+        ],
+        ids=[
+            "routes", "n_random", "budget", "samples", "batch_size",
+            "variation_seed", "variation_samples", "variation_samples-robust",
+        ],
+    )
+    def test_null_field_answers_as_if_absent(self, core, payload, field):
+        """An explicit JSON null used to answer 500 (or raise): it means
+        the field's default, exactly like leaving the field out."""
+        payload = dict(payload, seed=3)
+        absent = core.handle_json(json.dumps(payload).encode())
+        assert absent[1] == 200, absent
+        null = core.handle_json(json.dumps(dict(payload, **{field: None})).encode())
+        assert null == absent
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mappings", b"1e400"),
+            ("mappings", b"[[100000000000000000000, 0, 1, 2, 3, 4, 5, 6]]"),
+            ("variation_sigma", b"1" + b"0" * 400),
+        ],
+        ids=["mappings-infinite", "mappings-beyond_int64", "sigma-beyond_float"],
+    )
+    def test_overflowing_numbers_are_400(self, core, field, value):
+        """Each used to raise out of handle_json and drop the connection."""
+        body, status = core.handle_json(
+            b'{"kind": "evaluate", "app": "pip", "%s": %s}' % (field.encode(), value)
+        )
+        assert status == 400 and body["error"]["kind"] == "bad_request", body
+        assert field in body["error"]["message"]
+
+    def test_unexpected_parse_failure_is_structured_500(self, core, monkeypatch):
+        def broken(payload, default_routes=1):
+            raise RuntimeError("schema bug")
+
+        monkeypatch.setattr(service_core_module, "parse_request", broken)
+        body, status = core.handle({"kind": "evaluate", "app": "pip"})
+        assert status == 500 and body["error"]["kind"] == "internal"
+        assert "schema bug" in body["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "app, samples", [("dvopd", 1000), ("pip", 10**30)]
+    )
+    def test_variation_samples_count_in_the_model_cap(self, core, app, samples):
+        """Each sample builds one more model: 1,000 dvopd samples would
+        ask for ~20 GB, and 10**30 used to answer 500."""
+        request = parse_request(
+            {"kind": "evaluate", "app": app, "objective": "robust_snr",
+             "variation_samples": samples}
+        )
+        with pytest.raises(ServiceError) as refused:
+            core._check_caps(request)
+        assert refused.value.kind == "over_budget"
+        assert "variation samples" in str(refused.value)
+        if app == "pip":  # refused through the front door, before a build
+            body, status = core.handle_json(
+                json.dumps({"kind": "evaluate", "app": app,
+                            "variation_samples": samples}).encode()
+            )
+            assert status == 400 and body["error"]["kind"] == "over_budget"
+
+    def test_default_plan_on_mesh8_sits_at_the_model_cap(self, core):
+        """Every request accepted with at most 8 samples stays accepted:
+        mesh8 with the default plan builds exactly the cap."""
+        robust = {"kind": "evaluate", "app": "mpeg4", "side": 8,
+                  "objective": "robust_snr"}
+        core._check_caps(parse_request(robust))
+        core._check_caps(parse_request(dict(robust, variation_samples=8)))
+        with pytest.raises(ServiceError) as refused:
+            core._check_caps(parse_request(dict(robust, variation_samples=9)))
+        assert refused.value.kind == "over_budget"
+
     def test_malformed_json_is_structured_error(self, core):
         body, status = core.handle_json(b"{nope")
         assert status == 400
